@@ -74,13 +74,15 @@ mod tests {
     use super::*;
     use crate::regime::MethodRegime;
     use crate::sim::{AgendaConfig, AgendaSim};
+    use humnet_resilience::NoFaults;
+    use humnet_telemetry::Telemetry;
 
     fn finished(regime: MethodRegime) -> AgendaSim {
         let mut cfg = AgendaConfig::default();
         cfg.regime = regime;
         cfg.seed = 13;
         let mut sim = AgendaSim::new(cfg).unwrap();
-        sim.run().unwrap();
+        sim.run(&mut NoFaults, &Telemetry::disabled()).unwrap();
         sim
     }
 
@@ -128,7 +130,7 @@ mod tests {
             cfg.researchers = 15;
             cfg.seed = seed;
             let mut sim = AgendaSim::new(cfg).unwrap();
-            sim.run().unwrap();
+            sim.run(&mut NoFaults, &Telemetry::disabled()).unwrap();
             hyper_sum +=
                 mean_time_to_surface(&sim.space, StakeholderClass::Hyperscaler).unwrap();
             if let Some(c) =

@@ -12,7 +12,7 @@
 use crate::model::{ProblemSpace, SpaceConfig, StakeholderClass};
 use crate::regime::MethodRegime;
 use crate::{AgendaError, Result};
-use humnet_resilience::{FaultHook, FaultKind, NoFaults};
+use humnet_resilience::{FaultHook, FaultKind};
 use humnet_stats::Rng;
 use humnet_telemetry::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -98,34 +98,19 @@ impl AgendaSim {
         })
     }
 
-    /// Run all configured rounds and return the history.
-    pub fn run(&mut self) -> Result<&[RoundSnapshot]> {
-        self.run_with_faults(&mut NoFaults)
-    }
-
-    /// Run all configured rounds under a fault hook. Each round the hook is
-    /// asked about [`FaultKind::ReviewerNoShow`] (a slice of the researcher
-    /// population skips the round) and [`FaultKind::VolunteerDropout`] (a
-    /// temporary funding-attention shock: feedback loops stall this round).
-    /// Under [`NoFaults`] this is bit-identical to [`AgendaSim::run`].
-    pub fn run_with_faults(&mut self, hook: &mut dyn FaultHook) -> Result<&[RoundSnapshot]> {
-        self.run_instrumented(hook, &Telemetry::disabled())
-    }
-
-    /// [`AgendaSim::run_with_faults`] with telemetry: an `agenda.run` span,
-    /// a per-round `agenda.step_ns` histogram, round/publication counters,
-    /// and a final milestone event. Telemetry only observes — the simulated
-    /// trajectory is bit-identical to the uninstrumented run.
-    pub fn run_instrumented(
-        &mut self,
-        hook: &mut dyn FaultHook,
-        tel: &Telemetry,
-    ) -> Result<&[RoundSnapshot]> {
+    /// Run all configured rounds under a fault hook and return the
+    /// history. Each round the hook is asked about
+    /// [`FaultKind::ReviewerNoShow`] (a slice of the researcher population
+    /// skips the round) and [`FaultKind::VolunteerDropout`] (a temporary
+    /// funding-attention shock: feedback loops stall this round).
+    ///
+    /// Telemetry: an `agenda.run` span, a per-round `agenda.step_ns`
+    /// histogram, round/publication counters, and a final milestone event.
+    /// Telemetry only observes; it never touches the simulated trajectory.
+    pub fn run(&mut self, hook: &mut dyn FaultHook, tel: &Telemetry) -> Result<&[RoundSnapshot]> {
         let _span = tel.span("agenda.run");
         for _ in 0..self.config.rounds {
-            let t0 = tel.start();
-            self.step_with_faults(hook);
-            tel.observe_since("agenda.step_ns", t0);
+            self.step(hook, tel);
         }
         tel.counter("agenda.rounds", u64::from(self.config.rounds));
         if let Some(last) = self.history.last() {
@@ -145,13 +130,10 @@ impl AgendaSim {
         Ok(&self.history)
     }
 
-    /// Advance one round.
-    pub fn step(&mut self) {
-        self.step_with_faults(&mut NoFaults);
-    }
-
-    /// Advance one round under a fault hook.
-    pub fn step_with_faults(&mut self, hook: &mut dyn FaultHook) {
+    /// Advance one round under a fault hook, observing its duration into
+    /// the `agenda.step_ns` histogram.
+    pub fn step(&mut self, hook: &mut dyn FaultHook, tel: &Telemetry) {
+        let t0 = tel.start();
         let regime = self.config.regime;
         let step = u64::from(self.round);
         // Reviewer no-shows thin this round's researcher pool.
@@ -223,6 +205,7 @@ impl AgendaSim {
             publications,
         });
         self.round += 1;
+        tel.observe_since("agenda.step_ns", t0);
     }
 
     /// The recorded history.
@@ -260,13 +243,14 @@ impl AgendaSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use humnet_resilience::NoFaults;
 
     fn run(regime: MethodRegime, seed: u64) -> AgendaSim {
         let mut cfg = AgendaConfig::default();
         cfg.regime = regime;
         cfg.seed = seed;
         let mut sim = AgendaSim::new(cfg).unwrap();
-        sim.run().unwrap();
+        sim.run(&mut NoFaults, &Telemetry::disabled()).unwrap();
         sim
     }
 
@@ -368,7 +352,7 @@ mod tests {
             cfg.seed = 7;
             let mut sim = AgendaSim::new(cfg).unwrap();
             let mut hook = PlanHook::new(FaultPlan::new(FaultProfile::Chaos, seed));
-            sim.run_with_faults(&mut hook).unwrap();
+            sim.run(&mut hook, &Telemetry::disabled()).unwrap();
             (sim, hook.faults_injected())
         };
         let (a, faults_a) = faulted(13);
@@ -381,13 +365,13 @@ mod tests {
             assert!(w[1].surfaced >= w[0].surfaced);
             assert!(w[1].publications >= w[0].publications);
         }
-        // A no-fault hook reproduces the plain run exactly.
+        // An inactive plan reproduces the fault-free run exactly.
         let plain = run(MethodRegime::DataDriven, 7);
         let mut cfg = AgendaConfig::default();
         cfg.seed = 7;
         let mut hooked = AgendaSim::new(cfg).unwrap();
         hooked
-            .run_with_faults(&mut PlanHook::new(FaultPlan::none()))
+            .run(&mut PlanHook::new(FaultPlan::none()), &Telemetry::disabled())
             .unwrap();
         assert_eq!(plain.history(), hooked.history());
     }

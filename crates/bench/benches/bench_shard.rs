@@ -103,7 +103,7 @@ fn bench_merge_runs_path(c: &mut Criterion) {
     let shard_runs: Vec<_> = (0..4u32)
         .map(|k| {
             let chunk: Vec<ExperimentSpec> = specs[(k as usize * 8)..((k as usize + 1) * 8)].to_vec();
-            Supervisor::new(config).run_shard(&chunk, k, k as usize * 8)
+            Supervisor::builder().config(config).build().run_shard(&chunk, k, k as usize * 8)
         })
         .collect();
     group.bench_function("merge_runs_4_shards_32_jobs", |b| {

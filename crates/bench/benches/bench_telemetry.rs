@@ -2,9 +2,9 @@
 //! histograms surfaced: the agenda sim step loop (`agenda.step_ns`) and
 //! the IXP scenario route-and-assign step (`ixp.route_assign_ns`).
 //!
-//! Each path is timed bare, with disabled telemetry (the cost every plain
-//! `run()` call now pays), and fully instrumented. Micro-benches at the
-//! bottom price the individual primitives. Baselines live in
+//! Each path is timed with disabled telemetry (what every caller passing
+//! `Telemetry::disabled()` pays) and fully instrumented. Micro-benches at
+//! the bottom price the individual primitives. Baselines live in
 //! `BENCH_telemetry.json` at the repo root.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -16,18 +16,11 @@ use humnet_telemetry::Telemetry;
 
 fn bench_agenda(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_agenda_step");
-    group.bench_function("agenda_run_bare", |b| {
-        b.iter(|| {
-            let mut sim = AgendaSim::new(small_agenda(1)).unwrap();
-            sim.run().unwrap();
-            black_box(sim.history().last().cloned())
-        })
-    });
     group.bench_function("agenda_run_instrumented_disabled", |b| {
         let tel = Telemetry::disabled();
         b.iter(|| {
             let mut sim = AgendaSim::new(small_agenda(1)).unwrap();
-            sim.run_instrumented(&mut NoFaults, &tel).unwrap();
+            sim.run(&mut NoFaults, &tel).unwrap();
             black_box(sim.history().last().cloned())
         })
     });
@@ -35,7 +28,7 @@ fn bench_agenda(c: &mut Criterion) {
         b.iter(|| {
             let tel = Telemetry::new();
             let mut sim = AgendaSim::new(small_agenda(1)).unwrap();
-            sim.run_instrumented(&mut NoFaults, &tel).unwrap();
+            sim.run(&mut NoFaults, &tel).unwrap();
             black_box(tel.snapshot())
         })
     });
@@ -45,13 +38,16 @@ fn bench_agenda(c: &mut Criterion) {
 fn bench_ixp(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_ixp_scenario");
     let cfg = MexicoConfig::default();
+    // "bare" is the fault-free run with disabled telemetry: the baseline
+    // the instrumented variant is compared against.
     group.bench_function("mexico_run_bare", |b| {
-        b.iter(|| black_box(MexicoScenario::run(&cfg).unwrap().flows.len()))
+        let tel = Telemetry::disabled();
+        b.iter(|| black_box(MexicoScenario::run(&cfg, &mut NoFaults, &tel).unwrap().flows.len()))
     });
     group.bench_function("mexico_run_instrumented_enabled", |b| {
         b.iter(|| {
             let tel = Telemetry::new();
-            let out = MexicoScenario::run_instrumented(&cfg, &mut NoFaults, &tel).unwrap();
+            let out = MexicoScenario::run(&cfg, &mut NoFaults, &tel).unwrap();
             black_box((out.flows.len(), tel.snapshot()))
         })
     });

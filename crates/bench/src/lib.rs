@@ -1,48 +1,19 @@
 //! Shared fixtures for the humnet benchmark harness.
 //!
-//! Each bench target regenerates one experiment from `EXPERIMENTS.md`
-//! (usually at reduced scale so Criterion can iterate) and additionally
-//! sweeps the ablation knobs called out in `DESIGN.md` §4.
+//! `bench_experiments` times every experiment of `EXPERIMENTS.md` through
+//! the registry; the other targets price the substrates, telemetry,
+//! sharding, scheduling and the serve daemon.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use humnet_agenda::AgendaConfig;
-use humnet_community::{CongestionConfig, SustainabilityConfig};
-use humnet_corpus::CorpusConfig;
 
 /// A reduced agenda configuration benches can iterate quickly.
 pub fn small_agenda(seed: u64) -> AgendaConfig {
     let mut cfg = AgendaConfig::default();
     cfg.researchers = 60;
     cfg.rounds = 20;
-    cfg.seed = seed;
-    cfg
-}
-
-/// A reduced corpus configuration (~240 papers).
-pub fn small_corpus(seed: u64) -> (CorpusConfig, u64) {
-    let mut cfg = CorpusConfig::default();
-    cfg.years = 4;
-    for v in cfg.venues.iter_mut() {
-        v.papers_per_year = 10;
-    }
-    cfg.author_pool = 150;
-    (cfg, seed)
-}
-
-/// A reduced sustainability run (one quarter).
-pub fn small_sustainability(seed: u64) -> SustainabilityConfig {
-    let mut cfg = SustainabilityConfig::default();
-    cfg.days = 90;
-    cfg.seed = seed;
-    cfg
-}
-
-/// A reduced congestion run.
-pub fn small_congestion(seed: u64) -> CongestionConfig {
-    let mut cfg = CongestionConfig::default();
-    cfg.rounds = 120;
     cfg.seed = seed;
     cfg
 }

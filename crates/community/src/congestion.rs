@@ -15,7 +15,7 @@
 //!   rounds, and capacity left over after entitlements is shared max-min.
 
 use crate::{CommunityError, Result};
-use humnet_resilience::{FaultHook, FaultKind, NoFaults};
+use humnet_resilience::{FaultHook, FaultKind};
 use humnet_stats::{jain_fairness, Rng};
 use humnet_telemetry::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -149,21 +149,18 @@ impl CongestionSim {
         Ok(CongestionSim { config })
     }
 
-    /// Run one policy to completion.
-    pub fn run(&self, policy: AllocationPolicy) -> CongestionOutcome {
-        self.run_with_faults(policy, &mut NoFaults)
-    }
-
-    /// Run one policy under a fault hook. Each round the hook is asked
-    /// about [`FaultKind::LinkOutage`]: an active outage shrinks that
-    /// round's backhaul capacity by up to 60% at full severity (the common
-    /// pool itself degrades). Under [`NoFaults`] this is bit-identical to
-    /// [`CongestionSim::run`].
-    pub fn run_with_faults(
+    /// Run one policy to completion under a fault hook, observing its
+    /// duration into the `community.policy_ns` histogram. Each round the
+    /// hook is asked about [`FaultKind::LinkOutage`]: an active outage
+    /// shrinks that round's backhaul capacity by up to 60% at full severity
+    /// (the common pool itself degrades).
+    pub fn run(
         &self,
         policy: AllocationPolicy,
         hook: &mut dyn FaultHook,
+        tel: &Telemetry,
     ) -> CongestionOutcome {
+        let t0 = tel.start();
         let cfg = &self.config;
         let mut rng = Rng::new(cfg.seed);
         let n = cfg.households;
@@ -286,7 +283,7 @@ impl CongestionSim {
             }
         }
         let sr = saturated_rounds.max(1) as f64;
-        CongestionOutcome {
+        let outcome = CongestionOutcome {
             policy,
             fairness: fairness_acc / sr,
             utilization: util_acc / sr,
@@ -296,38 +293,23 @@ impl CongestionSim {
                 0.0
             },
             saturated_rounds,
-        }
+        };
+        tel.observe_since("community.policy_ns", t0);
+        outcome
     }
 
     /// Run all three policies on identical demand streams (same seed).
-    pub fn compare(&self) -> Vec<CongestionOutcome> {
-        AllocationPolicy::ALL.iter().map(|&p| self.run(p)).collect()
-    }
-
-    /// [`CongestionSim::compare`] under a fault hook: every policy faces
-    /// the identical outage schedule (fault draws are pure per step), so
-    /// the comparison stays apples-to-apples even mid-chaos.
-    pub fn compare_with_faults(&self, hook: &mut dyn FaultHook) -> Vec<CongestionOutcome> {
-        self.compare_instrumented(hook, &Telemetry::disabled())
-    }
-
-    /// [`CongestionSim::compare_with_faults`] with telemetry: a
-    /// `community.congestion` span, a per-policy `community.policy_ns`
-    /// histogram, and a milestone event. The outcomes are identical.
-    pub fn compare_instrumented(
-        &self,
-        hook: &mut dyn FaultHook,
-        tel: &Telemetry,
-    ) -> Vec<CongestionOutcome> {
+    /// Every policy faces the identical outage schedule (fault draws are
+    /// pure per step), so the comparison stays apples-to-apples even
+    /// mid-chaos.
+    ///
+    /// Telemetry: a `community.congestion` span, the per-policy
+    /// `community.policy_ns` histogram, and a milestone event.
+    pub fn compare(&self, hook: &mut dyn FaultHook, tel: &Telemetry) -> Vec<CongestionOutcome> {
         let _span = tel.span("community.congestion");
         let outcomes: Vec<CongestionOutcome> = AllocationPolicy::ALL
             .iter()
-            .map(|&p| {
-                let t0 = tel.start();
-                let out = self.run_with_faults(p, hook);
-                tel.observe_since("community.policy_ns", t0);
-                out
-            })
+            .map(|&p| self.run(p, hook, tel))
             .collect();
         tel.counter("community.policies", outcomes.len() as u64);
         tel.event(Event::new(
@@ -345,11 +327,12 @@ impl CongestionSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use humnet_resilience::NoFaults;
 
     fn outcomes() -> Vec<CongestionOutcome> {
         CongestionSim::new(CongestionConfig::default())
             .unwrap()
-            .compare()
+            .compare(&mut NoFaults, &Telemetry::disabled())
     }
 
     #[test]
@@ -371,7 +354,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let sim = CongestionSim::new(CongestionConfig::default()).unwrap();
-        assert_eq!(sim.run(AllocationPolicy::FreeForAll), sim.run(AllocationPolicy::FreeForAll));
+        let run = || sim.run(AllocationPolicy::FreeForAll, &mut NoFaults, &Telemetry::disabled());
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -451,12 +435,13 @@ mod tests {
         use humnet_resilience::{FaultPlan, FaultProfile, PlanHook};
         let sim = CongestionSim::new(CongestionConfig::default()).unwrap();
         for policy in AllocationPolicy::ALL {
-            let plain = sim.run(policy);
+            let tel = Telemetry::disabled();
+            let plain = sim.run(policy, &mut NoFaults, &tel);
             let mut none = PlanHook::new(FaultPlan::none());
-            assert_eq!(sim.run_with_faults(policy, &mut none), plain);
+            assert_eq!(sim.run(policy, &mut none, &tel), plain);
             let run_chaos = || {
                 let mut hook = PlanHook::new(FaultPlan::new(FaultProfile::Outage, 5));
-                let out = sim.run_with_faults(policy, &mut hook);
+                let out = sim.run(policy, &mut hook, &tel);
                 (out, hook.faults_injected())
             };
             let (a, fa) = run_chaos();
@@ -478,7 +463,7 @@ mod tests {
         cfg.demand_sigma = 0.0;
         // Mean load is 80% of capacity with zero variance: never saturates.
         let sim = CongestionSim::new(cfg).unwrap();
-        let out = sim.run(AllocationPolicy::FreeForAll);
+        let out = sim.run(AllocationPolicy::FreeForAll, &mut NoFaults, &Telemetry::disabled());
         assert_eq!(out.saturated_rounds, 0);
         assert_eq!(out.starvation, 0.0);
     }

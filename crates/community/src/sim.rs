@@ -16,7 +16,7 @@
 use crate::mesh::{MeshConfig, MeshNetwork, NodeState};
 use crate::volunteer::{VolunteerPool, VolunteerRegime};
 use crate::Result;
-use humnet_resilience::{FaultHook, FaultKind, NoFaults};
+use humnet_resilience::{FaultHook, FaultKind};
 use humnet_stats::Rng;
 use humnet_telemetry::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -89,29 +89,15 @@ impl SustainabilitySim {
         Ok(SustainabilitySim { config })
     }
 
-    /// Run to completion.
-    pub fn run(&self) -> Result<SustainabilityOutcome> {
-        self.run_with_faults(&mut NoFaults)
-    }
-
     /// Run to completion under a fault hook. Each day the hook is asked
     /// about [`FaultKind::VolunteerDropout`] (today's volunteer availability
     /// is scaled down by the severity) and [`FaultKind::LinkOutage`] (extra
-    /// node failures proportional to the severity). Under [`NoFaults`] this
-    /// is bit-identical to [`SustainabilitySim::run`].
-    pub fn run_with_faults(&self, hook: &mut dyn FaultHook) -> Result<SustainabilityOutcome> {
-        self.run_instrumented(hook, &Telemetry::disabled())
-    }
-
-    /// [`SustainabilitySim::run_with_faults`] with telemetry: a
-    /// `community.sustainability` span, a per-day `community.day_ns`
-    /// histogram, failure/repair counters, and a milestone event. The
-    /// simulated outcome is identical.
-    pub fn run_instrumented(
-        &self,
-        hook: &mut dyn FaultHook,
-        tel: &Telemetry,
-    ) -> Result<SustainabilityOutcome> {
+    /// node failures proportional to the severity).
+    ///
+    /// Telemetry: a `community.sustainability` span, a per-day
+    /// `community.day_ns` histogram, failure/repair counters, and a
+    /// milestone event.
+    pub fn run(&self, hook: &mut dyn FaultHook, tel: &Telemetry) -> Result<SustainabilityOutcome> {
         let _span = tel.span("community.sustainability");
         let mut rng = Rng::new(self.config.seed);
         let mut mesh = MeshNetwork::deploy(&self.config.mesh, &mut rng)?;
@@ -246,6 +232,7 @@ impl SustainabilitySim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use humnet_resilience::NoFaults;
 
     fn run(regime: VolunteerRegime, failure_rate: f64, days: u32, seed: u64) -> SustainabilityOutcome {
         let mut cfg = SustainabilityConfig::default();
@@ -253,7 +240,10 @@ mod tests {
         cfg.daily_failure_rate = failure_rate;
         cfg.days = days;
         cfg.seed = seed;
-        SustainabilitySim::new(cfg).unwrap().run().unwrap()
+        SustainabilitySim::new(cfg)
+            .unwrap()
+            .run(&mut NoFaults, &Telemetry::disabled())
+            .unwrap()
     }
 
     #[test]
@@ -330,15 +320,16 @@ mod tests {
         use humnet_resilience::{FaultPlan, FaultProfile, PlanHook};
         let cfg = SustainabilityConfig::default();
         let sim = SustainabilitySim::new(cfg).unwrap();
-        let plain = sim.run().unwrap();
-        // NoFaults-equivalent plan reproduces the plain run bit-for-bit.
+        let tel = Telemetry::disabled();
+        let plain = sim.run(&mut NoFaults, &tel).unwrap();
+        // An inactive plan reproduces the fault-free run bit-for-bit.
         let mut none = PlanHook::new(FaultPlan::none());
-        assert_eq!(sim.run_with_faults(&mut none).unwrap(), plain);
+        assert_eq!(sim.run(&mut none, &tel).unwrap(), plain);
         assert_eq!(none.faults_injected(), 0);
         // Chaos runs are deterministic and stay within valid bounds.
         let chaos = |seed| {
             let mut hook = PlanHook::new(FaultPlan::new(FaultProfile::Chaos, seed));
-            let out = sim.run_with_faults(&mut hook).unwrap();
+            let out = sim.run(&mut hook, &tel).unwrap();
             (out, hook.faults_injected())
         };
         let (a, fa) = chaos(21);

@@ -62,20 +62,10 @@ impl MethodsAuditor {
         MethodsAuditor
     }
 
-    /// Run the §5 checklist over a corpus.
-    pub fn audit(&self, corpus: &Corpus) -> Result<AuditReport> {
-        self.audit_instrumented(corpus, &humnet_telemetry::Telemetry::disabled())
-    }
-
-    /// [`MethodsAuditor::audit`] with telemetry: a `survey.audit` span
-    /// (the positionality detector from `humnet-survey` runs inside it),
-    /// paper counters, detector-quality gauges, and a milestone event.
-    /// The report is identical.
-    pub fn audit_instrumented(
-        &self,
-        corpus: &Corpus,
-        tel: &humnet_telemetry::Telemetry,
-    ) -> Result<AuditReport> {
+    /// Run the §5 checklist over a corpus. Telemetry: a `survey.audit`
+    /// span (the positionality detector from `humnet-survey` runs inside
+    /// it), paper counters, detector-quality gauges, and a milestone event.
+    pub fn audit(&self, corpus: &Corpus, tel: &humnet_telemetry::Telemetry) -> Result<AuditReport> {
         let _span = tel.span("survey.audit");
         let t0 = tel.start();
         let report = self.audit_inner(corpus)?;
@@ -164,6 +154,7 @@ impl MethodsAuditor {
 mod tests {
     use super::*;
     use humnet_corpus::CorpusConfig;
+    use humnet_telemetry::Telemetry;
 
     fn corpus() -> Corpus {
         let mut cfg = CorpusConfig::default();
@@ -172,17 +163,21 @@ mod tests {
             v.papers_per_year = 20;
         }
         cfg.author_pool = 150;
-        cfg.generate(31).unwrap()
+        cfg.generate(31, &Telemetry::disabled()).unwrap()
+    }
+
+    fn audit(corpus: &Corpus) -> AuditReport {
+        MethodsAuditor::new().audit(corpus, &Telemetry::disabled()).unwrap()
     }
 
     #[test]
     fn empty_corpus_errors() {
-        assert!(MethodsAuditor::new().audit(&Corpus::default()).is_err());
+        assert!(MethodsAuditor::new().audit(&Corpus::default(), &Telemetry::disabled()).is_err());
     }
 
     #[test]
     fn report_covers_all_venue_kinds() {
-        let report = MethodsAuditor::new().audit(&corpus()).unwrap();
+        let report = audit(&corpus());
         assert_eq!(report.venues.len(), VenueKind::ALL.len());
         let total: usize = report.venues.iter().map(|v| v.papers).sum();
         assert_eq!(total, corpus().papers.len());
@@ -190,7 +185,7 @@ mod tests {
 
     #[test]
     fn rates_are_bounded() {
-        let report = MethodsAuditor::new().audit(&corpus()).unwrap();
+        let report = audit(&corpus());
         for v in &report.venues {
             for rate in [
                 v.partnership_rate,
@@ -207,7 +202,7 @@ mod tests {
 
     #[test]
     fn networking_venues_lag_on_every_recommendation() {
-        let report = MethodsAuditor::new().audit(&corpus()).unwrap();
+        let report = audit(&corpus());
         let get = |kind: VenueKind| report.venues.iter().find(|v| v.kind == kind).unwrap();
         let sys = get(VenueKind::SystemsNetworking);
         let ictd = get(VenueKind::Ictd);
@@ -221,7 +216,7 @@ mod tests {
     fn detector_matches_structured_tags() {
         // The corpus generator embeds the positionality sentence verbatim,
         // so the detector should achieve perfect recall and precision here.
-        let report = MethodsAuditor::new().audit(&corpus()).unwrap();
+        let report = audit(&corpus());
         assert!(
             report.detector_recall > 0.99,
             "recall = {}",
@@ -236,7 +231,7 @@ mod tests {
 
     #[test]
     fn full_adoption_is_rare_in_default_corpus() {
-        let report = MethodsAuditor::new().audit(&corpus()).unwrap();
+        let report = audit(&corpus());
         assert!(
             report.full_adoption_rate < 0.2,
             "rate = {}",

@@ -24,7 +24,9 @@ use humnet_ixp::{
     TrafficConfig, TrafficMatrix, TwoRegionConfig, TwoRegionScenario,
 };
 use humnet_qual::{SimulatedStudy, StudyConfig};
-use humnet_resilience::{FaultHook, FaultPlan, InstrumentedHook, NoFaults, PlanHook};
+use humnet_resilience::{
+    ExperimentSpec, FaultHook, FaultPlan, InstrumentedHook, JobError, JobOutput, PlanHook,
+};
 use humnet_stats::lorenz_curve;
 use humnet_telemetry::Telemetry;
 
@@ -45,27 +47,14 @@ pub struct F1Result {
 }
 
 /// **F1** — concentration of research attention (§1's feedback loop).
-pub fn f1_attention(seed: u64) -> Result<F1Result> {
-    f1_attention_with_faults(seed, &mut NoFaults)
-}
-
-/// [`f1_attention`] under a fault hook: reviewer no-shows and volunteer
-/// dropout perturb the agenda simulation mid-run.
-pub fn f1_attention_with_faults(seed: u64, hook: &mut dyn FaultHook) -> Result<F1Result> {
-    f1_attention_instrumented(seed, hook, &Telemetry::disabled())
-}
-
-/// [`f1_attention_with_faults`] with telemetry flowing into `tel`.
-pub fn f1_attention_instrumented(
-    seed: u64,
-    hook: &mut dyn FaultHook,
-    tel: &Telemetry,
-) -> Result<F1Result> {
+/// Reviewer no-shows and volunteer dropout from `hook` perturb the agenda
+/// simulation mid-run.
+pub fn f1_attention(seed: u64, hook: &mut dyn FaultHook, tel: &Telemetry) -> Result<F1Result> {
     let mut cfg = AgendaConfig::default();
     cfg.regime = MethodRegime::DataDriven;
     cfg.seed = seed;
     let mut sim = AgendaSim::new(cfg).map_err(upstream("agenda config"))?;
-    sim.run_instrumented(hook, tel).map_err(upstream("agenda run"))?;
+    sim.run(hook, tel).map_err(upstream("agenda run"))?;
     let counts: Vec<f64> = sim
         .space
         .problems
@@ -115,23 +104,10 @@ pub struct T1Row {
     pub publications: f64,
 }
 
-/// **T1** — method-regime comparison over several seeds.
-pub fn t1_regimes(seeds: &[u64]) -> Result<(Vec<T1Row>, Table)> {
-    t1_regimes_with_faults(seeds, &mut NoFaults)
-}
-
-/// [`t1_regimes`] under a fault hook. Fault draws are pure per
-/// `(step, kind)`, so every regime faces the identical churn schedule and
-/// the cross-regime comparison stays fair.
-pub fn t1_regimes_with_faults(
-    seeds: &[u64],
-    hook: &mut dyn FaultHook,
-) -> Result<(Vec<T1Row>, Table)> {
-    t1_regimes_instrumented(seeds, hook, &Telemetry::disabled())
-}
-
-/// [`t1_regimes_with_faults`] with telemetry flowing into `tel`.
-pub fn t1_regimes_instrumented(
+/// **T1** — method-regime comparison over several seeds. Fault draws are
+/// pure per `(step, kind)`, so every regime faces the identical churn
+/// schedule and the cross-regime comparison stays fair.
+pub fn t1_regimes(
     seeds: &[u64],
     hook: &mut dyn FaultHook,
     tel: &Telemetry,
@@ -150,7 +126,7 @@ pub fn t1_regimes_instrumented(
             cfg.regime = regime;
             cfg.seed = seed;
             let mut sim = AgendaSim::new(cfg).map_err(upstream("agenda config"))?;
-            sim.run_instrumented(hook, tel).map_err(upstream("agenda run"))?;
+            sim.run(hook, tel).map_err(upstream("agenda run"))?;
             marg += coverage(&sim.space, true).map_err(upstream("coverage"))?;
             dom += coverage(&sim.space, false).map_err(upstream("coverage"))?;
             gini += attention_gini(&sim.space).map_err(upstream("gini"))?;
@@ -188,18 +164,12 @@ pub fn t1_regimes_instrumented(
 }
 
 /// **F2** — positionality-statement prevalence by venue kind and year.
-pub fn f2_positionality(seed: u64) -> Result<(Table, Vec<Series>)> {
-    f2_positionality_instrumented(seed, &Telemetry::disabled())
-}
-
-/// [`f2_positionality`] with telemetry: the corpus generation and the
-/// survey-pipeline audit both report into `tel`.
-pub fn f2_positionality_instrumented(seed: u64, tel: &Telemetry) -> Result<(Table, Vec<Series>)> {
+/// The corpus generation and the survey-pipeline audit both report into
+/// `tel`.
+pub fn f2_positionality(seed: u64, tel: &Telemetry) -> Result<(Table, Vec<Series>)> {
     let cfg = CorpusConfig::default();
-    let corpus = cfg
-        .generate_instrumented(seed, tel)
-        .map_err(upstream("corpus generate"))?;
-    let report = MethodsAuditor::new().audit_instrumented(&corpus, tel)?;
+    let corpus = cfg.generate(seed, tel).map_err(upstream("corpus generate"))?;
+    let report = MethodsAuditor::new().audit(&corpus, tel)?;
     let mut table = Table::new(
         "F2: positionality prevalence by venue kind",
         &["venue kind", "papers", "tagged rate", "detected rate"],
@@ -232,27 +202,13 @@ pub fn f2_positionality_instrumented(seed: u64, tel: &Telemetry) -> Result<(Tabl
     Ok((table, series))
 }
 
-/// **T2** — inter-rater reliability vs codebook refinement round.
-pub fn t2_irr(seed: u64, rounds: u32) -> Result<Table> {
-    t2_irr_with_faults(seed, rounds, &mut NoFaults)
-}
-
-/// [`t2_irr`] under a fault hook: coder attrition degrades coding rounds.
-pub fn t2_irr_with_faults(seed: u64, rounds: u32, hook: &mut dyn FaultHook) -> Result<Table> {
-    t2_irr_instrumented(seed, rounds, hook, &Telemetry::disabled())
-}
-
-/// [`t2_irr_with_faults`] with telemetry flowing into `tel`.
-pub fn t2_irr_instrumented(
-    seed: u64,
-    rounds: u32,
-    hook: &mut dyn FaultHook,
-    tel: &Telemetry,
-) -> Result<Table> {
+/// **T2** — inter-rater reliability vs codebook refinement round. Coder
+/// attrition from `hook` degrades coding rounds.
+pub fn t2_irr(seed: u64, rounds: u32, hook: &mut dyn FaultHook, tel: &Telemetry) -> Result<Table> {
     let mut study =
         SimulatedStudy::new(StudyConfig::default(), seed).map_err(upstream("study config"))?;
     let traj = study
-        .reliability_instrumented(rounds, hook, tel)
+        .reliability_trajectory(rounds, hook, tel)
         .map_err(upstream("trajectory"))?;
     let mut table = Table::new(
         "T2: inter-rater reliability vs codebook refinement",
@@ -270,21 +226,9 @@ pub fn t2_irr_instrumented(
 }
 
 /// **F3** — mandatory-peering enforcement sweep, complied vs circumvented.
-pub fn f3_telmex(points: usize) -> Result<(Series, Series, Table)> {
-    f3_telmex_with_faults(points, &mut NoFaults)
-}
-
-/// [`f3_telmex`] under a fault hook: IXP outages leave exchanges dark
-/// (no multilateral peering, no enforceable regulation).
-pub fn f3_telmex_with_faults(
-    points: usize,
-    hook: &mut dyn FaultHook,
-) -> Result<(Series, Series, Table)> {
-    f3_telmex_instrumented(points, hook, &Telemetry::disabled())
-}
-
-/// [`f3_telmex_with_faults`] with telemetry flowing into `tel`.
-pub fn f3_telmex_instrumented(
+/// IXP outages from `hook` leave exchanges dark (no multilateral peering,
+/// no enforceable regulation).
+pub fn f3_telmex(
     points: usize,
     hook: &mut dyn FaultHook,
     tel: &Telemetry,
@@ -311,10 +255,10 @@ pub fn f3_telmex_instrumented(
         let mut cfg = MexicoConfig::default();
         cfg.regulation.enforcement = e;
         cfg.strategy = CircumventionStrategy::ComplyFully;
-        let sc = MexicoScenario::run_instrumented(&cfg, hook, tel).map_err(upstream("mexico run"))?;
+        let sc = MexicoScenario::run(&cfg, hook, tel).map_err(upstream("mexico run"))?;
         let share_c = sc.competitor_ixp_share().map_err(upstream("share"))?;
         cfg.strategy = CircumventionStrategy::AsnSplitting;
-        let ss = MexicoScenario::run_instrumented(&cfg, hook, tel).map_err(upstream("mexico run"))?;
+        let ss = MexicoScenario::run(&cfg, hook, tel).map_err(upstream("mexico run"))?;
         let share_s = ss.competitor_ixp_share().map_err(upstream("share"))?;
         comply.push(e, share_c);
         split.push(e, share_s);
@@ -329,20 +273,8 @@ pub fn f3_telmex_instrumented(
 }
 
 /// **F4** — IXP gravity: foreign-exchange share vs local content presence.
-pub fn f4_gravity(points: usize) -> Result<(Series, Series)> {
-    f4_gravity_with_faults(points, &mut NoFaults)
-}
-
-/// [`f4_gravity`] under a fault hook: either region's exchange can go dark.
-pub fn f4_gravity_with_faults(
-    points: usize,
-    hook: &mut dyn FaultHook,
-) -> Result<(Series, Series)> {
-    f4_gravity_instrumented(points, hook, &Telemetry::disabled())
-}
-
-/// [`f4_gravity_with_faults`] with telemetry flowing into `tel`.
-pub fn f4_gravity_instrumented(
+/// Either region's exchange can go dark under `hook`.
+pub fn f4_gravity(
     points: usize,
     hook: &mut dyn FaultHook,
     tel: &Telemetry,
@@ -364,8 +296,7 @@ pub fn f4_gravity_instrumented(
         let p = i as f64 / (points - 1) as f64;
         let mut cfg = TwoRegionConfig::default();
         cfg.content_presence_south = p;
-        let sc = TwoRegionScenario::run_instrumented(&cfg, hook, tel)
-            .map_err(upstream("two-region run"))?;
+        let sc = TwoRegionScenario::run(&cfg, hook, tel).map_err(upstream("two-region run"))?;
         foreign.push(p, sc.foreign_exchange_share().map_err(upstream("share"))?);
         local.push(p, sc.local_exchange_share().map_err(upstream("share"))?);
     }
@@ -373,11 +304,6 @@ pub fn f4_gravity_instrumented(
 }
 
 /// **F10** — internet-scale routing on a synthetic internet.
-pub fn f10_scale(seed: u64) -> Result<Table> {
-    f10_scale_instrumented(seed, &Telemetry::disabled())
-}
-
-/// [`f10_scale`] with telemetry flowing into `tel`.
 ///
 /// Builds a [`synthetic_internet`] topology (2 000 ASes — the canonical
 /// run is sized so the full suite stays fast; the scale-smoke CI job and
@@ -387,7 +313,7 @@ pub fn f10_scale(seed: u64) -> Result<Table> {
 /// is byte-identical to serial (digest equality) before reporting
 /// locality metrics. There is no fault surface: the computation either
 /// reproduces the serial bytes or errors.
-pub fn f10_scale_instrumented(seed: u64, tel: &Telemetry) -> Result<Table> {
+pub fn f10_scale(seed: u64, tel: &Telemetry) -> Result<Table> {
     let _span = tel.span("ixp.internet");
     let n = 2_000;
     let pairs = 512;
@@ -444,19 +370,10 @@ pub fn f10_scale_instrumented(seed: u64, tel: &Telemetry) -> Result<Table> {
     Ok(table)
 }
 
-/// **T3** — community-network sustainability by volunteer regime.
-pub fn t3_sustainability(seeds: &[u64]) -> Result<Table> {
-    t3_sustainability_with_faults(seeds, &mut NoFaults)
-}
-
-/// [`t3_sustainability`] under a fault hook: link outages spike the daily
-/// failure rate, volunteer dropout thins the repair pool.
-pub fn t3_sustainability_with_faults(seeds: &[u64], hook: &mut dyn FaultHook) -> Result<Table> {
-    t3_sustainability_instrumented(seeds, hook, &Telemetry::disabled())
-}
-
-/// [`t3_sustainability_with_faults`] with telemetry flowing into `tel`.
-pub fn t3_sustainability_instrumented(
+/// **T3** — community-network sustainability by volunteer regime. Link
+/// outages from `hook` spike the daily failure rate, volunteer dropout
+/// thins the repair pool.
+pub fn t3_sustainability(
     seeds: &[u64],
     hook: &mut dyn FaultHook,
     tel: &Telemetry,
@@ -481,7 +398,7 @@ pub fn t3_sustainability_instrumented(
             cfg.seed = seed;
             let out = SustainabilitySim::new(cfg)
                 .map_err(upstream("sustain config"))?
-                .run_instrumented(hook, tel)
+                .run(hook, tel)
                 .map_err(upstream("sustain run"))?;
             uptime += out.uptime;
             if !out.mttr.is_nan() {
@@ -507,23 +424,10 @@ pub fn t3_sustainability_instrumented(
     Ok(table)
 }
 
-/// **F5** — common-pool congestion policies.
-pub fn f5_congestion(seed: u64) -> Result<Table> {
-    f5_congestion_with_faults(seed, &mut NoFaults)
-}
-
-/// [`f5_congestion`] under a fault hook: link outages shrink the shared
-/// backhaul pool; every policy faces the identical outage schedule.
-pub fn f5_congestion_with_faults(seed: u64, hook: &mut dyn FaultHook) -> Result<Table> {
-    f5_congestion_instrumented(seed, hook, &Telemetry::disabled())
-}
-
-/// [`f5_congestion_with_faults`] with telemetry flowing into `tel`.
-pub fn f5_congestion_instrumented(
-    seed: u64,
-    hook: &mut dyn FaultHook,
-    tel: &Telemetry,
-) -> Result<Table> {
+/// **F5** — common-pool congestion policies. Link outages from `hook`
+/// shrink the shared backhaul pool; every policy faces the identical
+/// outage schedule.
+pub fn f5_congestion(seed: u64, hook: &mut dyn FaultHook, tel: &Telemetry) -> Result<Table> {
     let mut cfg = CongestionConfig::default();
     cfg.seed = seed;
     let sim = CongestionSim::new(cfg).map_err(upstream("congestion config"))?;
@@ -531,7 +435,7 @@ pub fn f5_congestion_instrumented(
         "F5: congestion-management policies (30 households, bursty demand)",
         &["policy", "fairness (backlogged)", "utilization", "modest-user starvation"],
     );
-    for out in sim.compare_instrumented(hook, tel) {
+    for out in sim.compare(hook, tel) {
         table.row(&[
             out.policy.label().to_owned(),
             Table::f(out.fairness),
@@ -654,12 +558,7 @@ pub fn t5_gatekeeping(points: usize) -> Result<(Series, Series, Table)> {
 }
 
 /// **F8** — IXP growth dynamics: winner-take-all vs regional affinity.
-pub fn f8_growth(points: usize) -> Result<(Series, Series, Table)> {
-    f8_growth_instrumented(points, &Telemetry::disabled())
-}
-
-/// [`f8_growth`] with telemetry flowing into `tel`.
-pub fn f8_growth_instrumented(points: usize, tel: &Telemetry) -> Result<(Series, Series, Table)> {
+pub fn f8_growth(points: usize, tel: &Telemetry) -> Result<(Series, Series, Table)> {
     if points < 2 {
         return Err(core_err("need >= 2 sweep points"));
     }
@@ -681,8 +580,7 @@ pub fn f8_growth_instrumented(points: usize, tel: &Telemetry) -> Result<(Series,
         let gamma = 3.0 * i as f64 / (points - 1) as f64;
         let mut cfg = humnet_ixp::GrowthConfig::default();
         cfg.gamma_region = gamma;
-        let out =
-            humnet_ixp::simulate_growth_instrumented(&cfg, tel).map_err(upstream("growth run"))?;
+        let out = humnet_ixp::simulate_growth(&cfg, tel).map_err(upstream("growth run"))?;
         top.push(gamma, out.top_share);
         local.push(gamma, out.south_joined_local);
         table.row(&[
@@ -723,12 +621,7 @@ pub fn f9_adoption() -> Result<(Series, Table)> {
 
 /// **T6** — diary-study compliance with and without technology probes
 /// (§6.1's "other methods", after Chidziwisano 2024).
-pub fn t6_diary(seed: u64) -> Result<Table> {
-    t6_diary_instrumented(seed, &Telemetry::disabled())
-}
-
-/// [`t6_diary`] with telemetry flowing into `tel`.
-pub fn t6_diary_instrumented(seed: u64, tel: &Telemetry) -> Result<Table> {
+pub fn t6_diary(seed: u64, tel: &Telemetry) -> Result<Table> {
     let mut table = Table::new(
         "T6: diary-study compliance (12 participants, 6 weeks)",
         &[
@@ -742,8 +635,7 @@ pub fn t6_diary_instrumented(seed: u64, tel: &Telemetry) -> Result<Table> {
     for (label, probe_rate) in [("plain diary", 0.0), ("diary + probes", 0.5)] {
         let mut cfg = humnet_qual::DiaryConfig::default();
         cfg.probe_rate = probe_rate;
-        let out = humnet_qual::simulate_diary_instrumented(&cfg, seed, tel)
-            .map_err(upstream("diary run"))?;
+        let out = humnet_qual::simulate_diary(&cfg, seed, tel).map_err(upstream("diary run"))?;
         table.row(&[
             label.to_owned(),
             Table::f(out.overall_compliance(&cfg)),
@@ -800,18 +692,13 @@ pub fn t7_economics(seeds: &[u64]) -> Result<Table> {
     Ok(table)
 }
 
-/// **F7** — §5 recommendation uptake audit across the corpus.
-pub fn f7_audit(seed: u64) -> Result<Table> {
-    f7_audit_instrumented(seed, &Telemetry::disabled())
-}
-
-/// [`f7_audit`] with telemetry: corpus generation and the survey-pipeline
-/// audit both report into `tel`.
-pub fn f7_audit_instrumented(seed: u64, tel: &Telemetry) -> Result<Table> {
+/// **F7** — §5 recommendation uptake audit across the corpus. Corpus
+/// generation and the survey-pipeline audit both report into `tel`.
+pub fn f7_audit(seed: u64, tel: &Telemetry) -> Result<Table> {
     let corpus = CorpusConfig::default()
-        .generate_instrumented(seed, tel)
+        .generate(seed, tel)
         .map_err(upstream("corpus generate"))?;
-    let report = MethodsAuditor::new().audit_instrumented(&corpus, tel)?;
+    let report = MethodsAuditor::new().audit(&corpus, tel)?;
     let mut table = Table::new(
         "F7: §5 recommendation uptake by venue kind",
         &[
@@ -841,16 +728,6 @@ pub fn f7_audit_instrumented(seed: u64, tel: &Telemetry) -> Result<Table> {
     Ok(table)
 }
 
-/// Output of one registry-driven experiment run: the rendered tables and
-/// series, plus how many faults the plan injected while it ran.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentRun {
-    /// Rendered tables/series, as the `experiments` binary prints them.
-    pub rendered: String,
-    /// Faults injected during the run (0 for fault-free experiments).
-    pub faults_injected: u64,
-}
-
 /// The seventeen experiments of `EXPERIMENTS.md`, as a first-class registry
 /// so the supervised runner (and anything else) can enumerate, parse and
 /// execute them uniformly.
@@ -876,6 +753,187 @@ pub enum ExperimentId {
     F10,
 }
 
+/// One registry row: everything the runner, the CLI and the benches need
+/// to know about an experiment, plus the function that runs it with its
+/// canonical parameters and renders the output as the binary prints it.
+struct Entry {
+    id: ExperimentId,
+    code: &'static str,
+    title: &'static str,
+    family: &'static str,
+    fault_capable: bool,
+    render: fn(&mut dyn FaultHook, &Telemetry) -> Result<String>,
+}
+
+/// The registry, in [`ExperimentId::ALL`] order (the enum discriminant
+/// indexes it). Experiments without a fault surface ignore the hook.
+static REGISTRY: [Entry; 17] = [
+    Entry {
+        id: ExperimentId::F1,
+        code: "f1",
+        title: "Lorenz curve of research attention (paper §1)",
+        family: "agenda",
+        fault_capable: true,
+        render: |hook, tel| {
+            let r = f1_attention(42, hook, tel)?;
+            Ok(format!(
+                "{}\nattention gini = {:.3}\n\n{}",
+                r.lorenz.render(),
+                r.gini,
+                r.by_class.render()
+            ))
+        },
+    },
+    Entry {
+        id: ExperimentId::T1,
+        code: "t1",
+        title: "method-regime comparison (paper §2, §5.1)",
+        family: "agenda",
+        fault_capable: true,
+        render: |hook, tel| Ok(t1_regimes(&[1, 2, 3, 4, 5], hook, tel)?.1.render()),
+    },
+    Entry {
+        id: ExperimentId::F2,
+        code: "f2",
+        title: "positionality prevalence by venue (paper §4, §6.4)",
+        family: "corpus",
+        fault_capable: false,
+        render: |_, tel| {
+            let (table, series) = f2_positionality(7, tel)?;
+            let mut parts = vec![table.render()];
+            parts.extend(series.iter().map(Series::render));
+            Ok(parts.join("\n"))
+        },
+    },
+    Entry {
+        id: ExperimentId::T2,
+        code: "t2",
+        title: "inter-rater reliability vs codebook refinement (paper §5.2)",
+        family: "qual",
+        fault_capable: true,
+        render: |hook, tel| Ok(t2_irr(5, 6, hook, tel)?.render()),
+    },
+    Entry {
+        id: ExperimentId::F3,
+        code: "f3",
+        title: "Telmex: mandatory peering vs ASN splitting (paper §3, [38])",
+        family: "ixp",
+        fault_capable: true,
+        render: |hook, tel| {
+            let (comply, split, table) = f3_telmex(11, hook, tel)?;
+            Ok([comply.render(), split.render(), table.render()].join("\n"))
+        },
+    },
+    Entry {
+        id: ExperimentId::F4,
+        code: "f4",
+        title: "IXP gravity: Brazil vs Germany (paper §3, [39])",
+        family: "ixp",
+        fault_capable: true,
+        render: |hook, tel| {
+            let (foreign, local) = f4_gravity(11, hook, tel)?;
+            Ok([foreign.render(), local.render()].join("\n"))
+        },
+    },
+    Entry {
+        id: ExperimentId::T3,
+        code: "t3",
+        title: "community-network sustainability (paper §4, [23])",
+        family: "community",
+        fault_capable: true,
+        render: |hook, tel| Ok(t3_sustainability(&[1, 2, 3, 4, 5], hook, tel)?.render()),
+    },
+    Entry {
+        id: ExperimentId::F5,
+        code: "f5",
+        title: "common-pool congestion management (paper §4, [28])",
+        family: "community",
+        fault_capable: true,
+        render: |hook, tel| Ok(f5_congestion(1, hook, tel)?.render()),
+    },
+    Entry {
+        id: ExperimentId::T4,
+        code: "t4",
+        title: "participation-ladder audit (paper §2, §5.1)",
+        family: "practice",
+        fault_capable: false,
+        render: |_, _| Ok(t4_ladder()?.render()),
+    },
+    Entry {
+        id: ExperimentId::F6,
+        code: "f6",
+        title: "patchwork vs traditional ethnography (paper §3, [17])",
+        family: "practice",
+        fault_capable: false,
+        render: |_, _| Ok(f6_patchwork()?.render()),
+    },
+    Entry {
+        id: ExperimentId::T5,
+        code: "t5",
+        title: "venue gatekeeping of human-centered work (paper §6.3.2)",
+        family: "agenda",
+        fault_capable: false,
+        render: |_, _| {
+            let (human, systems, table) = t5_gatekeeping(6)?;
+            Ok([human.render(), systems.render(), table.render()].join("\n"))
+        },
+    },
+    Entry {
+        id: ExperimentId::F7,
+        code: "f7",
+        title: "§5 recommendation uptake audit",
+        family: "corpus",
+        fault_capable: false,
+        render: |_, tel| Ok(f7_audit(3, tel)?.render()),
+    },
+    Entry {
+        id: ExperimentId::F8,
+        code: "f8",
+        title: "IXP growth dynamics (paper §3, [39])",
+        family: "ixp",
+        fault_capable: false,
+        render: |_, tel| {
+            let (top, local, table) = f8_growth(7, tel)?;
+            Ok([top.render(), local.render(), table.render()].join("\n"))
+        },
+    },
+    Entry {
+        id: ExperimentId::F9,
+        code: "f9",
+        title: "method adoption around a CFP intervention (paper §6.4)",
+        family: "agenda",
+        fault_capable: false,
+        render: |_, _| {
+            let (series, table) = f9_adoption()?;
+            Ok([series.render(), table.render()].join("\n"))
+        },
+    },
+    Entry {
+        id: ExperimentId::T6,
+        code: "t6",
+        title: "diary studies and technology probes (paper §6.1, [7])",
+        family: "qual",
+        fault_capable: false,
+        render: |_, tel| Ok(t6_diary(5, tel)?.render()),
+    },
+    Entry {
+        id: ExperimentId::T7,
+        code: "t7",
+        title: "cooperative economics by dues policy (paper §4)",
+        family: "community",
+        fault_capable: false,
+        render: |_, _| Ok(t7_economics(&[1, 2, 3, 4, 5])?.render()),
+    },
+    Entry {
+        id: ExperimentId::F10,
+        code: "f10",
+        title: "internet-scale routing on a synthetic internet (paper §3, ROADMAP)",
+        family: "ixp",
+        fault_capable: false,
+        render: |_, tel| Ok(f10_scale(7, tel)?.render()),
+    },
+];
+
 impl ExperimentId {
     /// Every experiment, in `EXPERIMENTS.md` order.
     pub const ALL: [ExperimentId; 17] = [
@@ -898,63 +956,26 @@ impl ExperimentId {
         ExperimentId::F10,
     ];
 
+    fn entry(self) -> &'static Entry {
+        let entry = &REGISTRY[self as usize];
+        debug_assert_eq!(entry.id, self, "REGISTRY is out of ALL order");
+        entry
+    }
+
     /// Short stable code, as accepted on the CLI (`f1`, `t3`, ...).
     pub fn code(self) -> &'static str {
-        match self {
-            ExperimentId::F1 => "f1",
-            ExperimentId::T1 => "t1",
-            ExperimentId::F2 => "f2",
-            ExperimentId::T2 => "t2",
-            ExperimentId::F3 => "f3",
-            ExperimentId::F4 => "f4",
-            ExperimentId::T3 => "t3",
-            ExperimentId::F5 => "f5",
-            ExperimentId::T4 => "t4",
-            ExperimentId::F6 => "f6",
-            ExperimentId::T5 => "t5",
-            ExperimentId::F7 => "f7",
-            ExperimentId::F8 => "f8",
-            ExperimentId::F9 => "f9",
-            ExperimentId::T6 => "t6",
-            ExperimentId::T7 => "t7",
-            ExperimentId::F10 => "f10",
-        }
+        self.entry().code
     }
 
     /// Human-readable title (the binary's banner line).
     pub fn title(self) -> &'static str {
-        match self {
-            ExperimentId::F1 => "Lorenz curve of research attention (paper §1)",
-            ExperimentId::T1 => "method-regime comparison (paper §2, §5.1)",
-            ExperimentId::F2 => "positionality prevalence by venue (paper §4, §6.4)",
-            ExperimentId::T2 => "inter-rater reliability vs codebook refinement (paper §5.2)",
-            ExperimentId::F3 => "Telmex: mandatory peering vs ASN splitting (paper §3, [38])",
-            ExperimentId::F4 => "IXP gravity: Brazil vs Germany (paper §3, [39])",
-            ExperimentId::T3 => "community-network sustainability (paper §4, [23])",
-            ExperimentId::F5 => "common-pool congestion management (paper §4, [28])",
-            ExperimentId::T4 => "participation-ladder audit (paper §2, §5.1)",
-            ExperimentId::F6 => "patchwork vs traditional ethnography (paper §3, [17])",
-            ExperimentId::T5 => "venue gatekeeping of human-centered work (paper §6.3.2)",
-            ExperimentId::F7 => "§5 recommendation uptake audit",
-            ExperimentId::F8 => "IXP growth dynamics (paper §3, [39])",
-            ExperimentId::F9 => "method adoption around a CFP intervention (paper §6.4)",
-            ExperimentId::T6 => "diary studies and technology probes (paper §6.1, [7])",
-            ExperimentId::T7 => "cooperative economics by dues policy (paper §4)",
-            ExperimentId::F10 => "internet-scale routing on a synthetic internet (paper §3, ROADMAP)",
-        }
+        self.entry().title
     }
 
     /// Subsystem family, the circuit-breaker granularity of the supervised
     /// runner: experiments in a family share their main simulator crate.
     pub fn family(self) -> &'static str {
-        match self {
-            ExperimentId::F1 | ExperimentId::T1 | ExperimentId::T5 | ExperimentId::F9 => "agenda",
-            ExperimentId::F2 | ExperimentId::F7 => "corpus",
-            ExperimentId::T2 | ExperimentId::T6 => "qual",
-            ExperimentId::F3 | ExperimentId::F4 | ExperimentId::F8 | ExperimentId::F10 => "ixp",
-            ExperimentId::T3 | ExperimentId::F5 | ExperimentId::T7 => "community",
-            ExperimentId::T4 | ExperimentId::F6 => "practice",
-        }
+        self.entry().family
     }
 
     /// Parse a CLI spelling (case-insensitive).
@@ -968,136 +989,44 @@ impl ExperimentId {
     /// (closed-form audits and parameter sweeps without a long-running
     /// simulator) run identically under every fault plan.
     pub fn fault_capable(self) -> bool {
-        matches!(
-            self,
-            ExperimentId::F1
-                | ExperimentId::T1
-                | ExperimentId::T2
-                | ExperimentId::F3
-                | ExperimentId::F4
-                | ExperimentId::T3
-                | ExperimentId::F5
-        )
+        self.entry().fault_capable
     }
 
     /// Run the experiment with its canonical parameters (the same the
     /// `experiments` binary uses) under `plan`, rendering the output
-    /// exactly as the binary prints it.
-    pub fn run(self, plan: &FaultPlan) -> Result<ExperimentRun> {
-        self.run_instrumented(plan, &Telemetry::disabled())
-    }
-
-    /// [`ExperimentId::run`] with telemetry: the whole run sits inside an
+    /// exactly as the binary prints it. The whole run sits inside an
     /// `exp.{code}` span, fault injections are journaled through an
     /// [`InstrumentedHook`], and every simulator reports its counters,
-    /// histograms, and milestone events into `tel`. The rendered output
-    /// and fault count are identical to the plain [`ExperimentId::run`].
-    pub fn run_instrumented(self, plan: &FaultPlan, tel: &Telemetry) -> Result<ExperimentRun> {
+    /// histograms, and milestone events into `tel`.
+    pub fn run_instrumented(self, plan: &FaultPlan, tel: &Telemetry) -> Result<JobOutput> {
         self.run_hooked(&mut PlanHook::new(*plan), tel)
     }
 
     /// [`ExperimentId::run_instrumented`] with the fault source
     /// abstracted: drive the experiment's injection points from any
     /// [`FaultHook`] — a live [`PlanHook`], a replayed recorded schedule,
-    /// or [`NoFaults`]. The hook is wrapped in an [`InstrumentedHook`] so
-    /// injections are journaled identically whatever their source, and
-    /// the reported fault count covers this run only even when the hook
-    /// is reused across experiments.
-    pub fn run_hooked(self, fault: &mut dyn FaultHook, tel: &Telemetry) -> Result<ExperimentRun> {
+    /// or [`humnet_resilience::NoFaults`]. The hook is wrapped in an
+    /// [`InstrumentedHook`] so injections are journaled identically
+    /// whatever their source, and the reported fault count covers this
+    /// run only even when the hook is reused across experiments.
+    pub fn run_hooked(self, fault: &mut dyn FaultHook, tel: &Telemetry) -> Result<JobOutput> {
         let _span = tel.span(format!("exp.{}", self.code()));
         let before = fault.faults_injected();
         let mut hook = InstrumentedHook::new(fault, tel);
-        let mut out = String::new();
-        match self {
-            ExperimentId::F1 => {
-                let r = f1_attention_instrumented(42, &mut hook, tel)?;
-                out.push_str(&r.lorenz.render());
-                out.push('\n');
-                out.push_str(&format!("attention gini = {:.3}\n\n", r.gini));
-                out.push_str(&r.by_class.render());
-            }
-            ExperimentId::T1 => {
-                let (_, table) = t1_regimes_instrumented(&[1, 2, 3, 4, 5], &mut hook, tel)?;
-                out.push_str(&table.render());
-            }
-            ExperimentId::F2 => {
-                let (table, series) = f2_positionality_instrumented(7, tel)?;
-                out.push_str(&table.render());
-                for s in series {
-                    out.push('\n');
-                    out.push_str(&s.render());
-                }
-            }
-            ExperimentId::T2 => {
-                let table = t2_irr_instrumented(5, 6, &mut hook, tel)?;
-                out.push_str(&table.render());
-            }
-            ExperimentId::F3 => {
-                let (comply, split, table) = f3_telmex_instrumented(11, &mut hook, tel)?;
-                out.push_str(&comply.render());
-                out.push('\n');
-                out.push_str(&split.render());
-                out.push('\n');
-                out.push_str(&table.render());
-            }
-            ExperimentId::F4 => {
-                let (foreign, local) = f4_gravity_instrumented(11, &mut hook, tel)?;
-                out.push_str(&foreign.render());
-                out.push('\n');
-                out.push_str(&local.render());
-            }
-            ExperimentId::T3 => {
-                let table = t3_sustainability_instrumented(&[1, 2, 3, 4, 5], &mut hook, tel)?;
-                out.push_str(&table.render());
-            }
-            ExperimentId::F5 => {
-                let table = f5_congestion_instrumented(1, &mut hook, tel)?;
-                out.push_str(&table.render());
-            }
-            ExperimentId::T4 => {
-                out.push_str(&t4_ladder()?.render());
-            }
-            ExperimentId::F6 => {
-                out.push_str(&f6_patchwork()?.render());
-            }
-            ExperimentId::T5 => {
-                let (human, systems, table) = t5_gatekeeping(6)?;
-                out.push_str(&human.render());
-                out.push('\n');
-                out.push_str(&systems.render());
-                out.push('\n');
-                out.push_str(&table.render());
-            }
-            ExperimentId::F7 => {
-                out.push_str(&f7_audit_instrumented(3, tel)?.render());
-            }
-            ExperimentId::F8 => {
-                let (top, local, table) = f8_growth_instrumented(7, tel)?;
-                out.push_str(&top.render());
-                out.push('\n');
-                out.push_str(&local.render());
-                out.push('\n');
-                out.push_str(&table.render());
-            }
-            ExperimentId::F9 => {
-                let (series, table) = f9_adoption()?;
-                out.push_str(&series.render());
-                out.push('\n');
-                out.push_str(&table.render());
-            }
-            ExperimentId::T6 => {
-                out.push_str(&t6_diary_instrumented(5, tel)?.render());
-            }
-            ExperimentId::T7 => {
-                out.push_str(&t7_economics(&[1, 2, 3, 4, 5])?.render());
-            }
-            ExperimentId::F10 => {
-                out.push_str(&f10_scale_instrumented(7, tel)?.render());
-            }
-        }
-        Ok(ExperimentRun {
-            rendered: out,
+        let rendered = (self.entry().render)(&mut hook, tel)?;
+        Ok(JobOutput {
+            rendered,
             faults_injected: hook.inner().faults_injected() - before,
+        })
+    }
+
+    /// The supervised job for this experiment: what `experiments run`,
+    /// `replay`, dispatch children and remote workers all execute, so a
+    /// replayed or dispatched experiment is driven by exactly the code that
+    /// produced the capture.
+    pub fn spec(self) -> ExperimentSpec {
+        ExperimentSpec::new(self.code(), self.title(), self.family(), move |plan, tel| {
+            self.run_instrumented(plan, tel).map_err(|e| Box::new(e) as JobError)
         })
     }
 }
@@ -1105,10 +1034,15 @@ impl ExperimentId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use humnet_resilience::{FaultProfile, NoFaults};
+
+    fn off() -> Telemetry {
+        Telemetry::disabled()
+    }
 
     #[test]
     fn f1_produces_high_gini() {
-        let r = f1_attention(42).unwrap();
+        let r = f1_attention(42, &mut NoFaults, &off()).unwrap();
         assert!(r.gini > 0.5, "gini = {}", r.gini);
         assert!(r.lorenz.points.len() > 100);
         assert_eq!(r.by_class.rows.len(), 6);
@@ -1116,7 +1050,7 @@ mod tests {
 
     #[test]
     fn t1_shape_holds() {
-        let (rows, table) = t1_regimes(&[1, 2]).unwrap();
+        let (rows, table) = t1_regimes(&[1, 2], &mut NoFaults, &off()).unwrap();
         assert_eq!(rows.len(), 4);
         assert_eq!(table.rows.len(), 4);
         let get = |r: MethodRegime| rows.iter().find(|x| x.regime == r).unwrap();
@@ -1129,7 +1063,7 @@ mod tests {
 
     #[test]
     fn f2_gap_between_venue_cultures() {
-        let (table, series) = f2_positionality(7).unwrap();
+        let (table, series) = f2_positionality(7, &off()).unwrap();
         assert_eq!(series.len(), 2);
         let rate = |label: &str| -> f64 {
             table
@@ -1145,7 +1079,7 @@ mod tests {
 
     #[test]
     fn t2_alpha_climbs() {
-        let table = t2_irr(5, 5).unwrap();
+        let table = t2_irr(5, 5, &mut NoFaults, &off()).unwrap();
         assert_eq!(table.rows.len(), 6);
         let first: f64 = table.rows.first().unwrap()[3].parse().unwrap();
         let last: f64 = table.rows.last().unwrap()[3].parse().unwrap();
@@ -1154,7 +1088,7 @@ mod tests {
 
     #[test]
     fn f3_circumvention_gap() {
-        let (comply, split, table) = f3_telmex(5).unwrap();
+        let (comply, split, table) = f3_telmex(5, &mut NoFaults, &off()).unwrap();
         assert_eq!(table.rows.len(), 5);
         // At zero enforcement, compliance >> splitting.
         assert!(comply.points[0].1 > split.points[0].1 + 0.3);
@@ -1165,16 +1099,16 @@ mod tests {
 
     #[test]
     fn f4_gravity_slopes() {
-        let (foreign, local) = f4_gravity(5).unwrap();
+        let (foreign, local) = f4_gravity(5, &mut NoFaults, &off()).unwrap();
         assert!(foreign.points.first().unwrap().1 > foreign.points.last().unwrap().1);
         assert!(local.points.last().unwrap().1 > local.points.first().unwrap().1);
     }
 
     #[test]
     fn t3_and_f5_render() {
-        let t3 = t3_sustainability(&[1, 2]).unwrap();
+        let t3 = t3_sustainability(&[1, 2], &mut NoFaults, &off()).unwrap();
         assert_eq!(t3.rows.len(), 3);
-        let f5 = f5_congestion(1).unwrap();
+        let f5 = f5_congestion(1, &mut NoFaults, &off()).unwrap();
         assert_eq!(f5.rows.len(), 3);
         assert!(f5.render().contains("community-tokens"));
     }
@@ -1206,14 +1140,14 @@ mod tests {
 
     #[test]
     fn f7_audit_table_renders() {
-        let t = f7_audit(3).unwrap();
+        let t = f7_audit(3, &off()).unwrap();
         assert_eq!(t.rows.len(), 7);
         assert!(t.render().contains("full §5 adoption"));
     }
 
     #[test]
     fn f8_affinity_reduces_concentration() {
-        let (top, local, table) = f8_growth(4).unwrap();
+        let (top, local, table) = f8_growth(4, &off()).unwrap();
         assert_eq!(table.rows.len(), 4);
         assert!(top.points[0].1 > top.points.last().unwrap().1);
         assert!(local.points.last().unwrap().1 > local.points[0].1);
@@ -1244,45 +1178,69 @@ mod tests {
     #[test]
     fn registry_codes_parse_and_families_cover() {
         assert_eq!(ExperimentId::ALL.len(), 17);
-        for id in ExperimentId::ALL {
+        let mut codes = std::collections::HashSet::new();
+        for (i, (entry, id)) in REGISTRY.iter().zip(ExperimentId::ALL).enumerate() {
+            // Table order is `ALL` order, and the discriminant indexes it.
+            assert_eq!(entry.id, id);
+            assert_eq!(id as usize, i);
+            assert!(codes.insert(id.code()), "duplicate code {}", id.code());
             assert_eq!(ExperimentId::parse(id.code()), Some(id));
             assert_eq!(ExperimentId::parse(&id.code().to_uppercase()), Some(id));
             assert!(!id.family().is_empty());
+            assert!(!id.title().is_empty());
         }
         assert_eq!(ExperimentId::parse("zz"), None);
+        // `fault_capable` is exactly the set of experiments a chaos plan
+        // can reach: the others never report a fault, and each capable
+        // experiment of the fast subset reports one for some seed.
+        let seeds = 0..4;
+        for id in ExperimentId::ALL.into_iter().filter(|id| !id.fault_capable()) {
+            for seed in seeds.clone() {
+                let plan = FaultPlan::new(FaultProfile::Chaos, seed);
+                let run = id.run_instrumented(&plan, &off()).unwrap();
+                assert_eq!(run.faults_injected, 0, "{} seed {seed}", id.code());
+            }
+        }
+        for id in [ExperimentId::F1, ExperimentId::T2, ExperimentId::F4, ExperimentId::F5] {
+            assert!(id.fault_capable());
+            let injected = seeds.clone().any(|seed| {
+                let plan = FaultPlan::new(FaultProfile::Chaos, seed);
+                id.run_instrumented(&plan, &off()).unwrap().faults_injected > 0
+            });
+            assert!(injected, "{} injected no fault for seeds {seeds:?}", id.code());
+        }
     }
 
     #[test]
-    fn registry_run_matches_plain_functions_without_faults() {
-        let run = ExperimentId::F5.run(&FaultPlan::none()).unwrap();
+    fn registry_run_matches_the_experiment_function_without_faults() {
+        let run = ExperimentId::F5.run_instrumented(&FaultPlan::none(), &off()).unwrap();
         assert_eq!(run.faults_injected, 0);
-        assert_eq!(run.rendered, f5_congestion(1).unwrap().render());
+        assert_eq!(run.rendered, f5_congestion(1, &mut NoFaults, &off()).unwrap().render());
     }
 
     #[test]
     fn registry_chaos_run_reports_faults() {
-        use humnet_resilience::FaultProfile;
         let plan = FaultPlan::new(FaultProfile::Chaos, 9);
-        let run = ExperimentId::T3.run(&plan).unwrap();
+        let run = ExperimentId::T3.run_instrumented(&plan, &off()).unwrap();
         assert!(run.faults_injected > 0);
         // Same plan, same output: the registry is deterministic.
-        let again = ExperimentId::T3.run(&plan).unwrap();
+        let again = ExperimentId::T3.run_instrumented(&plan, &off()).unwrap();
         assert_eq!(run, again);
     }
 
     #[test]
     fn upstream_errors_preserve_the_source_chain() {
-        let err = t1_regimes(&[]).unwrap_err();
+        let err = t1_regimes(&[], &mut NoFaults, &off()).unwrap_err();
         assert_eq!(err, crate::CoreError::EmptyInput);
         // A domain-crate failure surfaces with its source reachable.
-        let err = f3_telmex(1).unwrap_err();
+        let err = f3_telmex(1, &mut NoFaults, &off()).unwrap_err();
         assert!(matches!(err, crate::CoreError::InvalidParameter(_)));
     }
 
     #[test]
     fn f10_serves_sampled_demands_and_is_deterministic() {
-        let a = f10_scale(7).unwrap();
-        let b = f10_scale(7).unwrap();
+        let a = f10_scale(7, &off()).unwrap();
+        let b = f10_scale(7, &off()).unwrap();
         assert_eq!(a, b);
         let get = |label: &str| -> String {
             a.rows.iter().find(|r| r[0] == label).unwrap()[1].clone()
@@ -1298,7 +1256,7 @@ mod tests {
 
     #[test]
     fn t6_probes_help() {
-        let t = t6_diary(5).unwrap();
+        let t = t6_diary(5, &off()).unwrap();
         assert_eq!(t.rows.len(), 2);
         let final_week = |label: &str| -> f64 {
             t.rows.iter().find(|r| r[0] == label).unwrap()[2].parse().unwrap()

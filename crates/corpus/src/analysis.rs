@@ -175,7 +175,7 @@ mod tests {
             v.papers_per_year = 10;
         }
         cfg.author_pool = 100;
-        cfg.generate(99).unwrap()
+        cfg.generate(99, &humnet_telemetry::Telemetry::disabled()).unwrap()
     }
 
     #[test]

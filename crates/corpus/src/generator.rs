@@ -138,19 +138,10 @@ impl CorpusConfig {
         Ok(())
     }
 
-    /// Generate a corpus deterministically from a seed.
-    pub fn generate(&self, seed: u64) -> Result<Corpus> {
-        self.generate_instrumented(seed, &humnet_telemetry::Telemetry::disabled())
-    }
-
-    /// [`CorpusConfig::generate`] with telemetry: a `corpus.generate`
-    /// span, a `corpus.generate_ns` observation, a paper counter, and a
-    /// milestone event. The generated corpus is identical.
-    pub fn generate_instrumented(
-        &self,
-        seed: u64,
-        tel: &humnet_telemetry::Telemetry,
-    ) -> Result<Corpus> {
+    /// Generate a corpus deterministically from a seed. Telemetry: a
+    /// `corpus.generate` span, a `corpus.generate_ns` observation, a paper
+    /// counter, and a milestone event.
+    pub fn generate(&self, seed: u64, tel: &humnet_telemetry::Telemetry) -> Result<Corpus> {
         let _span = tel.span("corpus.generate");
         let t0 = tel.start();
         let corpus = self.generate_inner(seed)?;
@@ -639,6 +630,7 @@ fn make_abstract(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use humnet_telemetry::Telemetry;
 
     fn small_config() -> CorpusConfig {
         let mut cfg = CorpusConfig::default();
@@ -658,16 +650,16 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let cfg = small_config();
-        let a = cfg.generate(42).unwrap();
-        let b = cfg.generate(42).unwrap();
+        let a = cfg.generate(42, &Telemetry::disabled()).unwrap();
+        let b = cfg.generate(42, &Telemetry::disabled()).unwrap();
         assert_eq!(a, b);
-        let c = cfg.generate(43).unwrap();
+        let c = cfg.generate(43, &Telemetry::disabled()).unwrap();
         assert_ne!(a, c);
     }
 
     #[test]
     fn generated_corpus_validates() {
-        let corpus = small_config().generate(1).unwrap();
+        let corpus = small_config().generate(1, &Telemetry::disabled()).unwrap();
         corpus.validate().unwrap();
         assert_eq!(corpus.papers.len(), 3 * 6 * 8);
         assert_eq!(corpus.venues.len(), 6);
@@ -675,7 +667,7 @@ mod tests {
 
     #[test]
     fn citations_point_backwards() {
-        let corpus = small_config().generate(2).unwrap();
+        let corpus = small_config().generate(2, &Telemetry::disabled()).unwrap();
         for p in &corpus.papers {
             for &c in &p.citations {
                 assert!(c < p.id, "paper {} cites future paper {}", p.id, c);
@@ -685,7 +677,7 @@ mod tests {
 
     #[test]
     fn positionality_is_rare_at_networking_venues() {
-        let corpus = CorpusConfig::default().generate(7).unwrap();
+        let corpus = CorpusConfig::default().generate(7, &Telemetry::disabled()).unwrap();
         let rate = |kind: VenueKind| {
             let papers = corpus.papers_in_kind(kind);
             papers.iter().filter(|p| p.has_positionality()).count() as f64
@@ -701,7 +693,7 @@ mod tests {
 
     #[test]
     fn human_methods_cluster_at_human_venues() {
-        let corpus = CorpusConfig::default().generate(11).unwrap();
+        let corpus = CorpusConfig::default().generate(11, &Telemetry::disabled()).unwrap();
         let hc_rate = |kind: VenueKind| {
             let papers = corpus.papers_in_kind(kind);
             papers.iter().filter(|p| p.is_human_centered()).count() as f64
@@ -713,7 +705,7 @@ mod tests {
 
     #[test]
     fn citation_distribution_is_heavy_tailed() {
-        let corpus = CorpusConfig::default().generate(13).unwrap();
+        let corpus = CorpusConfig::default().generate(13, &Telemetry::disabled()).unwrap();
         let counts: Vec<f64> = corpus
             .citation_counts()
             .into_iter()
@@ -725,7 +717,7 @@ mod tests {
 
     #[test]
     fn abstracts_carry_method_signals() {
-        let corpus = small_config().generate(17).unwrap();
+        let corpus = small_config().generate(17, &Telemetry::disabled()).unwrap();
         for p in &corpus.papers {
             if p.has_positionality() {
                 assert!(
@@ -742,7 +734,7 @@ mod tests {
 
     #[test]
     fn every_paper_has_methods_and_authors() {
-        let corpus = small_config().generate(19).unwrap();
+        let corpus = small_config().generate(19, &Telemetry::disabled()).unwrap();
         for p in &corpus.papers {
             assert!(!p.methods.is_empty());
             assert!(!p.authors.is_empty());
@@ -771,7 +763,7 @@ mod tests {
         let mut cfg = small_config();
         cfg.author_pool = 2000;
         cfg.global_south_share = 0.3;
-        let corpus = cfg.generate(23).unwrap();
+        let corpus = cfg.generate(23, &Telemetry::disabled()).unwrap();
         let south = corpus
             .authors
             .iter()

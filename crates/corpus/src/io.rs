@@ -84,7 +84,7 @@ mod tests {
             v.papers_per_year = 4;
         }
         cfg.author_pool = 30;
-        cfg.generate(5).unwrap()
+        cfg.generate(5, &humnet_telemetry::Telemetry::disabled()).unwrap()
     }
 
     #[test]

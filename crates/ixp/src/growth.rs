@@ -135,15 +135,10 @@ pub struct GrowthOutcome {
     pub trajectory: Vec<Vec<u32>>,
 }
 
-/// Run the growth model.
-pub fn simulate_growth(config: &GrowthConfig) -> Result<GrowthOutcome> {
-    simulate_growth_instrumented(config, &humnet_telemetry::Telemetry::disabled())
-}
-
-/// [`simulate_growth`] with telemetry: an `ixp.growth` span, a per-round
+/// Run the growth model. Telemetry: an `ixp.growth` span, a per-round
 /// `ixp.growth_round_ns` histogram, an arrivals counter, and a milestone
-/// event. The simulated trajectory is identical.
-pub fn simulate_growth_instrumented(
+/// event.
+pub fn simulate_growth(
     config: &GrowthConfig,
     tel: &humnet_telemetry::Telemetry,
 ) -> Result<GrowthOutcome> {
@@ -224,30 +219,35 @@ fn simulate_growth_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use humnet_telemetry::Telemetry;
+
+    fn simulate(c: &GrowthConfig) -> Result<GrowthOutcome> {
+        simulate_growth(c, &Telemetry::disabled())
+    }
 
     #[test]
     fn validation() {
         let mut c = GrowthConfig::default();
         c.ixps.clear();
-        assert!(simulate_growth(&c).is_err());
+        assert!(simulate(&c).is_err());
         let mut c = GrowthConfig::default();
         c.temperature = 0.0;
-        assert!(simulate_growth(&c).is_err());
+        assert!(simulate(&c).is_err());
         let mut c = GrowthConfig::default();
         c.ixps[0].content = 1.5;
-        assert!(simulate_growth(&c).is_err());
+        assert!(simulate(&c).is_err());
     }
 
     #[test]
     fn deterministic() {
         let c = GrowthConfig::default();
-        assert_eq!(simulate_growth(&c).unwrap(), simulate_growth(&c).unwrap());
+        assert_eq!(simulate(&c).unwrap(), simulate(&c).unwrap());
     }
 
     #[test]
     fn conservation_of_arrivals() {
         let c = GrowthConfig::default();
-        let out = simulate_growth(&c).unwrap();
+        let out = simulate(&c).unwrap();
         let initial: u32 = c.ixps.iter().map(|i| i.members).sum();
         let arrived = c.arrivals_per_round as u32 * c.rounds;
         let final_total: u32 = out.final_members.iter().sum();
@@ -260,7 +260,7 @@ mod tests {
         // With no regional pull, the giant's head start compounds.
         let mut c = GrowthConfig::default();
         c.gamma_region = 0.0;
-        let out = simulate_growth(&c).unwrap();
+        let out = simulate(&c).unwrap();
         assert!(out.top_share > 0.6, "top share = {}", out.top_share);
         assert!(out.south_joined_local < 0.4);
     }
@@ -271,8 +271,8 @@ mod tests {
         weak.gamma_region = 0.0;
         let mut strong = GrowthConfig::default();
         strong.gamma_region = 3.0;
-        let w = simulate_growth(&weak).unwrap();
-        let s = simulate_growth(&strong).unwrap();
+        let w = simulate(&weak).unwrap();
+        let s = simulate(&strong).unwrap();
         assert!(
             s.south_joined_local > w.south_joined_local + 0.3,
             "strong affinity {} vs weak {}",
@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn membership_is_monotone_over_rounds() {
-        let out = simulate_growth(&GrowthConfig::default()).unwrap();
+        let out = simulate(&GrowthConfig::default()).unwrap();
         for j in 0..3 {
             for w in out.trajectory.windows(2) {
                 assert!(w[1][j] >= w[0][j]);

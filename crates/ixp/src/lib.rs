@@ -46,7 +46,7 @@ pub mod scenario;
 pub mod topology;
 pub mod traffic;
 
-pub use growth::{simulate_growth, simulate_growth_instrumented, GrowingIxp, GrowthConfig, GrowthOutcome};
+pub use growth::{simulate_growth, GrowingIxp, GrowthConfig, GrowthOutcome};
 pub use internet::{synthetic_internet, synthetic_internet_with, InternetConfig};
 pub use metrics::{domestic_ixp_share, foreign_exchange_share, LocalityReport};
 pub use regulation::{CircumventionStrategy, PeeringRegulation};

@@ -6,7 +6,7 @@ use crate::routing::RoutingTable;
 use crate::topology::{AsKind, AsTopology, RegionTag};
 use crate::traffic::{total_transit_cost, FlowAssignment, TrafficConfig, TrafficMatrix};
 use crate::{IxpError, Result};
-use humnet_resilience::{FaultHook, FaultKind, NoFaults};
+use humnet_resilience::{FaultHook, FaultKind};
 use humnet_stats::Rng;
 use humnet_telemetry::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -58,30 +58,16 @@ pub struct MexicoScenario {
 }
 
 impl MexicoScenario {
-    /// Build and route the scenario.
-    pub fn run(config: &MexicoConfig) -> Result<Self> {
-        Self::run_with_faults(config, &mut NoFaults)
-    }
-
     /// Build and route the scenario under a fault hook. The hook is asked
     /// about [`FaultKind::IxpOutage`] for the national exchange (step = IXP
     /// id): a dark exchange means no multilateral peering and no enforceable
     /// mandatory-peering regulation, so competitor traffic falls back to the
-    /// incumbent's paid transit. Under [`NoFaults`] this is identical to
-    /// [`MexicoScenario::run`].
-    pub fn run_with_faults(config: &MexicoConfig, hook: &mut dyn FaultHook) -> Result<Self> {
-        Self::run_instrumented(config, hook, &Telemetry::disabled())
-    }
-
-    /// [`MexicoScenario::run_with_faults`] with telemetry: an `ixp.mexico`
-    /// span, an `ixp.route_assign_ns` histogram over the route+assign hot
-    /// path, scenario/flow counters, and a milestone event. Telemetry only
-    /// observes; the built scenario is identical.
-    pub fn run_instrumented(
-        config: &MexicoConfig,
-        hook: &mut dyn FaultHook,
-        tel: &Telemetry,
-    ) -> Result<Self> {
+    /// incumbent's paid transit.
+    ///
+    /// Telemetry: an `ixp.mexico` span, an `ixp.route_assign_ns` histogram
+    /// over the route+assign hot path, scenario/flow counters, and a
+    /// milestone event. Telemetry only observes.
+    pub fn run(config: &MexicoConfig, hook: &mut dyn FaultHook, tel: &Telemetry) -> Result<Self> {
         let _span = tel.span("ixp.mexico");
         if config.competitors == 0 || config.incumbent_customers == 0 {
             return Err(IxpError::InvalidParameter(
@@ -230,24 +216,14 @@ pub struct TwoRegionScenario {
 }
 
 impl TwoRegionScenario {
-    /// Build and route the scenario.
-    pub fn run(config: &TwoRegionConfig) -> Result<Self> {
-        Self::run_with_faults(config, &mut NoFaults)
-    }
-
     /// Build and route the scenario under a fault hook. The hook is asked
     /// about [`FaultKind::IxpOutage`] once per exchange (step = IXP id); a
     /// dark exchange loses its multilateral peering mesh and its traffic
-    /// falls back to paid transit. Under [`NoFaults`] this is identical to
-    /// [`TwoRegionScenario::run`].
-    pub fn run_with_faults(config: &TwoRegionConfig, hook: &mut dyn FaultHook) -> Result<Self> {
-        Self::run_instrumented(config, hook, &Telemetry::disabled())
-    }
-
-    /// [`TwoRegionScenario::run_with_faults`] with telemetry: an
-    /// `ixp.two_region` span, the shared `ixp.route_assign_ns` histogram,
-    /// counters, and a milestone event.
-    pub fn run_instrumented(
+    /// falls back to paid transit.
+    ///
+    /// Telemetry: an `ixp.two_region` span, the shared
+    /// `ixp.route_assign_ns` histogram, counters, and a milestone event.
+    pub fn run(
         config: &TwoRegionConfig,
         hook: &mut dyn FaultHook,
         tel: &Telemetry,
@@ -356,15 +332,17 @@ impl TwoRegionScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use humnet_resilience::NoFaults;
 
     #[test]
     fn mexico_circumvention_kills_ixp_share() {
         let mut cfg = MexicoConfig::default();
         cfg.strategy = CircumventionStrategy::AsnSplitting;
         cfg.regulation.enforcement = 0.0;
-        let circumvented = MexicoScenario::run(&cfg).unwrap();
+        let circumvented =
+            MexicoScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).unwrap();
         cfg.strategy = CircumventionStrategy::ComplyFully;
-        let complied = MexicoScenario::run(&cfg).unwrap();
+        let complied = MexicoScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).unwrap();
         let share_circ = circumvented.competitor_ixp_share().unwrap();
         let share_comp = complied.competitor_ixp_share().unwrap();
         assert!(
@@ -382,7 +360,7 @@ mod tests {
         for e in [0.0, 0.25, 0.5, 0.75, 1.0] {
             let mut cfg = MexicoConfig::default();
             cfg.regulation.enforcement = e;
-            let s = MexicoScenario::run(&cfg).unwrap();
+            let s = MexicoScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).unwrap();
             let share = s.competitor_ixp_share().unwrap();
             assert!(
                 share >= last - 1e-9,
@@ -397,7 +375,7 @@ mod tests {
     fn mexico_no_regulation_baseline() {
         let mut cfg = MexicoConfig::default();
         cfg.regulation.mandatory_peering = false;
-        let s = MexicoScenario::run(&cfg).unwrap();
+        let s = MexicoScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).unwrap();
         // Competitors still peer among themselves at the IXP, so the share
         // is positive but far from complete (the incumbent cone dominates).
         let share = s.competitor_ixp_share().unwrap();
@@ -411,14 +389,14 @@ mod tests {
     fn mexico_rejects_degenerate_configs() {
         let mut cfg = MexicoConfig::default();
         cfg.competitors = 0;
-        assert!(MexicoScenario::run(&cfg).is_err());
+        assert!(MexicoScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).is_err());
     }
 
     #[test]
     fn mexico_deterministic() {
         let cfg = MexicoConfig::default();
-        let a = MexicoScenario::run(&cfg).unwrap();
-        let b = MexicoScenario::run(&cfg).unwrap();
+        let a = MexicoScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).unwrap();
+        let b = MexicoScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).unwrap();
         assert_eq!(a.flows, b.flows);
     }
 
@@ -426,9 +404,9 @@ mod tests {
     fn two_region_content_presence_pulls_traffic_home() {
         let mut cfg = TwoRegionConfig::default();
         cfg.content_presence_south = 0.0;
-        let none = TwoRegionScenario::run(&cfg).unwrap();
+        let none = TwoRegionScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).unwrap();
         cfg.content_presence_south = 1.0;
-        let full = TwoRegionScenario::run(&cfg).unwrap();
+        let full = TwoRegionScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).unwrap();
         let foreign_none = none.foreign_exchange_share().unwrap();
         let foreign_full = full.foreign_exchange_share().unwrap();
         assert!(
@@ -445,7 +423,7 @@ mod tests {
         let mut cfg = TwoRegionConfig::default();
         cfg.content_presence_south = 0.0;
         cfg.south_remote_peering = false;
-        let s = TwoRegionScenario::run(&cfg).unwrap();
+        let s = TwoRegionScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).unwrap();
         // No exchange available for content traffic at all: foreign share 0,
         // everything on paid transit.
         let foreign = s.foreign_exchange_share().unwrap();
@@ -458,7 +436,7 @@ mod tests {
         // With a local IXP and membership, inter-ISP south traffic peers
         // locally regardless of content presence.
         let cfg = TwoRegionConfig::default();
-        let s = TwoRegionScenario::run(&cfg).unwrap();
+        let s = TwoRegionScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).unwrap();
         for f in &s.flows {
             let src = s.topology.as_info(f.src).unwrap();
             let dst = s.topology.as_info(f.dst).unwrap();
@@ -492,23 +470,24 @@ mod tests {
         }
         let cfg = MexicoConfig::default();
         let mut hook = AllIxpsDark(0);
-        let dark = MexicoScenario::run_with_faults(&cfg, &mut hook).unwrap();
+        let dark = MexicoScenario::run(&cfg, &mut hook, &Telemetry::disabled()).unwrap();
         assert_eq!(hook.faults_injected(), 1);
         // Nothing crosses a dark exchange; everything rides paid transit.
         assert_eq!(dark.competitor_ixp_share().unwrap(), 0.0);
-        let lit = MexicoScenario::run(&cfg).unwrap();
+        let lit = MexicoScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).unwrap();
         assert!(dark.transit_cost() >= lit.transit_cost());
 
         let two_cfg = TwoRegionConfig::default();
         let mut hook = AllIxpsDark(0);
-        let dark = TwoRegionScenario::run_with_faults(&two_cfg, &mut hook).unwrap();
+        let dark = TwoRegionScenario::run(&two_cfg, &mut hook, &Telemetry::disabled()).unwrap();
         assert_eq!(hook.faults_injected(), 2);
         assert_eq!(dark.foreign_exchange_share().unwrap(), 0.0);
         assert_eq!(dark.local_exchange_share().unwrap(), 0.0);
-        // A NoFaults-equivalent hook reproduces the plain build.
-        let plain = TwoRegionScenario::run(&two_cfg).unwrap();
+        // An inactive plan reproduces the fault-free build.
+        let plain =
+            TwoRegionScenario::run(&two_cfg, &mut NoFaults, &Telemetry::disabled()).unwrap();
         let mut none = humnet_resilience::PlanHook::new(humnet_resilience::FaultPlan::none());
-        let hooked = TwoRegionScenario::run_with_faults(&two_cfg, &mut none).unwrap();
+        let hooked = TwoRegionScenario::run(&two_cfg, &mut none, &Telemetry::disabled()).unwrap();
         assert_eq!(plain.flows, hooked.flows);
     }
 
@@ -516,9 +495,9 @@ mod tests {
     fn two_region_rejects_bad_config() {
         let mut cfg = TwoRegionConfig::default();
         cfg.content_presence_south = 2.0;
-        assert!(TwoRegionScenario::run(&cfg).is_err());
+        assert!(TwoRegionScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).is_err());
         let mut cfg = TwoRegionConfig::default();
         cfg.south_isps = 0;
-        assert!(TwoRegionScenario::run(&cfg).is_err());
+        assert!(TwoRegionScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled()).is_err());
     }
 }

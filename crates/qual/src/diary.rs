@@ -133,14 +133,9 @@ impl DiaryOutcome {
     }
 }
 
-/// Run a diary study deterministically.
-pub fn simulate_diary(config: &DiaryConfig, seed: u64) -> Result<DiaryOutcome> {
-    simulate_diary_instrumented(config, seed, &humnet_telemetry::Telemetry::disabled())
-}
-
-/// [`simulate_diary`] with telemetry: a `qual.diary` span, an entry
-/// counter, and a milestone event. The simulated outcome is identical.
-pub fn simulate_diary_instrumented(
+/// Run a diary study deterministically. Telemetry: a `qual.diary` span,
+/// an entry counter, and a milestone event.
+pub fn simulate_diary(
     config: &DiaryConfig,
     seed: u64,
     tel: &humnet_telemetry::Telemetry,
@@ -199,29 +194,33 @@ fn simulate_diary_inner(config: &DiaryConfig, seed: u64) -> Result<DiaryOutcome>
 mod tests {
     use super::*;
 
+    fn simulate(c: &DiaryConfig, seed: u64) -> Result<DiaryOutcome> {
+        simulate_diary(c, seed, &humnet_telemetry::Telemetry::disabled())
+    }
+
     #[test]
     fn validation() {
         let mut c = DiaryConfig::default();
         c.participants = 0;
-        assert!(simulate_diary(&c, 1).is_err());
+        assert!(simulate(&c, 1).is_err());
         let mut c = DiaryConfig::default();
         c.compliance_decay = 1.5;
-        assert!(simulate_diary(&c, 1).is_err());
+        assert!(simulate(&c, 1).is_err());
         let mut c = DiaryConfig::default();
         c.initial_words = 0.0;
-        assert!(simulate_diary(&c, 1).is_err());
+        assert!(simulate(&c, 1).is_err());
     }
 
     #[test]
     fn deterministic() {
         let c = DiaryConfig::default();
-        assert_eq!(simulate_diary(&c, 9).unwrap(), simulate_diary(&c, 9).unwrap());
+        assert_eq!(simulate(&c, 9).unwrap(), simulate(&c, 9).unwrap());
     }
 
     #[test]
     fn compliance_decays_without_probes() {
         let c = DiaryConfig::default();
-        let out = simulate_diary(&c, 3).unwrap();
+        let out = simulate(&c, 3).unwrap();
         let first_week: f64 = out.compliance_curve[..7].iter().sum::<f64>() / 7.0;
         let last_week = out.final_week_compliance();
         assert!(
@@ -235,8 +234,8 @@ mod tests {
     fn probes_sustain_compliance() {
         let mut with = DiaryConfig::default();
         with.probe_rate = 0.5;
-        let probed = simulate_diary(&with, 5).unwrap();
-        let plain = simulate_diary(&DiaryConfig::default(), 5).unwrap();
+        let probed = simulate(&with, 5).unwrap();
+        let plain = simulate(&DiaryConfig::default(), 5).unwrap();
         assert!(
             probed.final_week_compliance() > plain.final_week_compliance() + 0.1,
             "probed {} vs plain {}",
@@ -249,7 +248,7 @@ mod tests {
     #[test]
     fn overall_compliance_bounds() {
         let c = DiaryConfig::default();
-        let out = simulate_diary(&c, 7).unwrap();
+        let out = simulate(&c, 7).unwrap();
         let oc = out.overall_compliance(&c);
         assert!((0.0..=1.0).contains(&oc));
         assert!(oc > 0.2, "oc = {oc}");
@@ -260,7 +259,7 @@ mod tests {
         let mut c = DiaryConfig::default();
         c.richness_decay = 0.95;
         c.days = 60;
-        let out = simulate_diary(&c, 11).unwrap();
+        let out = simulate(&c, 11).unwrap();
         let early: Vec<u32> = out
             .entries
             .iter()
@@ -283,7 +282,7 @@ mod tests {
     #[test]
     fn entries_are_well_formed() {
         let c = DiaryConfig::default();
-        let out = simulate_diary(&c, 13).unwrap();
+        let out = simulate(&c, 13).unwrap();
         for e in &out.entries {
             assert!(e.participant < c.participants);
             assert!(e.day < c.days);

@@ -37,7 +37,7 @@ pub mod transcript;
 
 pub use codebook::{Code, Codebook};
 pub use coding::{CodedSegment, CodingSession};
-pub use diary::{simulate_diary, simulate_diary_instrumented, DiaryConfig, DiaryEntry, DiaryOutcome};
+pub use diary::{simulate_diary, DiaryConfig, DiaryEntry, DiaryOutcome};
 pub use focusgroup::{
     simulate_focus_group, FocusGroupConfig, FocusGroupOutcome, FocusParticipant,
 };

@@ -10,7 +10,7 @@
 
 use crate::reliability::{fleiss_kappa, krippendorff_alpha, percent_agreement};
 use crate::{QualError, Result};
-use humnet_resilience::{FaultHook, FaultKind, NoFaults};
+use humnet_resilience::{FaultHook, FaultKind};
 use humnet_stats::Rng;
 use humnet_telemetry::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -151,23 +151,14 @@ impl SimulatedStudy {
         &self.ground_truth
     }
 
-    /// Simulate one coding pass at the given refinement round. Returns one
-    /// label vector per coder (`None` = skipped unit).
-    pub fn code_round(&mut self, round: u32) -> Vec<Vec<Option<usize>>> {
-        self.code_round_with_faults(round, &mut NoFaults)
-    }
-
-    /// Simulate one coding pass under a fault hook. For each coder the hook
-    /// is asked about [`FaultKind::CoderAttrition`]: when it fires, that
-    /// coder is mostly absent this round — their skip rate is raised toward
-    /// 1 in proportion to the severity. Probabilities change but the draw
-    /// *pattern* does not, so [`NoFaults`] reproduces
-    /// [`SimulatedStudy::code_round`] exactly.
-    pub fn code_round_with_faults(
-        &mut self,
-        round: u32,
-        hook: &mut dyn FaultHook,
-    ) -> Vec<Vec<Option<usize>>> {
+    /// Simulate one coding pass at the given refinement round under a
+    /// fault hook. Returns one label vector per coder (`None` = skipped
+    /// unit). For each coder the hook is asked about
+    /// [`FaultKind::CoderAttrition`]: when it fires, that coder is mostly
+    /// absent this round — their skip rate is raised toward 1 in
+    /// proportion to the severity. Probabilities change but the draw
+    /// *pattern* does not.
+    pub fn code_round(&mut self, round: u32, hook: &mut dyn FaultHook) -> Vec<Vec<Option<usize>>> {
         let tau = self.config.tau;
         let codes = self.config.codes;
         let truth = self.ground_truth.clone();
@@ -205,26 +196,14 @@ impl SimulatedStudy {
             .collect()
     }
 
-    /// Run `rounds` refinement rounds, returning the reliability trajectory.
-    pub fn reliability_trajectory(&mut self, rounds: u32) -> Result<Vec<RoundReliability>> {
-        self.reliability_trajectory_with_faults(rounds, &mut NoFaults)
-    }
-
     /// Run `rounds` refinement rounds under a fault hook (see
-    /// [`SimulatedStudy::code_round_with_faults`] for the fault semantics).
-    pub fn reliability_trajectory_with_faults(
-        &mut self,
-        rounds: u32,
-        hook: &mut dyn FaultHook,
-    ) -> Result<Vec<RoundReliability>> {
-        self.reliability_instrumented(rounds, hook, &Telemetry::disabled())
-    }
-
-    /// [`SimulatedStudy::reliability_trajectory_with_faults`] with
-    /// telemetry: a `qual.reliability` span, a per-round `qual.round_ns`
+    /// [`SimulatedStudy::code_round`] for the fault semantics), returning
+    /// the reliability trajectory.
+    ///
+    /// Telemetry: a `qual.reliability` span, a per-round `qual.round_ns`
     /// histogram, a round counter, and a milestone event carrying the
-    /// final Krippendorff alpha. The trajectory is identical.
-    pub fn reliability_instrumented(
+    /// final Krippendorff alpha.
+    pub fn reliability_trajectory(
         &mut self,
         rounds: u32,
         hook: &mut dyn FaultHook,
@@ -234,7 +213,7 @@ impl SimulatedStudy {
         let mut out = Vec::with_capacity(rounds as usize + 1);
         for round in 0..=rounds {
             let t0 = tel.start();
-            let labels = self.code_round_with_faults(round, hook);
+            let labels = self.code_round(round, hook);
             // Mean pairwise percent agreement on mutually-labelled units.
             let mut pa_sum = 0.0;
             let mut pa_n = 0;
@@ -293,6 +272,7 @@ impl SimulatedStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use humnet_resilience::NoFaults;
 
     #[test]
     fn default_config_valid() {
@@ -341,13 +321,13 @@ mod tests {
         let mut s1 = SimulatedStudy::new(StudyConfig::default(), 42).unwrap();
         let mut s2 = SimulatedStudy::new(StudyConfig::default(), 42).unwrap();
         assert_eq!(s1.ground_truth(), s2.ground_truth());
-        assert_eq!(s1.code_round(0), s2.code_round(0));
+        assert_eq!(s1.code_round(0, &mut NoFaults), s2.code_round(0, &mut NoFaults));
     }
 
     #[test]
     fn labels_are_valid_codes_or_skips() {
         let mut s = SimulatedStudy::new(StudyConfig::default(), 7).unwrap();
-        let labels = s.code_round(1);
+        let labels = s.code_round(1, &mut NoFaults);
         assert_eq!(labels.len(), 3);
         for coder in &labels {
             assert_eq!(coder.len(), 200);
@@ -360,7 +340,9 @@ mod tests {
     #[test]
     fn reliability_improves_with_rounds() {
         let mut s = SimulatedStudy::new(StudyConfig::default(), 11).unwrap();
-        let traj = s.reliability_trajectory(6).unwrap();
+        let traj = s
+            .reliability_trajectory(6, &mut NoFaults, &Telemetry::disabled())
+            .unwrap();
         assert_eq!(traj.len(), 7);
         let first = &traj[0];
         let last = &traj[6];
@@ -379,20 +361,18 @@ mod tests {
     #[test]
     fn attrition_degrades_but_never_panics() {
         use humnet_resilience::{FaultPlan, FaultProfile, PlanHook};
-        // NoFaults-equivalent plan reproduces the plain trajectory exactly.
+        // An inactive plan reproduces the fault-free trajectory exactly.
+        let tel = Telemetry::disabled();
         let mut plain = SimulatedStudy::new(StudyConfig::default(), 42).unwrap();
-        let baseline = plain.reliability_trajectory(4).unwrap();
+        let baseline = plain.reliability_trajectory(4, &mut NoFaults, &tel).unwrap();
         let mut hooked = SimulatedStudy::new(StudyConfig::default(), 42).unwrap();
         let mut none = PlanHook::new(FaultPlan::none());
-        assert_eq!(
-            hooked.reliability_trajectory_with_faults(4, &mut none).unwrap(),
-            baseline
-        );
+        assert_eq!(hooked.reliability_trajectory(4, &mut none, &tel).unwrap(), baseline);
         // Chaos attrition: deterministic, metrics stay in their ranges.
         let chaos = |seed| {
             let mut s = SimulatedStudy::new(StudyConfig::default(), 42).unwrap();
             let mut hook = PlanHook::new(FaultPlan::new(FaultProfile::Chaos, seed));
-            let traj = s.reliability_trajectory_with_faults(4, &mut hook).unwrap();
+            let traj = s.reliability_trajectory(4, &mut hook, &tel).unwrap();
             (traj, hook.faults_injected())
         };
         let (a, fa) = chaos(8);
@@ -415,7 +395,9 @@ mod tests {
             c.skip_rate = 0.0;
         }
         let mut s = SimulatedStudy::new(cfg, 3).unwrap();
-        let traj = s.reliability_trajectory(0).unwrap();
+        let traj = s
+            .reliability_trajectory(0, &mut NoFaults, &Telemetry::disabled())
+            .unwrap();
         assert!((traj[0].krippendorff_alpha - 1.0).abs() < 1e-9);
         assert!((traj[0].percent_agreement - 1.0).abs() < 1e-12);
     }

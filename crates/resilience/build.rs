@@ -14,7 +14,13 @@ fn main() {
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_owned());
     println!("cargo:rustc-env=HUMNET_GIT_REV={rev}");
-    // Re-stamp when HEAD moves (best effort: the path only exists in a
-    // git checkout; a missing path is simply never dirty).
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Re-stamp when HEAD moves. Cargo treats a missing watched path as
+    // always changed, so outside a git checkout watch only this script;
+    // otherwise every build would rerun it and recompile the crate.
+    // Build scripts run in the package directory.
+    if std::path::Path::new("../../.git/HEAD").exists() {
+        println!("cargo:rerun-if-changed=../../.git/HEAD");
+    } else {
+        println!("cargo:rerun-if-changed=build.rs");
+    }
 }

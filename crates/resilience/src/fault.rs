@@ -8,8 +8,8 @@
 //! * the same plan replayed over the same simulation injects the identical
 //!   fault sequence (reproducible chaos runs), and
 //! * asking about faults never disturbs a simulator's own RNG stream, so a
-//!   run under `FaultProfile::None` is bit-identical to a run without any
-//!   hook at all.
+//!   run under `FaultProfile::None` is bit-identical to one driven by
+//!   [`NoFaults`].
 
 use humnet_stats::rng::SplitMix64;
 use humnet_telemetry::{Event, Telemetry};
@@ -239,8 +239,8 @@ impl<H: FaultHook + ?Sized> FaultHook for &mut H {
     }
 }
 
-/// The do-nothing hook: plain `run()` paths use this, making the fault
-/// machinery free when unused.
+/// The do-nothing hook: callers that want a fault-free run pass
+/// `&mut NoFaults`, making the fault machinery free when unused.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFaults;
 

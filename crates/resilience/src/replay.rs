@@ -318,7 +318,7 @@ pub fn replay(
             factory(code).ok_or_else(|| ReplayError::UnknownExperiment(code.clone()))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let run = Supervisor::new(spec.config).run(&specs);
+    let run = Supervisor::builder().config(spec.config).build().run(&specs);
     let captured_canonical: Vec<String> =
         spec_ordered(captured).iter().map(Event::canonical).collect();
     let replayed_canonical: Vec<String> = spec_ordered(&run.telemetry.events)
@@ -380,7 +380,7 @@ mod tests {
     #[test]
     fn reconstruct_recovers_config_and_experiment_order() {
         let specs: Vec<ExperimentSpec> = (0..4).map(|i| fault_spec(&format!("e{i}"))).collect();
-        let run = Supervisor::new(chaos_config()).run(&specs);
+        let run = Supervisor::builder().config(chaos_config()).build().run(&specs);
         let spec = reconstruct(&run.telemetry.events).unwrap();
         assert_eq!(spec.config.profile, FaultProfile::Chaos);
         assert_eq!(spec.config.seed, 4242);
@@ -394,7 +394,7 @@ mod tests {
     #[test]
     fn replay_of_a_fresh_capture_is_clean() {
         let specs: Vec<ExperimentSpec> = (0..3).map(|i| fault_spec(&format!("e{i}"))).collect();
-        let run = Supervisor::new(chaos_config()).run(&specs);
+        let run = Supervisor::builder().config(chaos_config()).build().run(&specs);
         let report = replay(&run.telemetry.events, &factory).unwrap();
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.exit_code(), 0);
@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn replay_detects_a_tampered_journal() {
         let specs = vec![fault_spec("e0"), fault_spec("e1")];
-        let run = Supervisor::new(chaos_config()).run(&specs);
+        let run = Supervisor::builder().config(chaos_config()).build().run(&specs);
         let mut tampered = run.telemetry.events.clone();
         // Flip one recorded fault's step: replay must flag exactly that line.
         let idx = tampered.iter().position(|e| e.kind == "fault").unwrap();
@@ -428,7 +428,7 @@ mod tests {
             Err(ReplayError::MalformedRunStart { .. })
         ));
         let specs = vec![fault_spec("e0")];
-        let run = Supervisor::new(chaos_config()).run(&specs);
+        let run = Supervisor::builder().config(chaos_config()).build().run(&specs);
         let err = replay(&run.telemetry.events, &|_| None).unwrap_err();
         assert_eq!(err, ReplayError::UnknownExperiment("e0".to_owned()));
     }

@@ -795,13 +795,6 @@ pub(crate) fn run_spec(
 }
 
 impl Supervisor {
-    /// Supervisor with a fresh (closed) breaker. Thin shim over
-    /// [`Supervisor::builder`] kept for callers that already hold a
-    /// [`RunnerConfig`]; new code should prefer the builder.
-    pub fn new(config: RunnerConfig) -> Self {
-        Supervisor::builder().config(config).build()
-    }
-
     /// Start building a supervisor fluently.
     pub fn builder() -> SupervisorBuilder {
         SupervisorBuilder::default()
@@ -1029,7 +1022,7 @@ mod tests {
 
     #[test]
     fn success_first_try_is_ok() {
-        let mut sup = Supervisor::new(quick_config());
+        let mut sup = Supervisor::builder().config(quick_config()).build();
         let run = sup.run(&[ok_spec("e1")]);
         assert_eq!(run.report.experiments[0].status, ExperimentStatus::Ok);
         assert_eq!(run.report.experiments[0].attempts, 1);
@@ -1045,7 +1038,7 @@ mod tests {
                 faults_injected: 3,
             })
         });
-        let mut sup = Supervisor::new(quick_config());
+        let mut sup = Supervisor::builder().config(quick_config()).build();
         let run = sup.run(&[spec]);
         assert_eq!(run.report.experiments[0].status, ExperimentStatus::Degraded);
         assert_eq!(run.report.experiments[0].faults_injected, 3);
@@ -1056,7 +1049,7 @@ mod tests {
         let spec = ExperimentSpec::new("boom", "t", "f", |_plan, _tel| -> Result<JobOutput, JobError> {
             panic!("simulated crash");
         });
-        let mut sup = Supervisor::new(quick_config());
+        let mut sup = Supervisor::builder().config(quick_config()).build();
         let run = sup.run(&[spec, ok_spec("after")]);
         let boom = &run.report.experiments[0];
         assert_eq!(boom.status, ExperimentStatus::Failed);
@@ -1080,7 +1073,7 @@ mod tests {
             })
         });
         let started = Instant::now();
-        let mut sup = Supervisor::new(config);
+        let mut sup = Supervisor::builder().config(config).build();
         let run = sup.run(&[spec]);
         assert_eq!(run.report.experiments[0].status, ExperimentStatus::TimedOut);
         assert!(started.elapsed() < Duration::from_secs(4), "watchdog fired");
@@ -1102,7 +1095,7 @@ mod tests {
                 })
             }
         });
-        let mut sup = Supervisor::new(quick_config());
+        let mut sup = Supervisor::builder().config(quick_config()).build();
         let run = sup.run(&[spec]);
         let row = &run.report.experiments[0];
         assert_eq!(row.status, ExperimentStatus::Retried);
@@ -1119,7 +1112,7 @@ mod tests {
         };
         let mut config = quick_config();
         config.retries = 0;
-        let mut sup = Supervisor::new(config);
+        let mut sup = Supervisor::builder().config(config).build();
         let run = sup.run(&[fail("a"), fail("b"), fail("c"), ok_spec("other")]);
         let rows = &run.report.experiments;
         assert_eq!(rows[0].attempts, 1);
@@ -1166,7 +1159,7 @@ mod tests {
                 Err::<JobOutput, JobError>("broken".into())
             }),
         ];
-        let mut sup = Supervisor::new(quick_config());
+        let mut sup = Supervisor::builder().config(quick_config()).build();
         let run = sup.run(&specs);
         let snap = &run.telemetry;
         // Worker counters and events arrive scoped to their experiment.
@@ -1198,7 +1191,7 @@ mod tests {
         };
         let mut config = quick_config();
         config.retries = 0;
-        let mut sup = Supervisor::new(config);
+        let mut sup = Supervisor::builder().config(config).build();
         let run = sup.run(&[fail("a"), fail("b"), fail("c")]);
         let events = &run.telemetry.events;
         assert!(events.iter().any(|e| e.kind == "breaker-open" && e.experiment == "b"));
@@ -1224,8 +1217,8 @@ mod tests {
         };
         let mut config = quick_config();
         config.profile = FaultProfile::Chaos;
-        let run_a = Supervisor::new(config).run(&specs());
-        let run_b = Supervisor::new(config).run(&specs());
+        let run_a = Supervisor::builder().config(config).build().run(&specs());
+        let run_b = Supervisor::builder().config(config).build().run(&specs());
         assert_eq!(run_a.report.canonical(), run_b.report.canonical());
         assert_eq!(run_a.outputs, run_b.outputs);
     }

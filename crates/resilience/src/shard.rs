@@ -136,13 +136,16 @@ pub fn run_sharded(
         .map(|(k, range)| {
             let base = range.start;
             let chunk = specs[range].to_vec();
-            pool_execute(move || Supervisor::new(config).run_shard(&chunk, k as u32, base))
+            pool_execute(move || {
+                Supervisor::builder().config(config).build().run_shard(&chunk, k as u32, base)
+            })
         })
         .collect();
     let mut shard_runs: Vec<SupervisedRun> = Vec::with_capacity(plan.shards() as usize);
     if let Some((k, range)) = first {
         let base = range.start;
-        shard_runs.push(Supervisor::new(config).run_shard(&specs[range], k as u32, base));
+        let mut supervisor = Supervisor::builder().config(config).build();
+        shard_runs.push(supervisor.run_shard(&specs[range], k as u32, base));
     }
     shard_runs.extend(
         handles

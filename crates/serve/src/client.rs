@@ -463,15 +463,6 @@ impl ClientPool {
     }
 }
 
-/// Send one request to the daemon at `addr` on a throwaway connection.
-#[deprecated(
-    since = "0.1.0",
-    note = "opens a TCP connection per request; use `ServeClient::connect` and reuse the handle"
-)]
-pub fn query(addr: &str, request: &Request, timeout: Duration) -> Result<Response, ClientError> {
-    ServeClient::connect(addr, timeout)?.request(request)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,14 +654,5 @@ mod tests {
         let timeout = ClientError::Timeout("timed out after 1s".to_owned());
         assert!(timeout.is_timeout());
         assert_eq!(timeout.to_string(), "timed out after 1s");
-    }
-
-    #[test]
-    fn the_deprecated_one_shot_shim_still_answers() {
-        let (addr, server) = toy_line_server(Duration::ZERO);
-        #[allow(deprecated)]
-        let resp = query(&addr, &Request::run("exp", 9, "none", 1.0), TIMEOUT).unwrap();
-        assert_eq!(resp.message.as_deref(), Some("exp#9"));
-        drop(server); // toy server thread parks in read; process exit reaps it
     }
 }

@@ -44,8 +44,6 @@ pub mod ramp;
 pub mod server;
 
 pub use cache::{cache_key, CacheEntry, RehydrateStats, ResultCache};
-#[allow(deprecated)]
-pub use client::query;
 pub use client::{ClientError, ClientPool, ServeClient};
 pub use protocol::{LineBuffer, Request, Response};
 pub use ramp::{

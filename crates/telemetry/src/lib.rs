@@ -52,9 +52,9 @@ struct Inner {
 /// Shared-reference recording facade over metrics, spans, and the journal.
 ///
 /// Construct with [`Telemetry::new`] (recording) or
-/// [`Telemetry::disabled`] (every call is a cheap no-op — this is what the
-/// plain, non-instrumented simulator entry points pass down, so the hot
-/// paths pay almost nothing when observability is off).
+/// [`Telemetry::disabled`] (every call is a cheap no-op — callers that do
+/// not observe a simulator pass this, so the hot paths pay almost nothing
+/// when observability is off).
 #[derive(Debug, Default)]
 pub struct Telemetry {
     enabled: bool,

@@ -10,6 +10,8 @@ use humnet::community::{
     AllocationPolicy, CongestionConfig, CongestionSim, SustainabilityConfig, SustainabilitySim,
     VolunteerRegime,
 };
+use humnet::resilience::NoFaults;
+use humnet::telemetry::Telemetry;
 
 fn flag(name: &str) -> Option<f64> {
     let argv: Vec<String> = std::env::args().collect();
@@ -38,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cfg.daily_failure_rate = failure_rate;
             cfg.days = days;
             cfg.seed = seed;
-            let out = SustainabilitySim::new(cfg)?.run()?;
+            let out = SustainabilitySim::new(cfg)?.run(&mut NoFaults, &Telemetry::disabled())?;
             uptime += out.uptime;
             if !out.mttr.is_nan() {
                 mttr += out.mttr;
@@ -72,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<18} {:>22} {:>13} {:>22}",
         "policy", "fairness (backlogged)", "utilization", "modest-user starvation"
     );
-    for out in sim.compare() {
+    for out in sim.compare(&mut NoFaults, &Telemetry::disabled()) {
         println!(
             "{:<18} {:>22.3} {:>13.3} {:>22.3}",
             out.policy.label(),

@@ -10,6 +10,7 @@ use humnet::core::MethodsAuditor;
 use humnet::corpus::{io, CorpusConfig};
 use humnet::graph::pagerank;
 use humnet::survey::detect_positionality;
+use humnet::telemetry::Telemetry;
 use std::path::PathBuf;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Ten years of six venues.
     let config = CorpusConfig::default();
-    let corpus = config.generate(2025)?;
+    let corpus = config.generate(2025, &Telemetry::disabled())?;
     println!(
         "generated {} papers, {} authors, {} venues ({}–{})",
         corpus.papers.len(),
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. The §5 audit.
-    let report = MethodsAuditor::new().audit(&corpus)?;
+    let report = MethodsAuditor::new().audit(&corpus, &Telemetry::disabled())?;
     println!("\n§5 uptake by venue kind:");
     println!(
         "{:<20} {:>8} {:>14} {:>14} {:>14}",

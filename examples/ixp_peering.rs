@@ -18,6 +18,8 @@
 use humnet::ixp::{
     CircumventionStrategy, MexicoConfig, MexicoScenario, TwoRegionConfig, TwoRegionScenario,
 };
+use humnet::resilience::NoFaults;
+use humnet::telemetry::Telemetry;
 
 struct Args {
     enforcement: Option<f64>,
@@ -74,9 +76,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.competitors = args.competitors;
         cfg.regulation.enforcement = e;
         cfg.strategy = CircumventionStrategy::ComplyFully;
-        let comply = MexicoScenario::run(&cfg)?;
+        let comply = MexicoScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled())?;
         cfg.strategy = CircumventionStrategy::AsnSplitting;
-        let split = MexicoScenario::run(&cfg)?;
+        let split = MexicoScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled())?;
         println!(
             "{:<12.2} {:>16.3} {:>16.3} {:>14.0}",
             e,
@@ -102,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for p in presences {
         let mut cfg = TwoRegionConfig::default();
         cfg.content_presence_south = p;
-        let sc = TwoRegionScenario::run(&cfg)?;
+        let sc = TwoRegionScenario::run(&cfg, &mut NoFaults, &Telemetry::disabled())?;
         println!(
             "{:<18.2} {:>18.3} {:>18.3}",
             p,

@@ -13,9 +13,15 @@ use humnet::core::experiments;
 use humnet::corpus::CorpusConfig;
 use humnet::ixp::{CircumventionStrategy, MexicoConfig, MexicoScenario};
 use humnet::qual::{cohen_kappa, Codebook, CodingSession};
+use humnet::resilience::NoFaults;
 use humnet::stats::{gini, Rng};
+use humnet::telemetry::Telemetry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Every simulator takes a fault hook and a telemetry handle; this tour
+    // injects no faults and records nothing.
+    let off = Telemetry::disabled();
+
     // 1. Deterministic statistics -------------------------------------
     let mut rng = Rng::new(2025);
     let sample: Vec<f64> = (0..200).map(|_| rng.pareto(1.0, 1.3)).collect();
@@ -25,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = AgendaConfig::default();
     cfg.regime = MethodRegime::DataDriven;
     let mut sim = AgendaSim::new(cfg)?;
-    sim.run()?;
+    sim.run(&mut NoFaults, &off)?;
     let last = sim.history().last().expect("ran");
     println!(
         "2. Data-driven regime: {} publications, {} of {} marginalized problems surfaced",
@@ -57,9 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. The Telmex maneuver -------------------------------------------
     let mut mx = MexicoConfig::default();
     mx.strategy = CircumventionStrategy::AsnSplitting;
-    let circumvented = MexicoScenario::run(&mx)?;
+    let circumvented = MexicoScenario::run(&mx, &mut NoFaults, &off)?;
     mx.strategy = CircumventionStrategy::ComplyFully;
-    let complied = MexicoScenario::run(&mx)?;
+    let complied = MexicoScenario::run(&mx, &mut NoFaults, &off)?;
     println!(
         "4. Competitor traffic exchanged at the IXP: {:.0}% complying vs {:.0}% with ASN splitting",
         100.0 * complied.competitor_ixp_share()?,
@@ -67,8 +73,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 5. Auditing a corpus against the paper's §5 ----------------------
-    let corpus = CorpusConfig::default().generate(7)?;
-    let report = humnet::core::MethodsAuditor::new().audit(&corpus)?;
+    let corpus = CorpusConfig::default().generate(7, &off)?;
+    let report = humnet::core::MethodsAuditor::new().audit(&corpus, &off)?;
     println!(
         "5. Across {} synthetic papers, {:.1}% fully adopt the paper's §5 recommendations",
         corpus.papers.len(),
@@ -76,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 6. And the whole experiment suite is one call away ---------------
-    let f1 = experiments::f1_attention(42)?;
+    let f1 = experiments::f1_attention(42, &mut NoFaults, &off)?;
     println!("6. Experiment F1 regenerated: attention gini = {:.3}", f1.gini);
     println!("\nRun `cargo run --bin experiments` for every table and figure.");
     Ok(())

@@ -53,9 +53,9 @@
 use humnet::core::experiments::ExperimentId;
 use humnet::resilience::{
     dispatch, dispatch_remote, replay, ChaosNet, ChaosProc, DispatchConfig, DispatchOutcome,
-    ExperimentSpec, FaultProfile, JobError, JobOutput, RemoteOptions, RunArtifact, RunnerConfig,
-    Schedule, ShardPlan, ShardSpec, Supervisor, Worker, WorkerChaos, WorkerConfig, CHAOS_ENV,
-    CHAOS_KILL_CODE, CHAOS_NET_ENV,
+    ExperimentSpec, FaultProfile, RemoteOptions, RunArtifact, RunnerConfig, Schedule, ShardPlan,
+    ShardSpec, Supervisor, Worker, WorkerChaos, WorkerConfig, CHAOS_ENV, CHAOS_KILL_CODE,
+    CHAOS_NET_ENV,
 };
 use humnet::serve::{
     append_history, install_signal_handlers, read_history, render_trend, run_ramp, ClientPool,
@@ -282,7 +282,7 @@ fn cmd_run(args: Vec<String>) -> CmdResult {
         start_heartbeat(path.clone(), cli.heartbeat_every);
     }
 
-    let specs: Vec<ExperimentSpec> = cli.ids.iter().map(|&id| spec_for(id)).collect();
+    let specs: Vec<ExperimentSpec> = cli.ids.iter().map(|id| id.spec()).collect();
     let run = Supervisor::builder()
         .config(cli.config)
         .shards(cli.shards)
@@ -797,7 +797,7 @@ fn cmd_worker(args: Vec<String>) -> CmdResult {
     }
     eprintln!("worker: listening on {addr}");
 
-    let factory = Arc::new(|code: &str| ExperimentId::parse(code).map(spec_for));
+    let factory = Arc::new(|code: &str| ExperimentId::parse(code).map(ExperimentId::spec));
     let summary = worker
         .run(factory)
         .map_err(|e| Failure::Fatal(format!("worker: {e}")))?;
@@ -918,7 +918,7 @@ fn cmd_replay(args: Vec<String>) -> CmdResult {
     let text = read_file(&path, "event journal")?;
     let events = journal::from_jsonl(&text)
         .map_err(|e| Failure::Fatal(format!("failed to parse event journal {path}: {e}")))?;
-    let factory = |code: &str| ExperimentId::parse(code).map(spec_for);
+    let factory = |code: &str| ExperimentId::parse(code).map(ExperimentId::spec);
     let report = replay::replay(&events, &factory)
         .map_err(|e| Failure::Fatal(format!("cannot replay {path}: {e}")))?;
     print!("{}", report.render());
@@ -996,7 +996,7 @@ fn cmd_serve(args: Vec<String>) -> CmdResult {
 
     flags.apply(&mut cfg.runner);
     install_signal_handlers();
-    let factory = Arc::new(|code: &str| ExperimentId::parse(code).map(spec_for));
+    let factory = Arc::new(|code: &str| ExperimentId::parse(code).map(ExperimentId::spec));
     let server = Server::bind(cfg, factory)
         .map_err(|e| Failure::Fatal(format!("serve: cannot start: {e}")))?;
     let addr = server.local_addr();
@@ -1320,7 +1320,7 @@ fn cmd_ramp(args: Vec<String>) -> CmdResult {
                 cfg.handlers = workers + cfg.queue_depth + cfg.concurrency + 2;
             }
             flags.apply(&mut cfg.runner);
-            let factory = Arc::new(|code: &str| ExperimentId::parse(code).map(spec_for));
+            let factory = Arc::new(|code: &str| ExperimentId::parse(code).map(ExperimentId::spec));
             let server = Server::bind(cfg, factory)
                 .map_err(|e| Failure::Fatal(format!("ramp: cannot start daemon: {e}")))?;
             let addr = server.local_addr().to_string();
@@ -1411,21 +1411,6 @@ fn parse_frac(v: &str, flag: &str) -> Result<f64, Failure> {
 }
 
 // ------------------------------------------------------------- shared --
-
-/// The supervised-runner job for one experiment — the single definition
-/// both `run` and `replay` execute (and, via self-invocation, every
-/// dispatch child), so a replayed or dispatched experiment is driven by
-/// exactly the code that produced the capture.
-fn spec_for(id: ExperimentId) -> ExperimentSpec {
-    ExperimentSpec::new(id.code(), id.title(), id.family(), move |plan, tel| {
-        id.run_instrumented(plan, tel)
-            .map(|r| JobOutput {
-                rendered: r.rendered,
-                faults_injected: r.faults_injected,
-            })
-            .map_err(|e| Box::new(e) as JobError)
-    })
-}
 
 /// Default to every experiment; run explicit subsets in canonical order
 /// regardless of CLI order (contiguous shard slices depend on it).

@@ -35,10 +35,14 @@
 //!
 //! ```
 //! use humnet::core::experiments;
+//! use humnet::resilience::NoFaults;
+//! use humnet::telemetry::Telemetry;
 //!
 //! // Regenerate the headline experiment: concentration of research
-//! // attention under a data-driven regime (figure F1).
-//! let f1 = experiments::f1_attention(42).expect("simulation runs");
+//! // attention under a data-driven regime (figure F1), with no faults
+//! // injected and telemetry disabled.
+//! let f1 = experiments::f1_attention(42, &mut NoFaults, &Telemetry::disabled())
+//!     .expect("simulation runs");
 //! assert!(f1.gini > 0.5, "attention is heavily concentrated");
 //! println!("{}", f1.by_class.render());
 //! ```

@@ -3,6 +3,7 @@
 use humnet::corpus::{CorpusConfig, MethodTag, VenueKind};
 use humnet::graph::{connected_components, label_propagation, modularity, pagerank};
 use humnet::qual::{krippendorff_alpha, SimulatedStudy, StudyConfig};
+use humnet::resilience::NoFaults;
 use humnet::stats::{chi_square_independence, mann_whitney_u, pearson, Rng};
 use humnet::survey::detect_positionality;
 use humnet::text::{extract_keywords, NaiveBayes, TfIdf};
@@ -14,7 +15,7 @@ fn corpus() -> humnet::corpus::Corpus {
         v.papers_per_year = 15;
     }
     cfg.author_pool = 200;
-    cfg.generate(99).unwrap()
+    cfg.generate(99, &humnet::telemetry::Telemetry::disabled()).unwrap()
 }
 
 #[test]
@@ -170,8 +171,8 @@ fn qual_reliability_feeds_stats_tests() {
     // Coding rounds improve; a Mann–Whitney test across early vs late
     // per-pair agreements should notice.
     let mut study = SimulatedStudy::new(StudyConfig::default(), 11).unwrap();
-    let early = study.code_round(0);
-    let late = study.code_round(6);
+    let early = study.code_round(0, &mut NoFaults);
+    let late = study.code_round(6, &mut NoFaults);
     let a_early = krippendorff_alpha(&early).unwrap();
     let a_late = krippendorff_alpha(&late).unwrap();
     assert!(a_late > a_early);

@@ -9,7 +9,9 @@ use humnet::community::{
 use humnet::corpus::CorpusConfig;
 use humnet::ixp::{MexicoConfig, MexicoScenario, TwoRegionConfig, TwoRegionScenario};
 use humnet::qual::{SimulatedStudy, StudyConfig};
+use humnet::resilience::NoFaults;
 use humnet::stats::Rng;
+use humnet::telemetry::Telemetry;
 
 #[test]
 fn rng_streams_are_stable_across_calls() {
@@ -28,10 +30,11 @@ fn corpus_generation_reproducible() {
     for v in cfg.venues.iter_mut() {
         v.papers_per_year = 6;
     }
-    let a = cfg.generate(77).unwrap();
-    let b = cfg.generate(77).unwrap();
+    let off = Telemetry::disabled();
+    let a = cfg.generate(77, &off).unwrap();
+    let b = cfg.generate(77, &off).unwrap();
     assert_eq!(a, b);
-    assert_ne!(a, cfg.generate(78).unwrap());
+    assert_ne!(a, cfg.generate(78, &off).unwrap());
 }
 
 #[test]
@@ -41,7 +44,7 @@ fn agenda_reproducible() {
         cfg.rounds = 20;
         cfg.seed = seed;
         let mut sim = AgendaSim::new(cfg).unwrap();
-        sim.run().unwrap();
+        sim.run(&mut NoFaults, &Telemetry::disabled()).unwrap();
         sim.history().to_vec()
     };
     assert_eq!(run(5), run(5));
@@ -50,14 +53,15 @@ fn agenda_reproducible() {
 
 #[test]
 fn ixp_scenarios_reproducible() {
+    let off = Telemetry::disabled();
     let mx = MexicoConfig::default();
     assert_eq!(
-        MexicoScenario::run(&mx).unwrap().flows,
-        MexicoScenario::run(&mx).unwrap().flows
+        MexicoScenario::run(&mx, &mut NoFaults, &off).unwrap().flows,
+        MexicoScenario::run(&mx, &mut NoFaults, &off).unwrap().flows
     );
     let tr = TwoRegionConfig::default();
-    let a = TwoRegionScenario::run(&tr).unwrap();
-    let b = TwoRegionScenario::run(&tr).unwrap();
+    let a = TwoRegionScenario::run(&tr, &mut NoFaults, &off).unwrap();
+    let b = TwoRegionScenario::run(&tr, &mut NoFaults, &off).unwrap();
     assert_eq!(a.flows, b.flows);
     assert_eq!(
         a.foreign_exchange_share().unwrap(),
@@ -70,15 +74,16 @@ fn community_sims_reproducible() {
     let mut cfg = SustainabilityConfig::default();
     cfg.days = 100;
     cfg.seed = 3;
-    let a = SustainabilitySim::new(cfg.clone()).unwrap().run().unwrap();
-    let b = SustainabilitySim::new(cfg).unwrap().run().unwrap();
+    let off = Telemetry::disabled();
+    let a = SustainabilitySim::new(cfg.clone()).unwrap().run(&mut NoFaults, &off).unwrap();
+    let b = SustainabilitySim::new(cfg).unwrap().run(&mut NoFaults, &off).unwrap();
     assert_eq!(a, b);
 
     let ccfg = CongestionConfig::default();
     let s1 = CongestionSim::new(ccfg.clone()).unwrap();
     let s2 = CongestionSim::new(ccfg).unwrap();
     for p in AllocationPolicy::ALL {
-        assert_eq!(s1.run(p), s2.run(p));
+        assert_eq!(s1.run(p, &mut NoFaults, &off), s2.run(p, &mut NoFaults, &off));
     }
 }
 
@@ -86,7 +91,7 @@ fn community_sims_reproducible() {
 fn qual_study_reproducible() {
     let run = |seed| {
         let mut s = SimulatedStudy::new(StudyConfig::default(), seed).unwrap();
-        s.reliability_trajectory(3).unwrap()
+        s.reliability_trajectory(3, &mut NoFaults, &Telemetry::disabled()).unwrap()
     };
     assert_eq!(run(9), run(9));
     assert_ne!(run(9), run(10));
@@ -95,12 +100,13 @@ fn qual_study_reproducible() {
 #[test]
 fn experiment_suite_reproducible() {
     use humnet::core::experiments as exp;
-    let a = exp::f1_attention(42).unwrap();
-    let b = exp::f1_attention(42).unwrap();
+    let off = Telemetry::disabled();
+    let a = exp::f1_attention(42, &mut NoFaults, &off).unwrap();
+    let b = exp::f1_attention(42, &mut NoFaults, &off).unwrap();
     assert_eq!(a.gini, b.gini);
     assert_eq!(a.lorenz, b.lorenz);
-    let (t1a, _) = exp::t1_regimes(&[1]).unwrap();
-    let (t1b, _) = exp::t1_regimes(&[1]).unwrap();
+    let (t1a, _) = exp::t1_regimes(&[1], &mut NoFaults, &off).unwrap();
+    let (t1b, _) = exp::t1_regimes(&[1], &mut NoFaults, &off).unwrap();
     for (x, y) in t1a.iter().zip(&t1b) {
         assert_eq!(x.marginalized_coverage, y.marginalized_coverage);
         assert_eq!(x.publications, y.publications);
@@ -111,13 +117,12 @@ fn experiment_suite_reproducible() {
 fn routing_worker_count_never_changes_results() {
     use humnet::core::experiments as exp;
     use humnet::ixp::RoutingTable;
-    use humnet::resilience::NoFaults;
-    use humnet::telemetry::Telemetry;
 
     // The SoA engine at 1/2/8 workers produces byte-identical tables on the
     // topologies the F3 and F4 experiments route over.
-    let mx = MexicoScenario::run(&MexicoConfig::default()).unwrap();
-    let tr = TwoRegionScenario::run(&TwoRegionConfig::default()).unwrap();
+    let off = Telemetry::disabled();
+    let mx = MexicoScenario::run(&MexicoConfig::default(), &mut NoFaults, &off).unwrap();
+    let tr = TwoRegionScenario::run(&TwoRegionConfig::default(), &mut NoFaults, &off).unwrap();
     for t in [&mx.topology, &tr.topology] {
         let serial = RoutingTable::compute_parallel(t, 1).unwrap();
         for workers in [2usize, 8] {
@@ -136,10 +141,10 @@ fn routing_worker_count_never_changes_results() {
         tel.snapshot().canonical_events()
     };
     let f3 = |tel: &Telemetry| {
-        exp::f3_telmex_instrumented(4, &mut NoFaults, tel).unwrap();
+        exp::f3_telmex(4, &mut NoFaults, tel).unwrap();
     };
     let f4 = |tel: &Telemetry| {
-        exp::f4_gravity_instrumented(4, &mut NoFaults, tel).unwrap();
+        exp::f4_gravity(4, &mut NoFaults, tel).unwrap();
     };
     assert_eq!(journal(&f3), journal(&f3));
     assert_eq!(journal(&f4), journal(&f4));
@@ -149,7 +154,7 @@ fn routing_worker_count_never_changes_results() {
 #[test]
 fn supervised_chaos_run_reproducible() {
     use humnet::core::experiments::ExperimentId;
-    use humnet::resilience::{ExperimentSpec, FaultProfile, JobError, JobOutput, Supervisor};
+    use humnet::resilience::{ExperimentSpec, FaultProfile, Supervisor};
     use std::time::Duration;
 
     let specs = || -> Vec<ExperimentSpec> {
@@ -157,16 +162,7 @@ fn supervised_chaos_run_reproducible() {
         // acceptance path covers all seventeen.
         [ExperimentId::F1, ExperimentId::T2, ExperimentId::F4, ExperimentId::F5]
             .into_iter()
-            .map(|id| {
-                ExperimentSpec::new(id.code(), id.title(), id.family(), move |plan, tel| {
-                    id.run_instrumented(plan, tel)
-                        .map(|r| JobOutput {
-                            rendered: r.rendered,
-                            faults_injected: r.faults_injected,
-                        })
-                        .map_err(|e| Box::new(e) as JobError)
-                })
-            })
+            .map(ExperimentId::spec)
             .collect()
     };
     let supervisor = |seed: u64| {

@@ -4,10 +4,12 @@
 
 use humnet::agenda::MethodRegime;
 use humnet::core::experiments as exp;
+use humnet::resilience::NoFaults;
+use humnet::telemetry::Telemetry;
 
 #[test]
 fn f1_attention_is_concentrated_under_data_driven_regime() {
-    let r = exp::f1_attention(42).unwrap();
+    let r = exp::f1_attention(42, &mut NoFaults, &Telemetry::disabled()).unwrap();
     // Paper §1: attention concentrates on dominant players' problems.
     assert!(r.gini > 0.6, "gini = {}", r.gini);
     // Lorenz curve is below the diagonal everywhere.
@@ -29,7 +31,7 @@ fn f1_attention_is_concentrated_under_data_driven_regime() {
 
 #[test]
 fn t1_par_widens_coverage_at_a_publication_cost() {
-    let (rows, _) = exp::t1_regimes(&[1, 2, 3]).unwrap();
+    let (rows, _) = exp::t1_regimes(&[1, 2, 3], &mut NoFaults, &Telemetry::disabled()).unwrap();
     let get = |r: MethodRegime| rows.iter().find(|x| x.regime == r).unwrap();
     let dd = get(MethodRegime::DataDriven);
     let par = get(MethodRegime::Par);
@@ -49,7 +51,7 @@ fn t1_par_widens_coverage_at_a_publication_cost() {
 
 #[test]
 fn f2_positionality_gap_between_cultures() {
-    let (table, series) = exp::f2_positionality(7).unwrap();
+    let (table, series) = exp::f2_positionality(7, &Telemetry::disabled()).unwrap();
     let rate = |label: &str| -> f64 {
         table.rows.iter().find(|r| r[0] == label).unwrap()[2].parse().unwrap()
     };
@@ -70,7 +72,7 @@ fn f2_positionality_gap_between_cultures() {
 
 #[test]
 fn t2_reliability_climbs_with_codebook_refinement() {
-    let table = exp::t2_irr(5, 6).unwrap();
+    let table = exp::t2_irr(5, 6, &mut NoFaults, &Telemetry::disabled()).unwrap();
     let alpha = |row: usize| -> f64 { table.rows[row][3].parse().unwrap() };
     assert!(alpha(6) > alpha(0) + 0.15);
     // Mostly monotone (allow one seed-noise dip).
@@ -80,7 +82,7 @@ fn t2_reliability_climbs_with_codebook_refinement() {
 
 #[test]
 fn f3_regulation_defeated_by_asn_splitting() {
-    let (comply, split, _) = exp::f3_telmex(5).unwrap();
+    let (comply, split, _) = exp::f3_telmex(5, &mut NoFaults, &Telemetry::disabled()).unwrap();
     // Full compliance localizes competitor traffic at any enforcement.
     for &(_, share) in &comply.points {
         assert!(share > 0.95, "comply share = {share}");
@@ -97,7 +99,7 @@ fn f3_regulation_defeated_by_asn_splitting() {
 
 #[test]
 fn f4_content_presence_pulls_exchange_home() {
-    let (foreign, local) = exp::f4_gravity(6).unwrap();
+    let (foreign, local) = exp::f4_gravity(6, &mut NoFaults, &Telemetry::disabled()).unwrap();
     // With no local content, over half of South traffic is exchanged
     // abroad; with full presence it drops to (near) zero.
     assert!(foreign.points[0].1 > 0.5, "foreign share = {}", foreign.points[0].1);
@@ -108,7 +110,8 @@ fn f4_content_presence_pulls_exchange_home() {
 
 #[test]
 fn t3_stewardship_beats_hero_volunteers() {
-    let table = exp::t3_sustainability(&[1, 2, 3, 4, 5]).unwrap();
+    let table =
+        exp::t3_sustainability(&[1, 2, 3, 4, 5], &mut NoFaults, &Telemetry::disabled()).unwrap();
     let uptime = |label: &str| -> f64 {
         table.rows.iter().find(|r| r[0] == label).unwrap()[1].parse().unwrap()
     };
@@ -127,7 +130,7 @@ fn t3_stewardship_beats_hero_volunteers() {
 
 #[test]
 fn f5_community_tokens_get_both_fairness_and_utilization() {
-    let table = exp::f5_congestion(1).unwrap();
+    let table = exp::f5_congestion(1, &mut NoFaults, &Telemetry::disabled()).unwrap();
     let get = |label: &str, col: usize| -> f64 {
         table.rows.iter().find(|r| r[0] == label).unwrap()[col].parse().unwrap()
     };
@@ -183,7 +186,7 @@ fn t5_cfp_broadening_admits_human_work_at_modest_systems_cost() {
 
 #[test]
 fn f8_locality_vs_connectivity_maximization() {
-    let (top, local, _) = exp::f8_growth(4).unwrap();
+    let (top, local, _) = exp::f8_growth(4, &Telemetry::disabled()).unwrap();
     // With no regional pull, the giant Northern exchange wins big.
     assert!(top.points[0].1 > 0.6, "top share = {}", top.points[0].1);
     // Strong regional affinity keeps South arrivals local.
@@ -193,7 +196,7 @@ fn f8_locality_vs_connectivity_maximization() {
 
 #[test]
 fn f10_internet_scale_concentration() {
-    let table = exp::f10_scale(7).unwrap();
+    let table = exp::f10_scale(7, &Telemetry::disabled()).unwrap();
     let get = |label: &str| -> String {
         table.rows.iter().find(|r| r[0] == label).unwrap()[1].clone()
     };
@@ -225,7 +228,7 @@ fn f9_cfp_intervention_reverses_methodology_collapse() {
 
 #[test]
 fn t6_probes_counteract_compliance_decay() {
-    let table = exp::t6_diary(5).unwrap();
+    let table = exp::t6_diary(5, &Telemetry::disabled()).unwrap();
     let get = |label: &str, col: usize| -> f64 {
         table.rows.iter().find(|r| r[0] == label).unwrap()[col].parse().unwrap()
     };
@@ -250,7 +253,7 @@ fn t7_dues_policy_trade_offs() {
 
 #[test]
 fn f7_gap_holds_on_every_recommendation() {
-    let table = exp::f7_audit(3).unwrap();
+    let table = exp::f7_audit(3, &Telemetry::disabled()).unwrap();
     let get = |label: &str, col: usize| -> f64 {
         table.rows.iter().find(|r| r[0] == label).unwrap()[col].parse().unwrap()
     };

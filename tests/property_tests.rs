@@ -4,9 +4,11 @@ use humnet::community::{AllocationPolicy, CongestionConfig, CongestionSim};
 use humnet::graph::{erdos_renyi, pagerank};
 use humnet::ixp::{AsKind, AsTopology, RegionTag, RouteKind, RoutingTable};
 use humnet::qual::{cohen_kappa, krippendorff_alpha, percent_agreement};
+use humnet::resilience::NoFaults;
 use humnet::stats::{
     evenness, gini, jain_fairness, lorenz_curve, mean, quantile, shannon_entropy, Rng,
 };
+use humnet::telemetry::Telemetry;
 use proptest::prelude::*;
 
 proptest! {
@@ -123,7 +125,7 @@ proptest! {
         cfg.demand_sigma = sigma;
         let sim = CongestionSim::new(cfg).unwrap();
         for policy in AllocationPolicy::ALL {
-            let out = sim.run(policy);
+            let out = sim.run(policy, &mut NoFaults, &Telemetry::disabled());
             prop_assert!((0.0..=1.0 + 1e-9).contains(&out.fairness), "{policy:?}");
             prop_assert!((0.0..=1.0 + 1e-9).contains(&out.utilization));
             prop_assert!((0.0..=1.0).contains(&out.starvation));
@@ -187,7 +189,7 @@ proptest! {
         cfg.rounds = rounds;
         cfg.arrivals_per_round = arrivals;
         let initial: u32 = cfg.ixps.iter().map(|i| i.members).sum();
-        let out = humnet::ixp::simulate_growth(&cfg).unwrap();
+        let out = humnet::ixp::simulate_growth(&cfg, &Telemetry::disabled()).unwrap();
         let total: u32 = out.final_members.iter().sum();
         prop_assert_eq!(total, initial + rounds * arrivals as u32);
         prop_assert!((0.0..=1.0).contains(&out.top_share));
@@ -242,7 +244,7 @@ proptest! {
     fn diary_compliance_curve_bounded(seed in 0u64..100, probe in 0.0f64..1.0) {
         let mut cfg = humnet::qual::DiaryConfig::default();
         cfg.probe_rate = probe;
-        let out = humnet::qual::simulate_diary(&cfg, seed).unwrap();
+        let out = humnet::qual::simulate_diary(&cfg, seed, &Telemetry::disabled()).unwrap();
         for &c in &out.compliance_curve {
             prop_assert!((0.0..=1.0).contains(&c));
         }
@@ -398,14 +400,15 @@ proptest! {
             .with_intensity(intensity);
         // The quick fault-capable experiments (T1/T3 are equivalent but
         // ~100x slower; their hooks are exercised in crate-level tests).
+        let off = Telemetry::disabled();
         for id in [ExperimentId::F1, ExperimentId::T2, ExperimentId::F4, ExperimentId::F5] {
-            let run = id.run(&plan).expect("experiments degrade, not error");
+            let run = id.run_instrumented(&plan, &off).expect("experiments degrade, not error");
             prop_assert!(!run.rendered.is_empty());
             if run.faults_injected > 0 {
                 prop_assert!(plan.is_active(), "faults require an active plan");
             }
             // Same plan, same result: the fault schedule is part of the seed.
-            let again = id.run(&plan).expect("rerun succeeds");
+            let again = id.run_instrumented(&plan, &off).expect("rerun succeeds");
             prop_assert_eq!(&run, &again);
         }
     }
@@ -421,7 +424,7 @@ proptest! {
             .with_intensity(intensity);
         let sim = CongestionSim::new(CongestionConfig::default()).unwrap();
         let mut hook = PlanHook::new(plan);
-        for out in sim.compare_with_faults(&mut hook) {
+        for out in sim.compare(&mut hook, &Telemetry::disabled()) {
             prop_assert!(out.fairness.is_nan() || (0.0..=1.0 + 1e-9).contains(&out.fairness));
             prop_assert!((0.0..=1.0 + 1e-9).contains(&out.utilization));
             prop_assert!((0.0..=1.0 + 1e-9).contains(&out.starvation));

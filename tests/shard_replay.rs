@@ -12,8 +12,7 @@
 
 use humnet::core::experiments::ExperimentId;
 use humnet::resilience::{
-    replay, ExperimentSpec, FaultProfile, JobError, JobOutput, RecordedFault, RecordedFaults,
-    ShardPlan, Supervisor,
+    replay, ExperimentSpec, FaultProfile, RecordedFault, RecordedFaults, ShardPlan, Supervisor,
 };
 use humnet::telemetry::{Telemetry, TelemetrySnapshot};
 use proptest::prelude::*;
@@ -110,19 +109,8 @@ proptest! {
 fn specs() -> Vec<ExperimentSpec> {
     [ExperimentId::F1, ExperimentId::T2, ExperimentId::F4, ExperimentId::F5]
         .into_iter()
-        .map(spec_for)
+        .map(ExperimentId::spec)
         .collect()
-}
-
-fn spec_for(id: ExperimentId) -> ExperimentSpec {
-    ExperimentSpec::new(id.code(), id.title(), id.family(), move |plan, tel| {
-        id.run_instrumented(plan, tel)
-            .map(|r| JobOutput {
-                rendered: r.rendered,
-                faults_injected: r.faults_injected,
-            })
-            .map_err(|e| Box::new(e) as JobError)
-    })
 }
 
 fn supervisor(shards: u32) -> Supervisor {
@@ -162,7 +150,7 @@ fn four_shard_run_matches_single_shard_byte_for_byte() {
 // ---------------------------------------------------------------------
 
 fn factory(code: &str) -> Option<ExperimentSpec> {
-    ExperimentId::parse(code).map(spec_for)
+    ExperimentId::parse(code).map(ExperimentId::spec)
 }
 
 #[test]

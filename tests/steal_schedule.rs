@@ -18,22 +18,11 @@ use humnet::telemetry::Event;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
-fn spec_for(id: ExperimentId) -> ExperimentSpec {
-    ExperimentSpec::new(id.code(), id.title(), id.family(), move |plan, tel| {
-        id.run_instrumented(plan, tel)
-            .map(|r| JobOutput {
-                rendered: r.rendered,
-                faults_injected: r.faults_injected,
-            })
-            .map_err(|e| Box::new(e) as JobError)
-    })
-}
-
 /// The fast cross-family fault-capable subset (same as shard_replay.rs).
 fn suite() -> Vec<ExperimentSpec> {
     [ExperimentId::F1, ExperimentId::T2, ExperimentId::F4, ExperimentId::F5]
         .into_iter()
-        .map(spec_for)
+        .map(ExperimentId::spec)
         .collect()
 }
 
@@ -75,7 +64,7 @@ fn steal_run_matches_single_shard_byte_for_byte() {
 #[test]
 fn steal_capture_replays_cleanly_on_one_shard() {
     let run = supervisor(4, Schedule::Steal).run(&suite());
-    let factory = |code: &str| ExperimentId::parse(code).map(spec_for);
+    let factory = |code: &str| ExperimentId::parse(code).map(ExperimentId::spec);
     let report = replay::replay(&run.telemetry.events, &factory).expect("replayable journal");
     assert!(report.is_clean(), "{}", report.render());
     assert_eq!(report.experiments, vec!["f1", "t2", "f4", "f5"]);

@@ -4,7 +4,7 @@
 //! serde_json bit-for-bit.
 
 use humnet::core::experiments::ExperimentId;
-use humnet::resilience::{ExperimentSpec, FaultProfile, JobError, JobOutput, Supervisor};
+use humnet::resilience::{ExperimentSpec, FaultProfile, Supervisor};
 use humnet::telemetry::journal::{from_jsonl, to_jsonl};
 use std::time::Duration;
 
@@ -14,16 +14,7 @@ use std::time::Duration;
 fn specs() -> Vec<ExperimentSpec> {
     let mut specs: Vec<ExperimentSpec> = [ExperimentId::F1, ExperimentId::T2, ExperimentId::F5]
         .into_iter()
-        .map(|id| {
-            ExperimentSpec::new(id.code(), id.title(), id.family(), move |plan, tel| {
-                id.run_instrumented(plan, tel)
-                    .map(|r| JobOutput {
-                        rendered: r.rendered,
-                        faults_injected: r.faults_injected,
-                    })
-                    .map_err(|e| Box::new(e) as JobError)
-            })
-        })
+        .map(ExperimentId::spec)
         .collect();
     for code in ["syn1", "syn2"] {
         specs.push(ExperimentSpec::new(code, "always fails", "synthetic", |_plan, _tel| {
