@@ -10,8 +10,12 @@
 //! (deleting) anything corrupt or misfiled.
 //!
 //! The in-memory index holds the full entries (artifact and metrics
-//! strings included): a hit is answered from memory without touching the
-//! disk, which is what makes cached reads cost microseconds.
+//! strings included) and, beside each, its `hit` response line, encoded
+//! once by the protocol's own serializer when the entry is inserted or
+//! rehydrated. A hit writes those shared bytes ([`ResultCache::hit_line`])
+//! without touching the disk or serializing anything, which is what makes
+//! cached reads cost microseconds; the price is one more encoded copy of
+//! the artifact and metrics per indexed entry.
 //!
 //! The code-rev component means a rebuilt binary simply *misses* on every
 //! old entry rather than serving results a different code produced; stale
@@ -23,6 +27,7 @@
 //! [`ResultCache::sweep_stale`] — the LRU bound is size-only, so without
 //! it artifacts from dead code revisions pin a roomy cache forever.
 
+use crate::protocol::{Response, STATUS_HIT};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
@@ -139,11 +144,39 @@ pub struct RehydrateStats {
     pub stale: usize,
 }
 
-/// One indexed entry plus its recency stamp for LRU eviction.
+/// One indexed entry, its encoded `hit` line, and its recency stamp for
+/// LRU eviction.
 #[derive(Debug)]
 struct Slot {
     entry: Arc<CacheEntry>,
+    /// `Response::artifact(STATUS_HIT, ..).to_line()` plus `\n`.
+    hit_line: Arc<[u8]>,
     last_used: u64,
+}
+
+impl Slot {
+    /// A slot for `entry` with its hit line encoded; not yet stamped.
+    fn new(entry: CacheEntry) -> io::Result<Slot> {
+        let mut line = Response::artifact(
+            STATUS_HIT,
+            &entry.key,
+            &entry.code_rev,
+            entry.artifact.clone(),
+            entry.metrics.clone(),
+        )
+        .to_line()
+        .map_err(invalid_data)?;
+        line.push('\n');
+        Ok(Slot {
+            entry: Arc::new(entry),
+            hit_line: line.into_bytes().into(),
+            last_used: 0,
+        })
+    }
+}
+
+fn invalid_data(e: serde_json::Error) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
 /// The mutex-guarded index state: the map plus a monotone tick that
@@ -251,14 +284,10 @@ impl ResultCache {
                 stats.loaded -= 1;
                 continue;
             }
-            let stamp = index.touch();
-            index.map.insert(
-                entry.key.clone(),
-                Slot {
-                    entry: Arc::new(entry),
-                    last_used: stamp,
-                },
-            );
+            let key = entry.key.clone();
+            let mut slot = Slot::new(entry)?;
+            slot.last_used = index.touch();
+            index.map.insert(key, slot);
         }
         drop(index);
         Ok((cache, stats))
@@ -301,11 +330,22 @@ impl ResultCache {
     /// Look up a content address in the in-memory index, freshening its
     /// recency stamp.
     pub fn get(&self, key: &str) -> Option<Arc<CacheEntry>> {
+        self.touch(key, |slot| slot.entry.clone())
+    }
+
+    /// The `hit` response line for a content address, newline included,
+    /// ready to write to the wire; freshens recency exactly as
+    /// [`ResultCache::get`] does.
+    pub fn hit_line(&self, key: &str) -> Option<Arc<[u8]>> {
+        self.touch(key, |slot| slot.hit_line.clone())
+    }
+
+    fn touch<T>(&self, key: &str, read: impl FnOnce(&Slot) -> T) -> Option<T> {
         let mut index = self.index.lock().expect("cache index lock");
         let stamp = index.touch();
         index.map.get_mut(key).map(|slot| {
             slot.last_used = stamp;
-            slot.entry.clone()
+            read(slot)
         })
     }
 
@@ -326,22 +366,18 @@ impl ResultCache {
     /// evicted (index and disk) to make room; the count of evictions is
     /// returned so the daemon can feed its `serve.evicted` counter.
     pub fn insert(&self, entry: CacheEntry) -> io::Result<usize> {
-        let json = serde_json::to_string_pretty(&entry)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let json = serde_json::to_string_pretty(&entry).map_err(invalid_data)?;
         let tmp = self.dir.join(format!(".tmp-{}", entry.key));
         let fin = self.entry_path(&entry.key);
         fs::write(&tmp, &json)?;
         fs::rename(&tmp, &fin)?;
-        let mut index = self.index.lock().expect("cache index lock");
-        let stamp = index.touch();
         let key = entry.key.clone();
-        index.map.insert(
-            key,
-            Slot {
-                entry: Arc::new(entry),
-                last_used: stamp,
-            },
-        );
+        // Encoded before taking the lock: hits on other keys never wait
+        // on this serialization.
+        let mut slot = Slot::new(entry)?;
+        let mut index = self.index.lock().expect("cache index lock");
+        slot.last_used = index.touch();
+        index.map.insert(key, slot);
         // Evict past the bound. The entry just inserted carries the
         // freshest stamp, so it is never its own victim.
         let mut victims = Vec::new();
@@ -499,6 +535,71 @@ mod tests {
         assert_eq!(back.artifact, e.artifact);
         assert_eq!(back.metrics, e.metrics);
         assert_eq!(*back, e);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hit_line_is_the_protocol_encoding_after_insert_and_rehydrate() {
+        let dir = scratch("hit-line");
+        let (cache, _) = ResultCache::open(&dir).unwrap();
+        let awkward = [
+            ("{\n  \"quote\": \"a\\\"b\",\n  \"path\": \"C:\\\\x\"\n}", "{}"),
+            ("tab\there\r\nbell\u{7}nul\u{0}esc\u{1b}del\u{7f}", "ünïcödé ✓ 😀 \u{10ffff}"),
+            ("", "\\\"\\\\\n"),
+        ];
+        let entries: Vec<CacheEntry> = awkward
+            .iter()
+            .enumerate()
+            .map(|(seed, (artifact, metrics))| {
+                let mut e = entry(seed as u64);
+                e.artifact = (*artifact).to_owned();
+                e.metrics = (*metrics).to_owned();
+                e.checksum = CacheEntry::checksum_of(&e.artifact, &e.metrics);
+                e
+            })
+            .collect();
+        let expected = |e: &CacheEntry| {
+            let resp = Response::artifact(
+                STATUS_HIT,
+                &e.key,
+                &e.code_rev,
+                e.artifact.clone(),
+                e.metrics.clone(),
+            );
+            format!("{}\n", resp.to_line().unwrap()).into_bytes()
+        };
+        for e in &entries {
+            cache.insert(e.clone()).unwrap();
+            assert_eq!(*cache.hit_line(&e.key).unwrap(), *expected(e), "after insert");
+        }
+        drop(cache);
+
+        let (cache, stats) = ResultCache::open(&dir).unwrap();
+        assert_eq!(stats.loaded, entries.len());
+        for e in &entries {
+            let line = cache.hit_line(&e.key).unwrap();
+            assert_eq!(*line, *expected(e), "after rehydrate");
+            // One line on the wire, and it decodes back to the entry.
+            assert_eq!(line.iter().filter(|&&b| b == b'\n').count(), 1);
+            let back = Response::from_line(std::str::from_utf8(&line).unwrap()).unwrap();
+            assert_eq!(back.artifact.as_deref(), Some(e.artifact.as_str()));
+            assert_eq!(back.metrics.as_deref(), Some(e.metrics.as_str()));
+        }
+        assert!(cache.hit_line(&entry(99).key).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hit_line_freshens_recency_like_get() {
+        let dir = scratch("hit-line-lru");
+        let (cache, _) = ResultCache::open_bounded(&dir, 2).unwrap();
+        let (e1, e2, e3) = (entry(1), entry(2), entry(3));
+        cache.insert(e1.clone()).unwrap();
+        cache.insert(e2.clone()).unwrap();
+        assert!(cache.hit_line(&e1.key).is_some());
+        assert_eq!(cache.insert(e3.clone()).unwrap(), 1);
+        assert!(cache.hit_line(&e2.key).is_none(), "e2 was the LRU entry");
+        assert!(cache.hit_line(&e1.key).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 

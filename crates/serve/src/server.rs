@@ -5,9 +5,9 @@
 //! ```text
 //! accept ──▶ bounded conn queue ──▶ handler threads (fixed pool)
 //!                 │ full: shed                │
-//!                 ▼                           ▼ cache hit: answer from
-//!            overloaded                       │ the index, zero runner
-//!                                             │ attempts
+//!                 ▼                           ▼ cache hit: write the
+//!            overloaded                       │ entry's pre-encoded line,
+//!                                             │ zero runner attempts
 //!                               bounded work queue (depth = queue_depth)
 //!                                 │ full: shed (`overloaded`)
 //!                                 ▼
@@ -31,7 +31,7 @@
 
 use crate::cache::{cache_key, CacheEntry, RehydrateStats, ResultCache};
 use crate::protocol::{
-    Request, Response, CMD_RUN, CMD_SHUTDOWN, CMD_STATS, STATUS_ERROR, STATUS_HIT, STATUS_MISS,
+    Request, Response, CMD_RUN, CMD_SHUTDOWN, CMD_STATS, STATUS_ERROR, STATUS_MISS,
 };
 use humnet_resilience::{code_rev, ExperimentSpec, FaultProfile, RunArtifact, RunnerConfig, Supervisor};
 use humnet_telemetry::{SharedTelemetry, TelemetrySnapshot};
@@ -141,7 +141,16 @@ struct RunRequest {
 
 struct WorkItem {
     run: RunRequest,
-    resp: mpsc::Sender<Response>,
+    resp: mpsc::Sender<Reply>,
+}
+
+/// What the connection loop writes back for one request.
+enum Reply {
+    /// A cache hit: the entry's `hit` line as the cache encoded it,
+    /// newline included, shared rather than re-serialized.
+    Hit(Arc<[u8]>),
+    /// Every other answer, serialized on the way out.
+    Fresh(Response),
 }
 
 /// The serve daemon. [`Server::bind`] binds the listener and rehydrates
@@ -409,8 +418,8 @@ fn serve_connection(
     loop {
         while let Some(line) = framer.next_line() {
             last_activity = Instant::now();
-            let (resp, close) = handle_line(ctx, work_tx, &line);
-            write_response(&mut stream, &resp)?;
+            let (reply, close) = handle_line(ctx, work_tx, &line);
+            write_reply(&mut stream, &reply)?;
             if close {
                 return Ok(());
             }
@@ -436,70 +445,72 @@ fn serve_connection(
     }
 }
 
-/// Dispatch one request line. Returns the response and whether the
+/// Dispatch one request line. Returns the reply and whether the
 /// connection should close afterwards.
-fn handle_line(ctx: &Ctx, work_tx: &SyncSender<WorkItem>, line: &str) -> (Response, bool) {
+fn handle_line(ctx: &Ctx, work_tx: &SyncSender<WorkItem>, line: &str) -> (Reply, bool) {
     ctx.tel.counter("serve.requests", 1);
     let req = match Request::from_line(line) {
         Ok(req) => req,
         Err(e) => {
             ctx.tel.counter("serve.error", 1);
-            return (Response::error(&format!("bad request: {e}")), false);
+            return (Reply::Fresh(Response::error(&format!("bad request: {e}"))), false);
         }
     };
     match req.cmd.as_str() {
         CMD_RUN => (handle_run(ctx, work_tx, &req), false),
         CMD_STATS => {
-            let snap = ctx.tel.snapshot();
-            match snap.to_json() {
-                Ok(json) => (Response::stats(json), false),
-                Err(e) => (Response::error(&format!("stats serialization: {e}")), false),
-            }
+            let resp = match ctx.tel.snapshot().to_json() {
+                Ok(json) => Response::stats(json),
+                Err(e) => Response::error(&format!("stats serialization: {e}")),
+            };
+            (Reply::Fresh(resp), false)
         }
         CMD_SHUTDOWN => {
             ctx.stop.store(true, Ordering::SeqCst);
-            (Response::ok("draining; daemon will exit"), true)
+            (Reply::Fresh(Response::ok("draining; daemon will exit")), true)
         }
         other => {
             ctx.tel.counter("serve.error", 1);
-            (Response::error(&format!("unknown cmd '{other}' (run|stats|shutdown)")), false)
+            let msg = format!("unknown cmd '{other}' (run|stats|shutdown)");
+            (Reply::Fresh(Response::error(&msg)), false)
         }
     }
 }
 
 /// The run path: resolve, consult the index, admit or shed.
-fn handle_run(ctx: &Ctx, work_tx: &SyncSender<WorkItem>, req: &Request) -> Response {
+fn handle_run(ctx: &Ctx, work_tx: &SyncSender<WorkItem>, req: &Request) -> Reply {
     let t0 = Instant::now();
     let run = match resolve(ctx, req) {
         Ok(run) => run,
         Err(msg) => {
             ctx.tel.counter("serve.error", 1);
-            return Response::error(&msg);
+            return Reply::Fresh(Response::error(&msg));
         }
     };
     // Fast path: hits are answered straight from the in-memory index —
-    // no queue, no worker, no runner.
-    if let Some(entry) = ctx.cache.get(&run.key) {
+    // no queue, no worker, no runner, no serialization.
+    if let Some(line) = ctx.cache.hit_line(&run.key) {
         ctx.tel.counter("serve.cache_hit", 1);
         ctx.tel.observe("serve.hit_ns", t0.elapsed().as_nanos() as u64);
-        return hit_response(&entry);
+        return Reply::Hit(line);
     }
     let (resp_tx, resp_rx) = mpsc::channel();
-    match work_tx.try_send(WorkItem { run, resp: resp_tx }) {
+    let resp = match work_tx.try_send(WorkItem { run, resp: resp_tx }) {
         Err(TrySendError::Full(_)) => {
             ctx.tel.counter("serve.shed", 1);
             Response::overloaded("pending queue full; retry later")
         }
         Err(TrySendError::Disconnected(_)) => Response::error("daemon is shutting down"),
+        // A queued duplicate of an in-flight tuple lands as a hit when the
+        // worker re-checks the index.
         Ok(()) => match resp_rx.recv() {
-            Ok(resp) => {
+            Ok(Reply::Hit(line)) => {
+                ctx.tel.counter("serve.cache_hit", 1);
+                ctx.tel.observe("serve.hit_ns", t0.elapsed().as_nanos() as u64);
+                return Reply::Hit(line);
+            }
+            Ok(Reply::Fresh(resp)) => {
                 match resp.status.as_str() {
-                    // A queued duplicate of an in-flight tuple lands as a
-                    // hit when the worker re-checks the index.
-                    STATUS_HIT => {
-                        ctx.tel.counter("serve.cache_hit", 1);
-                        ctx.tel.observe("serve.hit_ns", t0.elapsed().as_nanos() as u64);
-                    }
                     STATUS_MISS => {
                         ctx.tel.counter("serve.cache_miss", 1);
                         ctx.tel.observe("serve.miss_ns", t0.elapsed().as_nanos() as u64);
@@ -514,7 +525,8 @@ fn handle_run(ctx: &Ctx, work_tx: &SyncSender<WorkItem>, req: &Request) -> Respo
                 Response::error("worker dropped the request")
             }
         },
-    }
+    };
+    Reply::Fresh(resp)
 }
 
 /// Resolve a run request against the daemon defaults, validating the
@@ -556,22 +568,20 @@ fn resolve(ctx: &Ctx, req: &Request) -> Result<RunRequest, String> {
     })
 }
 
-fn hit_response(entry: &CacheEntry) -> Response {
-    Response::artifact(
-        STATUS_HIT,
-        &entry.key,
-        &entry.code_rev,
-        entry.artifact.clone(),
-        entry.metrics.clone(),
-    )
-}
-
-fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    let line = resp
-        .to_line()
-        .unwrap_or_else(|e| format!("{{\"status\": \"error\", \"message\": \"response serialization: {e}\"}}"));
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
+/// Write one reply, newline included, with a single `write_all`: on a
+/// `TCP_NODELAY` socket a separate newline write would cost a second
+/// segment per answer.
+fn write_reply(stream: &mut TcpStream, reply: &Reply) -> io::Result<()> {
+    match reply {
+        Reply::Hit(line) => stream.write_all(line)?,
+        Reply::Fresh(resp) => {
+            let mut line = resp.to_line().unwrap_or_else(|e| {
+                format!("{{\"status\": \"error\", \"message\": \"response serialization: {e}\"}}")
+            });
+            line.push('\n');
+            stream.write_all(line.as_bytes())?;
+        }
+    }
     stream.flush()
 }
 
@@ -579,7 +589,7 @@ fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
 /// request was read (handler pool exhausted).
 fn shed_connection(mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = write_response(&mut stream, &Response::overloaded("all handlers busy"));
+    let _ = write_reply(&mut stream, &Reply::Fresh(Response::overloaded("all handlers busy")));
 }
 
 // ------------------------------------------------------------ workers --
@@ -591,20 +601,20 @@ fn worker_loop(rx: &Mutex<Receiver<WorkItem>>, ctx: &Ctx) {
         // the rest execute.
         let item = rx.lock().expect("work queue lock").recv();
         let Ok(item) = item else { break };
-        let resp = execute(ctx, &item.run);
+        // A duplicate that queued behind its twin becomes a hit here
+        // instead of recomputing.
+        let reply = match ctx.cache.hit_line(&item.run.key) {
+            Some(line) => Reply::Hit(line),
+            None => Reply::Fresh(execute(ctx, &item.run)),
+        };
         // A handler that gave up (connection died) just drops the
         // receiver; the computed result is still cached.
-        let _ = item.resp.send(resp);
+        let _ = item.resp.send(reply);
     }
 }
 
 /// Execute one admitted miss on the warm pool and cache the artifact.
 fn execute(ctx: &Ctx, run: &RunRequest) -> Response {
-    // A duplicate that queued behind its twin becomes a hit here instead
-    // of recomputing.
-    if let Some(entry) = ctx.cache.get(&run.key) {
-        return hit_response(&entry);
-    }
     if !ctx.config.hold.is_zero() {
         thread::sleep(ctx.config.hold);
     }
@@ -673,6 +683,7 @@ fn execute(ctx: &Ctx, run: &RunRequest) -> Response {
 mod tests {
     use super::*;
     use crate::client::ServeClient;
+    use crate::protocol::STATUS_HIT;
     use humnet_resilience::JobOutput;
     use std::fs;
     use std::path::Path;
@@ -928,6 +939,39 @@ mod tests {
         assert_eq!(summary2.cache_entries, 1);
         assert_eq!(summary2.rehydrated.loaded, 1);
         assert_eq!(summary2.rehydrated.evicted, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One request over a bare socket; returns the raw response line,
+    /// newline included, exactly as the daemon wrote it.
+    fn raw_exchange(addr: &str, req: &Request) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+        stream.write_all(format!("{}\n", req.to_line().unwrap()).as_bytes()).unwrap();
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while !buf.ends_with(b"\n") {
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "daemon closed mid-line");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+        String::from_utf8(buf).unwrap()
+    }
+
+    #[test]
+    fn raw_hit_after_restart_is_the_miss_line_with_its_status_swapped() {
+        let dir = scratch("raw-hit");
+        let (addr, handle) = start(config(&dir));
+        let req = Request::run("exp2", 5, "chaos", 1.0);
+        let miss = raw_exchange(&addr, &req);
+        shutdown(&addr, handle);
+
+        let (addr2, handle2) = start(config(&dir));
+        let hit = raw_exchange(&addr2, &req);
+        assert_eq!(miss.matches("\"status\":\"miss\"").count(), 1, "{miss}");
+        assert_eq!(hit, miss.replace("\"status\":\"miss\"", "\"status\":\"hit\""));
+        assert_eq!(counters(&addr2)["serve.cache_hit"], 1);
+        shutdown(&addr2, handle2);
         let _ = fs::remove_dir_all(&dir);
     }
 
