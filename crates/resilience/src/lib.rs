@@ -27,8 +27,9 @@
 //!    per-shard deadlines, crash retry, graceful partial-result
 //!    degradation, and merge-time circuit-breaker reconciliation — still
 //!    byte-identical to the in-process 1-shard run.
-//! 8. [`remote`] — the cross-machine tier: shard-slice *leases* over a
-//!    line-delimited TCP worker protocol with inline heartbeats,
+//! 8. [`remote`] — the cross-machine tier: shard-slice *leases* to
+//!    `experiments serve` daemons over the line-delimited TCP protocol
+//!    (framed by [`LineBuffer`]), with inline heartbeats,
 //!    connection-level liveness and deadline revocation, retry rotated
 //!    across surviving workers, local child-process failover, and
 //!    `--chaos-net` partition/stall/garble injection — same merge, same
@@ -66,8 +67,7 @@ pub use fault::{
     FaultHook, FaultKind, FaultPlan, FaultProfile, InstrumentedHook, NoFaults, PlanHook,
 };
 pub use remote::{
-    dispatch_remote, ChaosKind, ChaosNet, Lease, RemoteOptions, Worker, WorkerChaos,
-    WorkerConfig, WorkerFactory, WorkerFrame, WorkerSummary, CHAOS_NET_ENV,
+    dispatch_remote, ChaosKind, ChaosNet, Lease, LineBuffer, RemoteOptions, WorkerFrame,
 };
 pub use replay::{
     first_divergence, reconstruct, replay, Divergence, RecordedFault, RecordedFaults,

@@ -1,17 +1,19 @@
-//! Cross-machine dispatch: supervised shard leases over TCP workers.
+//! Cross-machine dispatch: supervised shard leases over TCP.
 //!
-//! The remote tier of the distributed run driver. A [`Worker`] is a
-//! long-lived daemon (the `experiments worker` subcommand) listening on a
-//! TCP socket for line-delimited JSON frames — the same framing idiom the
-//! serve daemon's protocol uses. The dispatcher leases it one shard slice
-//! at a time ([`Lease`]): experiment codes, spec-base offset, and the full
-//! run configuration tuple (`seed`, `profile`, `intensity`, `retries`,
-//! `deadline_ms`, `breaker_cooldown`). The worker executes the slice on
-//! its warm in-process scheduler runtime (exactly as a `run --shards 1`
-//! dispatch child would), streams heartbeat frames inline on the
-//! connection while the run is in flight, and returns the serialized
-//! [`RunArtifact`] + telemetry snapshot + event journal as the final
-//! `done` frame.
+//! The remote tier of the distributed run driver. Workers are
+//! `experiments serve` daemons: `lease` is one more request kind on the
+//! serve wire protocol (line-delimited JSON, framed by [`LineBuffer`]).
+//! The dispatcher leases a daemon one shard slice at a time ([`Lease`]):
+//! experiment codes, spec-base offset, and the full run configuration
+//! tuple (`seed`, `profile`, `intensity`, `retries`, `deadline_ms`,
+//! `breaker_cooldown`). The daemon admits the lease through its bounded
+//! work queue, executes the slice on its warm in-process scheduler
+//! runtime (exactly as a `run --shards 1` dispatch child would), streams
+//! heartbeat frames inline on the connection while the lease is queued
+//! or running, and returns the serialized [`RunArtifact`] + telemetry
+//! snapshot + event journal as the final `done` frame. This module holds
+//! the wire frames and the dispatcher side; the daemon side lives in
+//! `humnet-serve`.
 //!
 //! [`dispatch_remote`] gives leased shards the *same supervision contract*
 //! [`crate::dispatch`] gives local child processes, translated to
@@ -41,36 +43,24 @@
 //! Network-level fault injection mirrors `--chaos-proc`: a [`ChaosNet`]
 //! spec (`kill:1`, `stall:0:1`, `garble:1`) makes the dispatcher stamp a
 //! chaos directive onto the matching `(worker, attempt)` lease frame, and
-//! the cooperating worker drops the connection mid-lease, goes silent
-//! holding it open, or emits a corrupt frame. A worker can also be
-//! poisoned at startup via the [`CHAOS_NET_ENV`] environment variable
-//! ([`WorkerChaos`]: `kill:2` fires on its third accepted lease) so
-//! partition tests need no dispatcher cooperation at all.
+//! the cooperating daemon drops the connection mid-lease, goes silent
+//! holding it open, or emits a corrupt frame.
 
 use crate::backoff::Backoff;
 use crate::dispatch::{
     merge_outcomes, supervise_shard, AttemptFailure, DispatchConfig, DispatchError,
     DispatchOutcome, MissingShard, ShardOutcome, ShardPaths, ShardSpec, ShardYield,
 };
-use crate::fault::FaultProfile;
 use crate::report::RunArtifact;
-use crate::runner::{ExperimentSpec, RunnerConfig, Supervisor};
+use crate::runner::RunnerConfig;
 use humnet_telemetry::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::process::Command;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Environment variable that poisons a worker daemon at startup:
-/// `kill[:n]`, `stall[:n]`, or `garble[:n]` makes the worker misbehave on
-/// its `n`-th accepted lease (0-based, default 0). The connection-frame
-/// path (`--chaos-net` on `dispatch`) needs no environment at all.
-pub const CHAOS_NET_ENV: &str = "HUMNET_CHAOS_NET";
 
 /// How a chaos-selected worker misbehaves on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,44 +132,17 @@ impl ChaosNet {
     }
 }
 
-/// A standalone worker-side fault parsed from [`CHAOS_NET_ENV`]:
-/// fires on the worker's `lease`-th accepted lease, whatever dispatcher
-/// sent it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerChaos {
-    /// The fault to inject.
-    pub kind: ChaosKind,
-    /// 0-based index of the accepted lease the fault fires on.
-    pub lease: u64,
-}
-
-impl WorkerChaos {
-    /// Parse a [`CHAOS_NET_ENV`] value: `kill[:n]`, `stall[:n]`,
-    /// `garble[:n]`.
-    pub fn parse(s: &str) -> Option<WorkerChaos> {
-        let mut parts = s.split(':');
-        let kind = ChaosKind::parse(parts.next()?)?;
-        let lease: u64 = match parts.next() {
-            Some(a) => a.parse().ok()?,
-            None => 0,
-        };
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(WorkerChaos { kind, lease })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Wire frames (line-delimited JSON, one frame per line — the serve
-// protocol's framing idiom; plain `Option` fields so absent keys read as
-// `None`).
+// protocol's `lease` request and its answers; plain `Option` fields so
+// absent keys read as `None`).
 // ---------------------------------------------------------------------------
 
 /// A dispatcher → worker request frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Lease {
-    /// `lease` (execute a shard slice) or `shutdown` (drain the worker).
+    /// Always `lease` (execute a shard slice); a daemon's other commands
+    /// are serve requests.
     pub cmd: String,
     /// Dispatcher-chosen lease id, echoed on every response frame.
     pub lease: Option<u64>,
@@ -225,24 +188,6 @@ impl Lease {
         }
     }
 
-    /// A graceful drain request.
-    pub fn shutdown() -> Lease {
-        Lease {
-            cmd: "shutdown".to_owned(),
-            lease: None,
-            shard: None,
-            spec_base: None,
-            experiments: None,
-            seed: None,
-            profile: None,
-            intensity: None,
-            retries: None,
-            deadline_ms: None,
-            breaker_cooldown: None,
-            chaos: None,
-        }
-    }
-
     /// Serialize as one wire line (no trailing newline).
     pub fn to_line(&self) -> Result<String, serde_json::Error> {
         serde_json::to_string(self)
@@ -257,8 +202,7 @@ impl Lease {
 /// A worker → dispatcher response frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerFrame {
-    /// `hb` (inline heartbeat), `done` (final result), `error`, or `ok`
-    /// (shutdown acknowledged).
+    /// `hb` (inline heartbeat), `done` (final result), or `error`.
     pub status: String,
     /// Lease id this frame answers.
     pub lease: Option<u64>,
@@ -327,11 +271,6 @@ impl WorkerFrame {
         }
     }
 
-    /// Shutdown acknowledgement.
-    pub fn ok() -> WorkerFrame {
-        WorkerFrame::empty("ok")
-    }
-
     /// Serialize as one wire line (no trailing newline).
     pub fn to_line(&self) -> Result<String, serde_json::Error> {
         serde_json::to_string(self)
@@ -343,13 +282,68 @@ impl WorkerFrame {
     }
 }
 
-/// Drain one newline-terminated line out of `buf`, if one is complete.
-/// Returns trimmed text; empty lines come back as empty strings the
-/// caller skips.
-fn take_line(buf: &mut Vec<u8>) -> Option<String> {
-    let pos = buf.iter().position(|&b| b == b'\n')?;
-    let line: Vec<u8> = buf.drain(..=pos).collect();
-    Some(String::from_utf8_lossy(&line).trim().to_owned())
+/// Incremental line framer shared by the serve daemon's connection loop,
+/// the persistent pipelined client, and the lease dispatcher: push raw
+/// socket reads in, pull complete trimmed lines out. Bytes after the last
+/// newline stay buffered until the next push completes them, so partial
+/// frames are never mis-parsed.
+///
+/// Each byte is scanned for a newline once: a search that comes up empty
+/// remembers where it stopped, and consumed lines are only marked, then
+/// compacted away once per [`LineBuffer::push`].
+#[derive(Debug, Default)]
+pub struct LineBuffer {
+    buf: Vec<u8>,
+    /// Start of the first unconsumed byte.
+    start: usize,
+    /// `buf[start..scanned]` is known to hold no newline.
+    scanned: usize,
+}
+
+impl LineBuffer {
+    /// An empty framer.
+    pub fn new() -> LineBuffer {
+        LineBuffer::default()
+    }
+
+    /// Append raw bytes read off the socket.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.scanned -= self.start;
+        self.start = 0;
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Drain the next complete line, trimmed; blank lines are skipped.
+    pub fn next_line(&mut self) -> Option<String> {
+        loop {
+            let Some(offset) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+                self.scanned = self.buf.len();
+                return None;
+            };
+            let end = self.scanned + offset;
+            let text = String::from_utf8_lossy(&self.buf[self.start..end])
+                .trim()
+                .to_owned();
+            self.start = end + 1;
+            self.scanned = self.start;
+            if !text.is_empty() {
+                return Some(text);
+            }
+        }
+    }
+
+    /// Bytes buffered but not yet returned as a line: once
+    /// [`LineBuffer::next_line`] has come up empty, the length of the
+    /// partial frame still waiting for its newline.
+    pub fn pending(&self) -> usize {
+        self.buf.len() - self.start
+    }
+
+    /// Whether nothing (not even a partial frame) is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.pending() == 0
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -556,13 +550,10 @@ fn lease_attempt(
 
     let started = Instant::now();
     let mut last_frame = Instant::now();
-    let mut buf: Vec<u8> = Vec::new();
+    let mut framer = LineBuffer::new();
     let mut chunk = [0u8; 8192];
     loop {
-        while let Some(line) = take_line(&mut buf) {
-            if line.is_empty() {
-                continue;
-            }
+        while let Some(line) = framer.next_line() {
             let frame = WorkerFrame::from_line(&line).map_err(|_| {
                 let shown: String = line.chars().take(80).collect();
                 fail(format!("garbled frame: {shown:?}"))
@@ -592,7 +583,7 @@ fn lease_attempt(
         }
         match stream.read(&mut chunk) {
             Ok(0) => return Err(fail("connection closed mid-lease".to_owned())),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => framer.push(&chunk[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
@@ -635,373 +626,11 @@ fn collect_done(
     Ok(ShardYield { artifact, telemetry })
 }
 
-// ---------------------------------------------------------------------------
-// Worker side
-// ---------------------------------------------------------------------------
-
-/// Maps an experiment code to a runnable spec; the worker binary supplies
-/// its registry, tests supply toys.
-pub type WorkerFactory = dyn Fn(&str) -> Option<ExperimentSpec> + Send + Sync;
-
-/// Worker daemon knobs.
-#[derive(Debug, Clone)]
-pub struct WorkerConfig {
-    /// Listen address; port 0 picks a free port (read it back via
-    /// [`Worker::local_addr`]).
-    pub addr: String,
-    /// Base runner configuration; each lease overlays its own tuple
-    /// (seed, profile, intensity, retries, deadline, breaker cooldown).
-    pub runner: RunnerConfig,
-    /// Inline heartbeat cadence while a lease is executing.
-    pub heartbeat: Duration,
-    /// Standalone startup poison from [`CHAOS_NET_ENV`], if any.
-    pub chaos: Option<WorkerChaos>,
-}
-
-impl Default for WorkerConfig {
-    fn default() -> Self {
-        WorkerConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            runner: RunnerConfig::default(),
-            heartbeat: Duration::from_millis(100),
-            chaos: None,
-        }
-    }
-}
-
-/// What a drained worker daemon reports on exit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerSummary {
-    /// Leases accepted over the daemon's lifetime.
-    pub leases: u64,
-    /// Leases that returned a `done` frame.
-    pub completed: u64,
-    /// Leases lost to chaos injection or revoked connections.
-    pub faulted: u64,
-}
-
-struct WorkerState {
-    config: WorkerConfig,
-    factory: Arc<WorkerFactory>,
-    stop: Arc<AtomicBool>,
-    leases: AtomicU64,
-    completed: AtomicU64,
-    faulted: AtomicU64,
-}
-
-/// The long-lived worker daemon behind `experiments worker`.
-pub struct Worker {
-    listener: TcpListener,
-    config: WorkerConfig,
-    stop: Arc<AtomicBool>,
-}
-
-impl Worker {
-    /// Bind the listen socket (so port 0 resolves before [`Worker::run`]
-    /// blocks in accept).
-    pub fn bind(config: WorkerConfig) -> std::io::Result<Worker> {
-        let listener = TcpListener::bind(&config.addr)?;
-        Ok(Worker {
-            listener,
-            config,
-            stop: Arc::new(AtomicBool::new(false)),
-        })
-    }
-
-    /// The bound address (the real port when the config asked for 0).
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Flag that makes the accept loop exit after its next wake; pair with
-    /// a throwaway connection to the listen address to wake it promptly.
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
-    /// Accept and serve lease connections until a `shutdown` frame (or the
-    /// stop flag) drains the daemon. Each connection gets its own thread;
-    /// the dispatcher sends one lease at a time per connection.
-    pub fn run(self, factory: Arc<WorkerFactory>) -> std::io::Result<WorkerSummary> {
-        let addr = self.local_addr()?;
-        let state = Arc::new(WorkerState {
-            config: self.config,
-            factory,
-            stop: Arc::clone(&self.stop),
-            leases: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            faulted: AtomicU64::new(0),
-        });
-        for conn in self.listener.incoming() {
-            if state.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match conn {
-                Ok(stream) => stream,
-                Err(_) => continue,
-            };
-            let state = Arc::clone(&state);
-            let worker_addr = addr;
-            thread::spawn(move || serve_lease_connection(&state, stream, worker_addr));
-        }
-        Ok(WorkerSummary {
-            leases: state.leases.load(Ordering::SeqCst),
-            completed: state.completed.load(Ordering::SeqCst),
-            faulted: state.faulted.load(Ordering::SeqCst),
-        })
-    }
-}
-
-/// Write one frame line; an `Err` means the dispatcher is gone (lease
-/// revoked) and the connection should be abandoned.
-fn write_frame(stream: &mut TcpStream, frame: &WorkerFrame) -> std::io::Result<()> {
-    let line = frame.to_line().map_err(std::io::Error::other)?;
-    stream.write_all(format!("{line}\n").as_bytes())?;
-    stream.flush()
-}
-
-/// Serve one dispatcher connection: parse request frames, execute leases
-/// with inline heartbeats, answer shutdown.
-fn serve_lease_connection(state: &WorkerState, mut stream: TcpStream, addr: SocketAddr) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 8192];
-    loop {
-        while let Some(line) = take_line(&mut buf) {
-            if line.is_empty() {
-                continue;
-            }
-            let request = match Lease::from_line(&line) {
-                Ok(request) => request,
-                Err(e) => {
-                    let _ = write_frame(&mut stream, &WorkerFrame::error(None, format!("unparseable request: {e}")));
-                    continue;
-                }
-            };
-            match request.cmd.as_str() {
-                "lease" => {
-                    let nth = state.leases.fetch_add(1, Ordering::SeqCst);
-                    if execute_lease(state, &mut stream, request, nth).is_err() {
-                        // The dispatcher revoked the lease (or chaos cut the
-                        // wire): the connection is dead, abandon it.
-                        state.faulted.fetch_add(1, Ordering::SeqCst);
-                        return;
-                    }
-                }
-                "shutdown" => {
-                    let _ = write_frame(&mut stream, &WorkerFrame::ok());
-                    state.stop.store(true, Ordering::SeqCst);
-                    // Wake the blocking accept so the daemon can exit.
-                    let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
-                    return;
-                }
-                other => {
-                    let _ = write_frame(
-                        &mut stream,
-                        &WorkerFrame::error(request.lease, format!("unknown cmd {other:?}")),
-                    );
-                }
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// Execute one lease on the warm runtime, streaming heartbeats while the
-/// run is in flight. `Err` means the connection died mid-lease.
-fn execute_lease(
-    state: &WorkerState,
-    stream: &mut TcpStream,
-    request: Lease,
-    nth: u64,
-) -> std::io::Result<()> {
-    let lease_id = request.lease.unwrap_or(nth);
-    let shard = request.shard.unwrap_or(0);
-
-    // Chaos cooperation: a directive stamped on the frame by the
-    // dispatcher, or the startup poison from CHAOS_NET_ENV firing on this
-    // accepted lease — frame wins when both are present.
-    let chaos = request
-        .chaos
-        .as_deref()
-        .and_then(ChaosKind::parse)
-        .or_else(|| {
-            state
-                .config
-                .chaos
-                .filter(|c| c.lease == nth)
-                .map(|c| c.kind)
-        });
-    if let Some(kind) = chaos {
-        return inject_chaos(state, stream, kind, lease_id);
-    }
-
-    let codes = request.experiments.clone().unwrap_or_default();
-    if codes.is_empty() {
-        return write_frame(stream, &WorkerFrame::error(Some(lease_id), "empty lease"));
-    }
-    let mut specs = Vec::with_capacity(codes.len());
-    for code in &codes {
-        match (state.factory)(code) {
-            Some(spec) => specs.push(spec),
-            None => {
-                return write_frame(
-                    stream,
-                    &WorkerFrame::error(Some(lease_id), format!("unknown experiment {code:?}")),
-                );
-            }
-        }
-    }
-
-    let mut config = state.config.runner;
-    if let Some(label) = request.profile.as_deref() {
-        match FaultProfile::parse(label) {
-            Some(profile) => config.profile = profile,
-            None => {
-                return write_frame(
-                    stream,
-                    &WorkerFrame::error(Some(lease_id), format!("unknown fault profile {label:?}")),
-                );
-            }
-        }
-    }
-    if let Some(seed) = request.seed {
-        config.seed = seed;
-    }
-    if let Some(intensity) = request.intensity {
-        config.intensity = intensity;
-    }
-    if let Some(retries) = request.retries {
-        config.retries = retries;
-    }
-    if let Some(ms) = request.deadline_ms {
-        config.deadline = Duration::from_millis(ms);
-    }
-    if let Some(cooldown) = request.breaker_cooldown {
-        config.breaker_cooldown = cooldown;
-    }
-    // The global quiet-panics hook is unsafe to toggle from concurrent
-    // lease threads (same reasoning as the serve daemon).
-    config.quiet_panics = false;
-
-    eprintln!(
-        "worker: lease {lease_id} shard {shard} ({} experiments, seed {}, profile {})",
-        codes.len(),
-        config.seed,
-        config.profile.label(),
-    );
-
-    // Execute on a runner thread; heartbeat on the connection thread so
-    // liveness frames flow while the slice runs.
-    let (tx, rx) = mpsc::channel();
-    thread::spawn(move || {
-        let run = Supervisor::builder().config(config).build().run(&specs);
-        let _ = tx.send(run);
-    });
-    let mut beat = 0u64;
-    loop {
-        match rx.recv_timeout(state.config.heartbeat) {
-            Ok(run) => {
-                let artifact = RunArtifact {
-                    report: run.report,
-                    outputs: run.outputs,
-                }
-                .canonicalized();
-                let frame = match (
-                    artifact.to_json(),
-                    run.telemetry.to_json(),
-                    run.telemetry.to_jsonl(),
-                ) {
-                    (Ok(artifact), Ok(metrics), Ok(journal)) => {
-                        WorkerFrame::done(lease_id, shard, artifact, metrics, journal)
-                    }
-                    _ => WorkerFrame::error(Some(lease_id), "result not serializable"),
-                };
-                write_frame(stream, &frame)?;
-                if frame.status == "done" {
-                    state.completed.fetch_add(1, Ordering::SeqCst);
-                }
-                return Ok(());
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                beat += 1;
-                write_frame(stream, &WorkerFrame::hb(lease_id, beat))?;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return write_frame(
-                    stream,
-                    &WorkerFrame::error(Some(lease_id), "lease execution thread died"),
-                );
-            }
-        }
-    }
-}
-
-/// Cooperate with a chaos directive: crash the connection, go silent, or
-/// corrupt the stream — always *after* the lease was accepted, so the
-/// dispatcher sees a mid-lease fault, not a refused one.
-fn inject_chaos(
-    state: &WorkerState,
-    stream: &mut TcpStream,
-    kind: ChaosKind,
-    lease_id: u64,
-) -> std::io::Result<()> {
-    state.faulted.fetch_add(1, Ordering::SeqCst);
-    match kind {
-        ChaosKind::Kill => {
-            eprintln!("worker: chaos-net kill — dropping the connection mid-lease {lease_id}");
-            // One heartbeat first: the lease is visibly in flight when the
-            // wire goes dead.
-            let _ = write_frame(stream, &WorkerFrame::hb(lease_id, 1));
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            Err(std::io::Error::other("chaos-net kill"))
-        }
-        ChaosKind::Stall => {
-            eprintln!("worker: chaos-net stall — holding lease {lease_id} open silently");
-            // Hold the connection open sending nothing until the dispatcher
-            // revokes it (EOF on our side) — bounded so a stalled thread
-            // cannot outlive the test run by much.
-            let deadline = Instant::now() + Duration::from_secs(3600);
-            let mut sink = [0u8; 256];
-            loop {
-                match stream.read(&mut sink) {
-                    Ok(0) => break,
-                    Ok(_) => {}
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    Err(_) => break,
-                }
-                if Instant::now() >= deadline {
-                    break;
-                }
-                thread::sleep(Duration::from_millis(25));
-            }
-            Err(std::io::Error::other("chaos-net stall"))
-        }
-        ChaosKind::Garble => {
-            eprintln!("worker: chaos-net garble — emitting a corrupt frame on lease {lease_id}");
-            let _ = stream.write_all(b"}{ not a frame \xff\n");
-            let _ = stream.flush();
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            Err(std::io::Error::other("chaos-net garble"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::JobOutput;
     use proptest::prelude::*;
+    use std::net::TcpListener;
     use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -1011,48 +640,6 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    fn toy_factory() -> Arc<WorkerFactory> {
-        Arc::new(|code: &str| {
-            if !code.starts_with("exp") {
-                return None;
-            }
-            let code = code.to_owned();
-            Some(ExperimentSpec::new(
-                code.clone(),
-                format!("title {code}"),
-                "fam",
-                move |_plan, _tel| {
-                    Ok(JobOutput {
-                        rendered: format!("{code} output"),
-                        faults_injected: 0,
-                    })
-                },
-            ))
-        })
-    }
-
-    fn start_worker(chaos: Option<WorkerChaos>) -> (String, Arc<AtomicBool>) {
-        let worker = Worker::bind(WorkerConfig {
-            heartbeat: Duration::from_millis(20),
-            chaos,
-            ..WorkerConfig::default()
-        })
-        .expect("worker binds");
-        let addr = worker.local_addr().unwrap().to_string();
-        let stop = worker.stop_flag();
-        let factory = toy_factory();
-        thread::spawn(move || worker.run(factory));
-        (addr, stop)
-    }
-
-    fn stop_worker(addr: &str, stop: &Arc<AtomicBool>) {
-        stop.store(true, Ordering::SeqCst);
-        if let Ok(mut stream) = TcpStream::connect(addr) {
-            let line = Lease::shutdown().to_line().unwrap();
-            let _ = stream.write_all(format!("{line}\n").as_bytes());
-        }
     }
 
     fn quick_config(tag: &str) -> DispatchConfig {
@@ -1073,15 +660,6 @@ mod tests {
             spec_base,
             codes: codes.iter().map(|s| (*s).to_owned()).collect(),
         }
-    }
-
-    /// The in-process ground truth the merged remote run must match.
-    fn reference_run(codes: &[&str], runner: &RunnerConfig) -> crate::runner::SupervisedRun {
-        let factory = toy_factory();
-        let specs: Vec<ExperimentSpec> = codes.iter().map(|c| factory(c).unwrap()).collect();
-        let mut cfg = *runner;
-        cfg.quiet_panics = false;
-        Supervisor::builder().config(cfg).build().run(&specs)
     }
 
     /// Local-failover child builder that must never be reached.
@@ -1110,15 +688,64 @@ mod tests {
         assert_eq!(c.directive(1, 1), Some(ChaosKind::Kill));
         assert_eq!(c.directive(1, 0), None);
         assert_eq!(c.directive(0, 1), None);
-        assert_eq!(
-            WorkerChaos::parse("stall:3"),
-            Some(WorkerChaos { kind: ChaosKind::Stall, lease: 3 })
+    }
+
+    #[test]
+    fn line_buffer_reassembles_split_frames_and_skips_blanks() {
+        let mut framer = LineBuffer::new();
+        framer.push(b"{\"cmd\":");
+        assert_eq!(framer.next_line(), None, "partial frame stays buffered");
+        assert_eq!(framer.pending(), 7);
+        framer.push(b"\"stats\"}\n\n  \n{\"cmd\":\"run\"}\ntail");
+        assert_eq!(framer.next_line().as_deref(), Some("{\"cmd\":\"stats\"}"));
+        assert_eq!(framer.next_line().as_deref(), Some("{\"cmd\":\"run\"}"));
+        assert_eq!(framer.next_line(), None);
+        assert!(
+            !framer.is_empty(),
+            "the unterminated tail is still buffered"
         );
-        assert_eq!(
-            WorkerChaos::parse("kill"),
-            Some(WorkerChaos { kind: ChaosKind::Kill, lease: 0 })
-        );
-        assert_eq!(WorkerChaos::parse("boom:1"), None);
+        assert_eq!(framer.pending(), 4);
+        framer.push(b"\n");
+        assert_eq!(framer.next_line().as_deref(), Some("tail"));
+        assert!(framer.is_empty());
+    }
+
+    /// The framing of a whole stream at once, without `LineBuffer`: every
+    /// newline-terminated segment, trimmed, blanks dropped, plus the length
+    /// of the unterminated tail left over.
+    fn frame_whole(stream: &[u8]) -> (Vec<String>, usize) {
+        let mut segments: Vec<&[u8]> = stream.split(|&b| b == b'\n').collect();
+        let tail = segments.pop().unwrap_or_default();
+        let lines = segments
+            .iter()
+            .map(|seg| String::from_utf8_lossy(seg).trim().to_owned())
+            .filter(|line| !line.is_empty())
+            .collect();
+        (lines, tail.len())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn any_split_frames_like_the_whole_stream(
+            // Codes past 255 become newlines, so lines are short and many.
+            codes in prop::collection::vec(0u16..320, 0..160),
+            cuts in prop::collection::vec(0usize..161, 0..12),
+        ) {
+            let stream: Vec<u8> = codes.iter().map(|&c| u8::try_from(c).unwrap_or(b'\n')).collect();
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (stream.len() + 1)).collect();
+            cuts.push(stream.len());
+            cuts.sort_unstable();
+            let mut framer = LineBuffer::new();
+            let mut lines = Vec::new();
+            let mut from = 0;
+            for to in cuts {
+                framer.push(&stream[from..to]);
+                lines.extend(std::iter::from_fn(|| framer.next_line()));
+                from = to;
+            }
+            prop_assert_eq!((lines, framer.pending()), frame_whole(&stream));
+        }
     }
 
     #[test]
@@ -1134,134 +761,6 @@ mod tests {
         let hb = WorkerFrame::hb(7, 3);
         assert_eq!(WorkerFrame::from_line(&hb.to_line().unwrap()).unwrap(), hb);
         assert!(WorkerFrame::from_line("}{ not a frame").is_err());
-    }
-
-    #[test]
-    fn two_workers_merge_byte_identical_to_in_process_run() {
-        let (addr_a, stop_a) = start_worker(None);
-        let (addr_b, stop_b) = start_worker(None);
-        let config = quick_config("identity");
-        let remote = RemoteOptions {
-            workers: vec![addr_a.clone(), addr_b.clone()],
-            ..RemoteOptions::default()
-        };
-        let runner = RunnerConfig {
-            seed: 11,
-            ..RunnerConfig::default()
-        };
-        let shards = vec![
-            shard_spec(0, 0, &["exp1", "exp2"]),
-            shard_spec(1, 2, &["exp3"]),
-        ];
-        let outcome =
-            dispatch_remote(&config, &remote, &runner, shards, no_local_children).unwrap();
-        assert!(!outcome.degraded());
-        assert_eq!(outcome.shard_attempts, vec![1, 1]);
-        assert_eq!(outcome.run.report.experiments.len(), 3);
-        assert_eq!(outcome.run.outputs["exp2"], "exp2 output");
-
-        let reference = reference_run(&["exp1", "exp2", "exp3"], &runner);
-        assert_eq!(
-            outcome.run.telemetry.canonical_events(),
-            reference.telemetry.canonical_events(),
-            "remote merge must be byte-identical to the in-process run"
-        );
-        stop_worker(&addr_a, &stop_a);
-        stop_worker(&addr_b, &stop_b);
-        let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    #[test]
-    fn killed_worker_lease_is_reissued_to_the_survivor() {
-        // Worker 0 is poisoned at startup: it drops every first connection's
-        // lease mid-flight. Worker 1 is healthy; rotation retries there.
-        let (addr_bad, stop_bad) = start_worker(Some(WorkerChaos {
-            kind: ChaosKind::Kill,
-            lease: 0,
-        }));
-        let (addr_good, stop_good) = start_worker(None);
-        let config = quick_config("reissue");
-        let remote = RemoteOptions {
-            workers: vec![addr_bad.clone(), addr_good.clone()],
-            ..RemoteOptions::default()
-        };
-        let runner = RunnerConfig::default();
-        let shards = vec![shard_spec(0, 0, &["exp1", "exp2"])];
-        let outcome =
-            dispatch_remote(&config, &remote, &runner, shards, no_local_children).unwrap();
-        assert!(!outcome.degraded());
-        assert_eq!(outcome.shard_attempts, vec![2], "one remote retry");
-        let reference = reference_run(&["exp1", "exp2"], &runner);
-        assert_eq!(
-            outcome.run.telemetry.canonical_events(),
-            reference.telemetry.canonical_events()
-        );
-        stop_worker(&addr_bad, &stop_bad);
-        stop_worker(&addr_good, &stop_good);
-        let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    #[test]
-    fn frame_stamped_chaos_garble_fails_the_attempt_with_a_garbled_reason() {
-        let (addr, stop) = start_worker(None);
-        let mut config = quick_config("garble");
-        config.shard_retries = 0;
-        config.allow_partial = true;
-        let remote = RemoteOptions {
-            workers: vec![addr.clone()],
-            chaos: vec![ChaosNet::parse("garble:0").unwrap()],
-            local_failover: false,
-            ..RemoteOptions::default()
-        };
-        let outcome = dispatch_remote(
-            &config,
-            &remote,
-            &RunnerConfig::default(),
-            vec![shard_spec(0, 0, &["exp1"])],
-            no_local_children,
-        )
-        .unwrap();
-        assert!(outcome.degraded());
-        assert!(
-            outcome.missing[0].reason.contains("garbled frame"),
-            "{}",
-            outcome.missing[0].reason
-        );
-        stop_worker(&addr, &stop);
-        let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    #[test]
-    fn stalled_worker_trips_the_liveness_window() {
-        let (addr, stop) = start_worker(None);
-        let mut config = quick_config("stall");
-        config.shard_retries = 0;
-        config.allow_partial = true;
-        config.liveness = Duration::from_millis(150);
-        let remote = RemoteOptions {
-            workers: vec![addr.clone()],
-            chaos: vec![ChaosNet::parse("stall:0").unwrap()],
-            local_failover: false,
-            ..RemoteOptions::default()
-        };
-        let started = Instant::now();
-        let outcome = dispatch_remote(
-            &config,
-            &remote,
-            &RunnerConfig::default(),
-            vec![shard_spec(0, 0, &["exp1"])],
-            no_local_children,
-        )
-        .unwrap();
-        assert!(started.elapsed() < Duration::from_secs(10), "liveness fired early");
-        assert!(outcome.degraded());
-        assert!(
-            outcome.missing[0].reason.contains("no frame for"),
-            "{}",
-            outcome.missing[0].reason
-        );
-        stop_worker(&addr, &stop);
-        let _ = fs::remove_dir_all(&config.scratch);
     }
 
     #[test]
@@ -1296,92 +795,6 @@ mod tests {
             outcome.missing[0].reason
         );
         let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    /// A scripted fake worker that misbehaves at a chosen point in the
-    /// lease lifecycle, for the kill-point property test.
-    fn flaky_worker(kill_point: u8) -> String {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        if kill_point == 0 {
-            // Nothing ever listens: the bound socket is dropped here.
-            return addr;
-        }
-        thread::spawn(move || {
-            let Ok((mut stream, _)) = listener.accept() else {
-                return;
-            };
-            // Read (and discard) the lease line first so every kill point
-            // is a mid-lease fault, not a refused connection.
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-            let mut buf = Vec::new();
-            let mut chunk = [0u8; 1024];
-            while take_line(&mut buf).is_none() {
-                match stream.read(&mut chunk) {
-                    Ok(0) => return,
-                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                    Err(_) => return,
-                }
-            }
-            match kill_point {
-                // Close before any frame.
-                1 => {}
-                // Corrupt frame.
-                2 => {
-                    let _ = stream.write_all(b"%% garbage %%\n");
-                }
-                // One valid heartbeat, then the wire dies.
-                3 => {
-                    let line = WorkerFrame::hb(0, 1).to_line().unwrap();
-                    let _ = stream.write_all(format!("{line}\n").as_bytes());
-                }
-                // A done frame cut off mid-line (no newline ever arrives).
-                _ => {
-                    let line = WorkerFrame::done(0, 0, "{}".into(), "{}".into(), String::new())
-                        .to_line()
-                        .unwrap();
-                    let _ = stream.write_all(&line.as_bytes()[..line.len() / 2]);
-                    let _ = stream.flush();
-                    thread::sleep(Duration::from_millis(50));
-                }
-            }
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        });
-        addr
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(10))]
-        /// Satellite: wherever in the lease lifecycle the first worker
-        /// dies — refused dial, pre-frame close, garble, post-heartbeat
-        /// close, mid-frame cut — the lease is re-issued to the healthy
-        /// worker and the merged result is intact and byte-identical.
-        #[test]
-        fn lease_reissue_survives_any_kill_point(kill_point in 0u8..5) {
-            let flaky = flaky_worker(kill_point);
-            let (good, stop_good) = start_worker(None);
-            let mut config = quick_config(&format!("killpoint-{kill_point}"));
-            config.liveness = Duration::from_millis(400);
-            let remote = RemoteOptions {
-                workers: vec![flaky, good.clone()],
-                connect_timeout: Duration::from_millis(500),
-                ..RemoteOptions::default()
-            };
-            let runner = RunnerConfig { seed: 5, ..RunnerConfig::default() };
-            let shards = vec![shard_spec(0, 0, &["exp1", "exp2"])];
-            let outcome =
-                dispatch_remote(&config, &remote, &runner, shards, no_local_children).unwrap();
-            prop_assert!(!outcome.degraded());
-            prop_assert_eq!(&outcome.shard_attempts, &vec![2]);
-            prop_assert_eq!(outcome.run.report.experiments.len(), 2);
-            let reference = reference_run(&["exp1", "exp2"], &runner);
-            prop_assert_eq!(
-                outcome.run.telemetry.canonical_events(),
-                reference.telemetry.canonical_events()
-            );
-            stop_worker(&good, &stop_good);
-            let _ = fs::remove_dir_all(&config.scratch);
-        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! discards it on check-in. Dropping a `ServeClient` closes the
 //! connection cleanly (the daemon sees EOF and releases its handler).
 
-use crate::protocol::{Request, Response};
+use crate::protocol::{LineBuffer, Request, Response};
 use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
@@ -84,7 +84,7 @@ pub struct ServeClient {
     /// the daemon stalled. Defaults to the connect timeout.
     read_timeout: Duration,
     /// Bytes read off the socket but not yet consumed as a line.
-    rbuf: Vec<u8>,
+    rbuf: LineBuffer,
     /// Requests sent whose responses have not been received yet.
     in_flight: usize,
     /// Set on any transport error; the connection's framing is suspect.
@@ -126,7 +126,7 @@ impl ServeClient {
             stream,
             timeout,
             read_timeout: timeout,
-            rbuf: Vec::new(),
+            rbuf: LineBuffer::new(),
             in_flight: 0,
             broken: false,
         })
@@ -208,25 +208,19 @@ impl ServeClient {
     /// Pop the next complete response line out of the read buffer, if one
     /// has fully arrived.
     fn take_buffered_line(&mut self) -> Result<Option<Response>, ClientError> {
-        while let Some(pos) = self.rbuf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.rbuf.drain(..=pos).collect();
-            let text = String::from_utf8_lossy(&line);
-            let text = text.trim();
-            if text.is_empty() {
-                continue;
+        let Some(text) = self.rbuf.next_line() else {
+            return Ok(None);
+        };
+        match Response::from_line(&text) {
+            Ok(resp) => {
+                self.in_flight = self.in_flight.saturating_sub(1);
+                Ok(Some(resp))
             }
-            return match Response::from_line(text) {
-                Ok(resp) => {
-                    self.in_flight = self.in_flight.saturating_sub(1);
-                    Ok(Some(resp))
-                }
-                Err(e) => {
-                    let msg = format!("malformed response from {}: {e}", self.addr);
-                    self.poison(msg)
-                }
-            };
+            Err(e) => {
+                let msg = format!("malformed response from {}: {e}", self.addr);
+                self.poison(msg)
+            }
         }
-        Ok(None)
     }
 
     /// Wait up to `wait` for the next pipelined response. `Ok(None)`
@@ -263,7 +257,7 @@ impl ServeClient {
                     return self.poison(msg);
                 }
                 Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    self.rbuf.push(&chunk[..n]);
                     if let Some(resp) = self.take_buffered_line()? {
                         return Ok(Some(resp));
                     }
@@ -302,7 +296,7 @@ impl ServeClient {
                     ))
                 }
                 Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    self.rbuf.push(&chunk[..n]);
                     // Keep draining until the kernel buffer is empty; the
                     // line parse below happens on the accumulated bytes.
                 }

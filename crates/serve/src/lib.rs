@@ -21,8 +21,12 @@
 //!    128-bit keys and checksums, corruption-evicting rehydration).
 //! 3. [`server`] — [`server::Server`]: the daemon itself, with admission
 //!    control (bounded pending queue, concurrency cap, explicit
-//!    load-shedding), daemon telemetry behind a `stats` request, and
-//!    graceful shutdown on SIGTERM or a `shutdown` request.
+//!    load-shedding, bounded request lines), daemon telemetry behind a
+//!    `stats` request, and graceful shutdown on SIGTERM or a `shutdown`
+//!    request. It is also the remote shard worker: a `lease` request
+//!    (`humnet_resilience::Lease`, sent by `dispatch --workers`) runs a
+//!    shard slice through the same queue and workers, answered with
+//!    inline heartbeats and a final `done` frame.
 //!
 //! [`client`] is the matching side: [`client::ServeClient`] owns one
 //! persistent connection (the line protocol already permits N requests

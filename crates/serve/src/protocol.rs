@@ -13,63 +13,17 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Incremental line framer shared by the daemon's connection loop and the
-/// persistent pipelined client (the remote worker protocol mirrors the
-/// same idiom): push raw socket reads in, pull complete trimmed lines out.
-/// Bytes after the last newline stay buffered until the next push
-/// completes them, so partial frames are never mis-parsed.
-///
-/// Each byte is scanned for a newline once: a search that comes up empty
-/// remembers where it stopped, and consumed lines are only marked, then
-/// compacted away once per [`LineBuffer::push`].
-#[derive(Debug, Default)]
-pub struct LineBuffer {
-    buf: Vec<u8>,
-    /// Start of the first unconsumed byte.
-    start: usize,
-    /// `buf[start..scanned]` is known to hold no newline.
-    scanned: usize,
-}
-
-impl LineBuffer {
-    /// An empty framer.
-    pub fn new() -> LineBuffer {
-        LineBuffer::default()
-    }
-
-    /// Append raw bytes read off the socket.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.drain(..self.start);
-        self.scanned -= self.start;
-        self.start = 0;
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Drain the next complete line, trimmed; blank lines are skipped.
-    pub fn next_line(&mut self) -> Option<String> {
-        loop {
-            let Some(offset) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
-                self.scanned = self.buf.len();
-                return None;
-            };
-            let end = self.scanned + offset;
-            let text = String::from_utf8_lossy(&self.buf[self.start..end]).trim().to_owned();
-            self.start = end + 1;
-            self.scanned = self.start;
-            if !text.is_empty() {
-                return Some(text);
-            }
-        }
-    }
-
-    /// Whether nothing (not even a partial frame) is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.buf.len()
-    }
-}
+/// The line framer every side of the protocol shares (daemon, client,
+/// lease dispatcher); it lives beside the lease frames in
+/// `humnet-resilience`.
+pub use humnet_resilience::LineBuffer;
 
 /// Request command: execute (or look up) one experiment run.
 pub const CMD_RUN: &str = "run";
+/// Request command: execute one shard slice as a
+/// [`humnet_resilience::Lease`], answered with `hb` frames and a final
+/// `done` or `error` [`humnet_resilience::WorkerFrame`].
+pub const CMD_LEASE: &str = "lease";
 /// Request command: return the daemon's telemetry snapshot.
 pub const CMD_STATS: &str = "stats";
 /// Request command: drain in-flight runs, flush the cache index, exit.
@@ -255,60 +209,6 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn line_buffer_reassembles_split_frames_and_skips_blanks() {
-        let mut framer = LineBuffer::new();
-        framer.push(b"{\"cmd\":");
-        assert_eq!(framer.next_line(), None, "partial frame stays buffered");
-        framer.push(b"\"stats\"}\n\n  \n{\"cmd\":\"run\"}\ntail");
-        assert_eq!(framer.next_line().as_deref(), Some("{\"cmd\":\"stats\"}"));
-        assert_eq!(framer.next_line().as_deref(), Some("{\"cmd\":\"run\"}"));
-        assert_eq!(framer.next_line(), None);
-        assert!(!framer.is_empty(), "the unterminated tail is still buffered");
-        framer.push(b"\n");
-        assert_eq!(framer.next_line().as_deref(), Some("tail"));
-        assert!(framer.is_empty());
-    }
-
-    /// The framing of a whole stream at once, without `LineBuffer`: every
-    /// newline-terminated segment, trimmed, blanks dropped, plus whether no
-    /// unterminated tail is left over.
-    fn frame_whole(stream: &[u8]) -> (Vec<String>, bool) {
-        let mut segments: Vec<&[u8]> = stream.split(|&b| b == b'\n').collect();
-        let tail = segments.pop().unwrap_or_default();
-        let lines = segments
-            .iter()
-            .map(|seg| String::from_utf8_lossy(seg).trim().to_owned())
-            .filter(|line| !line.is_empty())
-            .collect();
-        (lines, tail.is_empty())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-        #[test]
-        fn any_split_frames_like_the_whole_stream(
-            // Codes past 255 become newlines, so lines are short and many.
-            codes in prop::collection::vec(0u16..320, 0..160),
-            cuts in prop::collection::vec(0usize..161, 0..12),
-        ) {
-            let stream: Vec<u8> = codes.iter().map(|&c| u8::try_from(c).unwrap_or(b'\n')).collect();
-            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (stream.len() + 1)).collect();
-            cuts.push(stream.len());
-            cuts.sort_unstable();
-            let mut framer = LineBuffer::new();
-            let mut lines = Vec::new();
-            let mut from = 0;
-            for to in cuts {
-                framer.push(&stream[from..to]);
-                lines.extend(std::iter::from_fn(|| framer.next_line()));
-                from = to;
-            }
-            prop_assert_eq!((lines, framer.is_empty()), frame_whole(&stream));
-        }
-    }
 
     #[test]
     fn request_lines_round_trip() {

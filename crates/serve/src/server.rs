@@ -5,44 +5,67 @@
 //! ```text
 //! accept ──▶ bounded conn queue ──▶ handler threads (fixed pool)
 //!                 │ full: shed                │
-//!                 ▼                           ▼ cache hit: write the
-//!            overloaded                       │ entry's pre-encoded line,
-//!                                             │ zero runner attempts
+//!                 ▼                           ├─ run, cache hit: write the
+//!            overloaded                       │  entry's pre-encoded line,
+//!                                             │  zero runner attempts
+//!                                             ├─ lease: chaos directive?
+//!                                             │  kill / stall / garble
+//!                                             ▼
 //!                               bounded work queue (depth = queue_depth)
 //!                                 │ full: shed (`overloaded`)
 //!                                 ▼
 //!                     worker threads (count = concurrency)
 //!                     ──▶ Supervisor on the process-wide warm pool
-//!                     ──▶ canonicalized RunArtifact ──▶ cache insert
+//!                     ──▶ canonicalized RunArtifact
+//!                         run: cache insert, `miss` line
+//!                         lease: `done` frame (never cached); its handler
+//!                         writes an `hb` frame every 100 ms until then
 //! ```
 //!
 //! Admission control is two `mpsc::sync_channel`s: `try_send` either
 //! enqueues or fails *immediately*, so overload produces an explicit
-//! `overloaded` response (counted as `serve.shed`) instead of an
+//! `overloaded` answer (counted as `serve.shed`) instead of an
 //! unbounded queue or a hung client. The handler and worker pools are
 //! fixed at startup — a request never spawns a process or thread; misses
-//! run on the same pooled scheduler runtime (warm executor sessions) the
-//! batch CLI uses.
+//! and shard leases (`humnet_resilience::Lease`, the `dispatch --workers`
+//! protocol) run on the same pooled scheduler runtime (warm executor
+//! sessions) the batch CLI uses. A request line is capped at 1 MiB, so
+//! no peer can grow a handler's buffer without bound.
 //!
 //! Shutdown — a `shutdown` request or SIGTERM ([`install_signal_handlers`])
-//! — stops the accept loop, lets the workers drain every queued run (each
-//! still gets its response), joins both pools, and flushes the cache
-//! index.
+//! — stops the accept loop, lets the workers drain every queued run and
+//! lease (each still gets its final answer), joins both pools, and
+//! flushes the cache index.
 
 use crate::cache::{cache_key, CacheEntry, RehydrateStats, ResultCache};
 use crate::protocol::{
-    Request, Response, CMD_RUN, CMD_SHUTDOWN, CMD_STATS, STATUS_ERROR, STATUS_MISS,
+    LineBuffer, Request, Response, CMD_LEASE, CMD_RUN, CMD_SHUTDOWN, CMD_STATS, STATUS_ERROR,
+    STATUS_MISS,
 };
-use humnet_resilience::{code_rev, ExperimentSpec, FaultProfile, RunArtifact, RunnerConfig, Supervisor};
+use humnet_resilience::{
+    code_rev, ChaosKind, ExperimentSpec, FaultProfile, Lease, RunArtifact, RunnerConfig,
+    Supervisor, WorkerFrame,
+};
 use humnet_telemetry::{SharedTelemetry, TelemetrySnapshot};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// Longest partial request line a connection may buffer. Request and
+/// lease lines are a few hundred bytes; a peer that sends more than this
+/// without a newline gets one `error` line and is disconnected (counted
+/// as `serve.oversized`).
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// How often a lease's handler writes an `hb` frame while the lease is
+/// queued or running, so the dispatcher's liveness window never mistakes
+/// queue wait or a long slice for a dead worker.
+const LEASE_HEARTBEAT: Duration = Duration::from_millis(100);
 
 /// Maps an experiment code to its runnable spec, or `None` for codes the
 /// registry does not know — the daemon's request validation. The binary
@@ -131,18 +154,14 @@ struct Ctx {
 /// One admitted run request, resolved against the daemon defaults.
 struct RunRequest {
     experiment: String,
-    seed: u64,
-    profile: FaultProfile,
-    intensity: f64,
-    retries: u32,
-    deadline: Duration,
+    /// The daemon's runner defaults with the request's tuple laid over.
+    config: RunnerConfig,
     key: String,
 }
 
-struct WorkItem {
-    run: RunRequest,
-    resp: mpsc::Sender<Reply>,
-}
+/// One admitted unit of work for the worker pool — a miss or a lease —
+/// which answers its handler over a channel of its own.
+type Job = Box<dyn FnOnce(&Ctx) + Send>;
 
 /// What the connection loop writes back for one request.
 enum Reply {
@@ -214,7 +233,7 @@ impl Server {
     pub fn run(self) -> io::Result<ServeSummary> {
         let ctx = self.ctx;
         let concurrency = ctx.config.concurrency.max(1);
-        let (work_tx, work_rx) = mpsc::sync_channel::<WorkItem>(ctx.config.queue_depth);
+        let (work_tx, work_rx) = mpsc::sync_channel::<Job>(ctx.config.queue_depth);
         let work_rx = Arc::new(Mutex::new(work_rx));
         let workers: Vec<_> = (0..concurrency)
             .map(|i| {
@@ -388,7 +407,7 @@ pub fn install_signal_handlers() {}
 
 // ----------------------------------------------------------- handlers --
 
-fn handler_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &Ctx, work_tx: &SyncSender<WorkItem>) {
+fn handler_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &Ctx, work_tx: &SyncSender<Job>) {
     loop {
         let stream = rx.lock().expect("conn queue lock").recv();
         let Ok(stream) = stream else { break };
@@ -397,12 +416,9 @@ fn handler_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &Ctx, work_tx: &SyncSender
 }
 
 /// Process one connection's requests sequentially until the peer closes,
-/// goes idle past the budget, or the daemon begins draining.
-fn serve_connection(
-    mut stream: TcpStream,
-    ctx: &Ctx,
-    work_tx: &SyncSender<WorkItem>,
-) -> io::Result<()> {
+/// goes idle past the budget, overflows [`MAX_REQUEST_BYTES`], or the
+/// daemon begins draining.
+fn serve_connection(mut stream: TcpStream, ctx: &Ctx, work_tx: &SyncSender<Job>) -> io::Result<()> {
     // Accepted sockets do not reliably inherit the listener's
     // non-blocking mode; pin down blocking + a short read timeout so the
     // loop can poll the shutdown flag between reads. Nagle must be off:
@@ -412,17 +428,20 @@ fn serve_connection(
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut framer = crate::protocol::LineBuffer::new();
+    let mut framer = LineBuffer::new();
     let mut chunk = [0u8; 4096];
     let mut last_activity = Instant::now();
     loop {
         while let Some(line) = framer.next_line() {
             last_activity = Instant::now();
-            let (reply, close) = handle_line(ctx, work_tx, &line);
-            write_reply(&mut stream, &reply)?;
-            if close {
+            if handle_line(ctx, work_tx, &mut stream, &line)? {
                 return Ok(());
             }
+        }
+        if framer.pending() > MAX_REQUEST_BYTES {
+            ctx.tel.counter("serve.oversized", 1);
+            let msg = format!("request line exceeds {MAX_REQUEST_BYTES} bytes without a newline");
+            return write_reply(&mut stream, &Reply::Fresh(Response::error(&msg)));
         }
         if ctx.stop.load(Ordering::SeqCst) && framer.is_empty() {
             return Ok(()); // draining: drop idle connections
@@ -436,28 +455,45 @@ fn serve_connection(
                 framer.push(&chunk[..n]);
                 last_activity = Instant::now();
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if is_read_timeout(&e) => {}
             Err(e) => return Err(e),
         }
     }
 }
 
-/// Dispatch one request line. Returns the reply and whether the
-/// connection should close afterwards.
-fn handle_line(ctx: &Ctx, work_tx: &SyncSender<WorkItem>, line: &str) -> (Reply, bool) {
+/// A read that timed out or was interrupted: poll again.
+fn is_read_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
+/// Answer one request line on `stream`. Returns whether the connection
+/// should close afterwards.
+fn handle_line(
+    ctx: &Ctx,
+    work_tx: &SyncSender<Job>,
+    stream: &mut TcpStream,
+    line: &str,
+) -> io::Result<bool> {
     ctx.tel.counter("serve.requests", 1);
     let req = match Request::from_line(line) {
         Ok(req) => req,
         Err(e) => {
             ctx.tel.counter("serve.error", 1);
-            return (Reply::Fresh(Response::error(&format!("bad request: {e}"))), false);
+            write_reply(
+                stream,
+                &Reply::Fresh(Response::error(&format!("bad request: {e}"))),
+            )?;
+            return Ok(false);
         }
     };
-    match req.cmd.as_str() {
+    let (reply, close) = match req.cmd.as_str() {
         CMD_RUN => (handle_run(ctx, work_tx, &req), false),
+        // A lease line parses as a `Request` too (unknown keys are
+        // ignored), which already carries its run tuple.
+        CMD_LEASE => return handle_lease(ctx, work_tx, stream, &req, line),
         CMD_STATS => {
             let resp = match ctx.tel.snapshot().to_json() {
                 Ok(json) => Response::stats(json),
@@ -471,14 +507,16 @@ fn handle_line(ctx: &Ctx, work_tx: &SyncSender<WorkItem>, line: &str) -> (Reply,
         }
         other => {
             ctx.tel.counter("serve.error", 1);
-            let msg = format!("unknown cmd '{other}' (run|stats|shutdown)");
+            let msg = format!("unknown cmd '{other}' (run|lease|stats|shutdown)");
             (Reply::Fresh(Response::error(&msg)), false)
         }
-    }
+    };
+    write_reply(stream, &reply)?;
+    Ok(close)
 }
 
 /// The run path: resolve, consult the index, admit or shed.
-fn handle_run(ctx: &Ctx, work_tx: &SyncSender<WorkItem>, req: &Request) -> Reply {
+fn handle_run(ctx: &Ctx, work_tx: &SyncSender<Job>, req: &Request) -> Reply {
     let t0 = Instant::now();
     let run = match resolve(ctx, req) {
         Ok(run) => run,
@@ -495,7 +533,18 @@ fn handle_run(ctx: &Ctx, work_tx: &SyncSender<WorkItem>, req: &Request) -> Reply
         return Reply::Hit(line);
     }
     let (resp_tx, resp_rx) = mpsc::channel();
-    let resp = match work_tx.try_send(WorkItem { run, resp: resp_tx }) {
+    let job: Job = Box::new(move |ctx: &Ctx| {
+        // A duplicate that queued behind its twin becomes a hit here
+        // instead of recomputing.
+        let reply = match ctx.cache.hit_line(&run.key) {
+            Some(line) => Reply::Hit(line),
+            None => Reply::Fresh(execute(ctx, &run)),
+        };
+        // A handler that gave up (connection died) just drops the
+        // receiver; the computed result is still cached.
+        let _ = resp_tx.send(reply);
+    });
+    let resp = match work_tx.try_send(job) {
         Err(TrySendError::Full(_)) => {
             ctx.tel.counter("serve.shed", 1);
             Response::overloaded("pending queue full; retry later")
@@ -532,7 +581,6 @@ fn handle_run(ctx: &Ctx, work_tx: &SyncSender<WorkItem>, req: &Request) -> Reply
 /// Resolve a run request against the daemon defaults, validating the
 /// experiment against the registry and computing its content address.
 fn resolve(ctx: &Ctx, req: &Request) -> Result<RunRequest, String> {
-    let defaults = &ctx.config.runner;
     let experiment = req
         .experiment
         .clone()
@@ -540,32 +588,50 @@ fn resolve(ctx: &Ctx, req: &Request) -> Result<RunRequest, String> {
     if (ctx.factory)(&experiment).is_none() {
         return Err(format!("unknown experiment '{experiment}'"));
     }
-    let profile = match &req.profile {
-        None => defaults.profile,
-        Some(label) => FaultProfile::parse(label)
-            .ok_or_else(|| format!("unknown fault profile '{label}' (none|churn|outage|chaos)"))?,
-    };
-    let intensity = req.intensity.unwrap_or(defaults.intensity);
-    if !intensity.is_finite() || intensity < 0.0 {
-        return Err(format!("intensity must be a nonnegative number, got {intensity}"));
-    }
-    let seed = req.seed.unwrap_or(defaults.seed);
-    let retries = req.retries.unwrap_or(defaults.retries);
-    let deadline = match req.deadline_ms {
-        None => defaults.deadline,
-        Some(0) => return Err("deadline_ms must be positive".to_owned()),
-        Some(ms) => Duration::from_millis(ms),
-    };
-    let key = cache_key(&experiment, seed, profile.label(), intensity, retries, &code_rev());
+    let config = overlay(&ctx.config.runner, req)?;
+    let key = cache_key(
+        &experiment,
+        config.seed,
+        config.profile.label(),
+        config.intensity,
+        config.retries,
+        &code_rev(),
+    );
     Ok(RunRequest {
         experiment,
-        seed,
-        profile,
-        intensity,
-        retries,
-        deadline,
+        config,
         key,
     })
+}
+
+/// Lay a request's `(profile, seed, intensity, retries, deadline)` tuple
+/// over the daemon defaults. Runs and leases both come off the wire
+/// through here, so both reject what no run could honour.
+fn overlay(defaults: &RunnerConfig, req: &Request) -> Result<RunnerConfig, String> {
+    let mut config = *defaults;
+    if let Some(label) = &req.profile {
+        config.profile = FaultProfile::parse(label)
+            .ok_or_else(|| format!("unknown fault profile '{label}' (none|churn|outage|chaos)"))?;
+    }
+    config.intensity = req.intensity.unwrap_or(defaults.intensity);
+    if !config.intensity.is_finite() || config.intensity < 0.0 {
+        return Err(format!(
+            "intensity must be a nonnegative number, got {}",
+            config.intensity
+        ));
+    }
+    config.seed = req.seed.unwrap_or(defaults.seed);
+    config.retries = req.retries.unwrap_or(defaults.retries);
+    match req.deadline_ms {
+        None => {}
+        Some(0) => return Err("deadline_ms must be positive".to_owned()),
+        Some(ms) => config.deadline = Duration::from_millis(ms),
+    }
+    // The quiet-panics hook is process-global state; concurrent workers
+    // installing/restoring it would race. Panics are still caught and
+    // reported as failed rows — just with their backtraces on stderr.
+    config.quiet_panics = false;
+    Ok(config)
 }
 
 /// Write one reply, newline included, with a single `write_all`: on a
@@ -592,24 +658,192 @@ fn shed_connection(mut stream: TcpStream) {
     let _ = write_reply(&mut stream, &Reply::Fresh(Response::overloaded("all handlers busy")));
 }
 
+// ------------------------------------------------------------- leases --
+
+/// The lease path: cooperate with a chaos directive, or validate the
+/// slice, admit it like a miss, and write an `hb` frame every
+/// [`LEASE_HEARTBEAT`] until its final frame. Lease results are not
+/// cached.
+fn handle_lease(
+    ctx: &Ctx,
+    work_tx: &SyncSender<Job>,
+    stream: &mut TcpStream,
+    req: &Request,
+    line: &str,
+) -> io::Result<bool> {
+    ctx.tel.counter("serve.leases", 1);
+    let lease = match Lease::from_line(line) {
+        Ok(lease) => lease,
+        Err(e) => {
+            ctx.tel.counter("serve.error", 1);
+            write_frame(stream, &WorkerFrame::error(None, format!("bad lease: {e}")))?;
+            return Ok(false);
+        }
+    };
+    let id = lease.lease.unwrap_or(0);
+    if let Some(kind) = lease.chaos.as_deref().and_then(ChaosKind::parse) {
+        ctx.tel.counter("serve.lease_faulted", 1);
+        inject_chaos(ctx, stream, kind, id);
+        return Ok(true);
+    }
+    // A failed write means the dispatcher revoked the lease by dropping
+    // the connection.
+    let revoked = |e| {
+        ctx.tel.counter("serve.lease_faulted", 1);
+        e
+    };
+    let frame = match resolve_lease(ctx, req, &lease) {
+        Err(msg) => {
+            ctx.tel.counter("serve.error", 1);
+            WorkerFrame::error(Some(id), msg)
+        }
+        Ok((specs, config)) => {
+            let shard = lease.shard.unwrap_or(0);
+            let (tx, rx) = mpsc::channel();
+            let job: Job = Box::new(move |ctx: &Ctx| {
+                let _ = tx.send(run_lease(ctx, id, shard, config, &specs));
+            });
+            match work_tx.try_send(job) {
+                Err(TrySendError::Full(_)) => {
+                    ctx.tel.counter("serve.shed", 1);
+                    WorkerFrame::error(Some(id), "overloaded: pending queue full; retry later")
+                }
+                Err(TrySendError::Disconnected(_)) => {
+                    WorkerFrame::error(Some(id), "daemon is shutting down")
+                }
+                Ok(()) => {
+                    let mut beat = 0;
+                    loop {
+                        match rx.recv_timeout(LEASE_HEARTBEAT) {
+                            Ok(frame) => break frame,
+                            Err(RecvTimeoutError::Timeout) => {
+                                beat += 1;
+                                write_frame(stream, &WorkerFrame::hb(id, beat)).map_err(revoked)?;
+                            }
+                            Err(RecvTimeoutError::Disconnected) => {
+                                break WorkerFrame::error(Some(id), "lease execution thread died");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    };
+    write_frame(stream, &frame).map_err(revoked)?;
+    if frame.status == "done" {
+        ctx.tel.counter("serve.lease_done", 1);
+    }
+    Ok(false)
+}
+
+/// A lease's specs (validated against the registry) and runner
+/// configuration (its tuple over the daemon defaults, like a run's).
+fn resolve_lease(
+    ctx: &Ctx,
+    req: &Request,
+    lease: &Lease,
+) -> Result<(Vec<ExperimentSpec>, RunnerConfig), String> {
+    let codes = lease.experiments.as_deref().unwrap_or_default();
+    if codes.is_empty() {
+        return Err("empty lease".to_owned());
+    }
+    let specs = codes
+        .iter()
+        .map(|code| (ctx.factory)(code).ok_or_else(|| format!("unknown experiment '{code}'")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut config = overlay(&ctx.config.runner, req)?;
+    if let Some(cooldown) = lease.breaker_cooldown {
+        config.breaker_cooldown = cooldown;
+    }
+    Ok((specs, config))
+}
+
+/// Execute one admitted lease on the warm pool — exactly the supervised
+/// 1-shard run a local dispatch child performs — and frame its canonical
+/// artifact, telemetry and journal.
+fn run_lease(
+    ctx: &Ctx,
+    id: u64,
+    shard: u32,
+    config: RunnerConfig,
+    specs: &[ExperimentSpec],
+) -> WorkerFrame {
+    let run = Supervisor::builder().config(config).build().run(specs);
+    let artifact = RunArtifact {
+        report: run.report,
+        outputs: run.outputs,
+    }
+    .canonicalized();
+    let frame = match (
+        artifact.to_json(),
+        run.telemetry.to_json(),
+        run.telemetry.to_jsonl(),
+    ) {
+        (Ok(artifact), Ok(metrics), Ok(journal)) => {
+            WorkerFrame::done(id, shard, artifact, metrics, journal)
+        }
+        _ => WorkerFrame::error(Some(id), "result not serializable"),
+    };
+    // Like a miss, fold the run's metrics (not its journal) into the
+    // daemon totals.
+    let mut run_metrics = run.telemetry;
+    run_metrics.events.clear();
+    ctx.tel.absorb(run_metrics, "");
+    frame
+}
+
+/// Cooperate with a chaos directive stamped on a lease frame: crash the
+/// connection, go silent, or corrupt the stream — always *after* the
+/// lease was read, so the dispatcher sees a mid-lease fault, not a
+/// refused one. The connection is closed afterwards.
+fn inject_chaos(ctx: &Ctx, stream: &mut TcpStream, kind: ChaosKind, id: u64) {
+    eprintln!("serve: chaos-net {} on lease {id}", kind.label());
+    match kind {
+        // One heartbeat first: the lease is visibly in flight when the
+        // wire goes dead.
+        ChaosKind::Kill => {
+            let _ = write_frame(stream, &WorkerFrame::hb(id, 1));
+        }
+        // Hold the connection open sending nothing until the dispatcher
+        // revokes it (EOF on our side). Draining ends it too, because
+        // shutdown joins this handler; the hour bound keeps a forgotten
+        // stall from outliving a test run by much.
+        ChaosKind::Stall => {
+            let until = Instant::now() + Duration::from_secs(3600);
+            let mut sink = [0u8; 256];
+            while !ctx.stop.load(Ordering::SeqCst) && Instant::now() < until {
+                match stream.read(&mut sink) {
+                    Ok(0) => break,
+                    Ok(_) => {}
+                    Err(e) if is_read_timeout(&e) => {}
+                    Err(_) => break,
+                }
+            }
+        }
+        ChaosKind::Garble => {
+            let _ = stream.write_all(b"}{ not a frame \xff\n");
+        }
+    }
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Write one lease frame, newline included, with a single `write_all`.
+fn write_frame(stream: &mut TcpStream, frame: &WorkerFrame) -> io::Result<()> {
+    let mut line = frame.to_line().map_err(io::Error::other)?;
+    line.push('\n');
+    stream.write_all(line.as_bytes())
+}
+
 // ------------------------------------------------------------ workers --
 
-fn worker_loop(rx: &Mutex<Receiver<WorkItem>>, ctx: &Ctx) {
+fn worker_loop(rx: &Mutex<Receiver<Job>>, ctx: &Ctx) {
     loop {
         // Holding the lock across `recv` is fine: it is released the
-        // moment an item arrives, so at most one idle worker waits while
+        // moment a job arrives, so at most one idle worker waits while
         // the rest execute.
-        let item = rx.lock().expect("work queue lock").recv();
-        let Ok(item) = item else { break };
-        // A duplicate that queued behind its twin becomes a hit here
-        // instead of recomputing.
-        let reply = match ctx.cache.hit_line(&item.run.key) {
-            Some(line) => Reply::Hit(line),
-            None => Reply::Fresh(execute(ctx, &item.run)),
-        };
-        // A handler that gave up (connection died) just drops the
-        // receiver; the computed result is still cached.
-        let _ = item.resp.send(reply);
+        let job = rx.lock().expect("work queue lock").recv();
+        let Ok(job) = job else { break };
+        job(ctx);
     }
 }
 
@@ -621,17 +855,10 @@ fn execute(ctx: &Ctx, run: &RunRequest) -> Response {
     let Some(spec) = (ctx.factory)(&run.experiment) else {
         return Response::error(&format!("unknown experiment '{}'", run.experiment));
     };
-    let mut config = ctx.config.runner;
-    config.seed = run.seed;
-    config.profile = run.profile;
-    config.intensity = run.intensity;
-    config.retries = run.retries;
-    config.deadline = run.deadline;
-    // The quiet-panics hook is process-global state; concurrent workers
-    // installing/restoring it would race. Panics are still caught and
-    // reported as failed rows — just with their backtraces on stderr.
-    config.quiet_panics = false;
-    let result = Supervisor::builder().config(config).build().run(&[spec]);
+    let result = Supervisor::builder()
+        .config(run.config)
+        .build()
+        .run(&[spec]);
 
     let artifact = RunArtifact {
         report: result.report,
@@ -657,10 +884,10 @@ fn execute(ctx: &Ctx, run: &RunRequest) -> Response {
     let entry = CacheEntry {
         key: run.key.clone(),
         experiment: run.experiment.clone(),
-        seed: run.seed,
-        profile: run.profile.label().to_owned(),
-        intensity: run.intensity,
-        retries: run.retries,
+        seed: run.config.seed,
+        profile: run.config.profile.label().to_owned(),
+        intensity: run.config.intensity,
+        retries: run.config.retries,
         code_rev: rev.clone(),
         checksum: CacheEntry::checksum_of(&artifact_json, &metrics_json),
         artifact: artifact_json.clone(),
@@ -684,9 +911,14 @@ mod tests {
     use super::*;
     use crate::client::ServeClient;
     use crate::protocol::STATUS_HIT;
-    use humnet_resilience::JobOutput;
+    use humnet_resilience::{
+        dispatch_remote, ChaosNet, DispatchConfig, JobOutput, RemoteOptions, ShardPaths, ShardSpec,
+        SupervisedRun,
+    };
+    use proptest::prelude::*;
     use std::fs;
     use std::path::Path;
+    use std::process::Command;
 
     const TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -723,7 +955,14 @@ mod tests {
     }
 
     fn start(cfg: ServeConfig) -> (String, thread::JoinHandle<ServeSummary>) {
-        let server = Server::bind(cfg, toy_factory()).expect("bind");
+        start_with(cfg, toy_factory())
+    }
+
+    fn start_with(
+        cfg: ServeConfig,
+        factory: SpecFactory,
+    ) -> (String, thread::JoinHandle<ServeSummary>) {
+        let server = Server::bind(cfg, factory).expect("bind");
         let addr = server.local_addr().to_string();
         let handle = thread::spawn(move || server.run().expect("serve run"));
         (addr, handle)
@@ -1000,6 +1239,506 @@ mod tests {
 
         let summary = shutdown(&addr, handle);
         assert_eq!(summary.cache_entries, 2, "the bound holds at shutdown");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    // ------------------------------------------------------------ leases --
+
+    /// A daemon on a fresh cache dir, as `dispatch --workers` sees it.
+    fn start_worker(tag: &str) -> (String, thread::JoinHandle<ServeSummary>) {
+        start(config(&scratch(&format!("worker-{tag}"))))
+    }
+
+    fn quick_dispatch(tag: &str) -> DispatchConfig {
+        DispatchConfig {
+            shard_retries: 1,
+            shard_deadline: Duration::from_secs(30),
+            liveness: Duration::from_millis(500),
+            poll: Duration::from_millis(5),
+            backoff_base: Duration::from_millis(1),
+            scratch: scratch(&format!("dispatch-{tag}")),
+            ..DispatchConfig::default()
+        }
+    }
+
+    fn shard_spec(shard: u32, spec_base: u64, codes: &[&str]) -> ShardSpec {
+        ShardSpec {
+            shard,
+            spec_base,
+            codes: codes.iter().map(|s| (*s).to_owned()).collect(),
+        }
+    }
+
+    /// The in-process ground truth a merged remote run must match.
+    fn reference_run(codes: &[&str], runner: &RunnerConfig) -> SupervisedRun {
+        let specs: Vec<ExperimentSpec> = codes.iter().map(|c| toy_factory()(c).unwrap()).collect();
+        let mut cfg = *runner;
+        cfg.quiet_panics = false;
+        Supervisor::builder().config(cfg).build().run(&specs)
+    }
+
+    /// Local-failover child builder that must never be reached.
+    fn no_local_children(_: &ShardSpec, _: &ShardPaths) -> Command {
+        panic!("test expected no local failover");
+    }
+
+    fn remote(workers: &[&str], chaos: Option<&str>) -> RemoteOptions {
+        RemoteOptions {
+            workers: workers.iter().map(|w| (*w).to_owned()).collect(),
+            connect_timeout: Duration::from_millis(500),
+            chaos: chaos
+                .into_iter()
+                .map(|c| ChaosNet::parse(c).unwrap())
+                .collect(),
+            ..RemoteOptions::default()
+        }
+    }
+
+    /// Send one lease line on a fresh connection and collect its frames up
+    /// to the first non-heartbeat one (or EOF).
+    fn lease_frames(addr: &str, lease: &Lease) -> Vec<WorkerFrame> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+        stream
+            .write_all(format!("{}\n", lease.to_line().unwrap()).as_bytes())
+            .unwrap();
+        let mut framer = LineBuffer::new();
+        let mut frames = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            while let Some(line) = framer.next_line() {
+                let frame = WorkerFrame::from_line(&line).unwrap();
+                let last = frame.status != "hb";
+                frames.push(frame);
+                if last {
+                    return frames;
+                }
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return frames,
+                Ok(n) => framer.push(&chunk[..n]),
+            }
+        }
+    }
+
+    fn lease_for(codes: &[&str], id: u64) -> Lease {
+        Lease::for_shard(&shard_spec(0, 0, codes), &RunnerConfig::default(), id)
+    }
+
+    /// A registry whose `expgate` experiment announces itself on the
+    /// returned receiver and then blocks until the returned sender sends,
+    /// so a test knows a lease is executing and decides when it ends.
+    fn gated_factory() -> (SpecFactory, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let started_tx = Mutex::new(started_tx);
+        let release_rx = Arc::new(Mutex::new(release_rx));
+        let factory: SpecFactory = Arc::new(move |code: &str| {
+            if code != "expgate" {
+                return toy_factory()(code);
+            }
+            let started_tx = started_tx.lock().unwrap().clone();
+            let release_rx = Arc::clone(&release_rx);
+            Some(ExperimentSpec::new(
+                "expgate",
+                "gate",
+                "toy",
+                move |_plan, _tel| {
+                    let _ = started_tx.send(());
+                    let _ = release_rx.lock().unwrap().recv_timeout(TIMEOUT);
+                    Ok(JobOutput {
+                        rendered: "gate opened\n".to_owned(),
+                        faults_injected: 0,
+                    })
+                },
+            ))
+        });
+        (factory, started_rx, release_tx)
+    }
+
+    #[test]
+    fn two_daemons_merge_byte_identical_to_in_process_run_and_count_leases() {
+        let (addr_a, handle_a) = start_worker("identity-a");
+        let (addr_b, handle_b) = start_worker("identity-b");
+        let config = quick_dispatch("identity");
+        let runner = RunnerConfig {
+            seed: 11,
+            ..RunnerConfig::default()
+        };
+        // Shards 0 and 2 lease to daemon A, shard 1 to daemon B.
+        let shards = vec![
+            shard_spec(0, 0, &["exp1", "exp2"]),
+            shard_spec(1, 2, &["exp3"]),
+            shard_spec(2, 3, &["exp4"]),
+        ];
+        let outcome = dispatch_remote(
+            &config,
+            &remote(&[&addr_a, &addr_b], None),
+            &runner,
+            shards,
+            no_local_children,
+        )
+        .unwrap();
+        assert!(!outcome.degraded());
+        assert_eq!(outcome.shard_attempts, vec![1, 1, 1]);
+        assert_eq!(outcome.run.outputs["exp2"], "toy output for exp2\n");
+
+        let reference = reference_run(&["exp1", "exp2", "exp3", "exp4"], &runner);
+        assert_eq!(
+            outcome.run.telemetry.canonical_events(),
+            reference.telemetry.canonical_events(),
+            "remote merge must be byte-identical to the in-process run"
+        );
+        let stats = counters(&addr_a);
+        assert!(stats["serve.leases"] >= 2, "{stats:?}");
+        assert!(stats["serve.lease_done"] >= 2, "{stats:?}");
+        assert!(!stats.contains_key("serve.lease_faulted"), "{stats:?}");
+        // Lease runs fold their runner metrics into the daemon totals...
+        assert!(stats["runner.attempts"] >= 3, "{stats:?}");
+        // ...but their results are never cached.
+        assert_eq!(shutdown(&addr_a, handle_a).cache_entries, 0);
+        assert_eq!(shutdown(&addr_b, handle_b).cache_entries, 0);
+        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    #[test]
+    fn killed_lease_is_reissued_to_the_survivor() {
+        // Worker 0's first lease (shard 0, attempt 0) is killed mid-lease;
+        // rotation re-leases the slice on worker 1.
+        let (addr_bad, handle_bad) = start_worker("reissue-bad");
+        let (addr_good, handle_good) = start_worker("reissue-good");
+        let config = quick_dispatch("reissue");
+        let runner = RunnerConfig::default();
+        let outcome = dispatch_remote(
+            &config,
+            &remote(&[&addr_bad, &addr_good], Some("kill:0")),
+            &runner,
+            vec![shard_spec(0, 0, &["exp1", "exp2"])],
+            no_local_children,
+        )
+        .unwrap();
+        assert!(!outcome.degraded());
+        assert_eq!(outcome.shard_attempts, vec![2], "one remote retry");
+        let reference = reference_run(&["exp1", "exp2"], &runner);
+        assert_eq!(
+            outcome.run.telemetry.canonical_events(),
+            reference.telemetry.canonical_events()
+        );
+        assert_eq!(counters(&addr_bad)["serve.lease_faulted"], 1);
+        assert_eq!(counters(&addr_good)["serve.lease_done"], 1);
+        shutdown(&addr_bad, handle_bad);
+        shutdown(&addr_good, handle_good);
+        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    #[test]
+    fn frame_stamped_chaos_garble_fails_the_attempt_with_a_garbled_reason() {
+        let (addr, handle) = start_worker("garble");
+        let mut config = quick_dispatch("garble");
+        config.shard_retries = 0;
+        config.allow_partial = true;
+        let mut remote = remote(&[&addr], Some("garble:0"));
+        remote.local_failover = false;
+        let outcome = dispatch_remote(
+            &config,
+            &remote,
+            &RunnerConfig::default(),
+            vec![shard_spec(0, 0, &["exp1"])],
+            no_local_children,
+        )
+        .unwrap();
+        assert!(outcome.degraded());
+        assert!(
+            outcome.missing[0].reason.contains("garbled frame"),
+            "{}",
+            outcome.missing[0].reason
+        );
+        shutdown(&addr, handle);
+        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    #[test]
+    fn stalled_lease_trips_the_liveness_window() {
+        let (addr, handle) = start_worker("stall");
+        let mut config = quick_dispatch("stall");
+        config.shard_retries = 0;
+        config.allow_partial = true;
+        config.liveness = Duration::from_millis(150);
+        let mut remote = remote(&[&addr], Some("stall:0"));
+        remote.local_failover = false;
+        let started = Instant::now();
+        let outcome = dispatch_remote(
+            &config,
+            &remote,
+            &RunnerConfig::default(),
+            vec![shard_spec(0, 0, &["exp1"])],
+            no_local_children,
+        )
+        .unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "liveness fired late"
+        );
+        assert!(outcome.degraded());
+        assert!(
+            outcome.missing[0].reason.contains("no frame for"),
+            "{}",
+            outcome.missing[0].reason
+        );
+        shutdown(&addr, handle);
+        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    /// A scripted fake worker that misbehaves at a chosen point in the
+    /// lease lifecycle, for the kill-point property test.
+    fn flaky_worker(kill_point: u8) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        if kill_point == 0 {
+            // Nothing ever listens: the bound socket is dropped here.
+            return addr;
+        }
+        thread::spawn(move || {
+            let Ok((mut stream, _)) = listener.accept() else {
+                return;
+            };
+            // Read (and discard) the lease line first so every kill point
+            // is a mid-lease fault, not a refused connection.
+            let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+            let mut framer = LineBuffer::new();
+            let mut chunk = [0u8; 1024];
+            while framer.next_line().is_none() {
+                match stream.read(&mut chunk) {
+                    Ok(0) | Err(_) => return,
+                    Ok(n) => framer.push(&chunk[..n]),
+                }
+            }
+            match kill_point {
+                // Close before any frame.
+                1 => {}
+                // Corrupt frame.
+                2 => {
+                    let _ = stream.write_all(b"%% garbage %%\n");
+                }
+                // One valid heartbeat, then the wire dies.
+                3 => {
+                    let line = WorkerFrame::hb(0, 1).to_line().unwrap();
+                    let _ = stream.write_all(format!("{line}\n").as_bytes());
+                }
+                // A done frame cut off mid-line (no newline ever arrives).
+                _ => {
+                    let line = WorkerFrame::done(0, 0, "{}".into(), "{}".into(), String::new())
+                        .to_line()
+                        .unwrap();
+                    let _ = stream.write_all(&line.as_bytes()[..line.len() / 2]);
+                    thread::sleep(Duration::from_millis(50));
+                }
+            }
+            let _ = stream.shutdown(Shutdown::Both);
+        });
+        addr
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+        /// Wherever in the lease lifecycle the first worker dies — refused
+        /// dial, pre-frame close, garble, post-heartbeat close, mid-frame
+        /// cut — the lease is re-issued to the healthy daemon and the
+        /// merged result is intact and byte-identical.
+        #[test]
+        fn lease_reissue_survives_any_kill_point(kill_point in 0u8..5) {
+            let flaky = flaky_worker(kill_point);
+            let (good, handle) = start_worker(&format!("killpoint-{kill_point}"));
+            let mut config = quick_dispatch(&format!("killpoint-{kill_point}"));
+            config.liveness = Duration::from_millis(400);
+            let runner = RunnerConfig { seed: 5, ..RunnerConfig::default() };
+            let shards = vec![shard_spec(0, 0, &["exp1", "exp2"])];
+            let outcome = dispatch_remote(
+                &config,
+                &remote(&[&flaky, &good], None),
+                &runner,
+                shards,
+                no_local_children,
+            )
+            .unwrap();
+            prop_assert!(!outcome.degraded());
+            prop_assert_eq!(&outcome.shard_attempts, &vec![2]);
+            prop_assert_eq!(outcome.run.report.experiments.len(), 2);
+            let reference = reference_run(&["exp1", "exp2"], &runner);
+            prop_assert_eq!(
+                outcome.run.telemetry.canonical_events(),
+                reference.telemetry.canonical_events()
+            );
+            shutdown(&good, handle);
+            let _ = fs::remove_dir_all(&config.scratch);
+        }
+    }
+
+    #[test]
+    fn leases_with_a_tuple_no_run_could_honour_are_refused_and_run_nothing() {
+        let dir = scratch("lease-validate");
+        let (addr, handle) = start(config(&dir));
+        let mut negative = lease_for(&["exp1"], 1);
+        negative.intensity = Some(-1.0);
+        let mut zero_deadline = lease_for(&["exp1"], 2);
+        zero_deadline.deadline_ms = Some(0);
+        let mut unknown = lease_for(&["exp1", "nope"], 3);
+        unknown.seed = Some(9);
+        for (lease, needle) in [
+            (negative, "intensity"),
+            (zero_deadline, "deadline_ms"),
+            (unknown, "unknown experiment 'nope'"),
+        ] {
+            let frames = lease_frames(&addr, &lease);
+            assert_eq!(frames.len(), 1, "{frames:?}");
+            assert_eq!(frames[0].status, "error", "{frames:?}");
+            assert_eq!(frames[0].lease, lease.lease);
+            assert!(
+                frames[0].message.as_deref().unwrap().contains(needle),
+                "{frames:?}"
+            );
+        }
+        let stats = counters(&addr);
+        assert_eq!(stats["serve.leases"], 3);
+        assert!(
+            !stats.contains_key("runner.attempts"),
+            "nothing ran: {stats:?}"
+        );
+        assert!(!stats.contains_key("serve.lease_done"), "{stats:?}");
+        shutdown(&addr, handle);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lease_arriving_at_a_full_queue_is_shed_as_overloaded() {
+        let dir = scratch("lease-shed");
+        let mut cfg = config(&dir);
+        cfg.concurrency = 1;
+        cfg.queue_depth = 1;
+        let (factory, started, release) = gated_factory();
+        let (addr, handle) = start_with(cfg, factory);
+
+        // The only worker executes the gated lease...
+        let running = {
+            let addr = addr.clone();
+            thread::spawn(move || lease_frames(&addr, &lease_for(&["expgate"], 1)))
+        };
+        started.recv_timeout(TIMEOUT).expect("gated lease started");
+        // ...a second lease takes the one queue slot (its first heartbeat
+        // proves it was admitted)...
+        let mut queued = TcpStream::connect(&addr).unwrap();
+        queued.set_read_timeout(Some(TIMEOUT)).unwrap();
+        let line = lease_for(&["exp1"], 2).to_line().unwrap();
+        queued.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut first = [0u8; 1];
+        queued.read_exact(&mut first).unwrap();
+        // ...so a third is shed at once.
+        let shed = lease_frames(&addr, &lease_for(&["exp2"], 3));
+        assert_eq!(shed.len(), 1, "{shed:?}");
+        assert_eq!(shed[0].status, "error");
+        assert_eq!(shed[0].lease, Some(3));
+        assert!(
+            shed[0]
+                .message
+                .as_deref()
+                .unwrap()
+                .starts_with("overloaded"),
+            "{shed:?}"
+        );
+        assert_eq!(counters(&addr)["serve.shed"], 1);
+
+        release.send(()).unwrap();
+        let frames = running.join().unwrap();
+        assert_eq!(frames.last().unwrap().status, "done", "{frames:?}");
+        drop(queued);
+        shutdown(&addr, handle);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_mid_lease_still_delivers_the_done_frame() {
+        let dir = scratch("lease-drain");
+        let (factory, started, release) = gated_factory();
+        let (addr, handle) = start_with(config(&dir), factory);
+        let running = {
+            let addr = addr.clone();
+            thread::spawn(move || lease_frames(&addr, &lease_for(&["expgate", "exp1"], 7)))
+        };
+        started.recv_timeout(TIMEOUT).expect("gated lease started");
+        let ack = connect(&addr).shutdown().expect("shutdown query");
+        assert_eq!(ack.status, crate::protocol::STATUS_OK, "{ack:?}");
+        // The daemon is draining; the lease it already admitted finishes.
+        release.send(()).unwrap();
+        let frames = running.join().unwrap();
+        let done = frames.last().unwrap();
+        assert_eq!(done.status, "done", "{frames:?}");
+        assert_eq!(done.lease, Some(7));
+        let artifact = RunArtifact::from_json(done.artifact.as_deref().unwrap()).unwrap();
+        assert_eq!(artifact.outputs["expgate"], "gate opened\n");
+        let summary = handle.join().expect("daemon thread");
+        assert_eq!(summary.stats.metrics.counters["serve.lease_done"], 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stalled_lease_does_not_hold_shutdown() {
+        let dir = scratch("lease-stall-drain");
+        let (addr, handle) = start(config(&dir));
+        let mut lease = lease_for(&["exp1"], 1);
+        lease.chaos = Some("stall".to_owned());
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        stalled.set_read_timeout(Some(TIMEOUT)).unwrap();
+        stalled
+            .write_all(format!("{}\n", lease.to_line().unwrap()).as_bytes())
+            .unwrap();
+        // The lease is counted faulted just before its handler goes silent.
+        let t0 = Instant::now();
+        while !counters(&addr).contains_key("serve.lease_faulted") {
+            assert!(t0.elapsed() < TIMEOUT, "stall never began");
+            thread::sleep(Duration::from_millis(10));
+        }
+        connect(&addr).shutdown().expect("shutdown query");
+        let (joined_tx, joined_rx) = mpsc::channel();
+        thread::spawn(move || joined_tx.send(handle.join().is_ok()));
+        let joined = joined_rx.recv_timeout(Duration::from_secs(3));
+        assert_eq!(joined, Ok(true), "the stalled lease held shutdown");
+        // The stalled connection was closed without a frame.
+        let mut rest = Vec::new();
+        let _ = stalled.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "{:?}", String::from_utf8_lossy(&rest));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_endless_request_line_is_refused_and_the_connection_closed() {
+        let dir = scratch("oversized");
+        let (addr, handle) = start(config(&dir));
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+        // 2 MiB and no newline; the daemon hangs up partway, so the write
+        // may fail — what matters is what comes back.
+        let writer = {
+            let mut stream = stream.try_clone().unwrap();
+            thread::spawn(move || {
+                let _ = stream.write_all(&vec![b'x'; 2 << 20]);
+            })
+        };
+        let mut reply = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => reply.extend_from_slice(&chunk[..n]),
+            }
+        }
+        writer.join().unwrap();
+        let text = String::from_utf8(reply).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        let resp = Response::from_line(&text).unwrap();
+        assert_eq!(resp.status, crate::protocol::STATUS_ERROR);
+        assert!(resp.message.unwrap().contains("exceeds"), "{text}");
+        assert_eq!(counters(&addr)["serve.oversized"], 1);
+        shutdown(&addr, handle);
         let _ = fs::remove_dir_all(&dir);
     }
 }

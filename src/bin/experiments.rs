@@ -12,8 +12,7 @@
 //! cargo run --release --bin experiments -- run --metrics-out m.json --journal-out j.jsonl
 //! cargo run --release --bin experiments -- dispatch --procs 4  # child processes
 //! cargo run --release --bin experiments -- dispatch --procs 4 --chaos-proc kill:2
-//! cargo run --release --bin experiments -- worker --addr 127.0.0.1:0  # remote shard worker
-//! cargo run --release --bin experiments -- dispatch --procs 4 --workers host:7171,host:7172
+//! cargo run --release --bin experiments -- dispatch --procs 4 --workers host:7077,host:7078
 //! cargo run --release --bin experiments -- list               # experiment catalog
 //! cargo run --release --bin experiments -- merge-metrics a.json b.json
 //! cargo run --release --bin experiments -- replay j.jsonl     # re-execute a capture
@@ -32,7 +31,8 @@
 //! itself per shard): children heartbeat, crashed or hung shards are
 //! killed and retried with deterministic backoff, `--allow-partial`
 //! degrades gracefully when a shard stays dead, and the merged canonical
-//! output remains byte-identical to the in-process run. `replay`
+//! output remains byte-identical to the in-process run; with `--workers`
+//! the shards are leased to `serve` daemons over TCP instead. `replay`
 //! reconstructs a past run's configuration and fault schedule from its
 //! captured journal, re-executes it, and diffs the canonical event
 //! streams.
@@ -54,8 +54,7 @@ use humnet::core::experiments::ExperimentId;
 use humnet::resilience::{
     dispatch, dispatch_remote, replay, ChaosNet, ChaosProc, DispatchConfig, DispatchOutcome,
     ExperimentSpec, FaultProfile, RemoteOptions, RunArtifact, RunnerConfig, Schedule, ShardPlan,
-    ShardSpec, Supervisor, Worker, WorkerChaos, WorkerConfig, CHAOS_ENV, CHAOS_KILL_CODE,
-    CHAOS_NET_ENV,
+    ShardSpec, Supervisor, CHAOS_ENV, CHAOS_KILL_CODE,
 };
 use humnet::serve::{
     append_history, install_signal_handlers, read_history, render_trend, run_ramp, ClientPool,
@@ -71,7 +70,6 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("run") => cmd_run(args.split_off(1)),
         Some("dispatch") => cmd_dispatch(args.split_off(1)),
-        Some("worker") => cmd_worker(args.split_off(1)),
         Some("list") => cmd_list(args.split_off(1)),
         Some("merge-metrics") => cmd_merge_metrics(args.split_off(1)),
         Some("replay") => cmd_replay(args.split_off(1)),
@@ -726,88 +724,6 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
     Ok(Some(cli))
 }
 
-// -------------------------------------------------------------- worker --
-
-/// Long-lived remote shard worker: accept shard-slice leases over the
-/// line-delimited JSON worker protocol, execute each on the warm
-/// in-process pool (exactly what a local dispatch child runs), stream
-/// inline heartbeats, and answer with the canonical per-shard artifact.
-/// A `dispatch --workers` parent on any machine can lease against it.
-fn cmd_worker(args: Vec<String>) -> CmdResult {
-    let mut cfg = WorkerConfig::default();
-    let mut ready_file = None;
-    let mut flags = RunFlags::default();
-    let mut args = args.into_iter().peekable();
-    while let Some(arg) = args.next() {
-        if flags.try_consume(&arg, &mut args)? {
-            continue;
-        }
-        let mut value = |flag: &str| -> Result<String, Failure> {
-            args.next()
-                .ok_or_else(|| Failure::Usage(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(0);
-            }
-            "--addr" => cfg.addr = value("--addr")?,
-            "--heartbeat-ms" => {
-                let ms: u64 = parse_num(&value("--heartbeat-ms")?, "--heartbeat-ms")?;
-                if ms == 0 {
-                    return Err(Failure::Usage("--heartbeat-ms must be positive".to_owned()));
-                }
-                cfg.heartbeat = Duration::from_millis(ms);
-            }
-            "--ready-file" => ready_file = Some(value("--ready-file")?),
-            flag if flag.starts_with('-') => {
-                return Err(Failure::Usage(format!("unknown option '{flag}'")));
-            }
-            stray => {
-                return Err(Failure::Usage(format!(
-                    "worker takes no positional arguments (got '{stray}')"
-                )));
-            }
-        }
-    }
-
-    // The lease overlays its own (seed, profile, intensity, retries,
-    // deadline, breaker-cooldown) tuple; these flags only set the
-    // defaults a sparse lease falls back to.
-    flags.apply(&mut cfg.runner);
-
-    // Startup poison for partition tests that have no cooperating
-    // dispatcher: misbehave on the n-th accepted lease.
-    if let Ok(spec) = std::env::var(CHAOS_NET_ENV) {
-        cfg.chaos = Some(WorkerChaos::parse(&spec).ok_or_else(|| {
-            Failure::Fatal(format!(
-                "bad {CHAOS_NET_ENV} value '{spec}' (kill[:n] | stall[:n] | garble[:n])"
-            ))
-        })?);
-        eprintln!("worker: chaos poison armed from {CHAOS_NET_ENV}: {spec}");
-    }
-
-    let worker =
-        Worker::bind(cfg).map_err(|e| Failure::Fatal(format!("worker: cannot bind: {e}")))?;
-    let addr = worker
-        .local_addr()
-        .map_err(|e| Failure::Fatal(format!("worker: cannot read bound address: {e}")))?;
-    if let Some(path) = &ready_file {
-        write_file(path, &addr.to_string(), "ready file")?;
-    }
-    eprintln!("worker: listening on {addr}");
-
-    let factory = Arc::new(|code: &str| ExperimentId::parse(code).map(ExperimentId::spec));
-    let summary = worker
-        .run(factory)
-        .map_err(|e| Failure::Fatal(format!("worker: {e}")))?;
-    eprintln!(
-        "worker: drained — {} leases ({} completed, {} faulted)",
-        summary.leases, summary.completed, summary.faulted
-    );
-    Ok(0)
-}
-
 // --------------------------------------------------------------- list --
 
 fn cmd_list(args: Vec<String>) -> CmdResult {
@@ -1017,12 +933,16 @@ fn cmd_serve(args: Vec<String>) -> CmdResult {
     let counters = &summary.stats.metrics.counters;
     let n = |name: &str| counters.get(name).copied().unwrap_or(0);
     eprintln!(
-        "serve: drained — {} requests ({} hits, {} misses, {} shed, {} errors), {} cache entries",
+        "serve: drained — {} requests ({} hits, {} misses, {} shed, {} errors), \
+         {} leases ({} done, {} faulted), {} cache entries",
         n("serve.requests"),
         n("serve.cache_hit"),
         n("serve.cache_miss"),
         n("serve.shed"),
         n("serve.error"),
+        n("serve.leases"),
+        n("serve.lease_done"),
+        n("serve.lease_faulted"),
         summary.cache_entries
     );
     Ok(0)
@@ -1478,13 +1398,8 @@ Commands:
                                  partition the run across K supervised child
                                  processes (crash retry, heartbeats, graceful
                                  partial-result degradation); with --workers
-                                 the shards lease to remote worker daemons
-                                 over TCP instead of local children
-  worker [OPTIONS]               long-lived remote shard worker: accept shard
-                                 leases over line-delimited JSON on TCP,
-                                 execute them on the warm in-process pool,
-                                 heartbeat inline, answer with the canonical
-                                 per-shard artifact
+                                 the shards lease to `serve` daemons over TCP
+                                 instead of local children
   list                           print the experiment catalog (codes, families, titles)
   merge-metrics <PATH>... [--out <PATH>]
                                  merge telemetry snapshots (e.g. per-shard
@@ -1493,7 +1408,8 @@ Commands:
   serve [OPTIONS]                long-lived daemon: answer run requests over
                                  line-delimited JSON on TCP, from a
                                  content-addressed result cache (misses execute
-                                 on the warm in-process pool)
+                                 on the warm in-process pool), and run shard
+                                 leases for `dispatch --workers`
   query [OPTIONS] <ID> | --stats | --shutdown
                                  one request against a running daemon
   ramp [OPTIONS] [ID...]         closed-loop capacity search: drive a daemon
@@ -1550,8 +1466,10 @@ Dispatch options (shared options above plus the run options, minus --shards,
   --scratch <DIR>      artifact scratch directory (default under the temp dir)
   --keep-scratch       keep per-shard artifacts and child logs on success
   --workers <HOST:PORT[,HOST:PORT...]>
-                       lease shards to these remote worker daemons (in order;
-                       repeatable) instead of spawning local children; the
+                       lease shards to these `experiments serve` daemons (in
+                       order; repeatable) instead of spawning local children;
+                       each lease runs on the daemon's warm pool under its
+                       admission queue and heartbeats every 100 ms; the
                        merged canonical output stays byte-identical to the
                        in-process run, failed leases retry on the next
                        surviving worker with the same deterministic backoff
@@ -1565,20 +1483,9 @@ Dispatch options (shared options above plus the run options, minus --shards,
   --connect-timeout-ms <N>
                        TCP connect budget per lease attempt (default 5000)
 
-Worker options (plus the shared options above, which set the defaults a
-sparse lease falls back to — each lease overlays its own run tuple):
-  --addr <HOST:PORT>   listen address (default 127.0.0.1:0 — a free port;
-                       see --ready-file)
-  --heartbeat-ms <N>   inline heartbeat cadence while a lease executes
-                       (default 100)
-  --ready-file <PATH>  write the bound address here once listening
-  The HUMNET_CHAOS_NET env var (kill[:n] | stall[:n] | garble[:n]) arms a
-  startup poison that fires on the n-th accepted lease, for partition tests
-  without a cooperating dispatcher. The worker drains and exits when a
-  dispatcher sends a shutdown frame.
-
 Serve options (plus the shared options above, which set the daemon's
-per-request defaults):
+per-request defaults; a shard lease from `dispatch --workers` carries its
+own run tuple and is admitted like a cache miss):
   --addr <HOST:PORT>   listen address (default 127.0.0.1:7077; port 0 picks
                        a free port — see --ready-file)
   --cache-dir <DIR>    content-addressed result cache (default under the temp
@@ -1593,9 +1500,11 @@ per-request defaults):
                        files die at rehydrate and a background sweep evicts
                        live entries as they expire (counted in
                        `serve.evicted_stale`); 0 = keep forever (default 0)
-  --queue-depth <N>    pending-run queue; requests beyond it are answered
-                       `overloaded` instead of waiting (default 32)
-  --concurrency <N>    worker threads executing cache misses (default 2)
+  --queue-depth <N>    pending-run queue, shared by misses and leases; requests
+                       beyond it are answered `overloaded` instead of waiting
+                       (default 32)
+  --concurrency <N>    worker threads executing cache misses and shard leases
+                       (default 2)
   --handlers <N>       connection-handler threads; a persistent pipelined
                        client occupies one for its connection's lifetime
                        (default: concurrency + queue-depth + 2, min 16)

@@ -1,6 +1,6 @@
 //! Remote-dispatch contracts, driving the real `experiments` binary —
-//! a dispatcher plus genuine `experiments worker` daemons over loopback
-//! TCP:
+//! a dispatcher plus genuine `experiments serve` daemons (the shard
+//! workers) over loopback TCP:
 //!
 //! - A 2-worker `dispatch --workers` produces a merged canonical journal
 //!   byte-identical to the in-process 1-shard `run` of the same seed.
@@ -10,9 +10,9 @@
 //! - Dead worker addresses fail over to local child processes (and the
 //!   journal still matches); with `--no-failover --allow-partial` they
 //!   degrade to exit 3 with the lost experiments named.
-//! - A worker drains gracefully on a shutdown frame.
+//! - A daemon drains gracefully on a shutdown frame after serving leases.
 
-use humnet::resilience::Lease;
+use humnet::serve::Request;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -66,15 +66,19 @@ impl Drop for WorkerProc {
     }
 }
 
-/// Start `experiments worker` on a free port and wait for its ready file.
+/// Start `experiments serve` on a free port with its own cache dir and
+/// wait for its ready file.
 fn start_worker(dir: &Path, tag: &str) -> WorkerProc {
     let ready = dir.join(format!("worker-{tag}.ready"));
+    let cache = dir.join(format!("worker-{tag}-cache"));
     let _ = std::fs::remove_file(&ready);
     let child = Command::new(EXE)
         .args([
-            "worker",
+            "serve",
             "--addr",
             "127.0.0.1:0",
+            "--cache-dir",
+            cache.to_str().unwrap(),
             "--ready-file",
             ready.to_str().unwrap(),
         ])
@@ -103,7 +107,7 @@ fn start_worker(dir: &Path, tag: &str) -> WorkerProc {
 fn shutdown_worker(mut worker: WorkerProc) {
     let mut stream =
         TcpStream::connect(&worker.addr).expect("connect to worker for shutdown");
-    let line = Lease::shutdown().to_line().unwrap();
+    let line = Request::shutdown().to_line().unwrap();
     writeln!(stream, "{line}").unwrap();
     stream.flush().unwrap();
     // The ack proves the drain path answered before the process exits.
@@ -193,9 +197,8 @@ fn chaos_net_kill_mid_lease_retries_and_stays_byte_identical() {
         "a chaos-killed lease must still reproduce the 1-shard journal"
     );
 
-    // Worker 1 survived the whole run and still drains; worker 0's
-    // connection thread died with the chaos kill but its accept loop
-    // lives on, so it drains too.
+    // Worker 1 survived the whole run and still drains; worker 0 only
+    // closed the chaos-killed lease's connection, so it drains too.
     shutdown_worker(w0);
     shutdown_worker(w1);
     let _ = std::fs::remove_dir_all(&dir);
@@ -297,8 +300,8 @@ fn remote_cli_rejects_bad_arguments() {
             vec!["dispatch", "--procs", "2", "--workers", "h:1", "--connect-timeout-ms", "0"],
             "positive",
         ),
-        (vec!["worker", "stray"], "no positional arguments"),
-        (vec!["worker", "--heartbeat-ms", "0"], "positive"),
+        // `worker` is no subcommand, so the bare form reads it as an id.
+        (vec!["worker"], "unknown experiment id 'worker'"),
     ] {
         let out = run(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
