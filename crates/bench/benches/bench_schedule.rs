@@ -1,15 +1,16 @@
-//! Scheduling-policy costs: static contiguous slices vs the work-stealing
-//! queue, over a *skewed* job mix (a few expensive jobs clustered at the
-//! front of the spec list, as in the real experiment suite where the
-//! agenda run is ~10× the cheapest scenario) and over a uniform mix that
-//! prices pure steal overhead. Jobs block on short sleeps, so shard
-//! workers overlap even on a single-core runner and the wall-clock gap
-//! between schedules reflects load balance, not CPU parallelism.
-//! Baselines live in `BENCH_schedule.json` at the repo root.
+//! Scheduling costs of the one in-process schedule (workers claim the
+//! next experiment from a shared counter), over a *skewed* job mix (a few
+//! expensive jobs clustered at the front of the spec list, as in the real
+//! experiment suite where T1, F2, F7 and F10 cost tens of ms and the rest
+//! well under 1 ms) and over a uniform mix that prices the claim-and-fold
+//! machinery itself. Jobs block on short sleeps, so workers overlap even
+//! on a single-core runner and the wall-clock reflects load balance, not
+//! CPU parallelism. Baselines live in `BENCH_schedule.json` at the repo
+//! root.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use humnet_bench::schedule_specs::{skewed_specs, uniform_specs};
-use humnet_resilience::{RunnerConfig, Schedule, Supervisor};
+use humnet_resilience::{ExperimentSpec, RunnerConfig, Supervisor};
 use std::time::Duration;
 
 fn bench_config() -> RunnerConfig {
@@ -20,56 +21,37 @@ fn bench_config() -> RunnerConfig {
     }
 }
 
+fn run(specs: &[ExperimentSpec], workers: u32) -> usize {
+    let run = Supervisor::builder()
+        .config(bench_config())
+        .shards(workers)
+        .build()
+        .run(specs);
+    black_box(run.report.experiments.len())
+}
+
 /// Skewed mix: 4 heavy jobs (2 ms) at the head of the list, 12 light jobs
-/// (200 µs) behind them. A static plan pins all the heavy jobs onto the
-/// first shard(s); stealing redistributes them, so steal should win
-/// wall-clock from 2 workers up and the gap should widen with workers.
+/// (200 µs) behind them. Workers that finish a light job claim the next
+/// one, so the heavy jobs spread across workers and the wall-clock should
+/// fall as workers are added.
 fn bench_skewed(c: &mut Criterion) {
     let mut group = c.benchmark_group("schedule_skew");
     let specs = skewed_specs(4, 12);
-    let config = bench_config();
-    for schedule in [Schedule::Static, Schedule::Steal] {
-        for workers in [1u32, 2, 4, 8] {
-            group.bench_function(
-                format!("skew_16_jobs_{}_{}w", schedule.label(), workers),
-                |b| {
-                    b.iter(|| {
-                        let run = Supervisor::builder()
-                            .config(config)
-                            .shards(workers)
-                            .schedule(schedule)
-                            .build()
-                            .run(&specs);
-                        black_box(run.report.experiments.len())
-                    })
-                },
-            );
-        }
+    for workers in [1u32, 2, 4, 8] {
+        group.bench_function(format!("skew_16_jobs_{workers}w"), |b| {
+            b.iter(|| run(&specs, workers))
+        });
     }
     group.finish();
 }
 
-/// Uniform mix: 16 identical 200 µs jobs. Static and steal should be
-/// within noise of each other here — the difference prices the stealing
-/// machinery itself (queue locks, per-spec journals, the spec-order
-/// assembly) with no load imbalance to pay for it.
+/// Uniform mix: 16 identical 200 µs jobs — no imbalance to exploit, so
+/// this prices the shared counter, the per-worker snapshots and the
+/// spec-order assembly.
 fn bench_uniform(c: &mut Criterion) {
     let mut group = c.benchmark_group("schedule_uniform");
     let specs = uniform_specs(16);
-    let config = bench_config();
-    for schedule in [Schedule::Static, Schedule::Steal] {
-        group.bench_function(format!("uniform_16_jobs_{}_4w", schedule.label()), |b| {
-            b.iter(|| {
-                let run = Supervisor::builder()
-                    .config(config)
-                    .shards(4)
-                    .schedule(schedule)
-                    .build()
-                    .run(&specs);
-                black_box(run.report.experiments.len())
-            })
-        });
-    }
+    group.bench_function("uniform_16_jobs_4w", |b| b.iter(|| run(&specs, 4)));
     group.finish();
 }
 

@@ -1,16 +1,15 @@
-//! Sharded-run machinery costs: the pure merge path (folding N per-shard
+//! Sharded-run machinery costs: the pure merge path (folding N worker
 //! telemetry snapshots into a run-level view) and the full supervisor
 //! fan-out over cheap synthetic jobs at 1 / 2 / 4 / 8 shards. The merge
 //! bench prices the aggregation itself; the run benches price the
-//! per-shard-supervisor overhead that `--shards` adds on top of the work
-//! (pooled worker dispatch + watchdog deadlines since the scheduler
-//! runtime landed), which is what decides the break-even job size.
+//! per-worker overhead that `--shards` adds on top of the work (pooled
+//! worker dispatch, the shared claim counter and breaker, watchdog
+//! deadlines), which is what decides the break-even job size.
 //! Baselines live in `BENCH_shard.json` at the repo root.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use humnet_resilience::{
-    merge_runs, ExperimentSpec, FaultKind, FaultProfile, JobError, JobOutput, RunnerConfig,
-    Supervisor,
+    ExperimentSpec, FaultKind, FaultProfile, JobError, JobOutput, RunnerConfig, Supervisor,
 };
 use humnet_telemetry::{Event, Telemetry, TelemetrySnapshot};
 use std::time::Duration;
@@ -90,30 +89,5 @@ fn bench_sharded_run(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_merge_runs_path(c: &mut Criterion) {
-    let mut group = c.benchmark_group("shard_merge_runs");
-    let specs = synthetic_specs(32);
-    let config = RunnerConfig {
-        profile: FaultProfile::Chaos,
-        deadline: Duration::from_secs(10),
-        seed: 7,
-        ..RunnerConfig::default()
-    };
-    // Pre-run the shards once; the bench prices only the run-level fold.
-    let shard_runs: Vec<_> = (0..4u32)
-        .map(|k| {
-            let chunk: Vec<ExperimentSpec> = specs[(k as usize * 8)..((k as usize + 1) * 8)].to_vec();
-            Supervisor::builder().config(config).build().run_shard(&chunk, k, k as usize * 8)
-        })
-        .collect();
-    group.bench_function("merge_runs_4_shards_32_jobs", |b| {
-        b.iter(|| {
-            let merged = merge_runs(&config, shard_runs.clone());
-            black_box(merged.report.experiments.len())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_merge, bench_sharded_run, bench_merge_runs_path);
+criterion_group!(benches, bench_merge, bench_sharded_run);
 criterion_main!(benches);

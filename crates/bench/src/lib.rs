@@ -19,8 +19,9 @@ pub fn small_agenda(seed: u64) -> AgendaConfig {
 }
 
 /// Synthetic spec lists for the scheduling benches (`bench_schedule`):
-/// blocking-sleep jobs whose cost mix is controlled, so static-vs-steal
-/// wall-clock differences measure load balance rather than job content.
+/// blocking-sleep jobs whose cost mix is controlled, so wall-clock
+/// differences across worker counts measure load balance rather than job
+/// content.
 pub mod schedule_specs {
     use humnet_resilience::{ExperimentSpec, JobError, JobOutput};
     use std::thread;
@@ -40,7 +41,8 @@ pub mod schedule_specs {
 
     /// `heavy` 2 ms jobs followed by `light` 200 µs jobs — the skewed mix.
     /// Clustering the heavy jobs at the head is the adversarial case for a
-    /// contiguous static plan: they all land on the first shard(s).
+    /// contiguous partition, which would put them all on the first
+    /// shard(s).
     pub fn skewed_specs(heavy: usize, light: usize) -> Vec<ExperimentSpec> {
         let mut specs = Vec::with_capacity(heavy + light);
         for i in 0..heavy {
@@ -52,7 +54,7 @@ pub mod schedule_specs {
         specs
     }
 
-    /// `n` identical 200 µs jobs — no imbalance for stealing to exploit.
+    /// `n` identical 200 µs jobs — no imbalance to rebalance.
     pub fn uniform_specs(n: usize) -> Vec<ExperimentSpec> {
         (0..n)
             .map(|i| sleeping_spec(format!("uni{i}"), Duration::from_micros(200)))

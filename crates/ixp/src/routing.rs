@@ -35,7 +35,7 @@
 //! (`humnet_resilience::pool_execute`) and reassembles the returned row
 //! blocks in slice order, so the assembled table is byte-identical
 //! whatever the worker count — the same discipline the experiment
-//! runner's work-stealing schedule uses.
+//! runner's spec-order assembly uses.
 
 use crate::topology::{AsId, AsTopology, FrozenTopology, IxpId, NO_IXP};
 use crate::{IxpError, Result};

@@ -676,10 +676,11 @@ fn collect(paths: &ShardPaths) -> Result<ShardYield, AttemptFailure> {
 
 /// Fold the per-shard results into one run-level [`SupervisedRun`].
 ///
-/// Differences from the in-process [`crate::merge_runs`]: child processes
-/// already recorded their report metrics (`runner.experiments`, statuses,
-/// …) into their own snapshots — and counters over a partition sum to the
-/// run total — so the merge must *not* re-record them; and each child's
+/// Differences from the in-process fold in [`crate::Supervisor::run`]:
+/// child processes already recorded their report metrics
+/// (`runner.experiments`, statuses, …) into their own snapshots — and
+/// counters over a partition sum to the run total — so the merge must
+/// *not* re-record them; and each child's
 /// journal carries its own `run-start`/`run-end` pair plus 0-based spec
 /// indices, which the merge strips and re-bases before the canonical sort.
 /// Shared verbatim with [`crate::remote::dispatch_remote`] — a worker's

@@ -12,13 +12,13 @@
 //!    circuit breaker ([`breaker`]).
 //! 3. [`report`] — [`RunReport`]: per-experiment status rows with a
 //!    byte-reproducible canonical rendering and a process exit code.
-//! 4. [`shard`] — [`ShardPlan`] partitions a run across in-process worker
-//!    shards whose merged canonical output is byte-identical to the
-//!    1-shard run of the same seed.
-//! 5. [`schedule`] — how shards receive work: static contiguous slices
-//!    (the default) or a work-stealing queue ([`Schedule::Steal`]) that
-//!    rebalances skewed experiment costs while preserving the canonical
-//!    output, plus the process-wide watchdog timer both paths share.
+//! 4. [`shard`] — how a run fans out in process: K workers claim the
+//!    next experiment from one shared counter, and the run is assembled
+//!    in spec order, so its canonical output is byte-identical to the
+//!    1-shard run of the same seed. [`ShardPlan`] is the contiguous
+//!    partition the cross-process tiers below use.
+//! 5. [`schedule`] — the process-wide watchdog timer every attempt's
+//!    deadline is armed on.
 //! 6. [`replay`] — reconstruct a past run's configuration and fault
 //!    schedule from its captured journal, re-execute it, and diff the
 //!    canonical event streams.
@@ -44,6 +44,17 @@ pub mod backoff;
 /// never serves a stale artifact.
 pub fn code_rev() -> String {
     format!("{}+{}", env!("CARGO_PKG_VERSION"), env!("HUMNET_GIT_REV"))
+}
+
+/// The one way a supervised run hands out experiments: each worker
+/// claims the next unclaimed spec (see [`shard`]). This type has no
+/// effect; it survives only so the benchmark's
+/// `.schedule(Schedule::Static)` call in `humbench/src/suite.rs` builds.
+#[deprecated(note = "there is one schedule; drop the call (kept for humbench/src/suite.rs)")]
+#[derive(Debug, Clone, Copy)]
+pub enum Schedule {
+    /// The only schedule.
+    Static,
 }
 
 pub mod breaker;
@@ -78,5 +89,4 @@ pub use runner::{
     pool_execute, render_chain, ExperimentSpec, Job, JobError, JobOutput, PoolHandle,
     RunnerConfig, SupervisedRun, Supervisor, SupervisorBuilder,
 };
-pub use schedule::{run_stealing, Schedule};
-pub use shard::{merge_runs, run_sharded, ShardPlan, ShardPlanError};
+pub use shard::{ShardPlan, ShardPlanError};

@@ -14,8 +14,8 @@
 //!
 //! Because the canonical journal is shard-invariant (see [`crate::shard`]),
 //! a journal captured from a K-shard run replays on a single shard and
-//! still matches byte-for-byte. Captures from work-stealing runs (see
-//! [`crate::schedule`]) are handled by sorting both streams with
+//! still matches byte-for-byte. Captures written in completion order
+//! (e.g. raw per-worker journals) are handled by sorting both streams with
 //! [`spec_ordered`] before diffing: the events' spec-index stamps recover
 //! the deterministic spec order, so scheduling order can never register as
 //! a false divergence. Journals from runs that hit wall-clock timeouts are
@@ -151,8 +151,8 @@ impl std::error::Error for ReplayError {}
 /// only uses this schedule for reporting and [`RecordedFaults`].
 ///
 /// Events are first sorted with [`spec_ordered`], so a capture written in
-/// completion order (e.g. raw per-worker journals from a work-stealing
-/// run) reconstructs the same experiment order as the run's spec list.
+/// completion order (e.g. raw per-worker journals from a sharded run)
+/// reconstructs the same experiment order as the run's spec list.
 pub fn reconstruct(events: &[Event]) -> Result<ReplaySpec, ReplayError> {
     if events.is_empty() {
         return Err(ReplayError::EmptyJournal);
@@ -303,7 +303,7 @@ pub fn first_divergence(captured: &[String], replayed: &[String]) -> Option<Dive
 /// supervisor with the recovered configuration, and diff canonical event
 /// streams. The fault schedule regenerates identically because the plan is
 /// a pure function of the recovered seed. Both streams are sorted with
-/// [`spec_ordered`] before the diff, so a capture from a work-stealing run
+/// [`spec_ordered`] before the diff, so a capture in completion order
 /// is compared in spec order and scheduling order cannot surface as a
 /// false divergence.
 pub fn replay(

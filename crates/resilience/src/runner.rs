@@ -21,12 +21,11 @@ use crate::backoff::Backoff;
 use crate::breaker::CircuitBreaker;
 use crate::fault::{FaultPlan, FaultProfile};
 use crate::report::{ExperimentReport, ExperimentStatus, RunReport};
-use crate::schedule::{arm_deadline, run_stealing, Schedule};
-use crate::shard::run_sharded;
-use humnet_telemetry::{Event, Telemetry, TelemetrySnapshot};
+use crate::schedule::arm_deadline;
+use humnet_telemetry::{spec_order_in_place, Event, Telemetry, TelemetrySnapshot};
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -138,17 +137,14 @@ pub struct SupervisedRun {
 /// Executes [`ExperimentSpec`]s under panic isolation, deadlines, retries
 /// and a circuit breaker, producing a [`SupervisedRun`]. With
 /// [`SupervisorBuilder::shards`] above 1, [`Supervisor::run`] fans the
-/// specs out across shard threads and folds the per-shard results back
-/// into one run-level view (see [`crate::shard`]).
+/// specs out across worker threads that claim them one at a time and
+/// folds their results back into one run-level view (see [`crate::shard`]).
 pub struct Supervisor {
     config: RunnerConfig,
-    breaker: CircuitBreaker,
+    /// One breaker for the whole run, shared by every worker.
+    breaker: Arc<Mutex<CircuitBreaker>>,
     shards: u32,
-    schedule: Schedule,
     executor: ExecutorSlot,
-    /// Global spec index of this supervisor's first spec — 0 for whole
-    /// runs, the shard's range start when running one shard's slice.
-    spec_base: usize,
 }
 
 /// Fluent construction for [`Supervisor`] — the preferred alternative to
@@ -168,7 +164,6 @@ pub struct Supervisor {
 pub struct SupervisorBuilder {
     config: RunnerConfig,
     shards: u32,
-    schedule: Schedule,
 }
 
 impl Default for SupervisorBuilder {
@@ -176,7 +171,6 @@ impl Default for SupervisorBuilder {
         SupervisorBuilder {
             config: RunnerConfig::default(),
             shards: 1,
-            schedule: Schedule::Static,
         }
     }
 }
@@ -255,12 +249,13 @@ impl SupervisorBuilder {
         self
     }
 
-    /// How jobs map onto shard workers: [`Schedule::Static`] (contiguous
-    /// slices, the default) or [`Schedule::Steal`] (work-stealing — better
-    /// wall-clock under skewed job costs, same canonical output).
+    /// Ignored: there is one schedule. Kept only so the benchmark's
+    /// `.schedule(Schedule::Static)` call in `humbench/src/suite.rs`
+    /// still builds.
+    #[deprecated(note = "there is one schedule; drop the call (kept for humbench/src/suite.rs)")]
+    #[allow(deprecated)]
     #[must_use]
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
+    pub fn schedule(self, _schedule: crate::Schedule) -> Self {
         self
     }
 
@@ -272,16 +267,16 @@ impl SupervisorBuilder {
         self
     }
 
-    /// Finish: a [`Supervisor`] with a fresh (closed) breaker per shard.
+    /// Finish: a [`Supervisor`] with a fresh (closed) breaker.
     pub fn build(self) -> Supervisor {
         Supervisor {
-            breaker: CircuitBreaker::new(self.config.breaker_threshold)
-                .with_cooldown(self.config.breaker_cooldown),
+            breaker: Arc::new(Mutex::new(
+                CircuitBreaker::new(self.config.breaker_threshold)
+                    .with_cooldown(self.config.breaker_cooldown),
+            )),
             config: self.config,
             shards: self.shards,
-            schedule: self.schedule,
             executor: ExecutorSlot::default(),
-            spec_base: 0,
         }
     }
 }
@@ -477,7 +472,7 @@ impl AttemptExecutor {
 }
 
 /// Lazily-leased executor session, abandoned and re-leased on timeout.
-/// Each static supervisor and each steal-mode worker owns one, so attempt
+/// Each run worker owns one (worker 0 uses its supervisor's), so attempt
 /// execution costs a channel round-trip, not a thread spawn.
 #[derive(Default)]
 pub(crate) struct ExecutorSlot {
@@ -587,62 +582,22 @@ impl ExecutorSlot {
     }
 }
 
-/// Circuit-breaker access for [`run_spec`]: a static supervisor owns its
-/// breaker exclusively; steal-mode workers share one behind a mutex.
-pub(crate) enum BreakerRef<'a> {
-    /// Exclusive access (single-shard and static shard supervisors).
-    Own(&'a mut CircuitBreaker),
-    /// Shared across work-stealing workers.
-    Shared(&'a Mutex<CircuitBreaker>),
-}
-
-impl BreakerRef<'_> {
-    fn admit(&mut self, family: &str) -> crate::breaker::Admission {
-        match self {
-            BreakerRef::Own(breaker) => breaker.admit(family),
-            BreakerRef::Shared(breaker) => breaker
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .admit(family),
-        }
-    }
-
-    fn record_success(&mut self, family: &str) {
-        match self {
-            BreakerRef::Own(breaker) => breaker.record_success(family),
-            BreakerRef::Shared(breaker) => breaker
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record_success(family),
-        }
-    }
-
-    fn record_failure(&mut self, family: &str) -> bool {
-        match self {
-            BreakerRef::Own(breaker) => breaker.record_failure(family),
-            BreakerRef::Shared(breaker) => breaker
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record_failure(family),
-        }
-    }
-}
-
 /// Run one spec end to end — breaker gate, attempts with retry/backoff,
 /// status mapping, and every journal event — recording into `tel` and
-/// returning the report row plus the rendered output on success. This is
-/// the *one* per-spec execution path: the static supervisor and the
-/// work-stealing workers both call it, which is what makes their event
-/// streams identical line for line.
-pub(crate) fn run_spec(
+/// returning the report row plus the rendered output on success. Every
+/// worker of every run calls it, which is what makes the event stream of
+/// a spec identical line for line whichever worker claimed it.
+fn run_spec(
     config: &RunnerConfig,
-    breaker: &mut BreakerRef<'_>,
+    breaker: &Mutex<CircuitBreaker>,
     executor: &mut ExecutorSlot,
     spec: &ExperimentSpec,
     tel: &Telemetry,
 ) -> (ExperimentReport, Option<String>) {
     let started = Instant::now();
-    match breaker.admit(&spec.family) {
+    let lock = || breaker.lock().unwrap_or_else(|e| e.into_inner());
+    let admission = lock().admit(&spec.family);
+    match admission {
         crate::breaker::Admission::Closed => {}
         crate::breaker::Admission::Probe => {
             // Cooldown elapsed: this experiment runs as the half-open
@@ -699,7 +654,7 @@ pub(crate) fn run_spec(
         }
         match outcome {
             Attempt::Success(output) => {
-                breaker.record_success(&spec.family);
+                lock().record_success(&spec.family);
                 let status = if attempt > 0 {
                     ExperimentStatus::Retried
                 } else if output.faults_injected > 0 {
@@ -760,7 +715,7 @@ pub(crate) fn run_spec(
         }
     }
 
-    if breaker.record_failure(&spec.family) {
+    if lock().record_failure(&spec.family) {
         tel.counter("runner.breaker_trips", 1);
         tel.event(
             Event::new("breaker-open", format!("family '{}'", spec.family))
@@ -794,6 +749,41 @@ pub(crate) fn run_spec(
     )
 }
 
+/// What one worker ran: report rows tagged with their spec index, and
+/// the rendered output of every spec that completed.
+#[derive(Default)]
+struct Claimed {
+    rows: Vec<(usize, ExperimentReport)>,
+    outputs: BTreeMap<String, String>,
+}
+
+/// One worker's loop: claim the next unclaimed spec index from `next`,
+/// run that spec, stamp its events with the index, and repeat until the
+/// list is exhausted.
+fn run_claimed(
+    config: &RunnerConfig,
+    breaker: &Mutex<CircuitBreaker>,
+    executor: &mut ExecutorSlot,
+    specs: &[ExperimentSpec],
+    next: &AtomicUsize,
+    tel: &Telemetry,
+) -> Claimed {
+    let mut claimed = Claimed::default();
+    loop {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let Some(spec) = specs.get(index) else {
+            return claimed;
+        };
+        let mark = tel.event_count();
+        let (row, rendered) = run_spec(config, breaker, executor, spec, tel);
+        tel.stamp_spec_from(mark, index as u64);
+        if let Some(rendered) = rendered {
+            claimed.outputs.insert(spec.code.clone(), rendered);
+        }
+        claimed.rows.push((index, row));
+    }
+}
+
 impl Supervisor {
     /// Start building a supervisor fluently.
     pub fn builder() -> SupervisorBuilder {
@@ -810,96 +800,99 @@ impl Supervisor {
         self.shards
     }
 
-    /// How jobs map onto shard workers.
-    pub fn schedule(&self) -> Schedule {
-        self.schedule
-    }
-
-    /// Run every spec, never panicking, and aggregate a report. With more
-    /// than one shard configured, specs are fanned out across shard
-    /// workers — contiguous slices under [`Schedule::Static`], a shared
-    /// work-stealing queue under [`Schedule::Steal`] — and the per-worker
-    /// results are merged back into a single run-level view whose
-    /// canonical journal, report, and outputs match the 1-shard run.
+    /// Run every spec, never panicking, and aggregate a report. The run's
+    /// workers — one per shard, at most one per spec — each claim the next
+    /// unclaimed spec from a shared counter until none is left. Worker 0
+    /// runs on the calling thread and records straight into the run's
+    /// telemetry; the others run on pooled threads and their snapshots
+    /// are folded in afterwards. Rows and events are then put back in
+    /// spec order, so the canonical journal, report, and outputs match
+    /// the 1-shard run whichever worker ran what.
     pub fn run(&mut self, specs: &[ExperimentSpec]) -> SupervisedRun {
-        if self.schedule == Schedule::Steal {
-            return run_stealing(self.config, self.shards, specs);
-        }
-        if self.shards > 1 {
-            return run_sharded(self.config, self.shards, self.schedule, specs);
-        }
         let _quiet = self.config.quiet_panics.then(QuietPanics::install);
+        let sharded = self.shards > 1;
+        let workers = (self.shards as usize).min(specs.len()).max(1);
         let tel = Telemetry::new();
         tel.event(Event::new(
             "run-start",
             run_start_detail(&self.config, specs.len()),
         ));
-        let mut run = self.run_specs(specs, &tel);
-        run.report.record_metrics(&tel);
-        tel.event(Event::new("run-end", run.report.summary_line()));
-        run.telemetry = tel.into_snapshot();
-        run
-    }
-
-    /// Run one shard's slice of a larger run: no `run-start`/`run-end`
-    /// boundary events, no run-level report metrics (the merge records
-    /// those once over the merged report), and every journal event stamped
-    /// with `shard` plus its global spec index (`spec_base` is the slice's
-    /// offset into the full spec list). The caller is responsible for
-    /// installing the quiet panic hook once around all shards.
-    pub fn run_shard(
-        &mut self,
-        specs: &[ExperimentSpec],
-        shard: u32,
-        spec_base: usize,
-    ) -> SupervisedRun {
-        self.spec_base = spec_base;
-        let tel = Telemetry::new();
-        tel.counter(&format!("runner.shard.{shard}.experiments"), specs.len() as u64);
-        let mut run = self.run_specs(specs, &tel);
-        run.telemetry = tel.into_snapshot();
-        run.telemetry.stamp_shard(shard);
-        run
-    }
-
-    /// The shared per-spec loop behind [`Supervisor::run`] and
-    /// [`Supervisor::run_shard`]. Leaves `telemetry` empty; callers
-    /// snapshot `tel` after adding their own boundary events/metrics.
-    /// Every journal event an experiment produces is stamped with its
-    /// global spec index so merged journals can be re-sorted into spec
-    /// order regardless of the schedule that produced them.
-    fn run_specs(&mut self, specs: &[ExperimentSpec], tel: &Telemetry) -> SupervisedRun {
-        let mut run = SupervisedRun {
-            report: RunReport {
-                experiments: Vec::with_capacity(specs.len()),
-                profile: self.config.profile.label().to_owned(),
-                seed: self.config.seed,
-                code_rev: crate::code_rev(),
-            },
-            outputs: BTreeMap::new(),
-            telemetry: TelemetrySnapshot::default(),
+        let next = Arc::new(AtomicUsize::new(0));
+        let helpers: Vec<_> = if workers > 1 {
+            let shared: Arc<[ExperimentSpec]> = specs.into();
+            (1..workers)
+                .map(|w| {
+                    let config = self.config;
+                    let breaker = Arc::clone(&self.breaker);
+                    let next = Arc::clone(&next);
+                    let specs = Arc::clone(&shared);
+                    pool_execute(move || {
+                        let tel = Telemetry::new();
+                        let mut executor = ExecutorSlot::default();
+                        let claimed =
+                            run_claimed(&config, &breaker, &mut executor, &specs, &next, &tel);
+                        tel.counter(
+                            &format!("runner.shard.{w}.experiments"),
+                            claimed.rows.len() as u64,
+                        );
+                        let mut telemetry = tel.into_snapshot();
+                        telemetry.stamp_shard(w as u32);
+                        (claimed, telemetry)
+                    })
+                })
+                .collect()
+        } else {
+            Vec::new()
         };
-        for (i, spec) in specs.iter().enumerate() {
-            let mark = tel.event_count();
-            let row = self.run_one(spec, &mut run.outputs, tel);
-            tel.stamp_spec_from(mark, (self.spec_base + i) as u64);
-            run.report.experiments.push(row);
-        }
-        run
-    }
 
-    fn run_one(
-        &mut self,
-        spec: &ExperimentSpec,
-        outputs: &mut BTreeMap<String, String>,
-        tel: &Telemetry,
-    ) -> ExperimentReport {
-        let mut breaker = BreakerRef::Own(&mut self.breaker);
-        let (row, rendered) = run_spec(&self.config, &mut breaker, &mut self.executor, spec, tel);
-        if let Some(rendered) = rendered {
-            outputs.insert(spec.code.clone(), rendered);
+        let Claimed {
+            mut rows,
+            mut outputs,
+        } = run_claimed(
+            &self.config,
+            &self.breaker,
+            &mut self.executor,
+            specs,
+            &next,
+            &tel,
+        );
+        if sharded {
+            tel.counter("runner.shards", u64::from(self.shards));
+            tel.counter("runner.shard.0.experiments", rows.len() as u64);
         }
-        row
+        for helper in helpers {
+            let (claimed, telemetry) = helper
+                .join()
+                .unwrap_or_else(|payload| panic::resume_unwind(payload));
+            rows.extend(claimed.rows);
+            outputs.extend(claimed.outputs);
+            tel.absorb(telemetry, "");
+        }
+
+        rows.sort_unstable_by_key(|(index, _)| *index);
+        let report = RunReport {
+            experiments: rows.into_iter().map(|(_, row)| row).collect(),
+            profile: self.config.profile.label().to_owned(),
+            seed: self.config.seed,
+            code_rev: crate::code_rev(),
+        };
+        report.record_metrics(&tel);
+        tel.event(Event::new("run-end", report.summary_line()));
+        let mut telemetry = tel.into_snapshot();
+        if sharded {
+            // Worker 0 recorded unstamped; every spec event names its worker.
+            for event in &mut telemetry.events {
+                if event.spec.is_some() {
+                    event.shard.get_or_insert(0);
+                }
+            }
+        }
+        spec_order_in_place(&mut telemetry.events);
+        SupervisedRun {
+            report,
+            outputs,
+            telemetry,
+        }
     }
 }
 

@@ -1,35 +1,34 @@
 //! Sharded supervised runs.
 //!
-//! A [`ShardPlan`] partitions the experiment list into contiguous,
-//! balanced slices, one per shard. Each shard runs on its own thread with
-//! its own [`Supervisor`] (and therefore its own circuit breaker), and
-//! [`merge_runs`] folds the per-shard [`SupervisedRun`]s back into a
-//! single run-level view: counters add, histograms merge bucket-wise,
-//! spans merge by name, and per-shard journals concatenate in
-//! `(shard, seq)` order.
+//! With `shards(K)` above 1, [`Supervisor::run`](crate::Supervisor::run)
+//! starts `min(K, n)` workers over one shared counter: each worker takes
+//! `next.fetch_add(1)`, runs that spec, and comes back for another until
+//! the list is exhausted. A worker never holds more than the spec it is
+//! running, so one slow experiment delays only its own worker while the
+//! others drain the rest. Worker 0 runs on the calling thread; the others
+//! run on pooled threads, and all of them share one circuit breaker.
 //!
 //! ## Shard invariance
 //!
 //! Every per-experiment decision — the fault plan seed, the retry jitter
 //! stream — is derived from `(config seed, experiment code, attempt)`
-//! alone, and shards receive *contiguous* slices in the original spec
-//! order, so the merged canonical journal, canonical report, and rendered
-//! outputs of a K-shard run are byte-identical to the 1-shard run of the
-//! same seed. What is **not** shard-invariant: the `runner.shard.<k>.*`
-//! metrics (they describe the shard layout itself), the `shard` field on
-//! journal events (excluded from the canonical form), wall-clock
-//! durations, and circuit-breaker behavior when a family keeps failing —
-//! breakers are per-shard, so failures spread across shards may trip
-//! later (or never) compared to a single-shard run.
+//! alone, and every journal event a spec produces is stamped with the
+//! spec's index. The run is assembled in spec order: report rows sorted
+//! by index, outputs unioned by code, and the journal stably sorted by
+//! spec index (within a spec, events keep the order they were recorded
+//! in, because one worker ran it start to finish). So the canonical
+//! journal, canonical report, and rendered outputs of a K-worker run are
+//! byte-identical to the 1-shard run of the same seed, whichever worker
+//! claimed which spec. What is **not** shard-invariant: the
+//! `runner.shard.<w>.*` metrics (they count what worker `w` claimed),
+//! the `shard` field on journal events (the worker index, excluded from
+//! the canonical form), wall-clock durations, and circuit-breaker
+//! behavior when a family keeps failing — the breaker is shared, so which
+//! failure trips it depends on completion order.
+//!
+//! [`ShardPlan`] is the contiguous partition the cross-process
+//! [`crate::dispatch`] and [`crate::remote`] tiers hand their shards.
 
-use crate::report::RunReport;
-use crate::runner::{
-    pool_execute, run_start_detail, ExperimentSpec, QuietPanics, RunnerConfig, SupervisedRun,
-    Supervisor,
-};
-use crate::schedule::{run_stealing, Schedule};
-use humnet_telemetry::{spec_order_in_place, Event, Telemetry};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
@@ -109,95 +108,12 @@ impl ShardPlan {
     }
 }
 
-/// Fan `specs` out across `shards` workers under the given schedule.
-/// [`Schedule::Steal`] delegates to [`run_stealing`]; [`Schedule::Static`]
-/// runs each contiguous slice on a pooled worker thread with its own
-/// [`Supervisor`], then folds the per-shard runs with [`merge_runs`]. The
-/// quiet panic hook is installed once here (it filters by worker-thread
-/// name, so it covers every shard's workers); shard supervisors must not
-/// reinstall it or the global hook lock would serialize the shards.
-pub fn run_sharded(
-    config: RunnerConfig,
-    shards: u32,
-    schedule: Schedule,
-    specs: &[ExperimentSpec],
-) -> SupervisedRun {
-    if schedule == Schedule::Steal {
-        return run_stealing(config, shards, specs);
-    }
-    let _quiet = config.quiet_panics.then(QuietPanics::install);
-    let plan = ShardPlan::new(shards);
-    let mut ranges = plan.ranges(specs.len()).into_iter().enumerate();
-    // Shard 0 runs inline on the calling thread — it would only block on
-    // joins otherwise, and skipping one dispatch/join round trip matters
-    // on small chunks.
-    let first = ranges.next();
-    let handles: Vec<_> = ranges
-        .map(|(k, range)| {
-            let base = range.start;
-            let chunk = specs[range].to_vec();
-            pool_execute(move || {
-                Supervisor::builder().config(config).build().run_shard(&chunk, k as u32, base)
-            })
-        })
-        .collect();
-    let mut shard_runs: Vec<SupervisedRun> = Vec::with_capacity(plan.shards() as usize);
-    if let Some((k, range)) = first {
-        let base = range.start;
-        let mut supervisor = Supervisor::builder().config(config).build();
-        shard_runs.push(supervisor.run_shard(&specs[range], k as u32, base));
-    }
-    shard_runs.extend(
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard supervisor never panics")),
-    );
-    merge_runs(&config, shard_runs)
-}
-
-/// Fold per-shard [`SupervisedRun`]s (in shard order) into one run-level
-/// run: reports concatenate, outputs union, telemetry merges through the
-/// associative `TelemetrySnapshot::merge`, and the run-level
-/// `run-start`/`run-end` boundary events plus report metrics are recorded
-/// exactly once. The merged journal is canonicalized with
-/// [`spec_order_in_place`] — a stable `(spec index, seq)` sort that's a
-/// free sweep when the input is already ordered — so the result matches
-/// what a single supervisor over the concatenated specs would have
-/// produced even when the shards completed their slices in an arbitrary
-/// order.
-pub fn merge_runs(config: &RunnerConfig, shard_runs: Vec<SupervisedRun>) -> SupervisedRun {
-    let total: usize = shard_runs.iter().map(|r| r.report.experiments.len()).sum();
-    let tel = Telemetry::new();
-    tel.event(Event::new("run-start", run_start_detail(config, total)));
-    tel.counter("runner.shards", shard_runs.len() as u64);
-    let mut report = RunReport {
-        experiments: Vec::with_capacity(total),
-        profile: config.profile.label().to_owned(),
-        seed: config.seed,
-        code_rev: crate::code_rev(),
-    };
-    let mut outputs = BTreeMap::new();
-    for run in shard_runs {
-        report.absorb(run.report);
-        outputs.extend(run.outputs);
-        tel.absorb(run.telemetry, "");
-    }
-    report.record_metrics(&tel);
-    tel.event(Event::new("run-end", report.summary_line()));
-    let mut telemetry = tel.into_snapshot();
-    spec_order_in_place(&mut telemetry.events);
-    SupervisedRun {
-        report,
-        outputs,
-        telemetry,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultProfile;
-    use crate::runner::{JobError, JobOutput};
+    use crate::runner::{ExperimentSpec, JobError, JobOutput, RunnerConfig, Supervisor};
+    use humnet_telemetry::Event;
     use std::time::Duration;
 
     #[test]
@@ -273,28 +189,30 @@ mod tests {
             sharded.telemetry.metrics.counters["job.calls"]
         );
         assert_eq!(sharded.telemetry.metrics.counters["runner.shards"], 4);
-        assert_eq!(sharded.telemetry.metrics.counters["runner.shard.0.experiments"], 3);
+        let claimed: u64 = (0..4)
+            .map(|w| sharded.telemetry.metrics.counters[&format!("runner.shard.{w}.experiments")])
+            .sum();
+        assert_eq!(claimed, 9, "every spec is claimed by exactly one worker");
         assert!(!single.telemetry.metrics.counters.contains_key("runner.shards"));
     }
 
     #[test]
-    fn sharded_events_carry_shard_ids_in_plan_order() {
+    fn sharded_events_carry_worker_ids() {
         let specs: Vec<ExperimentSpec> =
             (0..6).map(|i| counting_spec(&format!("e{i}"))).collect();
         let run = Supervisor::builder().config(config()).shards(3).build().run(&specs);
-        // run-start / run-end are merge-level (no shard); everything else
-        // is stamped, and shard ids are nondecreasing through the journal.
-        assert_eq!(run.telemetry.events.first().unwrap().shard, None);
-        assert_eq!(run.telemetry.events.last().unwrap().shard, None);
-        let shards: Vec<u32> = run
-            .telemetry
-            .events
-            .iter()
-            .filter_map(|e| e.shard)
-            .collect();
-        assert!(!shards.is_empty());
-        assert!(shards.windows(2).all(|w| w[0] <= w[1]), "{shards:?}");
-        assert_eq!(shards.iter().copied().max(), Some(2));
+        // run-start / run-end are run-level (no shard); every other event
+        // names the worker that ran its spec.
+        let events = &run.telemetry.events;
+        assert_eq!(events.first().unwrap().shard, None);
+        assert_eq!(events.last().unwrap().shard, None);
+        let body = &events[1..events.len() - 1];
+        assert!(!body.is_empty());
+        assert!(
+            body.iter().all(|e| e.shard.is_some_and(|w| w < 3)),
+            "{:?}",
+            body.iter().map(|e| e.shard).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -304,13 +222,5 @@ mod tests {
         assert_eq!(run.report.experiments.len(), 1);
         assert_eq!(run.report.exit_code(), 0);
         assert_eq!(run.telemetry.metrics.counters["runner.shards"], 8);
-    }
-
-    #[test]
-    fn merge_runs_of_empty_input_is_a_valid_empty_run() {
-        let merged = merge_runs(&config(), Vec::new());
-        assert!(merged.report.experiments.is_empty());
-        assert_eq!(merged.telemetry.events.first().unwrap().kind, "run-start");
-        assert_eq!(merged.telemetry.events.last().unwrap().kind, "run-end");
     }
 }

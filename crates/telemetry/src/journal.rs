@@ -28,8 +28,8 @@ pub struct Event {
     /// experiment this event belongs to (`None` for run-level events).
     /// Like `shard`, it records provenance and is excluded from
     /// [`Event::canonical`]; unlike `shard`, it is also an *ordering key*:
-    /// [`spec_ordered`] sorts a journal produced under dynamic (work-
-    /// stealing) scheduling back into the deterministic spec order.
+    /// [`spec_ordered`] sorts a journal whose specs completed in any
+    /// order back into the deterministic spec order.
     pub spec: Option<u64>,
     /// Event kind: `fault`, `retry`, `breaker-open`, `breaker-skip`,
     /// `milestone`, `experiment-start`, `experiment-end`, `run-start`,
@@ -181,10 +181,10 @@ fn order_class(event: &Event) -> u8 {
 /// (events without one keep their relative position at the end of the
 /// body). Within one spec, the original `seq` order is preserved — the
 /// sort is stable and per-spec events are recorded sequentially — so a
-/// journal produced under work-stealing scheduling sorts back into the
-/// exact event stream a static 1-shard run emits. `seq` is reassigned
+/// journal from a K-worker run sorts back into the exact event stream a
+/// 1-shard run emits. `seq` is reassigned
 /// densely after the sort. A no-op on journals that are already in spec
-/// order (static runs) and on pre-spec journals (every key is `None`).
+/// order (1-shard runs) and on pre-spec journals (every key is `None`).
 pub fn spec_ordered(events: &[Event]) -> Vec<Event> {
     let mut sorted: Vec<Event> = events.to_vec();
     sorted.sort_by_key(|e| (order_class(e), e.spec.unwrap_or(u64::MAX)));
@@ -195,9 +195,9 @@ pub fn spec_ordered(events: &[Event]) -> Vec<Event> {
 }
 
 /// In-place variant of [`spec_ordered`] for hot merge paths: when the
-/// events are already in spec order — every static-schedule merge, since
-/// shards hold contiguous slices — this is a single comparison sweep with
-/// no allocation or copying. Only an actually out-of-order journal pays
+/// events are already in spec order — every 1-worker run, and any run
+/// whose workers happened to finish in claim order — this is a single
+/// comparison sweep with no allocation or copying. Only an actually out-of-order journal pays
 /// for the stable sort and the dense `seq` reassignment.
 pub fn spec_order_in_place(events: &mut [Event]) {
     let key = |e: &Event| (order_class(e), e.spec.unwrap_or(u64::MAX));
@@ -327,7 +327,7 @@ mod tests {
 
     #[test]
     fn spec_ordered_restores_spec_order_and_reseqs() {
-        // Completion order 1, 0 (as a work-stealing run might produce),
+        // Completion order 1, 0 (as a K-worker run might produce),
         // bracketed by run-start / run-end.
         let mut j = Journal::default();
         j.record(Event::new("run-start", "seed=1"));

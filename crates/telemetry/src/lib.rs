@@ -307,26 +307,14 @@ impl TelemetrySnapshot {
     }
 
     /// Stamp every event that does not already carry a shard id with
-    /// `shard`. The sharded supervisor calls this on each per-shard
-    /// snapshot before the run-level merge, so a merged journal records
-    /// which shard produced every line without disturbing the canonical
+    /// `shard`. The sharded supervisor calls this on each worker's
+    /// snapshot before the run-level fold, so a merged journal records
+    /// which worker produced every line without disturbing the canonical
     /// (shard-invariant) form.
     pub fn stamp_shard(&mut self, shard: u32) {
         for event in &mut self.events {
             if event.shard.is_none() {
                 event.shard = Some(shard);
-            }
-        }
-    }
-
-    /// Stamp every event that does not already carry a spec index with
-    /// `spec`. Work-stealing workers call this on each per-spec snapshot
-    /// so the merged journal can be sorted back into spec order (see
-    /// [`journal::spec_ordered`]).
-    pub fn stamp_spec(&mut self, spec: u64) {
-        for event in &mut self.events {
-            if event.spec.is_none() {
-                event.spec = Some(spec);
             }
         }
     }

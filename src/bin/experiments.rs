@@ -8,7 +8,6 @@
 //! cargo run --release --bin experiments -- run                # run everything
 //! cargo run --release --bin experiments -- run f3 t1          # run a subset
 //! cargo run --release --bin experiments -- run --fault-profile chaos --shards 4
-//! cargo run --release --bin experiments -- run --shards 4 --schedule steal
 //! cargo run --release --bin experiments -- run --metrics-out m.json --journal-out j.jsonl
 //! cargo run --release --bin experiments -- dispatch --procs 4  # child processes
 //! cargo run --release --bin experiments -- dispatch --procs 4 --chaos-proc kill:2
@@ -24,13 +23,14 @@
 //!
 //! Every experiment executes on a watchdogged worker thread with panic
 //! isolation, bounded retries and a per-family circuit breaker. With
-//! `--shards N` the experiment list is partitioned across N in-process
-//! shards whose merged canonical journal and report are byte-identical to
-//! the single-shard run of the same seed. `dispatch --procs K` lifts the
-//! same partition to K supervised *child processes* (the binary re-invokes
-//! itself per shard): children heartbeat, crashed or hung shards are
-//! killed and retried with deterministic backoff, `--allow-partial`
-//! degrades gracefully when a shard stays dead, and the merged canonical
+//! `--shards N`, N in-process workers each claim the next experiment until
+//! none is left, and the merged canonical journal and report are
+//! byte-identical to the single-shard run of the same seed. `dispatch
+//! --procs K` splits the list into K contiguous slices run by supervised
+//! *child processes* (the binary re-invokes itself per shard): children
+//! heartbeat, crashed or hung shards are killed and retried with
+//! deterministic backoff, `--allow-partial` degrades gracefully when a
+//! shard stays dead, and the merged canonical
 //! output remains byte-identical to the in-process run; with `--workers`
 //! the shards are leased to `serve` daemons over TCP instead. `replay`
 //! reconstructs a past run's configuration and fault schedule from its
@@ -53,7 +53,7 @@
 use humnet::core::experiments::ExperimentId;
 use humnet::resilience::{
     dispatch, dispatch_remote, replay, ChaosNet, ChaosProc, DispatchConfig, DispatchOutcome,
-    ExperimentSpec, FaultProfile, RemoteOptions, RunArtifact, RunnerConfig, Schedule, ShardPlan,
+    ExperimentSpec, FaultProfile, RemoteOptions, RunArtifact, RunnerConfig, ShardPlan,
     ShardSpec, Supervisor, CHAOS_ENV, CHAOS_KILL_CODE,
 };
 use humnet::serve::{
@@ -229,7 +229,6 @@ impl RunFlags {
 struct RunCli {
     config: RunnerConfig,
     shards: u32,
-    schedule: Schedule,
     ids: Vec<ExperimentId>,
     report_only: bool,
     metrics_out: Option<String>,
@@ -284,7 +283,6 @@ fn cmd_run(args: Vec<String>) -> CmdResult {
     let run = Supervisor::builder()
         .config(cli.config)
         .shards(cli.shards)
-        .schedule(cli.schedule)
         .build()
         .run(&specs);
 
@@ -346,7 +344,6 @@ fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunCli>, 
     let mut cli = RunCli {
         config: RunnerConfig::default(),
         shards: 1,
-        schedule: Schedule::Static,
         ids: Vec::new(),
         report_only: false,
         metrics_out: None,
@@ -378,12 +375,6 @@ fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunCli>, 
                     return Err(Failure::Usage("--shards must be positive".to_owned()));
                 }
                 cli.shards = n;
-            }
-            "--schedule" => {
-                let v = value("--schedule")?;
-                cli.schedule = Schedule::parse(&v).ok_or_else(|| {
-                    Failure::Usage(format!("unknown schedule '{v}' (static|steal)"))
-                })?;
             }
             "--report-only" => cli.report_only = true,
             "--metrics-out" => cli.metrics_out = Some(value("--metrics-out")?),
@@ -1433,12 +1424,9 @@ one validation path; each command overlays them on its own defaults):
                        not part of the wire protocol, so query ignores it)
 
 Run options (plus the shared options above):
-  --shards <N>         partition the run across N in-process shards; the
-                       merged canonical output is shard-invariant (default 1)
-  --schedule <static|steal>
-                       how shards receive work: fixed contiguous slices, or
-                       a work-stealing queue that rebalances skewed costs;
-                       the canonical output is identical (default static)
+  --shards <N>         run on N in-process workers, each claiming the next
+                       experiment until none is left; the merged canonical
+                       output is shard-invariant (default 1)
   --report-only        print only the final run report
   --metrics-out <PATH> write the telemetry snapshot (metrics + spans) as JSON
   --journal-out <PATH> write the structured event journal as JSONL
@@ -1450,7 +1438,7 @@ Run options (plus the shared options above):
   --help               show this help
 
 Dispatch options (shared options above plus the run options, minus --shards,
---schedule, --report-out and --heartbeat, which dispatch manages itself):
+--report-out and --heartbeat, which dispatch manages itself):
   --procs <K>          number of child processes (required); the merged
                        canonical output is byte-identical to the in-process
                        1-shard run of the same seed

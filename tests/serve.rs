@@ -7,6 +7,8 @@
 //!   (query exit code 3) instead of hanging, and serves again once
 //!   drained.
 //! - SIGTERM drains the daemon gracefully (exit 0).
+//! - A deeply nested request line is answered with one `error` line, and
+//!   the daemon keeps serving.
 
 use humnet::serve::{Request, ServeClient};
 use humnet::telemetry::TelemetrySnapshot;
@@ -253,5 +255,31 @@ fn sigterm_drains_the_daemon_gracefully() {
     assert_eq!(hit.status, "hit", "{hit:?}");
     assert_eq!(hit.artifact, miss.artifact);
     shutdown(daemon2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_deeply_nested_request_line_is_refused_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = scratch("nesting");
+    let daemon = start_daemon(&dir, &[]);
+
+    // 200k `[`s fit under the request-size cap; a parser recursing once
+    // per level would overflow the handler's stack and abort the daemon.
+    let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connect");
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let mut line = "[".repeat(200_000);
+    line.push('\n');
+    stream.write_all(line.as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).expect("one reply line");
+    assert!(reply.contains(r#""status":"error""#), "{reply}");
+    assert!(reply.contains("nesting deeper than 128"), "{reply}");
+    drop(stream);
+
+    // A new connection is still answered.
+    let counters = counters(&daemon.addr);
+    assert!(counters["serve.error"] >= 1, "{counters:?}");
+    shutdown(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
