@@ -134,7 +134,43 @@ impl AgendaSim {
     /// the `agenda.step_ns` histogram.
     pub fn step(&mut self, hook: &mut dyn FaultHook, tel: &Telemetry) {
         let t0 = tel.start();
+        let (active, feedback_scale) = self.round_faults(hook);
+        // Under the Mixed regime, each researcher-round flips between
+        // methods (a population half of whom work each way), so both
+        // methods' weights are kept.
         let regime = self.config.regime;
+        let methods: &[MethodRegime] = match regime {
+            MethodRegime::Mixed => &[MethodRegime::DataDriven, MethodRegime::Par],
+            _ => std::slice::from_ref(&regime),
+        };
+        // A weight is a pure function of its problem's state, and only a
+        // publication changes that state: build each method's weights once
+        // per round and refresh the one entry a publication touches. They
+        // are rebuilt every round because `space` is public.
+        let mut weights: Vec<Vec<f64>> = methods.iter().map(|&m| self.weights(m)).collect();
+        for _ in 0..active {
+            // The Mixed flip is the only extra draw: heads works
+            // data-driven (slot 0), tails participatory (slot 1).
+            let slot = match regime {
+                MethodRegime::Mixed if !self.rng.chance(0.5) => 1,
+                _ => 0,
+            };
+            let pick = self.rng.choose_weighted(&weights[slot]);
+            if self.rng.chance(methods[slot].throughput()) {
+                self.publish(pick, feedback_scale);
+                let p = &self.space.problems[pick];
+                for (m, w) in methods.iter().zip(&mut weights) {
+                    w[pick] = m.discovery_weight(p);
+                }
+            }
+        }
+        self.close_round();
+        tel.observe_since("agenda.step_ns", t0);
+    }
+
+    /// Ask the hook about this round's faults: the number of active
+    /// researchers and the scale applied to publication feedback.
+    fn round_faults(&self, hook: &mut dyn FaultHook) -> (usize, f64) {
         let step = u64::from(self.round);
         // Reviewer no-shows thin this round's researcher pool.
         let active = match hook.inject(step, FaultKind::ReviewerNoShow) {
@@ -150,36 +186,31 @@ impl AgendaSim {
             Some(severity) => 1.0 - severity,
             None => 1.0,
         };
-        for _ in 0..active {
-            // Under the Mixed regime, each researcher-round flips between
-            // methods (a population half of whom work each way).
-            let effective = if regime == MethodRegime::Mixed {
-                if self.rng.chance(0.5) {
-                    MethodRegime::DataDriven
-                } else {
-                    MethodRegime::Par
-                }
-            } else {
-                regime
-            };
-            let weights: Vec<f64> = self
-                .space
-                .problems
-                .iter()
-                .map(|p| effective.discovery_weight(p))
-                .collect();
-            let pick = self.rng.choose_weighted(&weights);
-            if self.rng.chance(effective.throughput()) {
-                let p = &mut self.space.problems[pick];
-                if p.surfaced_round.is_none() {
-                    p.surfaced_round = Some(self.round);
-                }
-                p.publications += 1;
-                p.funding = (p.funding + self.config.funding_feedback * feedback_scale).min(1.0);
-                p.visibility =
-                    (p.visibility + self.config.visibility_feedback * feedback_scale).min(1.0);
-            }
+        (active, feedback_scale)
+    }
+
+    /// Every problem's discovery weight under `method`, in space order.
+    fn weights(&self, method: MethodRegime) -> Vec<f64> {
+        self.space
+            .problems
+            .iter()
+            .map(|p| method.discovery_weight(p))
+            .collect()
+    }
+
+    /// Record a publication on problem `pick`.
+    fn publish(&mut self, pick: usize, feedback_scale: f64) {
+        let p = &mut self.space.problems[pick];
+        if p.surfaced_round.is_none() {
+            p.surfaced_round = Some(self.round);
         }
+        p.publications += 1;
+        p.funding = (p.funding + self.config.funding_feedback * feedback_scale).min(1.0);
+        p.visibility = (p.visibility + self.config.visibility_feedback * feedback_scale).min(1.0);
+    }
+
+    /// Snapshot the round into the history and advance the round counter.
+    fn close_round(&mut self) {
         let surfaced = self
             .space
             .problems
@@ -205,7 +236,6 @@ impl AgendaSim {
             publications,
         });
         self.round += 1;
-        tel.observe_since("agenda.step_ns", t0);
     }
 
     /// The recorded history.
@@ -374,6 +404,59 @@ mod tests {
             .run(&mut PlanHook::new(FaultPlan::none()), &Telemetry::disabled())
             .unwrap();
         assert_eq!(plain.history(), hooked.history());
+    }
+
+    /// The round as it reads without the weight cache: every researcher
+    /// rebuilds the full weight vector before drawing.
+    fn reference_step(sim: &mut AgendaSim, hook: &mut dyn FaultHook) {
+        let (active, feedback_scale) = sim.round_faults(hook);
+        for _ in 0..active {
+            let effective = if sim.config.regime == MethodRegime::Mixed {
+                if sim.rng.chance(0.5) {
+                    MethodRegime::DataDriven
+                } else {
+                    MethodRegime::Par
+                }
+            } else {
+                sim.config.regime
+            };
+            let weights = sim.weights(effective);
+            let pick = sim.rng.choose_weighted(&weights);
+            if sim.rng.chance(effective.throughput()) {
+                sim.publish(pick, feedback_scale);
+            }
+        }
+        sim.close_round();
+    }
+
+    #[test]
+    fn cached_weights_match_per_researcher_rebuild() {
+        use humnet_resilience::{FaultPlan, FaultProfile, PlanHook};
+        let off = Telemetry::disabled();
+        for regime in MethodRegime::ALL {
+            for seed in [1, 7, 42] {
+                let mut cfg = AgendaConfig::default();
+                cfg.regime = regime;
+                cfg.seed = seed;
+                let hooks = || -> [Box<dyn FaultHook>; 2] {
+                    [
+                        Box::new(NoFaults),
+                        Box::new(PlanHook::new(FaultPlan::new(FaultProfile::Chaos, seed))),
+                    ]
+                };
+                for (mut fast_hook, mut ref_hook) in hooks().into_iter().zip(hooks()) {
+                    let mut fast = AgendaSim::new(cfg.clone()).unwrap();
+                    fast.run(fast_hook.as_mut(), &off).unwrap();
+                    let mut reference = AgendaSim::new(cfg.clone()).unwrap();
+                    for _ in 0..cfg.rounds {
+                        reference_step(&mut reference, ref_hook.as_mut());
+                    }
+                    assert_eq!(fast.history(), reference.history(), "{regime:?} seed {seed}");
+                    assert_eq!(fast.space, reference.space, "{regime:?} seed {seed}");
+                    assert_eq!(fast_hook.faults_injected(), ref_hook.faults_injected());
+                }
+            }
+        }
     }
 
     #[test]

@@ -309,10 +309,10 @@ pub fn f4_gravity(
 /// run is sized so the full suite stays fast; the scale-smoke CI job and
 /// `bench_substrates` exercise 10k/100k), samples a gravity traffic
 /// matrix, computes routes **only toward the sampled destinations** on
-/// the frozen SoA engine, and cross-checks that 8-worker parallel compute
-/// is byte-identical to serial (digest equality) before reporting
-/// locality metrics. There is no fault surface: the computation either
-/// reproduces the serial bytes or errors.
+/// the frozen SoA engine with 8 workers, and reports locality metrics.
+/// The worker count never changes the table (`tests/determinism.rs`
+/// pins it at 1, 2 and 8 workers). There is no fault surface: the
+/// computation either reproduces the same bytes or errors.
 pub fn f10_scale(seed: u64, tel: &Telemetry) -> Result<Table> {
     let _span = tel.span("ixp.internet");
     let n = 2_000;
@@ -323,13 +323,9 @@ pub fn f10_scale(seed: u64, tel: &Telemetry) -> Result<Table> {
         .map_err(upstream("sampled gravity"))?;
     let dests = matrix.destinations();
     let t0 = tel.start();
-    let serial = RoutingTable::compute_frozen(&ft, &dests, 1).map_err(upstream("routing"))?;
-    let parallel = RoutingTable::compute_frozen(&ft, &dests, 8).map_err(upstream("routing"))?;
+    let routes = RoutingTable::compute_frozen(&ft, &dests, 8).map_err(upstream("routing"))?;
     tel.observe_since("ixp.route_assign_ns", t0);
-    if parallel.digest() != serial.digest() {
-        return Err(core_err("parallel routing diverged from serial compute"));
-    }
-    let (flows, unserved) = matrix.assign(&serial);
+    let (flows, unserved) = matrix.assign(&routes);
     let total_volume: f64 = flows.iter().map(|f| f.volume).sum();
     let mean_hops = if flows.is_empty() {
         0.0
@@ -360,8 +356,8 @@ pub fn f10_scale(seed: u64, tel: &Telemetry) -> Result<Table> {
     );
     table.row(&["ASes".into(), n.to_string()]);
     table.row(&["sampled demands".into(), pairs.to_string()]);
-    table.row(&["destinations computed".into(), serial.destinations().len().to_string()]);
-    table.row(&["route digest".into(), format!("{:016x}", serial.digest())]);
+    table.row(&["destinations computed".into(), routes.destinations().len().to_string()]);
+    table.row(&["route digest".into(), format!("{:016x}", routes.digest())]);
     table.row(&["flows served".into(), flows.len().to_string()]);
     table.row(&["flows unserved".into(), unserved.len().to_string()]);
     table.row(&["mean AS-path hops".into(), Table::f(mean_hops)]);

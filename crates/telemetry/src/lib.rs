@@ -385,14 +385,16 @@ impl TelemetrySnapshot {
             let mut t = TextTable::new(&["histogram", "count", "p50", "p90", "p99", "max", "mean"])
                 .with_heading("Histograms");
             for (name, h) in &self.metrics.histograms {
+                let unit_ns = histogram_unit_ns(name);
+                let fmt = |v: u64| format_ns(v.saturating_mul(unit_ns));
                 t.row(vec![
                     name.clone(),
                     h.count.to_string(),
-                    format_ns(h.quantile(0.50)),
-                    format_ns(h.quantile(0.90)),
-                    format_ns(h.quantile(0.99)),
-                    format_ns(h.max),
-                    format_ns(h.mean()),
+                    fmt(h.quantile(0.50)),
+                    fmt(h.quantile(0.90)),
+                    fmt(h.quantile(0.99)),
+                    fmt(h.max),
+                    fmt(h.mean()),
                 ]);
             }
             out.push_str(&t.render());
@@ -425,6 +427,18 @@ impl TelemetrySnapshot {
             ]);
         }
         t.render()
+    }
+}
+
+/// Nanoseconds per recorded unit of a histogram, read from its name's
+/// unit suffix (`_ms`, `_us`; `_ns` or no suffix records nanoseconds).
+fn histogram_unit_ns(name: &str) -> u64 {
+    if name.ends_with("_ms") {
+        1_000_000
+    } else if name.ends_with("_us") {
+        1_000
+    } else {
+        1
     }
 }
 
@@ -570,6 +584,19 @@ mod tests {
         let snap = tel.snapshot();
         assert_eq!(snap.metrics.counters["serve.requests"], 400);
         assert_eq!(snap.metrics.histograms["serve.hit_ns"].count, 400);
+    }
+
+    #[test]
+    fn histograms_render_in_their_recorded_unit() {
+        let tel = Telemetry::new();
+        tel.observe("runner.attempt_ms", 128);
+        tel.observe("serve.wait_us", 250);
+        tel.observe("agenda.step_ns", 999);
+        let table = tel.snapshot().render_metrics_table();
+        let row = |name: &str| table.lines().find(|l| l.contains(name)).unwrap().to_owned();
+        assert!(row("runner.attempt_ms").contains("128.00ms"), "{table}");
+        assert!(row("serve.wait_us").contains("250.00µs"), "{table}");
+        assert!(row("agenda.step_ns").contains("999ns"), "{table}");
     }
 
     #[test]

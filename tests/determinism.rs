@@ -152,6 +152,62 @@ fn routing_worker_count_never_changes_results() {
 }
 
 #[test]
+fn f10_routing_table_is_independent_of_worker_count() {
+    use humnet::ixp::{synthetic_internet, RoutingTable, TrafficConfig, TrafficMatrix};
+    use std::sync::Arc;
+
+    // F10 routes its table once with 8 workers; this is the check that
+    // lets it: the same topology and destinations at 1, 2 and 8 workers
+    // give one table, whose digest EXPERIMENTS.md publishes.
+    let t = synthetic_internet(2_000, 7).unwrap();
+    let ft = Arc::new(t.freeze());
+    let dests = TrafficMatrix::gravity_sampled(&t, &TrafficConfig::default(), 512, 7)
+        .unwrap()
+        .destinations();
+    let serial = RoutingTable::compute_frozen(&ft, &dests, 1).unwrap();
+    for workers in [2usize, 8] {
+        let par = RoutingTable::compute_frozen(&ft, &dests, workers).unwrap();
+        assert_eq!(par, serial, "workers = {workers}");
+        assert_eq!(par.digest(), serial.digest());
+    }
+    assert_eq!(serial.digest(), 0xe66e_aae9_1a7c_091a);
+}
+
+#[test]
+fn hot_experiment_outputs_are_pinned() {
+    use humnet::core::experiments::ExperimentId;
+    use humnet::resilience::{FaultPlan, FaultProfile};
+
+    // FNV-1a-64 of the rendered output of the experiments whose hot loops
+    // skip recomputation (AgendaSim's per-round discovery weights, F10's
+    // single routing pass); skipping it must not move a bit.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let chaos = FaultPlan::new(FaultProfile::Chaos, 7);
+    let cases = [
+        (ExperimentId::F1, FaultPlan::none(), 0x1aca_093b_1a57_b4ad),
+        (ExperimentId::F1, chaos, 0x028c_a051_9b31_709d),
+        (ExperimentId::T1, FaultPlan::none(), 0x8523_af34_dc5c_a65f),
+        (ExperimentId::T1, chaos, 0x215d_1a98_7795_0944),
+        (ExperimentId::F10, FaultPlan::none(), 0x32d2_1b27_cabb_d1d1),
+        (ExperimentId::F10, chaos, 0x32d2_1b27_cabb_d1d1),
+    ];
+    for (id, plan, want) in cases {
+        let out = id.run_instrumented(&plan, &Telemetry::disabled()).unwrap();
+        assert_eq!(
+            fnv1a(out.rendered.as_bytes()),
+            want,
+            "{} under {:?}",
+            id.code(),
+            plan.profile
+        );
+    }
+}
+
+#[test]
 fn supervised_chaos_run_reproducible() {
     use humnet::core::experiments::ExperimentId;
     use humnet::resilience::{ExperimentSpec, FaultProfile, Supervisor};
