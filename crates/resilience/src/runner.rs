@@ -662,7 +662,7 @@ fn run_spec(
                 } else {
                     ExperimentStatus::Ok
                 };
-                tel.observe("runner.attempt_ms", started.elapsed().as_millis() as u64);
+                tel.observe("runner.attempt_ns", started.elapsed().as_nanos() as u64);
                 tel.event(
                     Event::new(
                         "experiment-end",
@@ -1021,6 +1021,17 @@ mod tests {
         assert_eq!(run.report.experiments[0].attempts, 1);
         assert_eq!(run.outputs["e1"], "fine");
         assert_eq!(run.report.exit_code(), 0);
+    }
+
+    #[test]
+    fn a_sub_millisecond_attempt_records_a_nonzero_duration() {
+        // `ok_spec` returns at once, so its attempt takes well under a
+        // millisecond; the histogram must still see it as time spent.
+        let mut sup = Supervisor::builder().config(quick_config()).build();
+        let run = sup.run(&[ok_spec("e1")]);
+        let attempt = &run.telemetry.metrics.histograms["runner.attempt_ns"];
+        assert_eq!(attempt.count, 1);
+        assert!(attempt.sum > 0, "sub-ms attempt recorded as zero");
     }
 
     #[test]

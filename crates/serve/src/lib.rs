@@ -30,30 +30,20 @@
 //!
 //! [`client`] is the matching side: [`client::ServeClient`] owns one
 //! persistent connection (the line protocol already permits N requests
-//! per connection, answered in order, so the client pipelines), and
-//! [`client::ClientPool`] recycles handles across `experiments query`
-//! invocations and capacity-ramp workers.
-//!
-//! [`ramp`] is the closed-loop capacity harness built on that client:
-//! drive the daemon with rising open-loop load, stop when an SLO breaks,
-//! bisect to the max sustainable RPS, and emit a code-rev-stamped
-//! `CAPACITY.json`.
+//! per connection, answered in order, so the client pipelines). The
+//! daemon's capacity is measured from outside, by humbench's `serve_hit`
+//! workload driving the `experiments serve` binary.
 
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod client;
 pub mod protocol;
-pub mod ramp;
 pub mod server;
 
 pub use cache::{cache_key, CacheEntry, RehydrateStats, ResultCache};
-pub use client::{ClientError, ClientPool, ServeClient};
+pub use client::{ClientError, ServeClient};
 pub use protocol::{LineBuffer, Request, Response};
-pub use ramp::{
-    append_history, find_capacity, read_history, render_trend, run_ramp, CapacityReport,
-    CapacityTrendEntry, RampPlan, RequestMix, Slo, StepRecord,
-};
 pub use server::{
     install_signal_handlers, ServeConfig, ServeSummary, Server, SpecFactory,
 };

@@ -93,14 +93,10 @@ pub struct ServeConfig {
     /// artifacts from dead code revisions pin the cache forever. Sweep
     /// evictions are counted in `serve.evicted_stale`.
     pub cache_max_age: Duration,
-    /// Worker threads executing misses (clamped to at least 1).
+    /// Worker threads executing misses (clamped to at least 1). The
+    /// connection-handler pool is sized from this and `queue_depth`:
+    /// `concurrency + queue_depth + 2` threads, floored at 16.
     pub concurrency: usize,
-    /// Connection-handler threads (`0` = auto: `concurrency +
-    /// queue_depth + 2`, floored at 16). A persistent pipelined client
-    /// occupies one handler for its connection's lifetime, so this must
-    /// cover the expected number of concurrent long-lived connections
-    /// (e.g. capacity-ramp workers) or the surplus connections starve.
-    pub handlers: usize,
     /// Base runner configuration; per-request fields (seed, profile,
     /// intensity, retries, deadline) override their counterparts.
     pub runner: RunnerConfig,
@@ -120,7 +116,6 @@ impl Default for ServeConfig {
             cache_max_entries: 0,
             cache_max_age: Duration::ZERO,
             concurrency: 2,
-            handlers: 0,
             runner: RunnerConfig::default(),
             hold: Duration::ZERO,
             idle: Duration::from_secs(30),
@@ -221,15 +216,8 @@ impl Server {
         self.rehydrated
     }
 
-    /// A flag that stops the daemon when set (what a `shutdown` request
-    /// sets internally; embedders and tests can hold one too).
-    pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
-        self.ctx.stop.clone()
-    }
-
-    /// Serve until a `shutdown` request, SIGTERM, or the shutdown handle
-    /// fires; then drain queued runs, join the pools, flush the cache
-    /// index, and report.
+    /// Serve until a `shutdown` request or SIGTERM; then drain queued
+    /// runs, join the pools, flush the cache index, and report.
     pub fn run(self) -> io::Result<ServeSummary> {
         let ctx = self.ctx;
         let concurrency = ctx.config.concurrency.max(1);
@@ -251,10 +239,7 @@ impl Server {
         // that *should* be shed gets a handler to shed it on. The floor
         // covers persistent pipelined clients, each of which parks on a
         // handler for its connection's lifetime.
-        let handler_count = match ctx.config.handlers {
-            0 => (concurrency + ctx.config.queue_depth + 2).max(16),
-            n => n,
-        };
+        let handler_count = (concurrency + ctx.config.queue_depth + 2).max(16);
         let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(handler_count * 2);
         let conn_rx = Arc::new(Mutex::new(conn_rx));
         let handlers: Vec<_> = (0..handler_count)

@@ -589,12 +589,12 @@ mod tests {
     #[test]
     fn histograms_render_in_their_recorded_unit() {
         let tel = Telemetry::new();
-        tel.observe("runner.attempt_ms", 128);
+        tel.observe("job.latency_ms", 128);
         tel.observe("serve.wait_us", 250);
         tel.observe("agenda.step_ns", 999);
         let table = tel.snapshot().render_metrics_table();
         let row = |name: &str| table.lines().find(|l| l.contains(name)).unwrap().to_owned();
-        assert!(row("runner.attempt_ms").contains("128.00ms"), "{table}");
+        assert!(row("job.latency_ms").contains("128.00ms"), "{table}");
         assert!(row("serve.wait_us").contains("250.00µs"), "{table}");
         assert!(row("agenda.step_ns").contains("999ns"), "{table}");
     }

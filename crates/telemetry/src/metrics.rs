@@ -34,6 +34,9 @@ fn bucket_floor(idx: usize) -> u64 {
 }
 
 /// A log-bucketed histogram of `u64` observations (typically nanoseconds).
+///
+/// The live form only records and absorbs; quantiles, means and merges
+/// are read off its [`HistogramSnapshot`].
 #[derive(Debug, Clone)]
 pub struct Histogram {
     count: u64,
@@ -65,44 +68,6 @@ impl Histogram {
     /// Number of observations recorded.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Fold another live histogram into this one — the shape a fan-out
-    /// measurement loop needs (each worker records into its own
-    /// histogram, the coordinator merges them; see the serve capacity
-    /// ramp), without the sparse-snapshot detour.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-    }
-
-    /// Approximate quantile straight off the live histogram (same
-    /// contract as [`HistogramSnapshot::quantile`]).
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        if q >= 1.0 {
-            return self.max;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            cumulative += n;
-            if n > 0 && cumulative >= target {
-                return bucket_floor(idx).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Mean observation, or 0 when empty.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// Fold a sparse snapshot back into this histogram (used when the
@@ -303,32 +268,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn live_merge_matches_recording_into_one_histogram() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        let mut combined = Histogram::default();
-        for v in [3u64, 17, 230, 4_500] {
-            a.record(v);
-            combined.record(v);
-        }
-        for v in [9u64, 88, 70_000] {
-            b.record(v);
-            combined.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), combined.count());
-        assert_eq!(a.quantile(0.5), combined.quantile(0.5));
-        assert_eq!(a.quantile(0.99), combined.quantile(0.99));
-        assert_eq!(a.quantile(1.0), 70_000, "q=1 is the exact max");
-        assert_eq!(a.mean(), combined.mean());
-        // Live quantiles agree with the snapshot path.
-        assert_eq!(a.quantile(0.5), a.snapshot().quantile(0.5));
-        assert_eq!(a.quantile(0.99), a.snapshot().quantile(0.99));
-        assert_eq!(Histogram::default().quantile(0.99), 0, "empty is 0");
-        assert_eq!(Histogram::default().mean(), 0);
-    }
 
     #[test]
     fn bucket_index_and_floor_are_consistent() {

@@ -17,7 +17,6 @@
 //! cargo run --release --bin experiments -- replay j.jsonl     # re-execute a capture
 //! cargo run --release --bin experiments -- serve              # long-lived daemon
 //! cargo run --release --bin experiments -- query f3 --seed 7  # ask the daemon
-//! cargo run --release --bin experiments -- ramp               # capacity search
 //! cargo run --release --bin experiments -- f3 t1              # bare form = `run`
 //! ```
 //!
@@ -56,10 +55,7 @@ use humnet::resilience::{
     ExperimentSpec, FaultProfile, RemoteOptions, RunArtifact, RunnerConfig, ShardPlan,
     ShardSpec, Supervisor, CHAOS_ENV, CHAOS_KILL_CODE,
 };
-use humnet::serve::{
-    append_history, install_signal_handlers, read_history, render_trend, run_ramp, ClientPool,
-    RampPlan, Request, RequestMix, ServeClient, ServeConfig, Server,
-};
+use humnet::serve::{install_signal_handlers, Request, ServeClient, ServeConfig, Server};
 use humnet::telemetry::{journal, TelemetrySnapshot, TextTable};
 use std::sync::Arc;
 use std::process::ExitCode;
@@ -75,7 +71,6 @@ fn main() -> ExitCode {
         Some("replay") => cmd_replay(args.split_off(1)),
         Some("serve") => cmd_serve(args.split_off(1)),
         Some("query") => cmd_query(args.split_off(1)),
-        Some("ramp") => cmd_ramp(args.split_off(1)),
         // Bare `experiments [OPTIONS] [ID...]` stays an alias for `run`.
         _ => cmd_run(args),
     };
@@ -111,10 +106,10 @@ type CmdResult = Result<u8, Failure>;
 // ---------------------------------------------------- shared run flags --
 
 /// The run-configuration flags every load-bearing subcommand accepts —
-/// `run`, `dispatch`, `serve`, `query`, and `ramp` all take the same
+/// `run`, `dispatch`, `serve` and `query` all take the same
 /// `--fault-profile/--seed/--intensity/--retries/--deadline-ms` tuple
 /// (plus `--breaker-cooldown` where a runner executes locally). One
-/// parse-and-validate path instead of five hand-copied match arms.
+/// parse-and-validate path instead of four hand-copied match arms.
 ///
 /// Every field is optional so each consumer can distinguish "given on
 /// the command line" from "keep your default": `run` overlays onto a
@@ -877,13 +872,6 @@ fn cmd_serve(args: Vec<String>) -> CmdResult {
                 }
                 cfg.concurrency = n;
             }
-            "--handlers" => {
-                let n: usize = parse_num(&value("--handlers")?, "--handlers")?;
-                if n == 0 {
-                    return Err(Failure::Usage("--handlers must be positive".to_owned()));
-                }
-                cfg.handlers = n;
-            }
             "--hold-ms" => {
                 // Deterministic-delay knob for overload tests, like
                 // --chaos-proc is for dispatch tests.
@@ -1005,16 +993,9 @@ fn cmd_query(args: Vec<String>) -> CmdResult {
         preflight_writable(path, "artifact")?;
     }
 
-    // One-shot today, but routed through the pool so the CLI exercises
-    // the exact checkout/checkin path the ramp workers run at scale.
-    let pool = ClientPool::new(&addr, timeout, 1);
-    let mut client = pool
-        .checkout()
+    let resp = ServeClient::connect(&addr, timeout)
+        .and_then(|mut client| client.request(&req))
         .map_err(|e| Failure::Fatal(format!("query: {e}")))?;
-    let resp = client
-        .request(&req)
-        .map_err(|e| Failure::Fatal(format!("query: {e}")))?;
-    pool.checkin(client);
     match resp.status.as_str() {
         "hit" | "miss" => {
             eprintln!(
@@ -1050,275 +1031,6 @@ fn cmd_query(args: Vec<String>) -> CmdResult {
             Ok(1)
         }
     }
-}
-
-// --------------------------------------------------------------- ramp --
-
-/// Closed-loop capacity search: drive a daemon with rising open-loop
-/// load until an SLO breaks, bisect to the max sustainable RPS, and
-/// write the code-rev-stamped `CAPACITY.json`. Without `--addr` the
-/// command spawns its own in-process daemon on a loopback port so a bare
-/// `experiments ramp` measures this build end to end.
-fn cmd_ramp(args: Vec<String>) -> CmdResult {
-    let mut target_addr: Option<String> = None;
-    let mut plan = RampPlan::default();
-    let mut workers: usize = 4;
-    let mut mix_seeds: u64 = 8;
-    let mut ids: Vec<ExperimentId> = Vec::new();
-    let mut capacity_out: Option<String> = None;
-    let mut history_file = "CAPACITY_HISTORY.jsonl".to_owned();
-    let mut trend_only = false;
-    let mut timeout = Duration::from_secs(10);
-    let mut cfg = ServeConfig::default();
-    cfg.addr = "127.0.0.1:0".to_owned();
-    let mut cache_dir_set = false;
-    let mut flags = RunFlags::default();
-    let mut args = args.into_iter().peekable();
-    while let Some(arg) = args.next() {
-        if flags.try_consume(&arg, &mut args)? {
-            continue;
-        }
-        let mut value = |flag: &str| -> Result<String, Failure> {
-            args.next()
-                .ok_or_else(|| Failure::Usage(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(0);
-            }
-            "--addr" => target_addr = Some(value("--addr")?),
-            "--workers" => {
-                let n: usize = parse_num(&value("--workers")?, "--workers")?;
-                if n == 0 {
-                    return Err(Failure::Usage("--workers must be positive".to_owned()));
-                }
-                workers = n;
-            }
-            "--initial-rps" => {
-                plan.initial_rps = parse_pos_f64(&value("--initial-rps")?, "--initial-rps")?;
-            }
-            "--increment-rps" => {
-                plan.increment_rps = parse_pos_f64(&value("--increment-rps")?, "--increment-rps")?;
-            }
-            "--max-rps" => {
-                plan.max_rps = parse_pos_f64(&value("--max-rps")?, "--max-rps")?;
-            }
-            "--step-ms" => {
-                let ms: u64 = parse_num(&value("--step-ms")?, "--step-ms")?;
-                if ms == 0 {
-                    return Err(Failure::Usage("--step-ms must be positive".to_owned()));
-                }
-                plan.step_duration = Duration::from_millis(ms);
-            }
-            "--bisect-iters" => {
-                plan.bisect_iters = parse_num(&value("--bisect-iters")?, "--bisect-iters")?;
-            }
-            "--slo-p99-ms" => {
-                let ms: u64 = parse_num(&value("--slo-p99-ms")?, "--slo-p99-ms")?;
-                if ms == 0 {
-                    return Err(Failure::Usage("--slo-p99-ms must be positive".to_owned()));
-                }
-                plan.slo.max_p99_us = ms * 1000;
-            }
-            "--slo-max-fail" => {
-                let x = parse_frac(&value("--slo-max-fail")?, "--slo-max-fail")?;
-                plan.slo.max_fail_frac = x;
-            }
-            "--slo-min-achieved" => {
-                let x = parse_frac(&value("--slo-min-achieved")?, "--slo-min-achieved")?;
-                plan.slo.min_achieved_frac = x;
-            }
-            "--mix-seeds" => {
-                // 0 is meaningful: a fresh seed per request, so every
-                // request is a cache miss (worst-case load).
-                mix_seeds = parse_num(&value("--mix-seeds")?, "--mix-seeds")?;
-            }
-            "--capacity-out" => capacity_out = Some(value("--capacity-out")?),
-            "--history-file" => history_file = value("--history-file")?,
-            "--trend" => trend_only = true,
-            "--timeout-ms" => {
-                let ms: u64 = parse_num(&value("--timeout-ms")?, "--timeout-ms")?;
-                if ms == 0 {
-                    return Err(Failure::Usage("--timeout-ms must be positive".to_owned()));
-                }
-                timeout = Duration::from_millis(ms);
-            }
-            "--cache-dir" => {
-                cfg.cache_dir = std::path::PathBuf::from(value("--cache-dir")?);
-                cache_dir_set = true;
-            }
-            "--cache-max-entries" => {
-                cfg.cache_max_entries =
-                    parse_num(&value("--cache-max-entries")?, "--cache-max-entries")?;
-            }
-            "--queue-depth" => {
-                cfg.queue_depth = parse_num(&value("--queue-depth")?, "--queue-depth")?;
-            }
-            "--concurrency" => {
-                let n: usize = parse_num(&value("--concurrency")?, "--concurrency")?;
-                if n == 0 {
-                    return Err(Failure::Usage("--concurrency must be positive".to_owned()));
-                }
-                cfg.concurrency = n;
-            }
-            "--handlers" => {
-                let n: usize = parse_num(&value("--handlers")?, "--handlers")?;
-                if n == 0 {
-                    return Err(Failure::Usage("--handlers must be positive".to_owned()));
-                }
-                cfg.handlers = n;
-            }
-            "--hold-ms" => {
-                cfg.hold = Duration::from_millis(parse_num(&value("--hold-ms")?, "--hold-ms")?);
-            }
-            flag if flag.starts_with('-') => {
-                return Err(Failure::Usage(format!("unknown option '{flag}'")));
-            }
-            id => {
-                let parsed = ExperimentId::parse(id)
-                    .ok_or_else(|| Failure::Usage(format!("unknown experiment id '{id}'")))?;
-                if !ids.contains(&parsed) {
-                    ids.push(parsed);
-                }
-            }
-        }
-    }
-    if trend_only {
-        // Render the per-revision capacity ledger and stop — no daemon,
-        // no load, no appends.
-        let entries = read_history(std::path::Path::new(&history_file)).map_err(|e| {
-            Failure::Fatal(format!("ramp: cannot read capacity history {history_file}: {e}"))
-        })?;
-        println!("{}", render_trend(&entries));
-        return Ok(0);
-    }
-    if plan.max_rps < plan.initial_rps {
-        return Err(Failure::Usage(
-            "--max-rps must be >= --initial-rps".to_owned(),
-        ));
-    }
-    if ids.is_empty() {
-        // f1 is the cheapest experiment: the default mix measures daemon
-        // overhead, not simulation cost.
-        ids.push(ExperimentId::parse("f1").expect("f1 exists"));
-    }
-    if let Some(path) = &capacity_out {
-        preflight_writable(path, "capacity report")?;
-    }
-    let mix = RequestMix::new(
-        ids.iter().map(|id| id.code().to_owned()).collect(),
-        flags.profile.unwrap_or(FaultProfile::None).label(),
-        flags.intensity.unwrap_or(1.0),
-        mix_seeds,
-    );
-
-    // Self-spawn unless --addr names a daemon that is already running.
-    let mut spawned = None;
-    let addr = match target_addr {
-        Some(addr) => addr,
-        None => {
-            if !cache_dir_set {
-                // A fresh per-process cache dir: the measured hit-rate is
-                // the mix's, not whatever a previous run left on disk.
-                cfg.cache_dir =
-                    std::env::temp_dir().join(format!("humnet-ramp-{}", std::process::id()));
-                let _ = std::fs::remove_dir_all(&cfg.cache_dir);
-            }
-            if cfg.handlers == 0 {
-                // Every ramp worker parks a persistent connection on a
-                // handler; size the pool so none of them starves.
-                cfg.handlers = workers + cfg.queue_depth + cfg.concurrency + 2;
-            }
-            flags.apply(&mut cfg.runner);
-            let factory = Arc::new(|code: &str| ExperimentId::parse(code).map(ExperimentId::spec));
-            let server = Server::bind(cfg, factory)
-                .map_err(|e| Failure::Fatal(format!("ramp: cannot start daemon: {e}")))?;
-            let addr = server.local_addr().to_string();
-            let stop = server.shutdown_handle();
-            let handle = std::thread::spawn(move || server.run());
-            eprintln!("ramp: spawned in-process daemon on {addr}");
-            spawned = Some((handle, stop));
-            addr
-        }
-    };
-
-    let result = run_ramp(&addr, &plan, workers, &mix, timeout);
-
-    if let Some((handle, stop)) = spawned {
-        // Drain over the wire; the stop flag is the fallback if the
-        // daemon can no longer answer a shutdown request.
-        let _ = ServeClient::connect(&addr, Duration::from_secs(5)).and_then(|mut c| c.shutdown());
-        stop.store(true, std::sync::atomic::Ordering::SeqCst);
-        match handle.join() {
-            Ok(Ok(summary)) => {
-                let counters = &summary.stats.metrics.counters;
-                let n = |name: &str| counters.get(name).copied().unwrap_or(0);
-                eprintln!(
-                    "ramp: daemon drained — {} requests ({} hits, {} misses, {} shed, {} evicted)",
-                    n("serve.requests"),
-                    n("serve.cache_hit"),
-                    n("serve.cache_miss"),
-                    n("serve.shed"),
-                    n("serve.evicted"),
-                );
-            }
-            Ok(Err(e)) => eprintln!("ramp: daemon exited with error: {e}"),
-            Err(_) => eprintln!("ramp: daemon thread panicked"),
-        }
-        if !cache_dir_set {
-            let _ = std::fs::remove_dir_all(
-                std::env::temp_dir().join(format!("humnet-ramp-{}", std::process::id())),
-            );
-        }
-    }
-
-    let report = result.map_err(|e| Failure::Fatal(format!("ramp: {e}")))?;
-    println!("{}", report.render());
-    if let Some(path) = &capacity_out {
-        let json = report
-            .to_json()
-            .map_err(|e| Failure::Fatal(format!("failed to serialize capacity report: {e}")))?;
-        write_file(path, &json, "capacity report")?;
-        eprintln!("ramp: capacity report written to {path}");
-    }
-    // Best-effort per-revision ledger: one line per code-rev, duplicates
-    // skipped, so repeated ramps of the same build stay idempotent. A
-    // write failure is worth a warning, not a failed ramp.
-    match append_history(std::path::Path::new(&history_file), &report) {
-        Ok(true) => eprintln!(
-            "ramp: capacity trend appended to {history_file} (code-rev {})",
-            report.code_rev
-        ),
-        Ok(false) => eprintln!(
-            "ramp: capacity trend already records code-rev {} — {history_file} unchanged",
-            report.code_rev
-        ),
-        Err(e) => eprintln!("ramp: could not append capacity history to {history_file}: {e}"),
-    }
-    Ok(0)
-}
-
-/// A strictly positive finite float CLI value.
-fn parse_pos_f64(v: &str, flag: &str) -> Result<f64, Failure> {
-    let x: f64 = v
-        .parse()
-        .map_err(|_| Failure::Usage(format!("bad {flag} value '{v}'")))?;
-    if !x.is_finite() || x <= 0.0 {
-        return Err(Failure::Usage(format!("{flag} must be a positive number")));
-    }
-    Ok(x)
-}
-
-/// A fraction in [0, 1].
-fn parse_frac(v: &str, flag: &str) -> Result<f64, Failure> {
-    let x: f64 = v
-        .parse()
-        .map_err(|_| Failure::Usage(format!("bad {flag} value '{v}'")))?;
-    if !x.is_finite() || !(0.0..=1.0).contains(&x) {
-        return Err(Failure::Usage(format!("{flag} must be in [0, 1]")));
-    }
-    Ok(x)
 }
 
 // ------------------------------------------------------------- shared --
@@ -1403,15 +1115,11 @@ Commands:
                                  leases for `dispatch --workers`
   query [OPTIONS] <ID> | --stats | --shutdown
                                  one request against a running daemon
-  ramp [OPTIONS] [ID...]         closed-loop capacity search: drive a daemon
-                                 (self-spawned unless --addr) with rising
-                                 open-loop load, stop at the first SLO break,
-                                 bisect to the max sustainable RPS, and report
 
 IDs (default: all, in EXPERIMENTS.md order):
   f1 t1 f2 t2 f3 f4 t3 f5 t4 f6 t5 f7 f8 f9 t6 t7
 
-Shared run-config options (accepted by run, dispatch, serve, query and ramp —
+Shared run-config options (accepted by run, dispatch, serve and query —
 one validation path; each command overlays them on its own defaults):
   --fault-profile <none|churn|outage|chaos>  fault mix to inject (default none)
   --retries <N>        extra attempts per experiment (default 1)
@@ -1493,9 +1201,6 @@ own run tuple and is admitted like a cache miss):
                        (default 32)
   --concurrency <N>    worker threads executing cache misses and shard leases
                        (default 2)
-  --handlers <N>       connection-handler threads; a persistent pipelined
-                       client occupies one for its connection's lifetime
-                       (default: concurrency + queue-depth + 2, min 16)
   --hold-ms <N>        hold each miss N ms before executing — deterministic
                        load knob for overload testing (default 0)
   --ready-file <PATH>  write the bound address here once listening
@@ -1508,44 +1213,6 @@ cache key):
   --timeout-ms <N>     socket timeout (default 120000)
   --artifact-out <PATH>
                        write the returned artifact JSON here instead of stdout
-
-Ramp options (shared options: --fault-profile/--intensity shape the request
-mix; --seed/--retries/--deadline-ms set the self-spawned daemon's runner
-defaults):
-  [ID...]              experiments cycled by the request mix (default f1,
-                       the cheapest — measures daemon overhead)
-  --addr <HOST:PORT>   target an already-running daemon instead of spawning
-                       an in-process one on a free loopback port
-  --workers <N>        open-loop load worker threads, one persistent
-                       pipelined connection each (default 4)
-  --initial-rps <X>    first step's offered load (default 100)
-  --increment-rps <X>  additive step increase (default 100)
-  --max-rps <X>        give up ramping past this rate (default 5000)
-  --step-ms <N>        measurement window per step (default 2000)
-  --bisect-iters <N>   bisection steps between last-good and first-bad
-                       (default 4; stops early once the bracket is tight)
-  --slo-p99-ms <N>     SLO: p99 latency ceiling (default 50)
-  --slo-max-fail <X>   SLO: max shed+error+unanswered fraction (default 0.01)
-  --slo-min-achieved <X>
-                       SLO: min achieved/offered throughput (default 0.9)
-  --mix-seeds <N>      seeds cycled per experiment — steady-state cache-hit
-                       requests after warmup; 0 = a fresh seed per request,
-                       every request a miss (default 8)
-  --capacity-out <PATH>
-                       write the code-rev-stamped capacity report JSON here
-  --history-file <PATH>
-                       per-revision capacity ledger a successful ramp appends
-                       one line to — duplicate code-revs are skipped, so
-                       re-ramping the same build is idempotent
-                       (default CAPACITY_HISTORY.jsonl)
-  --trend              render the ledger as a per-revision table and exit
-                       without ramping
-  --timeout-ms <N>     per-connection socket timeout (default 10000)
-  --cache-dir/--cache-max-entries/--queue-depth/--concurrency/--handlers/
-  --hold-ms            tune the self-spawned daemon (ignored with --addr;
-                       default cache dir is fresh per run so the measured
-                       hit-rate is the mix's, and the handler pool is sized
-                       so every ramp worker's connection gets one)
 
 Exit codes:
   0  all experiments completed / replay matched the capture / query answered
