@@ -13,7 +13,7 @@ use crate::model::{ProblemSpace, SpaceConfig, StakeholderClass};
 use crate::regime::MethodRegime;
 use crate::{AgendaError, Result};
 use humnet_resilience::{FaultHook, FaultKind};
-use humnet_stats::Rng;
+use humnet_stats::{CumulativeWeights, Rng};
 use humnet_telemetry::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -144,10 +144,13 @@ impl AgendaSim {
             _ => std::slice::from_ref(&regime),
         };
         // A weight is a pure function of its problem's state, and only a
-        // publication changes that state: build each method's weights once
-        // per round and refresh the one entry a publication touches. They
-        // are rebuilt every round because `space` is public.
-        let mut weights: Vec<Vec<f64>> = methods.iter().map(|&m| self.weights(m)).collect();
+        // publication changes that state: build each method's prefix sums
+        // once per round and refresh the one entry a publication touches.
+        // They are rebuilt every round because `space` is public.
+        let mut weights: Vec<CumulativeWeights> = methods
+            .iter()
+            .map(|&m| CumulativeWeights::new(self.weights(m)))
+            .collect();
         for _ in 0..active {
             // The Mixed flip is the only extra draw: heads works
             // data-driven (slot 0), tails participatory (slot 1).
@@ -155,12 +158,12 @@ impl AgendaSim {
                 MethodRegime::Mixed if !self.rng.chance(0.5) => 1,
                 _ => 0,
             };
-            let pick = self.rng.choose_weighted(&weights[slot]);
+            let pick = weights[slot].sample(&mut self.rng);
             if self.rng.chance(methods[slot].throughput()) {
                 self.publish(pick, feedback_scale);
                 let p = &self.space.problems[pick];
                 for (m, w) in methods.iter().zip(&mut weights) {
-                    w[pick] = m.discovery_weight(p);
+                    w.set(pick, m.discovery_weight(p));
                 }
             }
         }

@@ -12,7 +12,7 @@
 //! Experiments **F2** and **F7** are thin wrappers over this auditor.
 
 use crate::Result;
-use humnet_corpus::{Corpus, MethodTag, VenueKind};
+use humnet_corpus::{Corpus, MethodTag, Paper, VenueKind};
 use humnet_survey::detect_positionality;
 use serde::{Deserialize, Serialize};
 
@@ -88,30 +88,44 @@ impl MethodsAuditor {
         if corpus.papers.is_empty() {
             return Err(crate::CoreError::EmptyInput);
         }
+        // The detector lowercases the whole abstract and allocates its
+        // matches, so it runs once per paper; one pass buckets the papers
+        // by venue kind (indexed by `VenueKind as usize`, the `ALL` order).
+        let detected: Vec<bool> = corpus
+            .papers
+            .iter()
+            .map(|p| detect_positionality(&p.abstract_text).is_some())
+            .collect();
+        let mut by_kind: [Vec<(&Paper, bool)>; VenueKind::ALL.len()] = Default::default();
+        for (p, &flag) in corpus.papers.iter().zip(&detected) {
+            by_kind[corpus.venues[p.venue].kind as usize].push((p, flag));
+        }
         let mut venues = Vec::new();
-        for kind in VenueKind::ALL {
-            let papers = corpus.papers_in_kind(kind);
+        for (kind, papers) in VenueKind::ALL.into_iter().zip(&by_kind) {
             let n = papers.len();
             let rate = |count: usize| if n > 0 { count as f64 / n as f64 } else { 0.0 };
             venues.push(VenueAudit {
                 kind,
                 papers: n,
                 partnership_rate: rate(
-                    papers.iter().filter(|p| p.documents_partnerships).count(),
-                ),
-                conversation_rate: rate(
-                    papers.iter().filter(|p| p.documents_conversations).count(),
-                ),
-                positionality_rate: rate(
-                    papers.iter().filter(|p| p.has_positionality()).count(),
-                ),
-                detected_positionality_rate: rate(
                     papers
                         .iter()
-                        .filter(|p| detect_positionality(&p.abstract_text).is_some())
+                        .filter(|(p, _)| p.documents_partnerships)
                         .count(),
                 ),
-                human_method_rate: rate(papers.iter().filter(|p| p.is_human_centered()).count()),
+                conversation_rate: rate(
+                    papers
+                        .iter()
+                        .filter(|(p, _)| p.documents_conversations)
+                        .count(),
+                ),
+                positionality_rate: rate(
+                    papers.iter().filter(|(p, _)| p.has_positionality()).count(),
+                ),
+                detected_positionality_rate: rate(papers.iter().filter(|&&(_, flag)| flag).count()),
+                human_method_rate: rate(
+                    papers.iter().filter(|(p, _)| p.is_human_centered()).count(),
+                ),
             });
         }
         let full = corpus
@@ -123,28 +137,30 @@ impl MethodsAuditor {
                     && p.methods.contains(&MethodTag::Positionality)
             })
             .count();
-        let tagged: Vec<_> = corpus.papers.iter().filter(|p| p.has_positionality()).collect();
-        let detected: Vec<_> = corpus
+        let tagged = corpus
             .papers
             .iter()
-            .filter(|p| detect_positionality(&p.abstract_text).is_some())
-            .collect();
-        let true_positives = tagged
+            .filter(|p| p.has_positionality())
+            .count();
+        let flagged = detected.iter().filter(|&&flag| flag).count();
+        let true_positives = corpus
+            .papers
             .iter()
-            .filter(|p| detect_positionality(&p.abstract_text).is_some())
+            .zip(&detected)
+            .filter(|&(p, &flag)| flag && p.has_positionality())
             .count();
         Ok(AuditReport {
             venues,
             full_adoption_rate: full as f64 / corpus.papers.len() as f64,
-            detector_recall: if tagged.is_empty() {
+            detector_recall: if tagged == 0 {
                 1.0
             } else {
-                true_positives as f64 / tagged.len() as f64
+                true_positives as f64 / tagged as f64
             },
-            detector_precision: if detected.is_empty() {
+            detector_precision: if flagged == 0 {
                 1.0
             } else {
-                true_positives as f64 / detected.len() as f64
+                true_positives as f64 / flagged as f64
             },
         })
     }

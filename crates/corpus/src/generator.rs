@@ -23,7 +23,7 @@ use crate::model::{
     Author, Corpus, MethodTag, Paper, Region, Topic, Venue, VenueKind,
 };
 use crate::{CorpusError, Result};
-use humnet_stats::Rng;
+use humnet_stats::{CumulativeWeights, FenwickWeights, Rng};
 use humnet_text::MarkovModel;
 
 /// Per-venue generation profile.
@@ -174,9 +174,14 @@ impl CorpusConfig {
             })
             .collect();
         let authors = self.generate_authors(&mut rng);
+        // Indexed by `VenueKind as usize` (declaration order is `ALL` order).
+        let author_weights = VenueKind::ALL.map(|kind| author_weights(&authors, kind));
         let markov = topic_markov_models();
         let mut papers: Vec<Paper> = Vec::new();
-        let mut in_degree: Vec<u32> = Vec::new();
+        // One preferential-citation tree per citing topic, indexed by
+        // `Topic as usize`: a paper weighs `in_degree + 1`, doubled in the
+        // tree of its own topic (homophily).
+        let mut cite_weights: [FenwickWeights; Topic::ALL.len()] = Default::default();
         for year_idx in 0..self.years {
             let year = self.start_year + year_idx;
             for (venue_id, profile) in self.venues.iter().enumerate() {
@@ -187,16 +192,20 @@ impl CorpusConfig {
                         year_idx,
                         venue_id,
                         profile.kind,
-                        &authors,
-                        &papers,
-                        &in_degree,
+                        &author_weights[profile.kind as usize],
+                        &cite_weights,
                         &markov,
                         &mut rng,
                     );
                     for &c in &paper.citations {
-                        in_degree[c] += 1;
+                        let cited = papers[c].topic;
+                        for (topic, tree) in Topic::ALL.into_iter().zip(&mut cite_weights) {
+                            tree.add(c, if topic == cited { 2 } else { 1 });
+                        }
                     }
-                    in_degree.push(0);
+                    for (topic, tree) in Topic::ALL.into_iter().zip(&mut cite_weights) {
+                        tree.push(if topic == paper.topic { 2 } else { 1 });
+                    }
                     papers.push(paper);
                 }
             }
@@ -236,9 +245,8 @@ impl CorpusConfig {
         year_idx: u32,
         venue_id: usize,
         kind: VenueKind,
-        authors: &[Author],
-        prior_papers: &[Paper],
-        in_degree: &[u32],
+        author_weights: &CumulativeWeights,
+        cite_weights: &[FenwickWeights; Topic::ALL.len()],
         markov: &[(Topic, MarkovModel)],
         rng: &mut Rng,
     ) -> Paper {
@@ -246,11 +254,9 @@ impl CorpusConfig {
         let methods = sample_methods(kind, topic, year_idx, self.positionality_trend_per_year, rng);
         // Authors: 1 + Poisson(mean - 1), capped.
         let n_authors = (1 + rng.poisson(self.mean_authors - 1.0) as usize).min(8);
-        let author_ids = sample_authors(authors, kind, n_authors, rng);
+        let author_ids = sample_authors(author_weights, n_authors, rng);
         let citations = sample_citations(
-            prior_papers,
-            in_degree,
-            topic,
+            &cite_weights[topic as usize],
             self.mean_citations,
             self.preferential_strength,
             rng,
@@ -422,12 +428,8 @@ fn sample_methods(
     methods
 }
 
-fn sample_authors(
-    authors: &[Author],
-    kind: VenueKind,
-    n: usize,
-    rng: &mut Rng,
-) -> Vec<usize> {
+/// Author draw weights at a venue kind, over the whole author pool.
+fn author_weights(authors: &[Author], kind: VenueKind) -> CumulativeWeights {
     // Systems venues under-sample Global South authors relative to the pool
     // (modelling the differential reachability the paper describes).
     let south_penalty = match kind {
@@ -436,17 +438,22 @@ fn sample_authors(
         VenueKind::HciCscw => 0.8,
         VenueKind::Ictd | VenueKind::SocialScience => 1.6,
     };
-    let weights: Vec<f64> = authors
-        .iter()
-        .map(|a| match a.region {
-            Region::GlobalNorth => 1.0,
-            Region::GlobalSouth => south_penalty,
-        })
-        .collect();
+    CumulativeWeights::new(
+        authors
+            .iter()
+            .map(|a| match a.region {
+                Region::GlobalNorth => 1.0,
+                Region::GlobalSouth => south_penalty,
+            })
+            .collect(),
+    )
+}
+
+fn sample_authors(weights: &CumulativeWeights, n: usize, rng: &mut Rng) -> Vec<usize> {
     let mut chosen: Vec<usize> = Vec::with_capacity(n);
     let mut guard = 0;
-    while chosen.len() < n.min(authors.len()) && guard < 10_000 {
-        let pick = rng.choose_weighted(&weights);
+    while chosen.len() < n.min(weights.len()) && guard < 10_000 {
+        let pick = weights.sample(rng);
         if !chosen.contains(&pick) {
             chosen.push(pick);
         }
@@ -455,39 +462,27 @@ fn sample_authors(
     chosen
 }
 
+/// Citations from a new paper into the papers before it. `weights` is the
+/// citing topic's preferential-attachment tree over those papers.
 fn sample_citations(
-    prior: &[Paper],
-    in_degree: &[u32],
-    topic: Topic,
+    weights: &FenwickWeights,
     mean: f64,
     preferential: f64,
     rng: &mut Rng,
 ) -> Vec<usize> {
-    if prior.is_empty() || mean <= 0.0 {
+    let prior = weights.len();
+    if prior == 0 || mean <= 0.0 {
         return Vec::new();
     }
     let want = rng.poisson(mean) as usize;
     let mut cites: Vec<usize> = Vec::new();
     let mut guard = 0;
-    while cites.len() < want.min(prior.len()) && guard < 10_000 {
+    while cites.len() < want.min(prior) && guard < 10_000 {
         guard += 1;
         let candidate = if rng.chance(preferential) {
-            // Preferential attachment: weight by in-degree + 1, doubled for
-            // same-topic papers (homophily).
-            let weights: Vec<f64> = prior
-                .iter()
-                .map(|p| {
-                    let base = (in_degree[p.id] + 1) as f64;
-                    if p.topic == topic {
-                        base * 2.0
-                    } else {
-                        base
-                    }
-                })
-                .collect();
-            rng.choose_weighted(&weights)
+            weights.sample(rng)
         } else {
-            rng.range(0, prior.len())
+            rng.range(0, prior)
         };
         if !cites.contains(&candidate) {
             cites.push(candidate);

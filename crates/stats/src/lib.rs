@@ -17,7 +17,9 @@
 //! * classical hypothesis tests ([`hypothesis`]) with real p-values backed
 //!   by the special functions in [`special`];
 //! * resampling methods ([`bootstrap`]) — bootstrap confidence intervals
-//!   and permutation tests.
+//!   and permutation tests;
+//! * exact prefix-sum samplers ([`sampler`]) that draw what
+//!   [`Rng::choose_weighted`] draws without rescanning the weights.
 //!
 //! The crate is dependency-light and synchronous by design: the humnet
 //! simulators are CPU-bound discrete-event loops, and determinism is a core
@@ -36,6 +38,7 @@ pub mod hypothesis;
 pub mod inequality;
 pub mod regression;
 pub mod rng;
+pub mod sampler;
 pub mod special;
 
 pub use bootstrap::{bootstrap_ci, permutation_test, BootstrapCi};
@@ -54,6 +57,7 @@ pub use hypothesis::{
 pub use inequality::{gini, jain_fairness, lorenz_curve, theil_index, top_share};
 pub use regression::{ols, OlsFit};
 pub use rng::Rng;
+pub use sampler::{CumulativeWeights, FenwickWeights};
 
 /// Errors produced by statistical routines in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

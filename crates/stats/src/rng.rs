@@ -230,7 +230,10 @@ impl Rng {
     }
 
     /// Pick an index according to nonnegative weights (at least one must be
-    /// positive). Runs in O(n).
+    /// positive). Runs in O(n). For repeated draws from weights that change
+    /// by point updates, [`crate::CumulativeWeights`] (f64) and
+    /// [`crate::FenwickWeights`] (integers) return the same index for the
+    /// same draw without rescanning.
     pub fn choose_weighted(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
         assert!(
@@ -433,6 +436,28 @@ mod tests {
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;
         assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
+    }
+
+    #[test]
+    fn zero_draw_skips_leading_zero_weights() {
+        // xoshiro256** outputs rotl(s1 * 5, 7) * 9, so s1 = 0 makes the
+        // next `next_f64` exactly 0. At that target the first prefix sum is
+        // already >= 0; only the zero-weight rule moves the pick to index 2.
+        use crate::sampler::{CumulativeWeights, FenwickWeights};
+        let zero_draw = || Rng {
+            s: [1, 0, 3, 4],
+            gauss_spare: None,
+        };
+        let weights = [0.0, 0.0, 2.0, 1.0];
+        assert_eq!(zero_draw().next_f64(), 0.0);
+        assert_eq!(zero_draw().choose_weighted(&weights), 2);
+        let cumulative = CumulativeWeights::new(weights.to_vec());
+        assert_eq!(cumulative.sample(&mut zero_draw()), 2);
+        let mut fenwick = FenwickWeights::new();
+        for w in [0, 0, 2, 1] {
+            fenwick.push(w);
+        }
+        assert_eq!(fenwick.sample(&mut zero_draw()), 2);
     }
 
     #[test]

@@ -1117,7 +1117,7 @@ Commands:
                                  one request against a running daemon
 
 IDs (default: all, in EXPERIMENTS.md order):
-  f1 t1 f2 t2 f3 f4 t3 f5 t4 f6 t5 f7 f8 f9 t6 t7
+  f1 t1 f2 t2 f3 f4 t3 f5 t4 f6 t5 f7 f8 f9 t6 t7 f10
 
 Shared run-config options (accepted by run, dispatch, serve and query —
 one validation path; each command overlays them on its own defaults):
@@ -1226,4 +1226,20 @@ fn banner(title: &str) {
     println!("\n{}", "=".repeat(72));
     println!("{title}");
     println!("{}\n", "=".repeat(72));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_experiment_in_order() {
+        let ids = USAGE
+            .lines()
+            .skip_while(|l| !l.starts_with("IDs "))
+            .nth(1)
+            .expect("USAGE has an IDs line");
+        let codes: Vec<&str> = ExperimentId::ALL.iter().map(|id| id.code()).collect();
+        assert_eq!(ids.split_whitespace().collect::<Vec<_>>(), codes);
+    }
 }

@@ -173,25 +173,46 @@ fn f10_routing_table_is_independent_of_worker_count() {
     assert_eq!(serial.digest(), 0xe66e_aae9_1a7c_091a);
 }
 
+/// FNV-1a-64, the pin hash of the tests below.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn default_corpus_is_pinned() {
+    // F2 and F7 render rates only, so a sampler that drew a different
+    // paper or author with the same number of draws would still pass their
+    // pins. Hashing the whole corpus (citations, author lists, abstracts)
+    // catches that.
+    for (seed, want) in [(3, 0xe1d2_cfca_e3bd_9122), (7, 0x11ed_3853_c27b_3654)] {
+        let corpus = CorpusConfig::default()
+            .generate(seed, &Telemetry::disabled())
+            .unwrap();
+        assert_eq!(fnv1a(format!("{corpus:?}").as_bytes()), want, "seed {seed}");
+    }
+}
+
 #[test]
 fn hot_experiment_outputs_are_pinned() {
     use humnet::core::experiments::ExperimentId;
     use humnet::resilience::{FaultPlan, FaultProfile};
 
     // FNV-1a-64 of the rendered output of the experiments whose hot loops
-    // skip recomputation (AgendaSim's per-round discovery weights, F10's
-    // single routing pass); skipping it must not move a bit.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
+    // skip recomputation (AgendaSim's per-round discovery weights, the
+    // corpus generator's prefix-sum samplers, F10's single routing pass);
+    // skipping it must not move a bit.
     let chaos = FaultPlan::new(FaultProfile::Chaos, 7);
     let cases = [
         (ExperimentId::F1, FaultPlan::none(), 0x1aca_093b_1a57_b4ad),
         (ExperimentId::F1, chaos, 0x028c_a051_9b31_709d),
         (ExperimentId::T1, FaultPlan::none(), 0x8523_af34_dc5c_a65f),
         (ExperimentId::T1, chaos, 0x215d_1a98_7795_0944),
+        (ExperimentId::F2, FaultPlan::none(), 0x716d_f2a9_d668_b317),
+        (ExperimentId::F2, chaos, 0x716d_f2a9_d668_b317),
+        (ExperimentId::F7, FaultPlan::none(), 0x7d7f_0a39_e383_0eaa),
+        (ExperimentId::F7, chaos, 0x7d7f_0a39_e383_0eaa),
         (ExperimentId::F10, FaultPlan::none(), 0x32d2_1b27_cabb_d1d1),
         (ExperimentId::F10, chaos, 0x32d2_1b27_cabb_d1d1),
     ];
