@@ -8,7 +8,6 @@ use humnet_ixp::routing::reference::ReferenceTable;
 use humnet_ixp::{synthetic_internet, AsKind, AsTopology, RegionTag, RoutingTable};
 use humnet_stats::{bootstrap_ci, gini, mean, Rng};
 use humnet_text::{tokenize, TfIdf};
-use std::sync::Arc;
 
 fn bench_rng(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_rng");
@@ -115,7 +114,7 @@ fn bench_routing_scale(c: &mut Criterion) {
         b.iter(|| black_box(RoutingTable::compute_parallel(&t1k, 8).unwrap().digest()))
     });
     let t10k = synthetic_internet(10_000, 5).unwrap();
-    let ft10k = Arc::new(t10k.freeze());
+    let ft10k = t10k.freeze();
     let dests: Vec<usize> = (0..256).map(|i| (i * 39) % 10_000).collect();
     group.bench_function("soa_10k_sample256", |b| {
         b.iter(|| {

@@ -318,7 +318,7 @@ pub fn f10_scale(seed: u64, tel: &Telemetry) -> Result<Table> {
     let n = 2_000;
     let pairs = 512;
     let t = synthetic_internet(n, seed).map_err(upstream("synthetic internet"))?;
-    let ft = std::sync::Arc::new(t.freeze());
+    let ft = t.freeze();
     let matrix = TrafficMatrix::gravity_sampled(&t, &TrafficConfig::default(), pairs, seed)
         .map_err(upstream("sampled gravity"))?;
     let dests = matrix.destinations();

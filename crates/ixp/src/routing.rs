@@ -12,8 +12,20 @@
 //!
 //! Together these yield *valley-free* paths: zero or more customer→provider
 //! ("up") hops, at most one peer hop, then zero or more provider→customer
-//! ("down") hops. The computation runs the classic three-phase propagation
-//! per destination.
+//! ("down") hops. Each destination's routes come from three phases, each
+//! linear in the edges it touches:
+//!
+//! 1. **Customer routes** climb provider edges from the destination by
+//!    BFS; the ASes it reaches are the destination's provider cone.
+//! 2. **Peer routes** are one peer hop off that cone: each cone AS offers
+//!    `(dist + 1, itself)` across its peer sessions, and every AS keeps
+//!    the least offer. The session reported as the hop's IXP is the
+//!    *first* one in the AS's own session list that reaches the winner.
+//! 3. **Provider routes** descend customer edges in one pass over a
+//!    providers-first topological order of the (acyclic) hierarchy. An AS
+//!    with neither of the above takes the provider `p` with the least
+//!    `(selected length of p, p)`; the pass also writes every AS's output
+//!    cell.
 //!
 //! ## Representation
 //!
@@ -24,26 +36,23 @@
 //! `u32::MAX` as the "none" sentinel. That is 9 bytes per (AS,
 //! destination) pair instead of the seven pointer-carrying `Vec`s per
 //! destination the original implementation kept (retained verbatim in
-//! [`reference`] for differential testing). Paths are reconstructed on
-//! request by walking next-hop rows, never stored.
+//! `reference`, behind the `reference` feature, for differential testing).
+//! Paths are reconstructed on request by walking next-hop rows, never
+//! stored.
 //!
 //! ## Parallelism and determinism
 //!
 //! Per-destination propagation is embarrassingly parallel.
-//! [`RoutingTable::compute_frozen`] fans contiguous slices of the sorted
-//! destination list across the shared pooled worker runtime
-//! (`humnet_resilience::pool_execute`) and reassembles the returned row
-//! blocks in slice order, so the assembled table is byte-identical
-//! whatever the worker count — the same discipline the experiment
-//! runner's spec-order assembly uses.
+//! [`RoutingTable::compute_frozen`] allocates the three tables once and
+//! splits them into `workers` disjoint contiguous row ranges, one per
+//! slice of the sorted destination list. Scoped threads fill their ranges
+//! in place. Slice boundaries depend only on the row and worker counts and
+//! each row depends only on its destination, so the table is
+//! byte-identical whatever the worker count.
 
 use crate::topology::{AsId, AsTopology, FrozenTopology, IxpId, NO_IXP};
 use crate::{IxpError, Result};
-use humnet_resilience::pool_execute;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 const INF: u32 = u32::MAX;
 /// Sentinel for "no next hop" in the packed next-hop rows.
@@ -98,19 +107,18 @@ impl Route {
     }
 }
 
-/// Reusable per-worker state for the three propagation phases: the seven
-/// per-destination arrays of the classic algorithm, reset with `fill`
-/// between destinations instead of reallocated.
+/// Reusable per-worker state of the three propagation phases, reset
+/// between destinations instead of reallocated. Next-hop entries are only
+/// meaningful where the matching distance is finite.
 struct Scratch {
     dist_cust: Vec<u32>,
     next_cust: Vec<u32>,
     dist_peer: Vec<u32>,
     next_peer: Vec<u32>,
-    peer_ixp: Vec<u32>,
-    dist_down: Vec<u32>,
-    next_down: Vec<u32>,
-    queue: VecDeque<u32>,
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// Length of each AS's selected route, set by phase 3's pass.
+    selected_len: Vec<u32>,
+    /// Phase 1's BFS queue; afterwards, the provider cone in BFS order.
+    cone: Vec<u32>,
 }
 
 impl Scratch {
@@ -120,147 +128,117 @@ impl Scratch {
             next_cust: vec![NO_NEXT; n],
             dist_peer: vec![INF; n],
             next_peer: vec![NO_NEXT; n],
-            peer_ixp: vec![NO_IXP; n],
-            dist_down: vec![INF; n],
-            next_down: vec![NO_NEXT; n],
-            queue: VecDeque::new(),
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Distance of the *selected* route at `u`: customer preferred over
-    /// peer over provider regardless of length (the Gao–Rexford
-    /// preference).
-    #[inline]
-    fn selected_len(&self, u: usize) -> u32 {
-        if self.dist_cust[u] != INF {
-            self.dist_cust[u]
-        } else if self.dist_peer[u] != INF {
-            self.dist_peer[u]
-        } else {
-            self.dist_down[u]
+            selected_len: vec![INF; n],
+            cone: Vec::new(),
         }
     }
 }
 
-/// One destination's propagation, appended as three `n`-wide rows onto the
-/// output blocks. The next-hop scratch entries are only meaningful where
-/// the matching distance is finite, so rows are derived distance-first.
-fn compute_rows(
+/// One destination's propagation, written into its three `n`-wide rows.
+/// `order` lists every AS providers-first.
+fn route_rows(
     ft: &FrozenTopology,
+    order: &[u32],
     dst: usize,
     s: &mut Scratch,
-    class_out: &mut Vec<u8>,
-    next_out: &mut Vec<u32>,
-    ixp_out: &mut Vec<u32>,
+    class_row: &mut [u8],
+    next_row: &mut [u32],
+    ixp_row: &mut [u32],
 ) {
-    let n = ft.as_count();
     s.dist_cust.fill(INF);
     s.dist_peer.fill(INF);
-    s.dist_down.fill(INF);
     // Phase 1: customer routes propagate upward (customer -> provider)
     // by BFS on uniform weights.
     s.dist_cust[dst] = 0;
-    s.queue.clear();
-    s.queue.push_back(dst as u32);
-    while let Some(u) = s.queue.pop_front() {
+    s.cone.clear();
+    s.cone.push(dst as u32);
+    let mut head = 0;
+    while let Some(&u) = s.cone.get(head) {
+        head += 1;
         let du = s.dist_cust[u as usize];
         for &p in ft.providers_of(u as usize) {
             if s.dist_cust[p as usize] == INF {
                 s.dist_cust[p as usize] = du + 1;
                 s.next_cust[p as usize] = u;
-                s.queue.push_back(p);
+                s.cone.push(p);
             }
         }
     }
-    // Phase 2: peer routes — one peer hop extending a customer route
-    // (or the destination itself). First candidate wins among equal
-    // (distance, neighbor) pairs, so session order matters.
-    for u in 0..n {
-        let (nbrs, ixps) = ft.peer_sessions_of(u);
-        let mut best_d = INF;
-        let mut best_v = NO_NEXT;
-        let mut best_ixp = NO_IXP;
-        for (i, &v) in nbrs.iter().enumerate() {
-            let dv = s.dist_cust[v as usize];
-            if dv != INF {
-                let cand = dv + 1;
-                if cand < best_d || (cand == best_d && v < best_v) {
-                    best_d = cand;
-                    best_v = v;
-                    best_ixp = ixps[i];
-                }
-            }
-        }
-        if best_d != INF {
-            s.dist_peer[u] = best_d;
-            s.next_peer[u] = best_v;
-            s.peer_ixp[u] = best_ixp;
-        }
-    }
-    // Phase 3: provider routes propagate downward from every AS that
-    // has selected a route; a node's exportable length is that of its
-    // selected route.
-    s.heap.clear();
-    for u in 0..n {
-        let len = s.selected_len(u);
-        if len != INF {
-            s.heap.push(Reverse((len, u as u32)));
-        }
-    }
-    while let Some(Reverse((len, u))) = s.heap.pop() {
-        if len > s.selected_len(u as usize) {
-            continue; // stale entry
-        }
-        for &c in ft.customers_of(u as usize) {
-            let cand = len + 1;
-            let c = c as usize;
-            if cand < s.dist_down[c] {
-                let before = s.selected_len(c);
-                s.dist_down[c] = cand;
-                s.next_down[c] = u;
-                let after = s.selected_len(c);
-                if after < before {
-                    s.heap.push(Reverse((after, c as u32)));
-                }
+    // Phase 2: peer routes — one peer hop extending a customer route (or
+    // the destination itself). Sessions are symmetric, so pushing each
+    // cone AS's offer to its peers finds every AS's least (length,
+    // neighbour) offer.
+    for &v in &s.cone {
+        let cand = s.dist_cust[v as usize] + 1;
+        for &u in ft.peer_sessions_of(v as usize).0 {
+            let u = u as usize;
+            if cand < s.dist_peer[u] || (cand == s.dist_peer[u] && v < s.next_peer[u]) {
+                s.dist_peer[u] = cand;
+                s.next_peer[u] = v;
             }
         }
     }
-    // Derive the packed selected-route rows.
-    for u in 0..n {
-        if s.dist_cust[u] != INF {
-            class_out.push(CLASS_CUST);
-            next_out.push(if u == dst { NO_NEXT } else { s.next_cust[u] });
-            ixp_out.push(NO_IXP);
+    // Phase 3: provider routes propagate downward; a provider exports the
+    // length of its selected route. Visiting providers first makes every
+    // provider's selected length final before its customers read it. The
+    // same pass derives the packed rows.
+    for &u in order {
+        let u = u as usize;
+        let (class, next, ixp, len) = if s.dist_cust[u] != INF {
+            let next = if u == dst { NO_NEXT } else { s.next_cust[u] };
+            (CLASS_CUST, next, NO_IXP, s.dist_cust[u])
         } else if s.dist_peer[u] != INF {
-            class_out.push(CLASS_PEER);
-            next_out.push(s.next_peer[u]);
-            ixp_out.push(s.peer_ixp[u]);
-        } else if s.dist_down[u] != INF {
-            class_out.push(CLASS_PROV);
-            next_out.push(s.next_down[u]);
-            ixp_out.push(NO_IXP);
+            let via = s.next_peer[u];
+            let (nbrs, ixps) = ft.peer_sessions_of(u);
+            let first = nbrs.iter().position(|&v| v == via).expect("winning peer is a neighbour");
+            (CLASS_PEER, via, ixps[first], s.dist_peer[u])
         } else {
-            class_out.push(CLASS_NONE);
-            next_out.push(NO_NEXT);
-            ixp_out.push(NO_IXP);
-        }
+            let mut best_len = INF;
+            let mut best_p = NO_NEXT;
+            for &p in ft.providers_of(u) {
+                let len = s.selected_len[p as usize];
+                if len < best_len || (len == best_len && p < best_p) {
+                    best_len = len;
+                    best_p = p;
+                }
+            }
+            if best_len == INF {
+                (CLASS_NONE, NO_NEXT, NO_IXP, INF)
+            } else {
+                (CLASS_PROV, best_p, NO_IXP, best_len + 1)
+            }
+        };
+        s.selected_len[u] = len;
+        class_row[u] = class;
+        next_row[u] = next;
+        ixp_row[u] = ixp;
     }
 }
 
-/// The three packed row blocks a worker returns for its destination slice.
-type RowBlock = (Vec<u8>, Vec<u32>, Vec<u32>);
-
-fn compute_block(ft: &FrozenTopology, dests: &[AsId]) -> RowBlock {
+/// Route toward each of `dests` in turn, filling row `i` of the three
+/// tables for `dests[i]`.
+fn fill_rows(
+    ft: &FrozenTopology,
+    order: &[u32],
+    dests: &[AsId],
+    class: &mut [u8],
+    next: &mut [u32],
+    ixp: &mut [u32],
+) {
     let n = ft.as_count();
-    let mut class = Vec::with_capacity(dests.len() * n);
-    let mut next = Vec::with_capacity(dests.len() * n);
-    let mut ixp = Vec::with_capacity(dests.len() * n);
     let mut scratch = Scratch::new(n);
-    for &dst in dests {
-        compute_rows(ft, dst, &mut scratch, &mut class, &mut next, &mut ixp);
+    for (i, &dst) in dests.iter().enumerate() {
+        let row = i * n..(i + 1) * n;
+        route_rows(
+            ft,
+            order,
+            dst,
+            &mut scratch,
+            &mut class[row.clone()],
+            &mut next[row.clone()],
+            &mut ixp[row],
+        );
     }
-    (class, next, ixp)
 }
 
 /// Policy routes for a topology, covering all destinations
@@ -269,7 +247,7 @@ fn compute_block(ft: &FrozenTopology, dests: &[AsId]) -> RowBlock {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTable {
     n: usize,
-    /// Computed destinations, sorted ascending; row order of the blocks.
+    /// Computed destinations, sorted ascending; row order of the tables.
     dests: Vec<AsId>,
     /// `dest_slot[dst]` = row index of `dst`, or `u32::MAX` if uncomputed.
     dest_slot: Vec<u32>,
@@ -287,10 +265,10 @@ impl RoutingTable {
     }
 
     /// [`RoutingTable::compute`] with destinations fanned across `workers`
-    /// pooled threads. The result is byte-identical to the serial one.
+    /// threads. The result is byte-identical to the serial one.
     pub fn compute_parallel(topology: &AsTopology, workers: usize) -> Result<Self> {
         let dests: Vec<AsId> = (0..topology.as_count()).collect();
-        Self::compute_frozen(&Arc::new(topology.freeze()), &dests, workers)
+        Self::compute_frozen(&topology.freeze(), &dests, workers)
     }
 
     /// Compute routes *toward the given destinations only* — the
@@ -298,37 +276,32 @@ impl RoutingTable {
     /// all-pairs materialization is pointless. Destinations may be
     /// unsorted and contain duplicates; rows are stored in sorted order.
     pub fn compute_for_destinations(topology: &AsTopology, dests: &[AsId]) -> Result<Self> {
-        Self::compute_frozen(&Arc::new(topology.freeze()), dests, 1)
+        Self::compute_frozen(&topology.freeze(), dests, 1)
     }
 
-    /// [`RoutingTable::compute_for_destinations`] across `workers` pooled
+    /// [`RoutingTable::compute_for_destinations`] across `workers`
     /// threads; byte-identical to the serial result.
     pub fn compute_for_destinations_parallel(
         topology: &AsTopology,
         dests: &[AsId],
         workers: usize,
     ) -> Result<Self> {
-        Self::compute_frozen(&Arc::new(topology.freeze()), dests, workers)
+        Self::compute_frozen(&topology.freeze(), dests, workers)
     }
 
     /// The general entry point: compute routes toward `dests` on an
-    /// already-frozen topology, splitting the (sorted, deduplicated)
-    /// destination list into `workers` contiguous slices executed on the
-    /// shared worker pool. Blocks are reassembled in slice order, so the
-    /// table is byte-identical for every `workers` value. Freezing once
-    /// and calling this repeatedly amortizes the CSR build across
+    /// already-frozen topology. The (sorted, deduplicated) destination
+    /// list is split into `workers` contiguous slices, and a scoped thread
+    /// per slice fills that slice's rows of the preallocated tables, so
+    /// the table is byte-identical for every `workers` value. Freezing
+    /// once and calling this repeatedly amortizes the CSR build across
     /// samples.
-    pub fn compute_frozen(
-        ft: &Arc<FrozenTopology>,
-        dests: &[AsId],
-        workers: usize,
-    ) -> Result<Self> {
+    pub fn compute_frozen(ft: &FrozenTopology, dests: &[AsId], workers: usize) -> Result<Self> {
         let n = ft.as_count();
-        if !ft.is_hierarchy_acyclic() {
-            return Err(IxpError::InconsistentRelationship(
-                "provider hierarchy contains a cycle",
-            ));
-        }
+        // Phase 3's order; valley-free routing is undefined on a cycle.
+        let order = ft.providers_first_order().ok_or(IxpError::InconsistentRelationship(
+            "provider hierarchy contains a cycle",
+        ))?;
         let mut dests = dests.to_vec();
         dests.sort_unstable();
         dests.dedup();
@@ -336,39 +309,40 @@ impl RoutingTable {
             return Err(IxpError::InvalidAs(bad));
         }
         let rows = dests.len();
+        // `route_rows` writes every cell, so zeroed memory will do.
+        let mut class = vec![0u8; rows * n];
+        let mut next = vec![0u32; rows * n];
+        let mut peer_ixp = vec![0u32; rows * n];
+        // Balanced contiguous slices: the first `extra` slices carry one
+        // more destination. Slice boundaries depend only on (rows,
+        // workers), never on timing.
         let workers = workers.max(1).min(rows.max(1));
-        let (class, next, peer_ixp) = if workers <= 1 {
-            compute_block(ft, &dests)
-        } else {
-            // Balanced contiguous slices: the first `extra` chunks carry
-            // one more destination. Slice boundaries depend only on
-            // (rows, workers), never on timing.
-            let base = rows / workers;
-            let extra = rows % workers;
-            let mut handles = Vec::with_capacity(workers);
-            let mut start = 0usize;
-            for i in 0..workers {
-                let len = base + usize::from(i < extra);
-                let chunk = dests[start..start + len].to_vec();
-                start += len;
-                let ft = Arc::clone(ft);
-                handles.push(pool_execute(move || compute_block(&ft, &chunk)));
-            }
-            let mut class = Vec::with_capacity(rows * n);
-            let mut next = Vec::with_capacity(rows * n);
-            let mut ixp = Vec::with_capacity(rows * n);
+        let (base, extra) = (rows / workers, rows % workers);
+        let mut slices = Vec::with_capacity(workers);
+        let (mut d, mut c, mut x, mut p) = (&dests[..], &mut class[..], &mut next[..], &mut peer_ixp[..]);
+        for i in 0..workers {
+            let len = base + usize::from(i < extra);
+            let (d0, d1) = d.split_at(len);
+            let (c0, c1) = std::mem::take(&mut c).split_at_mut(len * n);
+            let (x0, x1) = std::mem::take(&mut x).split_at_mut(len * n);
+            let (p0, p1) = std::mem::take(&mut p).split_at_mut(len * n);
+            slices.push((d0, c0, x0, p0));
+            (d, c, x, p) = (d1, c1, x1, p1);
+        }
+        std::thread::scope(|scope| {
+            let mut slices = slices.into_iter();
+            let (d0, c0, x0, p0) = slices.next().expect("at least one slice");
+            let order = &order;
+            let handles: Vec<_> = slices
+                .map(|(d, c, x, p)| scope.spawn(move || fill_rows(ft, order, d, c, x, p)))
+                .collect();
+            fill_rows(ft, order, d0, c0, x0, p0);
             for h in handles {
-                match h.join() {
-                    Ok((c, x, i)) => {
-                        class.extend_from_slice(&c);
-                        next.extend_from_slice(&x);
-                        ixp.extend_from_slice(&i);
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
                 }
             }
-            (class, next, ixp)
-        };
+        });
         let mut dest_slot = vec![NO_SLOT; n];
         for (row, &d) in dests.iter().enumerate() {
             dest_slot[d] = row as u32;
@@ -396,25 +370,7 @@ impl RoutingTable {
         if dst >= n {
             return Err(IxpError::InvalidAs(dst));
         }
-        if !ft.is_hierarchy_acyclic() {
-            return Err(IxpError::InconsistentRelationship(
-                "provider hierarchy contains a cycle",
-            ));
-        }
-        let (class, next, ixp) = compute_block(ft, &[dst]);
-        let table = RoutingTable {
-            n,
-            dests: vec![dst],
-            dest_slot: {
-                let mut s = vec![NO_SLOT; n];
-                s[dst] = 0;
-                s
-            },
-            class,
-            next,
-            peer_ixp: ixp,
-        };
-        table.route(src, dst)
+        Self::compute_frozen(ft, &[dst], 1)?.route(src, dst)
     }
 
     /// Number of ASes covered.
@@ -530,12 +486,14 @@ impl RoutingTable {
     }
 }
 
+#[cfg(feature = "reference")]
 pub mod reference {
     //! The original array-of-structs routing implementation, retained
     //! verbatim as the differential-testing oracle for the SoA engine and
     //! as the baseline of the `bench_substrates` scaling benches. Route
     //! selection is identical by construction; only the storage layout
-    //! and compute strategy differ.
+    //! and compute strategy differ. Compiled only with the `reference`
+    //! feature, which the test and bench builds enable.
 
     use super::{Route, RouteKind, INF};
     use crate::topology::{AsId, AsTopology, IxpId};
@@ -988,6 +946,7 @@ mod tests {
         }
     }
 
+    #[cfg(feature = "reference")]
     #[test]
     fn reference_implementation_agrees_on_diamond() {
         let (mut t, [tr, a, b, c, d]) = diamond();

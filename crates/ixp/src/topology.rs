@@ -488,26 +488,34 @@ impl FrozenTopology {
         (&self.peer_nbr[lo..hi], &self.peer_ixp[lo..hi])
     }
 
-    /// Kahn's algorithm over the frozen customer→provider edges; mirrors
-    /// [`AsTopology::is_hierarchy_acyclic`].
-    pub fn is_hierarchy_acyclic(&self) -> bool {
+    /// Every AS in an order that lists each provider before its
+    /// customers, or `None` when the provider hierarchy has a cycle.
+    /// Kahn's algorithm over the frozen provider→customer edges; the
+    /// returned vector doubles as its queue.
+    pub fn providers_first_order(&self) -> Option<Vec<u32>> {
         let n = self.n;
-        let mut indeg = vec![0u32; n];
-        for &p in &self.prov {
-            indeg[p as usize] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
-        let mut seen = 0;
-        while let Some(u) = queue.pop() {
-            seen += 1;
-            for &p in self.providers_of(u) {
-                indeg[p as usize] -= 1;
-                if indeg[p as usize] == 0 {
-                    queue.push(p as usize);
+        let mut pending: Vec<u32> = (0..n)
+            .map(|u| self.prov_off[u + 1] - self.prov_off[u])
+            .collect();
+        let mut order: Vec<u32> = (0..n as u32).filter(|&u| pending[u as usize] == 0).collect();
+        order.reserve(n - order.len());
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            for &c in self.customers_of(u as usize) {
+                pending[c as usize] -= 1;
+                if pending[c as usize] == 0 {
+                    order.push(c);
                 }
             }
         }
-        seen == n
+        (order.len() == n).then_some(order)
+    }
+
+    /// Whether the provider hierarchy is acyclic; mirrors
+    /// [`AsTopology::is_hierarchy_acyclic`].
+    pub fn is_hierarchy_acyclic(&self) -> bool {
+        self.providers_first_order().is_some()
     }
 }
 
@@ -671,5 +679,29 @@ mod tests {
                 nbrs.iter().copied().zip(ixps.iter().copied()).collect();
             assert_eq!(got, want);
         }
+    }
+
+    #[test]
+    fn providers_first_order_puts_providers_before_customers() {
+        // Provider ids larger than their customers' ids, as after an ASN
+        // split: id order is not a valid order here.
+        let mut t = AsTopology::new();
+        let c = t.add_as("C", AsKind::Access, &region(), 1.0);
+        let a = t.add_as("A", AsKind::Access, &region(), 1.0);
+        let top = t.add_as("Top", AsKind::Transit, &region(), 1.0);
+        t.add_provider(c, a).unwrap();
+        t.add_provider(a, top).unwrap();
+        t.add_provider(c, top).unwrap();
+        let order = t.freeze().providers_first_order().unwrap();
+        assert_eq!(order, vec![top as u32, a as u32, c as u32]);
+        // Top -> C -> A -> Top closes a three-AS provider cycle.
+        let mut cyclic = AsTopology::new();
+        for name in ["C", "A", "Top"] {
+            cyclic.add_as(name, AsKind::Access, &region(), 1.0);
+        }
+        cyclic.add_provider(c, a).unwrap();
+        cyclic.add_provider(a, top).unwrap();
+        cyclic.add_provider(top, c).unwrap();
+        assert!(cyclic.freeze().providers_first_order().is_none());
     }
 }

@@ -379,9 +379,9 @@ impl<T> PoolHandle<T> {
 
 /// Run `f` on a pooled worker thread and return a joinable handle. Falls
 /// back to running `f` inline if no thread could be obtained at all, so
-/// the handle always resolves. Public so other crates (e.g. the parallel
-/// routing engine in `humnet-ixp`) can fan work across the same warm
-/// pool instead of growing one of their own.
+/// the handle always resolves. Public so a caller outside this crate can
+/// run `'static` work on the same warm pool instead of growing one of its
+/// own.
 pub fn pool_execute<T, F>(f: F) -> PoolHandle<T>
 where
     T: Send + 'static,

@@ -154,13 +154,12 @@ fn routing_worker_count_never_changes_results() {
 #[test]
 fn f10_routing_table_is_independent_of_worker_count() {
     use humnet::ixp::{synthetic_internet, RoutingTable, TrafficConfig, TrafficMatrix};
-    use std::sync::Arc;
 
     // F10 routes its table once with 8 workers; this is the check that
     // lets it: the same topology and destinations at 1, 2 and 8 workers
     // give one table, whose digest EXPERIMENTS.md publishes.
     let t = synthetic_internet(2_000, 7).unwrap();
-    let ft = Arc::new(t.freeze());
+    let ft = t.freeze();
     let dests = TrafficMatrix::gravity_sampled(&t, &TrafficConfig::default(), 512, 7)
         .unwrap()
         .destinations();
@@ -171,6 +170,17 @@ fn f10_routing_table_is_independent_of_worker_count() {
         assert_eq!(par.digest(), serial.digest());
     }
     assert_eq!(serial.digest(), 0xe66e_aae9_1a7c_091a);
+}
+
+#[test]
+fn all_pairs_routing_table_is_pinned() {
+    use humnet::ixp::{synthetic_internet, RoutingTable};
+
+    // Every destination of a 1k-AS internet, so all three route classes
+    // and the peer-hop IXP of every AS pair are in the digest.
+    let t = synthetic_internet(1_000, 5).unwrap();
+    let table = RoutingTable::compute(&t).unwrap();
+    assert_eq!(table.digest(), 0x7115_c6fc_24ea_c2bc);
 }
 
 /// FNV-1a-64, the pin hash of the tests below.

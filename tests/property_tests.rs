@@ -351,34 +351,86 @@ proptest! {
 
     /// Differential oracle: the SoA engine (serial, parallel, sampled, and
     /// on-demand) selects routes identical to the retained seed
-    /// implementation on random topologies.
+    /// implementation on random topologies, including ones whose
+    /// providers can have larger ids than their customers and whose peers
+    /// meet at IXPs, some at two of them.
     #[test]
     fn soa_routing_matches_reference(seed in 0u64..300, n in 3usize..16) {
-        let topology = random_topology(seed, n);
-        let soa = RoutingTable::compute(&topology).unwrap();
-        let naive = humnet::ixp::routing::reference::ReferenceTable::compute(&topology).unwrap();
-        let par = RoutingTable::compute_parallel(&topology, 4).unwrap();
-        prop_assert_eq!(&par, &soa);
-        let ft = topology.freeze();
-        for src in 0..n {
-            for dst in 0..n {
-                let expected = naive.route(src, dst).ok();
-                prop_assert_eq!(&soa.route(src, dst).ok(), &expected, "route {}->{}", src, dst);
-                if (src + dst) % 5 == 0 {
-                    let demand = RoutingTable::route_on_demand(&ft, src, dst).ok();
-                    prop_assert_eq!(&demand, &expected, "on-demand {}->{}", src, dst);
-                }
-            }
-        }
-        // A sampled table agrees on its covered rows.
-        let sample: Vec<usize> = (0..n).filter(|d| d % 2 == 0).collect();
-        let sampled = RoutingTable::compute_for_destinations(&topology, &sample).unwrap();
-        for src in 0..n {
-            for &dst in &sample {
-                prop_assert_eq!(sampled.route(src, dst).ok(), naive.route(src, dst).ok());
+        matches_reference(&random_topology(seed, n))?;
+        matches_reference(&shuffled_ixp_topology(seed, n))?;
+    }
+}
+
+fn matches_reference(topology: &AsTopology) -> Result<(), TestCaseError> {
+    let n = topology.as_count();
+    let soa = RoutingTable::compute(topology).unwrap();
+    let naive = humnet::ixp::routing::reference::ReferenceTable::compute(topology).unwrap();
+    let par = RoutingTable::compute_parallel(topology, 4).unwrap();
+    prop_assert_eq!(&par, &soa);
+    let ft = topology.freeze();
+    for src in 0..n {
+        for dst in 0..n {
+            let expected = naive.route(src, dst).ok();
+            prop_assert_eq!(&soa.route(src, dst).ok(), &expected, "route {}->{}", src, dst);
+            if (src + dst) % 5 == 0 {
+                let demand = RoutingTable::route_on_demand(&ft, src, dst).ok();
+                prop_assert_eq!(&demand, &expected, "on-demand {}->{}", src, dst);
             }
         }
     }
+    // A sampled table agrees on its covered rows, at 1 and 4 workers.
+    let sample: Vec<usize> = (0..n).filter(|d| d % 2 == 0).collect();
+    let sampled = RoutingTable::compute_for_destinations(topology, &sample).unwrap();
+    let sampled_par = RoutingTable::compute_for_destinations_parallel(topology, &sample, 4).unwrap();
+    prop_assert_eq!(&sampled_par, &sampled);
+    for src in 0..n {
+        for &dst in &sample {
+            prop_assert_eq!(sampled.route(src, dst).ok(), naive.route(src, dst).ok());
+        }
+    }
+    Ok(())
+}
+
+/// [`random_topology`]'s kind of hierarchy under a random permutation of
+/// AS ids, so a provider's id may exceed its customer's, with peerings
+/// that are private, at one of two IXPs, or at both (two sessions between
+/// one pair, added in either exchange order).
+fn shuffled_ixp_topology(seed: u64, n: usize) -> AsTopology {
+    let mut rng = Rng::new(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut id: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        id.swap(i, rng.range(0, i + 1));
+    }
+    let mut t = AsTopology::new();
+    let region = RegionTag::new("X", false);
+    for i in 0..n {
+        t.add_as(&format!("AS{i}"), AsKind::Access, &region, 1.0);
+    }
+    let exchanges = [t.add_ixp("IX-A", &region), t.add_ixp("IX-B", &region)];
+    for j in 1..n {
+        t.add_provider(id[j], id[rng.range(0, j)]).unwrap();
+        if rng.chance(0.3) {
+            let _ = t.add_provider(id[j], id[rng.range(0, j)]);
+        }
+    }
+    for a in 0..n {
+        for b in (a + 1)..n {
+            if !rng.chance(0.2) {
+                continue;
+            }
+            let (u, v) = if rng.chance(0.5) { (id[a], id[b]) } else { (id[b], id[a]) };
+            let first = rng.range(0, 2);
+            match rng.range(0, 4) {
+                0 => t.add_peering(u, v, None).unwrap(),
+                1 => t.add_peering(u, v, Some(exchanges[first])).unwrap(),
+                _ => {
+                    t.add_peering(u, v, Some(exchanges[first])).unwrap();
+                    t.add_peering(u, v, Some(exchanges[1 - first])).unwrap();
+                }
+            }
+        }
+    }
+    t
 }
 
 // Chaos properties: any fault plan — any profile, seed and intensity —

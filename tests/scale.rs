@@ -7,7 +7,6 @@
 //! `cargo test --release --test scale -- --ignored`.
 
 use humnet::ixp::{synthetic_internet, RouteKind, RoutingTable};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Deterministic stride sample of `k` destinations out of `n` ASes.
@@ -46,7 +45,7 @@ fn check_route_invariants(table: &RoutingTable, n: usize, dests: &[usize], spot_
 #[test]
 fn ten_thousand_as_sample_routes_quickly() {
     let t = synthetic_internet(10_000, 11).unwrap();
-    let ft = Arc::new(t.freeze());
+    let ft = t.freeze();
     let dests = sample_destinations(10_000, 128);
     let table = RoutingTable::compute_frozen(&ft, &dests, 4).unwrap();
     assert_eq!(table.as_count(), 10_000);
@@ -67,7 +66,7 @@ fn hundred_thousand_as_internet_within_budget() {
     assert_eq!(t.as_count(), 100_000);
 
     let t1 = Instant::now();
-    let ft = Arc::new(t.freeze());
+    let ft = t.freeze();
     let dests = sample_destinations(100_000, 1_000);
     let table = RoutingTable::compute_frozen(&ft, &dests, 8).unwrap();
     let compute = t1.elapsed();
