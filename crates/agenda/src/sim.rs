@@ -144,9 +144,10 @@ impl AgendaSim {
             _ => std::slice::from_ref(&regime),
         };
         // A weight is a pure function of its problem's state, and only a
-        // publication changes that state: build each method's prefix sums
-        // once per round and refresh the one entry a publication touches.
-        // They are rebuilt every round because `space` is public.
+        // publication changes that state: build each method's sampler once
+        // per round and refresh the one entry a publication touches, an
+        // O(log n) tree update. They are rebuilt every round because
+        // `space` is public.
         let mut weights: Vec<CumulativeWeights> = methods
             .iter()
             .map(|&m| CumulativeWeights::new(self.weights(m)))

@@ -1,12 +1,12 @@
 //! Micro-benchmarks of the substrate kernels every experiment leans on:
-//! RNG, inequality indices, graph algorithms, policy routing, text
-//! vectorization, and reliability statistics.
+//! RNG, weighted samplers, inequality indices, graph algorithms, policy
+//! routing, text vectorization, and reliability statistics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use humnet_graph::{barabasi_albert, betweenness_centrality, pagerank};
 use humnet_ixp::routing::reference::ReferenceTable;
 use humnet_ixp::{synthetic_internet, AsKind, AsTopology, RegionTag, RoutingTable};
-use humnet_stats::{bootstrap_ci, gini, mean, Rng};
+use humnet_stats::{bootstrap_ci, gini, mean, CumulativeWeights, Rng};
 use humnet_text::{tokenize, TfIdf};
 
 fn bench_rng(c: &mut Criterion) {
@@ -34,6 +34,48 @@ fn bench_rng(c: &mut Criterion) {
     group.bench_function("zipf_n1000", |b| {
         let mut rng = Rng::new(1);
         b.iter(|| black_box(rng.zipf(1000, 1.2)))
+    });
+    group.finish();
+}
+
+/// `CumulativeWeights` in the two shapes the experiments use it in.
+fn bench_sampler(c: &mut Criterion) {
+    let mut group = c.benchmark_group("substrate_sampler");
+    // AgendaSim's: 110 problems whose weight grows with each publication,
+    // the 20 dominant ones in front drawing nearly all picks (T1, F1).
+    let mut rng = Rng::new(6);
+    let problems: Vec<f64> = (0..110)
+        .map(|i| (if i < 20 { 40.0 } else { 1.0 }) * (0.5 + rng.next_f64()))
+        .collect();
+    group.bench_function("agenda_110_set_sample_x12000", |b| {
+        b.iter(|| {
+            let mut weights = problems.clone();
+            let mut cw = CumulativeWeights::new(weights.clone());
+            let mut rng = Rng::new(7);
+            for _ in 0..12_000 {
+                let pick = cw.sample(&mut rng);
+                weights[pick] += 0.25;
+                cw.set(pick, weights[pick]);
+            }
+            black_box(cw.total())
+        })
+    });
+    // The corpus generator's: 600 authors, Global South ones down-weighted,
+    // drawn from without updates (F2, F7).
+    let authors = CumulativeWeights::new(
+        (0..600)
+            .map(|_| if rng.chance(0.3) { 0.35 } else { 1.0 })
+            .collect(),
+    );
+    group.bench_function("authors_600_sample_x1000", |b| {
+        let mut rng = Rng::new(8);
+        b.iter(|| {
+            let mut acc = 0;
+            for _ in 0..1000 {
+                acc += authors.sample(&mut rng);
+            }
+            black_box(acc)
+        })
     });
     group.finish();
 }
@@ -160,6 +202,7 @@ fn bench_text(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_rng,
+    bench_sampler,
     bench_stats,
     bench_graph,
     bench_routing,

@@ -18,7 +18,7 @@
 //!   by the special functions in [`special`];
 //! * resampling methods ([`bootstrap`]) — bootstrap confidence intervals
 //!   and permutation tests;
-//! * exact prefix-sum samplers ([`sampler`]) that draw what
+//! * exact Fenwick-tree samplers ([`sampler`]) that draw what
 //!   [`Rng::choose_weighted`] draws without rescanning the weights.
 //!
 //! The crate is dependency-light and synchronous by design: the humnet

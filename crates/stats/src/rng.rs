@@ -230,29 +230,20 @@ impl Rng {
     }
 
     /// Pick an index according to nonnegative weights (at least one must be
-    /// positive). Runs in O(n). For repeated draws from weights that change
-    /// by point updates, [`crate::CumulativeWeights`] (f64) and
+    /// positive). Runs in O(n): one left-to-right pass for the total, then
+    /// a scan for the first positive weight whose left-to-right running sum
+    /// reaches `next_f64() * total`. For repeated draws from weights that
+    /// change by point updates, [`crate::CumulativeWeights`] (f64) and
     /// [`crate::FenwickWeights`] (integers) return the same index for the
-    /// same draw without rescanning.
+    /// same draw in O(log n); the f64 sampler runs this same scan, on its
+    /// own draw, whenever it cannot certify its pick.
     pub fn choose_weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
+        let total = positive_sum(weights);
         assert!(
             total > 0.0 && total.is_finite(),
             "choose_weighted() requires positive finite total weight"
         );
-        let target = self.next_f64() * total;
-        let mut acc = 0.0;
-        let mut last_positive = 0;
-        for (i, &w) in weights.iter().enumerate() {
-            if w > 0.0 {
-                acc += w;
-                last_positive = i;
-                if acc >= target {
-                    return i;
-                }
-            }
-        }
-        last_positive
+        pick_weighted(weights, total, self.next_f64())
     }
 
     /// Fisher–Yates shuffle in place.
@@ -279,6 +270,64 @@ impl Rng {
         }
         chosen
     }
+}
+
+/// Sum of the positive weights, added left to right: `choose_weighted`'s
+/// total. Non-positive and NaN weights count as zero.
+pub(crate) fn positive_sum(weights: &[f64]) -> f64 {
+    weights.iter().copied().filter(|w| *w > 0.0).sum()
+}
+
+/// `choose_weighted`'s pick for the draw `r` in `[0, 1)`, given the
+/// weights' [`positive_sum`] `total`: the first positive weight whose
+/// left-to-right running sum reaches `r * total`.
+pub(crate) fn pick_weighted(weights: &[f64], total: f64, r: f64) -> usize {
+    let target = r * total;
+    let mut acc = 0.0;
+    let mut last_positive = 0;
+    for (i, &w) in weights.iter().enumerate() {
+        if w > 0.0 {
+            acc += w;
+            last_positive = i;
+            if acc >= target {
+                return i;
+            }
+        }
+    }
+    last_positive
+}
+
+#[cfg(test)]
+impl Rng {
+    /// A generator in the raw xoshiro state `s` (not all zero).
+    pub(crate) fn from_state(s: [u64; 4]) -> Self {
+        Rng {
+            s,
+            gauss_spare: None,
+        }
+    }
+
+    /// A generator whose next `next_f64` is `m / 2^53`, for `m < 2^53`.
+    ///
+    /// xoshiro256** outputs `rotl(s1 * 5, 7) * 9`; 5 and 9 are odd, so
+    /// both products invert modulo 2^64 and `s1` follows from the wanted
+    /// output `m << 11`.
+    pub(crate) fn drawing(m: u64) -> Self {
+        assert!(m < 1 << 53, "a next_f64 has 53 bits");
+        let s1 = inverse(5).wrapping_mul((m << 11).wrapping_mul(inverse(9)).rotate_right(7));
+        Rng::from_state([1, s1, 3, 4])
+    }
+}
+
+/// Inverse of an odd `a` modulo 2^64 by Newton's iteration: each step
+/// doubles the correct low bits, and `a` itself is right to 3 bits.
+#[cfg(test)]
+fn inverse(a: u64) -> u64 {
+    let mut x = a;
+    for _ in 0..5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)));
+    }
+    x
 }
 
 #[cfg(test)]
@@ -439,15 +488,20 @@ mod tests {
     }
 
     #[test]
+    fn drawing_yields_the_chosen_next_f64() {
+        let scale = (1u64 << 53) as f64;
+        for m in [0, 1, 12_345, 1 << 52, (1 << 53) - 1] {
+            assert_eq!(Rng::drawing(m).next_f64(), m as f64 / scale);
+        }
+    }
+
+    #[test]
     fn zero_draw_skips_leading_zero_weights() {
         // xoshiro256** outputs rotl(s1 * 5, 7) * 9, so s1 = 0 makes the
         // next `next_f64` exactly 0. At that target the first prefix sum is
         // already >= 0; only the zero-weight rule moves the pick to index 2.
         use crate::sampler::{CumulativeWeights, FenwickWeights};
-        let zero_draw = || Rng {
-            s: [1, 0, 3, 4],
-            gauss_spare: None,
-        };
+        let zero_draw = || Rng::from_state([1, 0, 3, 4]);
         let weights = [0.0, 0.0, 2.0, 1.0];
         assert_eq!(zero_draw().next_f64(), 0.0);
         assert_eq!(zero_draw().choose_weighted(&weights), 2);

@@ -211,7 +211,7 @@ fn hot_experiment_outputs_are_pinned() {
 
     // FNV-1a-64 of the rendered output of the experiments whose hot loops
     // skip recomputation (AgendaSim's per-round discovery weights, the
-    // corpus generator's prefix-sum samplers, F10's single routing pass);
+    // corpus generator's Fenwick-tree samplers, F10's single routing pass);
     // skipping it must not move a bit.
     let chaos = FaultPlan::new(FaultProfile::Chaos, 7);
     let cases = [

@@ -264,3 +264,134 @@ fn f7_gap_holds_on_every_recommendation() {
         );
     }
 }
+
+// The numbers EXPERIMENTS.md quotes as "Measured" must be what the binary
+// renders today, so the document cannot drift from the code.
+
+const EXPERIMENTS_MD: &str = include_str!("../EXPERIMENTS.md");
+
+/// EXPERIMENTS.md's section for `code`, from its heading to the next one.
+fn doc_section(code: &str) -> &'static str {
+    let heading = format!("\n## {code} — ");
+    let start = EXPERIMENTS_MD
+        .find(&heading)
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no {code} section"))
+        + heading.len();
+    let rest = &EXPERIMENTS_MD[start..];
+    &rest[..rest.find("\n## ").unwrap_or(rest.len())]
+}
+
+/// What the `experiments` binary prints for `code` at its canonical
+/// parameters.
+fn rendered(code: &str) -> String {
+    let id = exp::ExperimentId::parse(code).unwrap();
+    id.run_hooked(&mut NoFaults, &Telemetry::disabled())
+        .unwrap()
+        .rendered
+}
+
+/// One markdown cell with bold markers and thousands separators removed.
+fn cell(raw: &str) -> String {
+    raw.trim().replace("**", "").replace(',', "")
+}
+
+/// The first markdown table in `text` whose header starts with `first`,
+/// as column `name` mapped from each row's label to its cell.
+fn column(text: &str, first: &str, name: &str) -> Vec<(String, String)> {
+    let cells = |line: &str| -> Vec<String> {
+        line.trim().trim_matches('|').split('|').map(cell).collect()
+    };
+    let mut lines = text
+        .lines()
+        .skip_while(|l| !l.starts_with('|') || cells(l).first().map(String::as_str) != Some(first));
+    let header = cells(lines.next().unwrap_or_else(|| panic!("no `{first}` table")));
+    let col = header
+        .iter()
+        .position(|h| h == name)
+        .unwrap_or_else(|| panic!("no `{name}` column in {header:?}"));
+    let mut rows: Vec<(String, String)> = lines
+        .skip(1)
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| {
+            let row = cells(l);
+            (row[0].clone(), row[col].clone())
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// The number after `label` in `text`, compared case-insensitively.
+fn number_after(text: &str, label: &str) -> String {
+    let text = text.replace("**", "").to_lowercase();
+    let at = text.find(label).unwrap_or_else(|| panic!("no `{label}`")) + label.len();
+    text[at..]
+        .split(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .next()
+        .unwrap()
+        .trim_end_matches('.')
+        .to_string()
+}
+
+#[test]
+fn f1_committed_numbers_match_the_binary() {
+    let (doc, out) = (doc_section("F1"), rendered("f1"));
+    assert_eq!(
+        column(doc, "class", "publications"),
+        column(&out, "class", "publications")
+    );
+    assert_eq!(
+        number_after(doc, "attention gini = "),
+        number_after(&out, "attention gini = ")
+    );
+}
+
+#[test]
+fn t1_committed_numbers_match_the_binary() {
+    let (doc, out) = (doc_section("T1"), rendered("t1"));
+    for name in ["marginalized coverage", "attention gini", "publications"] {
+        assert_eq!(
+            column(doc, "regime", name),
+            column(&out, "regime", name),
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn f2_committed_numbers_match_the_binary() {
+    let (doc, out) = (doc_section("F2"), rendered("f2"));
+    let quoted = column(doc, "venue kind", "positionality rate");
+    assert_eq!(quoted, column(&out, "venue kind", "tagged rate"));
+    // "The detector agrees with the structured tags exactly."
+    assert_eq!(quoted, column(&out, "venue kind", "detected rate"));
+}
+
+#[test]
+fn f7_committed_numbers_match_the_binary() {
+    let (doc, out) = (doc_section("F7"), rendered("f7"));
+    // The prose quotes percentages, in order: systems-networking's three
+    // recommendation rates, ICTD's three, then full adoption.
+    let quoted: Vec<String> = doc
+        .split_whitespace()
+        .map(|w| w.trim_end_matches([',', '.', ';', ':']))
+        .filter_map(|w| w.strip_suffix('%'))
+        .map(str::to_string)
+        .collect();
+    let rate = |row: &str, name: &str| -> String {
+        let col = column(&out, "venue kind", name);
+        let value = &col.iter().find(|(label, _)| label == row).unwrap().1;
+        format!("{:.1}", value.parse::<f64>().unwrap() * 100.0)
+    };
+    let recommendations = [
+        "partnerships (§5.1)",
+        "conversations (§5.2)",
+        "positionality (§5.3)",
+    ];
+    let mut measured: Vec<String> = ["systems-networking", "ictd"]
+        .iter()
+        .flat_map(|row| recommendations.iter().map(move |name| rate(row, name)))
+        .collect();
+    measured.push(rate("full §5 adoption", recommendations[0]));
+    assert_eq!(quoted, measured);
+}
