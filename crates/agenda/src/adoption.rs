@@ -11,10 +11,9 @@
 
 use crate::review::{run_review, ReviewConfig, VenueWeights};
 use crate::{AgendaError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an adoption-dynamics run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdoptionConfig {
     /// Publication cycles to simulate.
     pub rounds: u32,
@@ -77,7 +76,7 @@ impl AdoptionConfig {
 }
 
 /// One cycle of the trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdoptionSnapshot {
     /// Cycle index.
     pub round: u32,

@@ -58,17 +58,6 @@ pub fn mean_time_to_surface(space: &ProblemSpace, class: StakeholderClass) -> Op
     }
 }
 
-/// Shannon entropy (nats) of the attention distribution over classes —
-/// higher means broader agendas.
-pub fn attention_entropy(space: &ProblemSpace) -> Result<f64> {
-    let counts: Vec<f64> = attention_by_class(space)
-        .into_iter()
-        .map(|(_, c)| c as f64)
-        .collect();
-    humnet_stats::shannon_entropy(&counts)
-        .map_err(|_| AgendaError::InvalidParameter("no publications"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,13 +87,6 @@ mod tests {
         let dd = attention_gini(&finished(MethodRegime::DataDriven).space).unwrap();
         let par = attention_gini(&finished(MethodRegime::Par).space).unwrap();
         assert!(dd > par, "data-driven gini {dd} should exceed par {par}");
-    }
-
-    #[test]
-    fn par_has_higher_entropy() {
-        let dd = attention_entropy(&finished(MethodRegime::DataDriven).space).unwrap();
-        let par = attention_entropy(&finished(MethodRegime::Par).space).unwrap();
-        assert!(par > dd);
     }
 
     #[test]

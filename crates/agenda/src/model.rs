@@ -2,11 +2,10 @@
 
 use crate::{AgendaError, Result};
 use humnet_stats::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Classes of Internet stakeholder whose problems compete for research
 /// attention (mirrors the paper's §1 framing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StakeholderClass {
     /// Hyperscale cloud and content operators.
     Hyperscaler,
@@ -73,7 +72,7 @@ impl StakeholderClass {
 }
 
 /// One research problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// Dense id.
     pub id: usize,
@@ -92,7 +91,7 @@ pub struct Problem {
 }
 
 /// Configuration of the problem space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpaceConfig {
     /// Per-class overrides; `None` uses
     /// [`StakeholderClass::default_profile`].
@@ -117,7 +116,7 @@ impl Default for SpaceConfig {
 }
 
 /// The population of problems.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProblemSpace {
     /// All problems.
     pub problems: Vec<Problem>,

@@ -1,11 +1,10 @@
 //! Method regimes: how researchers discover problems.
 
 use crate::model::Problem;
-use serde::{Deserialize, Serialize};
 
 /// The problem-sourcing methodology of a researcher population — the
 /// independent variable of experiment **T1**.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MethodRegime {
     /// Projects "begin with datasets" (§2): discovery weight follows what
     /// is visible in measurement data and what funding instruments exist,

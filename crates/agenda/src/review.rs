@@ -14,10 +14,9 @@
 
 use crate::{AgendaError, Result};
 use humnet_stats::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A submission's strengths per dimension, each in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContributionProfile {
     /// System performance wins.
     pub performance: f64,
@@ -62,7 +61,7 @@ impl ContributionProfile {
 }
 
 /// A venue's review weight vector (need not be normalized).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VenueWeights {
     /// Weight on performance.
     pub performance: f64,
@@ -106,7 +105,7 @@ impl VenueWeights {
 }
 
 /// Configuration of a review simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReviewConfig {
     /// Number of systems-style submissions.
     pub systems_submissions: usize,
@@ -133,7 +132,7 @@ impl Default for ReviewConfig {
 }
 
 /// Outcome of one review cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReviewOutcome {
     /// Acceptance rate among systems-style submissions.
     pub systems_acceptance: f64,

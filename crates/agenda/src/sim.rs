@@ -15,10 +15,9 @@ use crate::{AgendaError, Result};
 use humnet_resilience::{FaultHook, FaultKind};
 use humnet_stats::{CumulativeWeights, Rng};
 use humnet_telemetry::{Event, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an agenda run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgendaConfig {
     /// The problem space.
     pub space: SpaceConfig,
@@ -52,7 +51,7 @@ impl Default for AgendaConfig {
 }
 
 /// A per-round snapshot of aggregate state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundSnapshot {
     /// Round index.
     pub round: u32,

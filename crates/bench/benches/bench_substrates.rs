@@ -1,13 +1,10 @@
 //! Micro-benchmarks of the substrate kernels every experiment leans on:
-//! RNG, weighted samplers, inequality indices, graph algorithms, policy
-//! routing, text vectorization, and reliability statistics.
+//! RNG, weighted samplers, inequality indices and policy routing.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use humnet_graph::{barabasi_albert, betweenness_centrality, pagerank};
 use humnet_ixp::routing::reference::ReferenceTable;
 use humnet_ixp::{synthetic_internet, AsKind, AsTopology, RegionTag, RoutingTable};
-use humnet_stats::{bootstrap_ci, gini, mean, CumulativeWeights, Rng};
-use humnet_text::{tokenize, TfIdf};
+use humnet_stats::{gini, CumulativeWeights, Rng};
 
 fn bench_rng(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_rng");
@@ -85,30 +82,6 @@ fn bench_stats(c: &mut Criterion) {
     let mut rng = Rng::new(2);
     let data: Vec<f64> = (0..10_000).map(|_| rng.pareto(1.0, 1.5)).collect();
     group.bench_function("gini_10k", |b| b.iter(|| black_box(gini(&data).unwrap())));
-    group.bench_function("bootstrap_mean_1k_x200", |b| {
-        let sample: Vec<f64> = data.iter().take(1000).copied().collect();
-        b.iter(|| {
-            let mut rng = Rng::new(3);
-            black_box(
-                bootstrap_ci(&sample, |d| mean(d).unwrap(), 200, 0.95, &mut rng)
-                    .unwrap()
-                    .estimate,
-            )
-        })
-    });
-    group.finish();
-}
-
-fn bench_graph(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate_graph");
-    let mut rng = Rng::new(4);
-    let g = barabasi_albert(500, 3, &mut rng).unwrap();
-    group.bench_function("pagerank_ba500", |b| {
-        b.iter(|| black_box(pagerank(&g, 0.85, 1e-9, 100).unwrap()[0]))
-    });
-    group.bench_function("betweenness_ba500", |b| {
-        b.iter(|| black_box(betweenness_centrality(&g).unwrap()[0]))
-    });
     group.finish();
 }
 
@@ -179,34 +152,12 @@ fn bench_routing_scale(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_text(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate_text");
-    let docs: Vec<Vec<String>> = (0..200)
-        .map(|i| {
-            tokenize(&format!(
-                "community networks are operated by people round {i}; \
-                 we measure peering and routing behaviour at exchanges"
-            ))
-        })
-        .collect();
-    group.bench_function("tfidf_fit_200_docs", |b| {
-        b.iter(|| black_box(TfIdf::fit(&docs).unwrap().vocabulary().len()))
-    });
-    let model = TfIdf::fit(&docs).unwrap();
-    group.bench_function("tfidf_transform", |b| {
-        b.iter(|| black_box(model.transform(&docs[7]).len()))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_rng,
     bench_sampler,
     bench_stats,
-    bench_graph,
     bench_routing,
-    bench_routing_scale,
-    bench_text
+    bench_routing_scale
 );
 criterion_main!(benches);

@@ -18,10 +18,9 @@ use crate::{CommunityError, Result};
 use humnet_resilience::{FaultHook, FaultKind};
 use humnet_stats::{jain_fairness, Rng};
 use humnet_telemetry::{Event, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// How shared capacity is divided each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocationPolicy {
     /// Proportional to offered demand (no governance).
     FreeForAll,
@@ -50,7 +49,7 @@ impl AllocationPolicy {
 }
 
 /// Configuration of a congestion run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CongestionConfig {
     /// Number of households sharing the backhaul.
     pub households: usize,
@@ -117,7 +116,7 @@ impl CongestionConfig {
 }
 
 /// Aggregate outcome of a congestion run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CongestionOutcome {
     /// Policy simulated.
     pub policy: AllocationPolicy,

@@ -9,10 +9,9 @@
 
 use crate::{CommunityError, Result};
 use humnet_stats::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the cooperative raises money.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DuesPolicy {
     /// Every household pays the same flat amount.
     Flat,
@@ -41,7 +40,7 @@ impl DuesPolicy {
 }
 
 /// Configuration of an economics run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EconomicsConfig {
     /// Number of member households.
     pub households: usize,
@@ -113,7 +112,7 @@ impl EconomicsConfig {
 }
 
 /// Outcome of an economics run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EconomicsOutcome {
     /// Policy simulated.
     pub policy: DuesPolicy,

@@ -2,10 +2,9 @@
 
 use crate::{CommunityError, Result};
 use humnet_stats::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Operational state of a mesh node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
     /// Powered and relaying.
     Up,
@@ -14,7 +13,7 @@ pub enum NodeState {
 }
 
 /// Configuration of a random geometric mesh.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeshConfig {
     /// Number of nodes (including gateways).
     pub nodes: usize,
@@ -38,7 +37,7 @@ impl Default for MeshConfig {
 }
 
 /// A deployed mesh network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeshNetwork {
     /// Node positions.
     positions: Vec<(f64, f64)>,

@@ -19,10 +19,9 @@ use crate::Result;
 use humnet_resilience::{FaultHook, FaultKind};
 use humnet_stats::Rng;
 use humnet_telemetry::{Event, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a sustainability run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SustainabilityConfig {
     /// Mesh shape.
     pub mesh: MeshConfig,
@@ -49,7 +48,7 @@ impl Default for SustainabilityConfig {
 }
 
 /// Aggregate outcome of a sustainability run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SustainabilityOutcome {
     /// Regime simulated.
     pub regime: VolunteerRegime,

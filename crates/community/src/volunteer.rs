@@ -1,10 +1,9 @@
 //! Volunteers: the humans who keep community networks alive.
 
 use crate::{CommunityError, Result};
-use serde::{Deserialize, Serialize};
 
 /// One volunteer (or staff member).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Volunteer {
     /// Display name.
     pub name: String,
@@ -54,7 +53,7 @@ impl Volunteer {
 
 /// The shape of a maintenance workforce — the independent variable of
 /// experiment **T3**.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VolunteerRegime {
     /// A couple of heroic core volunteers (the pattern Jang 2024 warns
     /// about): high skill and availability, but the load concentrates and
@@ -86,7 +85,7 @@ impl VolunteerRegime {
 }
 
 /// A pool of volunteers under a regime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VolunteerPool {
     /// The members.
     pub members: Vec<Volunteer>,

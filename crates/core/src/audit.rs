@@ -14,10 +14,9 @@
 use crate::Result;
 use humnet_corpus::{Corpus, MethodTag, Paper, VenueKind};
 use humnet_survey::detect_positionality;
-use serde::{Deserialize, Serialize};
 
 /// Audit results for one venue kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VenueAudit {
     /// Venue kind audited.
     pub kind: VenueKind,
@@ -37,7 +36,7 @@ pub struct VenueAudit {
 }
 
 /// Whole-corpus audit report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditReport {
     /// Per-venue-kind breakdown (order of [`VenueKind::ALL`]).
     pub venues: Vec<VenueAudit>,

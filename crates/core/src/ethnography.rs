@@ -16,10 +16,9 @@
 //! budget of field days, how much insight does each schedule yield?
 
 use crate::{CoreError, Result};
-use serde::{Deserialize, Serialize};
 
 /// How field days are laid out in calendar time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Schedule {
     /// One continuous block (classical long-form fieldwork).
     Traditional,
@@ -40,7 +39,7 @@ pub enum Schedule {
 }
 
 /// The reflexive documentation practice maintained between visits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemoPractice {
     /// No systematic memos: depth collapses between visits.
     None,
@@ -50,7 +49,7 @@ pub enum MemoPractice {
 }
 
 /// Configuration of a field study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EthnographyConfig {
     /// Total budget of field days.
     pub budget_days: u32,
@@ -143,7 +142,7 @@ impl EthnographyConfig {
 }
 
 /// Outcome of a field study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyOutcome {
     /// Total insight harvested (≤ pool size).
     pub insights: f64,

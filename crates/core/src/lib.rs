@@ -11,9 +11,6 @@
 //!   patchwork, rapid), and an insight-saturation model that quantifies the
 //!   §3 claim that fragmented field time can preserve depth (experiment
 //!   **F6**).
-//! * [`reflexivity`] — role conflicts and disclosure audits tying
-//!   [`humnet_survey::positionality`] statements to project roles (§4's
-//!   Seattle Community Network example).
 //! * [`audit`] — the `MethodsAuditor`: runs the paper's §5 checklist over a
 //!   [`humnet_corpus::Corpus`] (experiments **F2** and **F7**).
 //! * [`report`] — plain-text tables and series used by the experiment
@@ -27,13 +24,11 @@ pub mod audit;
 pub mod ethnography;
 pub mod experiments;
 pub mod par;
-pub mod reflexivity;
 pub mod report;
 
 pub use audit::{AuditReport, MethodsAuditor, VenueAudit};
 pub use ethnography::{EthnographyConfig, FieldStudy, MemoPractice, Schedule, StudyOutcome};
 pub use par::{EngagementKind, EngagementRecord, ParProject, Partner, ResearchStage};
-pub use reflexivity::{DisclosureAudit, ProjectRole, RoleAssignment};
 pub use report::{Series, Table};
 
 /// Errors produced by the core crate.

@@ -9,11 +9,10 @@
 //! checklist mechanically (experiment **T4**).
 
 use crate::{CoreError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Stages of a research project (§5.1's "(1) ideate … (2) explore …
 /// (3) evaluate", plus dissemination).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResearchStage {
     /// Problem formation / ideation.
     ProblemFormation,
@@ -47,7 +46,7 @@ impl ResearchStage {
 
 /// The depth of partner participation in an engagement, mapped onto the
 /// rungs of Arnstein's ladder of citizen participation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EngagementKind {
     /// Partners were told what was happening (rung 3, "informing").
     Informed,
@@ -72,7 +71,7 @@ impl EngagementKind {
 }
 
 /// A practitioner or community partner.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partner {
     /// Name or pseudonym.
     pub name: String,
@@ -81,7 +80,7 @@ pub struct Partner {
 }
 
 /// One documented engagement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngagementRecord {
     /// Stage the engagement belongs to.
     pub stage: ResearchStage,
@@ -96,7 +95,7 @@ pub struct EngagementRecord {
 }
 
 /// A participatory project: partners plus engagement history.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParProject {
     /// Project name.
     pub name: String,

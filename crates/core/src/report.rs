@@ -4,10 +4,8 @@
 //! types by the `experiments` binary and the benches, so the rendering is
 //! consistent and snapshot-testable.
 
-use serde::{Deserialize, Serialize};
-
 /// A rectangular text table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table title.
     pub title: String,
@@ -55,7 +53,7 @@ impl Table {
 
 /// A named (x, y) series, rendered as a two-column table plus an ASCII
 /// sparkline — the text stand-in for a paper figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Series title.
     pub title: String,

@@ -2,11 +2,9 @@
 
 use crate::model::{Corpus, MethodTag, Region, VenueKind};
 use crate::{CorpusError, Result};
-use humnet_graph::{Direction, Graph};
-use serde::{Deserialize, Serialize};
 
 /// Prevalence of one method at one venue kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodPrevalence {
     /// Venue kind.
     pub kind: VenueKind,
@@ -113,56 +111,6 @@ pub fn citation_gini(corpus: &Corpus) -> Result<f64> {
         .map_err(|_| CorpusError::InvalidParameter("citation counts degenerate"))
 }
 
-/// Build the directed citation graph: node per paper, edge `a → b` when `a`
-/// cites `b`.
-pub fn citation_graph(corpus: &Corpus) -> Graph {
-    let mut g = Graph::new(Direction::Directed);
-    g.add_nodes(corpus.papers.len());
-    for p in &corpus.papers {
-        for &c in &p.citations {
-            g.add_edge(p.id, c).expect("validated corpus");
-        }
-    }
-    g
-}
-
-/// Build the undirected coauthorship graph: node per author, edge per
-/// coauthored paper (parallel edges collapse into weight).
-pub fn coauthorship_graph(corpus: &Corpus) -> Graph {
-    let mut g = Graph::undirected(corpus.authors.len());
-    let mut seen = std::collections::HashSet::new();
-    for p in &corpus.papers {
-        for i in 0..p.authors.len() {
-            for j in (i + 1)..p.authors.len() {
-                let (a, b) = (p.authors[i].min(p.authors[j]), p.authors[i].max(p.authors[j]));
-                if seen.insert((a, b)) {
-                    g.add_edge(a, b).expect("validated corpus");
-                }
-            }
-        }
-    }
-    g
-}
-
-/// Rank papers by PageRank over the citation graph (most influential
-/// first). Returns `(paper_id, score)`.
-pub fn influence_ranking(corpus: &Corpus, top: usize) -> Result<Vec<(usize, f64)>> {
-    if corpus.papers.is_empty() {
-        return Err(CorpusError::EmptyCorpus);
-    }
-    let g = citation_graph(corpus);
-    let pr = humnet_graph::pagerank(&g, 0.85, 1e-10, 200)
-        .map_err(|_| CorpusError::InvalidParameter("pagerank failed"))?;
-    let mut ranked: Vec<(usize, f64)> = pr.into_iter().enumerate().collect();
-    ranked.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    ranked.truncate(top);
-    Ok(ranked)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,35 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn citation_graph_shape() {
-        let c = corpus();
-        let g = citation_graph(&c);
-        assert_eq!(g.node_count(), c.papers.len());
-        let total_cites: usize = c.papers.iter().map(|p| p.citations.len()).sum();
-        assert_eq!(g.edge_count(), total_cites);
-        assert!(g.is_directed());
-    }
-
-    #[test]
-    fn coauthorship_graph_is_undirected() {
-        let c = corpus();
-        let g = coauthorship_graph(&c);
-        assert_eq!(g.node_count(), c.authors.len());
-        assert!(!g.is_directed());
-        assert!(g.edge_count() > 0);
-    }
-
-    #[test]
-    fn influence_ranking_sorted() {
-        let c = corpus();
-        let r = influence_ranking(&c, 10).unwrap();
-        assert_eq!(r.len(), 10);
-        for w in r.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-    }
-
-    #[test]
     fn citation_gini_positive() {
         let g = citation_gini(&corpus()).unwrap();
         assert!(g > 0.0 && g < 1.0);
@@ -267,7 +186,6 @@ mod tests {
         let c = Corpus::default();
         assert!(region_share(&c, None).is_err());
         assert!(citation_gini(&c).is_err());
-        assert!(influence_ranking(&c, 5).is_err());
     }
 
     #[test]

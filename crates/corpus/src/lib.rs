@@ -14,9 +14,8 @@
 //!   well-known stylized facts (power-law citations via preferential
 //!   attachment, venue-dependent method prevalence, Global North dominance
 //!   of author affiliations);
-//! * corpus analytics ([`analysis`]) — method prevalence tables, citation
-//!   and coauthorship graphs, inequality metrics;
-//! * JSON/CSV import and export ([`io`]).
+//! * corpus analytics ([`analysis`]) — method prevalence tables, regional
+//!   shares, citation inequality.
 //!
 //! The generator's parameters are all public ([`generator::CorpusConfig`]),
 //! so experiments can sweep them; every corpus is deterministic given a
@@ -27,12 +26,11 @@
 
 pub mod analysis;
 pub mod generator;
-pub mod io;
 pub mod model;
 
 pub use analysis::{
-    citation_gini, citation_graph, coauthorship_graph, influence_ranking, method_prevalence,
-    method_rate_by_year, papers_per_venue, region_share, MethodPrevalence,
+    citation_gini, method_prevalence, method_rate_by_year, papers_per_venue, region_share,
+    MethodPrevalence,
 };
 pub use generator::{CorpusConfig, VenueProfile};
 pub use model::{
@@ -48,10 +46,6 @@ pub enum CorpusError {
     InvalidParameter(&'static str),
     /// A referenced entity id does not exist.
     DanglingReference(&'static str, usize),
-    /// Serialization or deserialization failed.
-    Serde(String),
-    /// An I/O error occurred while reading or writing a corpus file.
-    Io(std::io::Error),
 }
 
 impl std::fmt::Display for CorpusError {
@@ -62,32 +56,11 @@ impl std::fmt::Display for CorpusError {
             CorpusError::DanglingReference(kind, id) => {
                 write!(f, "dangling {kind} reference: {id}")
             }
-            CorpusError::Serde(e) => write!(f, "serialization error: {e}"),
-            CorpusError::Io(e) => write!(f, "io error: {e}"),
         }
     }
 }
 
-impl std::error::Error for CorpusError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CorpusError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CorpusError {
-    fn from(e: std::io::Error) -> Self {
-        CorpusError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for CorpusError {
-    fn from(e: serde_json::Error) -> Self {
-        CorpusError::Serde(e.to_string())
-    }
-}
+impl std::error::Error for CorpusError {}
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, CorpusError>;

@@ -1,12 +1,10 @@
 //! The publication data model: papers, authors, venues, and the tag
 //! taxonomies the paper's argument turns on.
 
-use serde::{Deserialize, Serialize};
-
 /// Broad world-region of an institution. The paper's §1 argues that
 /// "linguistic and geopolitical marginality" is rendered invisible; the
 /// corpus tracks region to let experiments measure that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// North America, Europe, East Asia research powerhouses.
     GlobalNorth,
@@ -15,7 +13,7 @@ pub enum Region {
 }
 
 /// Kinds of publication venue, by methodological culture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VenueKind {
     /// Top systems/networking venues (SIGCOMM, NSDI style).
     SystemsNetworking,
@@ -53,20 +51,12 @@ impl VenueKind {
             VenueKind::SocialScience => "social-science",
         }
     }
-
-    /// True for the venues the paper calls "traditional networking venues".
-    pub fn is_networking(&self) -> bool {
-        matches!(
-            self,
-            VenueKind::SystemsNetworking | VenueKind::Measurement | VenueKind::HotTopics
-        )
-    }
 }
 
 /// Research method tags attached to papers. The three the paper advocates
 /// ([`MethodTag::ParticipatoryActionResearch`], [`MethodTag::Ethnography`],
 /// [`MethodTag::Positionality`]) are the focus of the audit experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MethodTag {
     /// Large-scale measurement / trace analysis.
     Measurement,
@@ -131,7 +121,7 @@ impl MethodTag {
 }
 
 /// Research topics, keyed to the stakeholder whose problems they serve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topic {
     /// Datacenter performance and fabric design.
     DatacenterPerformance,
@@ -201,7 +191,7 @@ impl Topic {
 /// Classes of Internet stakeholder, from the paper's §1 framing
 /// ("hyperscalers or government agencies" vs "those managing fragile
 /// last-mile networks").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StakeholderClass {
     /// Hyperscale cloud/content operators.
     Hyperscaler,
@@ -251,7 +241,7 @@ impl StakeholderClass {
 }
 
 /// A publication venue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Venue {
     /// Dense id within the corpus.
     pub id: usize,
@@ -262,7 +252,7 @@ pub struct Venue {
 }
 
 /// An author.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Author {
     /// Dense id within the corpus.
     pub id: usize,
@@ -275,7 +265,7 @@ pub struct Author {
 }
 
 /// A paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Paper {
     /// Dense id within the corpus.
     pub id: usize,
@@ -314,7 +304,7 @@ impl Paper {
 }
 
 /// A full corpus: venues, authors, papers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Corpus {
     /// All venues.
     pub venues: Vec<Venue>,
@@ -505,14 +495,6 @@ mod tests {
     fn marginalized_stakeholders() {
         assert!(StakeholderClass::CommunityOperator.is_marginalized());
         assert!(!StakeholderClass::Hyperscaler.is_marginalized());
-    }
-
-    #[test]
-    fn venue_kind_networking_split() {
-        assert!(VenueKind::SystemsNetworking.is_networking());
-        assert!(VenueKind::HotTopics.is_networking());
-        assert!(!VenueKind::HciCscw.is_networking());
-        assert!(!VenueKind::SocialScience.is_networking());
     }
 
     #[test]

@@ -18,10 +18,9 @@
 use crate::topology::RegionTag;
 use crate::{IxpError, Result};
 use humnet_stats::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One exchange in the growth model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GrowingIxp {
     /// Display name.
     pub name: String,
@@ -36,7 +35,7 @@ pub struct GrowingIxp {
 }
 
 /// Configuration of a growth run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GrowthConfig {
     /// The competing exchanges at round 0.
     pub ixps: Vec<GrowingIxp>,
@@ -121,7 +120,7 @@ impl GrowthConfig {
 }
 
 /// Outcome of a growth run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GrowthOutcome {
     /// Final member counts, aligned with the config's exchanges.
     pub final_members: Vec<u32>,

@@ -3,10 +3,9 @@
 use crate::topology::{AsTopology, IxpId};
 use crate::traffic::FlowAssignment;
 use crate::{IxpError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Where domestic traffic between ASes of one region gets exchanged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalityReport {
     /// Region analysed.
     pub region: String,

@@ -22,10 +22,9 @@
 
 use crate::topology::{AsId, AsKind, AsTopology, IxpId};
 use crate::{IxpError, Result};
-use serde::{Deserialize, Serialize};
 
 /// How the incumbent responds to a mandatory-peering rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CircumventionStrategy {
     /// Join the exchange with the real ASN and export the full cone.
     ComplyFully,
@@ -34,7 +33,7 @@ pub enum CircumventionStrategy {
 }
 
 /// A mandatory-peering rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeeringRegulation {
     /// Whether the incumbent is required to peer at the public exchange.
     pub mandatory_peering: bool,
@@ -56,7 +55,7 @@ impl PeeringRegulation {
 }
 
 /// Outcome of applying a regulation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegulationOutcome {
     /// The AS that actually joined the exchange (incumbent or shell).
     pub exchange_presence: Option<AsId>,

@@ -52,7 +52,6 @@
 
 use crate::topology::{AsId, AsTopology, FrozenTopology, IxpId, NO_IXP};
 use crate::{IxpError, Result};
-use serde::{Deserialize, Serialize};
 
 const INF: u32 = u32::MAX;
 /// Sentinel for "no next hop" in the packed next-hop rows.
@@ -68,7 +67,7 @@ const CLASS_PROV: u8 = 3;
 
 /// How the first hop of a route was learned — equivalently, the economic
 /// class of the selected route at the source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteKind {
     /// Destination is the source itself.
     SelfRoute,
@@ -81,7 +80,7 @@ pub enum RouteKind {
 }
 
 /// A resolved route from one AS to another.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// Economic class of the route at the source.
     pub kind: RouteKind,

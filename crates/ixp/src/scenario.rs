@@ -9,10 +9,9 @@ use crate::{IxpError, Result};
 use humnet_resilience::{FaultHook, FaultKind};
 use humnet_stats::Rng;
 use humnet_telemetry::{Event, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Mexico/Telmex scenario (experiment **F3**).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MexicoConfig {
     /// Number of competitor access ISPs at the national IXP.
     pub competitors: usize,
@@ -174,7 +173,7 @@ impl MexicoScenario {
 }
 
 /// Configuration of the Brazil-vs-Germany scenario (experiment **F4**).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TwoRegionConfig {
     /// Number of Global South access ISPs.
     pub south_isps: usize,

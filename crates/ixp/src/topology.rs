@@ -14,7 +14,6 @@
 //!   across worker threads. The routing engine runs on this form.
 
 use crate::{IxpError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an autonomous system (dense index).
 pub type AsId = usize;
@@ -30,7 +29,7 @@ pub type RegionId = u32;
 pub const NO_IXP: u32 = u32::MAX;
 
 /// Coarse role of an AS in the interconnection ecosystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsKind {
     /// National incumbent operator (large customer cone, market power).
     Incumbent,
@@ -46,7 +45,7 @@ pub enum AsKind {
 
 /// Region label for locality accounting. The string names a country or
 /// macro-region; `global_south` tags the Global South for the F4 metrics.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RegionTag {
     /// Region name (e.g. "MX", "BR", "DE").
     pub name: String,
@@ -65,7 +64,7 @@ impl RegionTag {
 }
 
 /// Metadata for one AS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsInfo {
     /// Dense id.
     pub id: AsId,
@@ -80,7 +79,7 @@ pub struct AsInfo {
 }
 
 /// Metadata for one IXP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IxpInfo {
     /// Dense id.
     pub id: IxpId,
@@ -93,7 +92,7 @@ pub struct IxpInfo {
 }
 
 /// A bilateral peering link, possibly located at an IXP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerLink {
     /// One endpoint.
     pub a: AsId,
@@ -104,7 +103,7 @@ pub struct PeerLink {
 }
 
 /// The full topology: ASes, provider relationships, peer links, IXPs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AsTopology {
     ases: Vec<AsInfo>,
     /// `providers[c]` = list of providers of AS `c` (c pays them).

@@ -3,10 +3,9 @@
 use crate::routing::{Route, RoutingTable};
 use crate::topology::{AsId, AsKind, AsTopology};
 use crate::{IxpError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the gravity traffic model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficConfig {
     /// Multiplier applied to demand between two ASes in the same region
     /// (domestic affinity; > 1 models language/content locality).
@@ -26,7 +25,7 @@ impl Default for TrafficConfig {
 }
 
 /// One source–destination demand with its resolved route.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowAssignment {
     /// Source AS.
     pub src: AsId,
@@ -39,7 +38,7 @@ pub struct FlowAssignment {
 }
 
 /// A traffic matrix: demands between AS pairs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrafficMatrix {
     /// Nonzero demands as `(src, dst, volume)`.
     pub demands: Vec<(AsId, AsId, f64)>,

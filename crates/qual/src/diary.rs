@@ -11,10 +11,9 @@
 
 use crate::{QualError, Result};
 use humnet_stats::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One diary entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiaryEntry {
     /// Participant index.
     pub participant: usize,
@@ -27,7 +26,7 @@ pub struct DiaryEntry {
 }
 
 /// Configuration of a diary study simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiaryConfig {
     /// Number of participants.
     pub participants: usize,
@@ -91,7 +90,7 @@ impl DiaryConfig {
 }
 
 /// Results of a simulated diary study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiaryOutcome {
     /// All entries, ordered by (day, participant).
     pub entries: Vec<DiaryEntry>,

@@ -13,10 +13,9 @@ use crate::{QualError, Result};
 use humnet_resilience::{FaultHook, FaultKind};
 use humnet_stats::Rng;
 use humnet_telemetry::{Event, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// One simulated coder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoderProfile {
     /// Coder label.
     pub name: String,
@@ -38,7 +37,7 @@ impl CoderProfile {
 }
 
 /// Configuration of a simulated coding study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyConfig {
     /// Number of units (turns) to code.
     pub units: usize,
@@ -111,7 +110,7 @@ impl StudyConfig {
 }
 
 /// Reliability metrics for one refinement round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundReliability {
     /// Refinement round (0 = initial codebook).
     pub round: u32,

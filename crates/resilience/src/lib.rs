@@ -37,13 +37,26 @@
 
 pub mod backoff;
 
-/// The code revision this binary was built from: crate version plus the
-/// build-time git rev (stamped by `build.rs`, `unknown` outside a git
-/// checkout). Stamped into every [`RunReport`] so artifacts say what code
-/// produced them, and mixed into the serve cache key so a rebuilt daemon
-/// never serves a stale artifact.
+/// The code identity this binary was built from: crate version plus the
+/// [`fingerprint::source_key`] of the workspace sources, which `build.rs`
+/// recomputes whenever a file under `crates/`, `src/` or `vendor/`
+/// changes. Identical sources give the same identity whatever the git
+/// state, and any edit gives a new one. Stamped into every [`RunReport`]
+/// so artifacts say what code produced them, and mixed into the serve
+/// cache key so a rebuilt daemon never serves a stale artifact.
 pub fn code_rev() -> String {
-    format!("{}+{}", env!("CARGO_PKG_VERSION"), env!("HUMNET_GIT_REV"))
+    format!(
+        "{}+{}",
+        env!("CARGO_PKG_VERSION"),
+        include_str!(concat!(env!("OUT_DIR"), "/source_key"))
+    )
+}
+
+/// The short git revision of the checkout this binary was built from, for
+/// humans (`unknown` outside a git checkout). Unlike [`code_rev`] it can
+/// go stale: it is re-stamped only when `.git/HEAD` or a source changes.
+pub fn git_rev() -> &'static str {
+    env!("HUMNET_GIT_REV")
 }
 
 /// The one way a supervised run hands out experiments: each worker
@@ -60,6 +73,7 @@ pub enum Schedule {
 pub mod breaker;
 pub mod dispatch;
 pub mod fault;
+pub mod fingerprint;
 pub mod remote;
 pub mod replay;
 pub mod report;

@@ -28,6 +28,7 @@
 //! it artifacts from dead code revisions pin a roomy cache forever.
 
 use crate::protocol::{Response, STATUS_HIT};
+use humnet_resilience::fingerprint::fnv1a_128;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
@@ -35,20 +36,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
-
-/// 128-bit FNV-1a over `bytes` — the same hash family the runner's
-/// deterministic jitter uses, widened so tuple collisions are out of the
-/// picture at any realistic cache size.
-fn fnv1a_128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u128::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
 
 /// The content address of one request tuple, as 32 hex characters.
 ///

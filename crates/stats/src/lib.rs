@@ -7,17 +7,8 @@
 //! * a small, fully deterministic pseudo-random number generator
 //!   ([`rng::Rng`]) so that every experiment is reproducible bit-for-bit
 //!   from a `u64` seed;
-//! * descriptive statistics ([`descriptive`]) including streaming moments
-//!   and histograms;
 //! * inequality and fairness indices ([`inequality`]) — Gini, Lorenz,
 //!   Theil, Jain — used to quantify concentration of research attention;
-//! * diversity indices ([`diversity`]) — Shannon, Simpson — used to
-//!   quantify topical breadth;
-//! * correlation and regression ([`correlation`], [`regression`]);
-//! * classical hypothesis tests ([`hypothesis`]) with real p-values backed
-//!   by the special functions in [`special`];
-//! * resampling methods ([`bootstrap`]) — bootstrap confidence intervals
-//!   and permutation tests;
 //! * exact Fenwick-tree samplers ([`sampler`]) that draw what
 //!   [`Rng::choose_weighted`] draws without rescanning the weights.
 //!
@@ -28,34 +19,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bootstrap;
-pub mod confusion;
-pub mod correlation;
-pub mod descriptive;
-pub mod diversity;
-pub mod effect;
-pub mod hypothesis;
 pub mod inequality;
-pub mod regression;
 pub mod rng;
 pub mod sampler;
-pub mod special;
 
-pub use bootstrap::{bootstrap_ci, permutation_test, BootstrapCi};
-pub use confusion::ConfusionMatrix;
-pub use correlation::{kendall_tau, pearson, spearman};
-pub use descriptive::{
-    excess_kurtosis, geometric_mean, harmonic_mean, histogram, max, mean, median, min, quantile,
-    skewness, stddev, summary, variance, Histogram, Summary,
-};
-pub use diversity::{effective_species, evenness, shannon_entropy, simpson_index};
-pub use effect::{cliff_delta, cohen_d, hedges_g, magnitude, Magnitude};
-pub use hypothesis::{
-    chi_square_gof, chi_square_independence, fisher_exact, kruskal_wallis, mann_whitney_u,
-    welch_t_test, TestResult,
-};
 pub use inequality::{gini, jain_fairness, lorenz_curve, theil_index, top_share};
-pub use regression::{ols, OlsFit};
 pub use rng::Rng;
 pub use sampler::{CumulativeWeights, FenwickWeights};
 

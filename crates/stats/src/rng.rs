@@ -246,14 +246,6 @@ impl Rng {
         pick_weighted(weights, total, self.next_f64())
     }
 
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.range(0, i + 1);
-            items.swap(i, j);
-        }
-    }
-
     /// Sample `k` distinct indices from `[0, n)` without replacement
     /// (Floyd's algorithm; output order is the insertion order of the
     /// algorithm, not sorted). Panics if `k > n`.
@@ -512,16 +504,6 @@ mod tests {
             fenwick.push(w);
         }
         assert_eq!(fenwick.sample(&mut zero_draw()), 2);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Rng::new(59);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

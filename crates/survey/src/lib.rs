@@ -1,63 +1,32 @@
 //! # humnet-survey
 //!
-//! Survey and positionality substrate for the `humnet` toolkit.
+//! Positionality substrate for the `humnet` toolkit.
 //!
-//! Three jobs:
-//!
-//! * [`instrument`] — Likert instruments with reverse-coded items,
-//!   response simulation with acquiescence/social-desirability bias, and
-//!   Cronbach's α for internal consistency;
-//! * [`sampling`] — sampling designs (simple random, stratified,
-//!   convenience, snowball) with measurable representation bias, modelling
-//!   the paper's §1 observation that "existing agendas reflect the views of
-//!   those who are most easily reachable";
-//! * [`positionality`] — a typed model of positionality statements (§4), a
-//!   rule-based detector that finds them in paper text (used by experiment
-//!   **F2** over the synthetic corpus), and a reflexivity score.
+//! [`positionality`] holds a typed model of positionality statements (§4),
+//! a rule-based detector that finds them in paper text (used by experiment
+//! **F2** over the synthetic corpus), and a reflexivity score.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod instrument;
 pub mod positionality;
-pub mod sampling;
-pub mod weighting;
 
-pub use instrument::{cronbach_alpha, Instrument, LikertItem, ResponseBias, ResponseSet};
-pub use weighting::{design_effect, post_stratification_weights, weighted_mean};
 pub use positionality::{
     detect_positionality, reflexivity_score, DetectedStatement, PositionalityFacet,
     PositionalityStatement,
 };
-pub use sampling::{representation_bias, PopulationMember, SamplingDesign};
 
 /// Errors produced by the survey substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SurveyError {
     /// The operation requires nonempty input.
     EmptyInput,
-    /// A parameter was outside its valid domain.
-    InvalidParameter(&'static str),
-    /// Sizes that must match did not.
-    LengthMismatch {
-        /// First length.
-        left: usize,
-        /// Second length.
-        right: usize,
-    },
-    /// The statistic is undefined for the given data.
-    Degenerate(&'static str),
 }
 
 impl std::fmt::Display for SurveyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SurveyError::EmptyInput => write!(f, "input is empty"),
-            SurveyError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
-            SurveyError::LengthMismatch { left, right } => {
-                write!(f, "length mismatch: {left} vs {right}")
-            }
-            SurveyError::Degenerate(what) => write!(f, "statistic undefined: {what}"),
         }
     }
 }

@@ -9,10 +9,9 @@
 //! rule-based matcher (exactly what an ACM-DL audit pipeline would run).
 
 use crate::{Result, SurveyError};
-use serde::{Deserialize, Serialize};
 
 /// A facet of researcher positionality (§4's taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PositionalityFacet {
     /// Geographic location (e.g. "located in the Global North").
     Geographic,
@@ -79,7 +78,7 @@ impl PositionalityFacet {
 }
 
 /// A structured positionality statement.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PositionalityStatement {
     /// Disclosed facets with their free text.
     pub disclosures: Vec<(PositionalityFacet, String)>,
@@ -140,7 +139,7 @@ impl PositionalityStatement {
 }
 
 /// Result of running the detector over text.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectedStatement {
     /// Trigger phrases found.
     pub triggers: Vec<String>,

@@ -1,4 +1,4 @@
-//! Markov-chain text generation for synthetic abstracts and transcripts.
+//! Markov-chain text generation for synthetic abstracts.
 //!
 //! The humnet corpus generator needs plausible-looking English that is (a)
 //! deterministic given a seed, and (b) controllable: papers that "use

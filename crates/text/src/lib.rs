@@ -1,72 +1,19 @@
 //! # humnet-text
 //!
-//! Text-mining substrate for the `humnet` toolkit.
+//! Text substrate for the `humnet` toolkit.
 //!
-//! The corpus crate generates and audits synthetic paper abstracts and
-//! method sections; the qual crate tokenizes interview transcripts; the
-//! survey crate detects positionality statements. All of that text handling
-//! lives here:
+//! The corpus crate generates synthetic paper abstracts with a Markov
+//! model trained on topical seed text. Two modules serve it:
 //!
-//! * [`tokenize`] — word and sentence tokenization, a stopword list, and a
-//!   light suffix stemmer;
-//! * [`vocab`] — vocabularies mapping terms to dense ids with document
-//!   frequencies;
-//! * [`tfidf`] — TF-IDF vectorization and cosine similarity;
-//! * [`ngram`] — n-gram and collocation extraction;
-//! * [`keywords`] — RAKE-style keyword extraction;
-//! * [`classify`] — a multinomial naive-Bayes classifier with Laplace
-//!   smoothing;
-//! * [`generate`] — a Markov-chain generator for synthetic abstracts and
-//!   transcripts (deterministic given a seed).
+//! * [`tokenize`] — word and sentence tokenization;
+//! * [`generate`] — a Markov-chain generator for synthetic abstracts
+//!   (deterministic given a seed).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod classify;
 pub mod generate;
-pub mod keywords;
-pub mod ngram;
-pub mod similarity;
-pub mod summarize;
-pub mod tfidf;
 pub mod tokenize;
-pub mod vocab;
 
-pub use classify::NaiveBayes;
 pub use generate::MarkovModel;
-pub use keywords::extract_keywords;
-pub use ngram::{bigrams, ngrams};
-pub use similarity::{jaccard, levenshtein, levenshtein_similarity};
-pub use summarize::summarize;
-pub use tfidf::{cosine_similarity, TfIdf};
-pub use tokenize::{is_stopword, sentences, stem, tokenize};
-pub use vocab::Vocabulary;
-
-/// Errors produced by text routines.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TextError {
-    /// The operation requires a nonempty corpus or document.
-    EmptyInput,
-    /// A parameter was outside its valid domain.
-    InvalidParameter(&'static str),
-    /// The model has not been fitted yet.
-    NotFitted,
-    /// An unknown class label was supplied.
-    UnknownClass(String),
-}
-
-impl std::fmt::Display for TextError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TextError::EmptyInput => write!(f, "input text or corpus is empty"),
-            TextError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
-            TextError::NotFitted => write!(f, "model has not been fitted"),
-            TextError::UnknownClass(c) => write!(f, "unknown class label: {c}"),
-        }
-    }
-}
-
-impl std::error::Error for TextError {}
-
-/// Convenience result alias.
-pub type Result<T> = std::result::Result<T, TextError>;
+pub use tokenize::{sentences, tokenize};

@@ -1,25 +1,4 @@
-//! Tokenization, sentence splitting, stopwords, and stemming.
-
-/// English stopwords, the classic short list plus a few academic fillers.
-/// Kept sorted so membership tests can binary-search.
-const STOPWORDS: &[&str] = &[
-    "a", "about", "above", "after", "again", "all", "also", "am", "an", "and", "any", "are",
-    "as", "at", "be", "because", "been", "before", "being", "below", "between", "both", "but",
-    "by", "can", "could", "did", "do", "does", "doing", "down", "during", "each", "et", "few",
-    "for", "from", "further", "had", "has", "have", "having", "he", "her", "here", "hers",
-    "him", "his", "how", "i", "if", "in", "into", "is", "it", "its", "itself", "just", "me",
-    "more", "most", "my", "no", "nor", "not", "now", "of", "off", "on", "once", "only", "or",
-    "other", "our", "ours", "out", "over", "own", "s", "same", "she", "should", "so", "some",
-    "such", "t", "than", "that", "the", "their", "theirs", "them", "then", "there", "these",
-    "they", "this", "those", "through", "to", "too", "under", "until", "up", "very", "was",
-    "we", "were", "what", "when", "where", "which", "while", "who", "whom", "why", "will",
-    "with", "you", "your", "yours",
-];
-
-/// True if `word` (already lowercase) is a stopword.
-pub fn is_stopword(word: &str) -> bool {
-    STOPWORDS.binary_search(&word).is_ok()
-}
+//! Word tokenization and sentence splitting.
 
 /// Split text into lowercase word tokens. A token is a maximal run of
 /// alphanumeric characters; hyphens and apostrophes inside a word are kept
@@ -55,14 +34,6 @@ fn flush(tokens: &mut Vec<String>, current: &mut String) {
     }
 }
 
-/// Tokenize and drop stopwords.
-pub fn content_words(text: &str) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter(|t| !is_stopword(t))
-        .collect()
-}
-
 /// Split text into sentences on `.`, `!`, `?` boundaries, trimming
 /// whitespace and dropping empties. Abbreviation handling is intentionally
 /// minimal — humnet's synthetic text does not use abbreviations.
@@ -74,60 +45,9 @@ pub fn sentences(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// A light suffix stemmer (a small subset of Porter step 1): strips plural
-/// and participle suffixes. Good enough to conflate "networks"/"network",
-/// "measured"/"measure", "routing"/"rout" consistently; not a linguistic
-/// tool.
-pub fn stem(word: &str) -> String {
-    let w = word.to_lowercase();
-    // Order matters: longest suffixes first.
-    if let Some(base) = w.strip_suffix("sses") {
-        return format!("{base}ss");
-    }
-    if let Some(base) = w.strip_suffix("ies") {
-        return format!("{base}i");
-    }
-    if w.ends_with("ss") {
-        return w;
-    }
-    if let Some(base) = w.strip_suffix("ing") {
-        if base.len() >= 3 {
-            return base.to_owned();
-        }
-        return w;
-    }
-    if let Some(base) = w.strip_suffix("ed") {
-        if base.len() >= 3 {
-            return base.to_owned();
-        }
-        return w;
-    }
-    if let Some(base) = w.strip_suffix('s') {
-        if base.len() >= 2 {
-            return base.to_owned();
-        }
-    }
-    w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stopword_list_is_sorted() {
-        let mut sorted = STOPWORDS.to_vec();
-        sorted.sort_unstable();
-        assert_eq!(sorted, STOPWORDS, "STOPWORDS must stay sorted for binary search");
-    }
-
-    #[test]
-    fn stopword_membership() {
-        assert!(is_stopword("the"));
-        assert!(is_stopword("with"));
-        assert!(!is_stopword("network"));
-        assert!(!is_stopword("peering"));
-    }
 
     #[test]
     fn tokenize_basic() {
@@ -162,14 +82,6 @@ mod tests {
     }
 
     #[test]
-    fn content_words_drop_stopwords() {
-        assert_eq!(
-            content_words("the operators of the network"),
-            vec!["operators", "network"]
-        );
-    }
-
-    #[test]
     fn sentences_split() {
         let s = sentences("Networks are operated. They are experienced! Are they measured?");
         assert_eq!(s.len(), 3);
@@ -180,33 +92,5 @@ mod tests {
     fn sentences_empty() {
         assert!(sentences("").is_empty());
         assert!(sentences("...").is_empty());
-    }
-
-    #[test]
-    fn stem_plurals() {
-        assert_eq!(stem("networks"), "network");
-        assert_eq!(stem("classes"), "class"); // sses -> ss
-        assert_eq!(stem("studies"), "studi");
-        assert_eq!(stem("glass"), "glass");
-    }
-
-    #[test]
-    fn stem_participles() {
-        assert_eq!(stem("measured"), "measur");
-        assert_eq!(stem("routing"), "rout");
-        // Too-short bases are left alone.
-        assert_eq!(stem("red"), "red");
-        assert_eq!(stem("ring"), "ring");
-    }
-
-    #[test]
-    fn stem_is_idempotent_on_stems() {
-        for w in ["network", "peering", "gets"] {
-            let once = stem(w);
-            let twice = stem(&once);
-            // ing-stripping can apply once ("peering" -> "peer"); a second
-            // application must be stable.
-            assert_eq!(stem(&twice), twice);
-        }
     }
 }

@@ -7,8 +7,8 @@
 //! ```
 
 use humnet::core::{
-    DisclosureAudit, EngagementKind, EthnographyConfig, FieldStudy, MemoPractice, ParProject,
-    ProjectRole, ResearchStage, RoleAssignment, Schedule,
+    EngagementKind, EthnographyConfig, FieldStudy, MemoPractice, ParProject, ResearchStage,
+    Schedule,
 };
 use humnet::survey::{reflexivity_score, PositionalityFacet, PositionalityStatement};
 
@@ -65,11 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 3. Positionality: the lead holds competing roles and must disclose.
-    let roles = RoleAssignment::new(
-        "lead",
-        vec![ProjectRole::ResearchLead, ProjectRole::NetworkOperator],
-    );
+    // 3. Positionality: the lead also operates the network, and says so.
     let statement = PositionalityStatement::new()
         .disclose(
             PositionalityFacet::Disciplinary,
@@ -80,13 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "the first author also operates the deployed network",
         )
         .with_reflection();
-    let audit = DisclosureAudit::run(&roles, &statement)?;
-    println!(
-        "\nrole conflicts: {:?}\ndisclosure audit compliant: {}\nreflexivity score: {:.2}",
-        audit.conflicts,
-        audit.compliant(),
-        reflexivity_score(&statement)?
-    );
+    println!("\nreflexivity score: {:.2}", reflexivity_score(&statement)?);
     println!("\nrendered statement:\n  {}", statement.render());
 
     // 4. Fieldwork under real constraints: patchwork visits with memos.

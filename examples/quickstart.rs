@@ -5,14 +5,14 @@
 //! ```
 //!
 //! Walks through one small use of each layer: statistics, the agenda
-//! simulator, the qualitative-coding engine, the IXP scenario builders,
+//! simulator, the simulated coding study, the IXP scenario builders,
 //! and the methods auditor.
 
 use humnet::agenda::{AgendaConfig, AgendaSim, MethodRegime};
 use humnet::core::experiments;
 use humnet::corpus::CorpusConfig;
 use humnet::ixp::{CircumventionStrategy, MexicoConfig, MexicoScenario};
-use humnet::qual::{cohen_kappa, Codebook, CodingSession};
+use humnet::qual::{krippendorff_alpha, SimulatedStudy, StudyConfig};
 use humnet::resilience::NoFaults;
 use humnet::stats::{gini, Rng};
 use humnet::telemetry::Telemetry;
@@ -41,24 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Qualitative coding --------------------------------------------
-    let mut codebook = Codebook::new();
-    let labor = codebook.add("maintenance-labor", "who fixes the network and how")?;
-    let gov = codebook.add("governance", "how decisions get made")?;
-    let mut alice = CodingSession::new("alice");
-    let mut bob = CodingSession::new("bob");
-    // Both coders code the same six turns of transcript "T1".
-    for (turn, &code) in [labor, labor, gov, gov, labor, gov].iter().enumerate() {
-        alice.apply(&codebook, "T1", turn, turn + 1, code)?;
-    }
-    for (turn, &code) in [labor, labor, gov, labor, labor, gov].iter().enumerate() {
-        bob.apply(&codebook, "T1", turn, turn + 1, code)?;
-    }
-    let units: Vec<(String, usize)> = (0..6).map(|t| ("T1".to_string(), t)).collect();
-    let matrix = humnet::qual::coding::label_matrix(&[alice, bob], &units);
-    println!(
-        "3. Two coders over six turns: Cohen's kappa = {:.3}",
-        cohen_kappa(&matrix[0], &matrix[1])?
-    );
+    // Simulated coders recover each unit's latent code more often as the
+    // codebook is refined (experiment T2).
+    let mut study = SimulatedStudy::new(StudyConfig::default(), 11)?;
+    let first = krippendorff_alpha(&study.code_round(0, &mut NoFaults))?;
+    let refined = krippendorff_alpha(&study.code_round(6, &mut NoFaults))?;
+    println!("3. Krippendorff's alpha climbs from {first:.3} to {refined:.3} over six refinements");
 
     // 4. The Telmex maneuver -------------------------------------------
     let mut mx = MexicoConfig::default();

@@ -51,9 +51,9 @@
 
 use humnet::core::experiments::ExperimentId;
 use humnet::resilience::{
-    dispatch, dispatch_remote, replay, ChaosNet, ChaosProc, DispatchConfig, DispatchOutcome,
-    ExperimentSpec, FaultProfile, RemoteOptions, RunArtifact, RunnerConfig, ShardPlan,
-    ShardSpec, Supervisor, CHAOS_ENV, CHAOS_KILL_CODE,
+    code_rev, dispatch, dispatch_remote, git_rev, replay, ChaosNet, ChaosProc, DispatchConfig,
+    DispatchOutcome, ExperimentSpec, FaultProfile, RemoteOptions, RunArtifact, RunnerConfig,
+    ShardPlan, ShardSpec, Supervisor, CHAOS_ENV, CHAOS_KILL_CODE,
 };
 use humnet::serve::{install_signal_handlers, Request, ServeClient, ServeConfig, Server};
 use humnet::telemetry::{journal, TelemetrySnapshot, TextTable};
@@ -902,8 +902,14 @@ fn cmd_serve(args: Vec<String>) -> CmdResult {
         write_file(path, &addr.to_string(), "ready file")?;
     }
     eprintln!(
-        "serve: listening on {addr} ({} cache entries rehydrated, {} evicted, {} stale, {} trimmed)",
-        rehydrated.loaded, rehydrated.evicted, rehydrated.stale, rehydrated.trimmed
+        "serve: listening on {addr} (code {}, git {}; {} cache entries rehydrated, {} evicted, \
+         {} stale, {} trimmed)",
+        code_rev(),
+        git_rev(),
+        rehydrated.loaded,
+        rehydrated.evicted,
+        rehydrated.stale,
+        rehydrated.trimmed
     );
 
     let summary = server

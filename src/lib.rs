@@ -17,19 +17,18 @@
 //!
 //! | Module | Backing crate | Contents |
 //! |---|---|---|
-//! | [`stats`] | `humnet-stats` | deterministic RNG, inequality/diversity indices, hypothesis tests, bootstrap |
-//! | [`graph`] | `humnet-graph` | graphs, centrality, communities, generators |
-//! | [`text`] | `humnet-text` | tokenization, TF-IDF, naive Bayes, Markov generation |
+//! | [`stats`] | `humnet-stats` | deterministic RNG, exact weighted samplers, inequality indices |
+//! | [`text`] | `humnet-text` | tokenization, Markov generation of synthetic abstracts |
 //! | [`corpus`] | `humnet-corpus` | synthetic publication corpus + bibliometrics |
-//! | [`qual`] | `humnet-qual` | qualitative coding, inter-rater reliability, ethics guardrails |
+//! | [`qual`] | `humnet-qual` | simulated coder pools, inter-rater reliability, diary studies |
 //! | [`ixp`] | `humnet-ixp` | AS topology, Gao–Rexford routing, IXPs, regulation |
 //! | [`community`] | `humnet-community` | volunteer-maintained mesh + common-pool congestion |
 //! | [`agenda`] | `humnet-agenda` | research-ecosystem ABM + venue gatekeeping |
-//! | [`survey`] | `humnet-survey` | Likert instruments, sampling bias, positionality detection |
+//! | [`survey`] | `humnet-survey` | positionality statements and their detection |
 //! | [`resilience`] | `humnet-resilience` | deterministic fault injection, supervised experiment runner |
 //! | [`serve`] | `humnet-serve` | long-lived experiment daemon with a content-addressed result cache |
 //! | [`telemetry`] | `humnet-telemetry` | metrics registry, tracing spans, structured event journal |
-//! | [`core`] | `humnet-core` | PAR / ethnography / reflexivity workflows, methods auditor, experiment suite |
+//! | [`core`] | `humnet-core` | PAR / ethnography workflows, methods auditor, experiment suite |
 //!
 //! ## Quickstart
 //!
@@ -56,7 +55,6 @@ pub use humnet_agenda as agenda;
 pub use humnet_community as community;
 pub use humnet_core as core;
 pub use humnet_corpus as corpus;
-pub use humnet_graph as graph;
 pub use humnet_ixp as ixp;
 pub use humnet_qual as qual;
 pub use humnet_resilience as resilience;

@@ -9,25 +9,21 @@ use humnet::agenda::AgendaError;
 use humnet::community::CommunityError;
 use humnet::core::CoreError;
 use humnet::corpus::CorpusError;
-use humnet::graph::GraphError;
 use humnet::ixp::IxpError;
 use humnet::qual::QualError;
 use humnet::resilience::render_chain;
 use humnet::stats::StatsError;
 use humnet::survey::SurveyError;
-use humnet::text::TextError;
 use std::error::Error;
 
 /// Compile-time assertion: the type is usable as a boxed, thread-safe
-/// error. Instantiated below for all ten crate error enums — if any crate
+/// error. Instantiated below for every crate error enum — if any crate
 /// drops an impl, this test file stops compiling.
 fn assert_error<E: Error + Send + Sync + 'static>() {}
 
 #[test]
-fn all_ten_error_enums_are_thread_safe_errors() {
+fn every_crate_error_enum_is_a_thread_safe_error() {
     assert_error::<StatsError>();
-    assert_error::<GraphError>();
-    assert_error::<TextError>();
     assert_error::<CorpusError>();
     assert_error::<QualError>();
     assert_error::<IxpError>();
@@ -43,8 +39,6 @@ fn display_messages_are_tidy() {
     // Debug-shaped, and not end in punctuation.
     let messages: Vec<String> = vec![
         StatsError::EmptyInput.to_string(),
-        GraphError::InvalidNode(3).to_string(),
-        TextError::EmptyInput.to_string(),
         CorpusError::EmptyCorpus.to_string(),
         QualError::EmptyInput.to_string(),
         IxpError::InvalidAs(7).to_string(),

@@ -1,13 +1,10 @@
 //! Property-based tests over the toolkit's core invariants.
 
 use humnet::community::{AllocationPolicy, CongestionConfig, CongestionSim};
-use humnet::graph::{erdos_renyi, pagerank};
 use humnet::ixp::{AsKind, AsTopology, RegionTag, RouteKind, RoutingTable};
 use humnet::qual::{cohen_kappa, krippendorff_alpha, percent_agreement};
 use humnet::resilience::NoFaults;
-use humnet::stats::{
-    evenness, gini, jain_fairness, lorenz_curve, mean, quantile, shannon_entropy, Rng,
-};
+use humnet::stats::{gini, jain_fairness, lorenz_curve, Rng};
 use humnet::telemetry::Telemetry;
 use proptest::prelude::*;
 
@@ -52,50 +49,6 @@ proptest! {
     }
 
     #[test]
-    fn entropy_bounds_and_evenness(
-        counts in prop::collection::vec(0.01f64..100.0, 1..40),
-    ) {
-        let h = shannon_entropy(&counts).unwrap();
-        prop_assert!(h >= -1e-12);
-        prop_assert!(h <= (counts.len() as f64).ln() + 1e-9);
-        let e = evenness(&counts).unwrap();
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&e));
-    }
-
-    #[test]
-    fn quantile_is_monotone_and_bounded(
-        data in prop::collection::vec(-1e6f64..1e6, 1..80),
-        q1 in 0.0f64..1.0,
-        q2 in 0.0f64..1.0,
-    ) {
-        let (lo, hi) = (q1.min(q2), q1.max(q2));
-        let v_lo = quantile(&data, lo).unwrap();
-        let v_hi = quantile(&data, hi).unwrap();
-        prop_assert!(v_lo <= v_hi + 1e-9);
-        let min = data.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = data.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(v_lo >= min - 1e-9 && v_hi <= max + 1e-9);
-    }
-
-    #[test]
-    fn mean_between_min_and_max(data in prop::collection::vec(-1e6f64..1e6, 1..80)) {
-        let m = mean(&data).unwrap();
-        let min = data.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = data.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(m >= min - 1e-6 && m <= max + 1e-6);
-    }
-
-    #[test]
-    fn pagerank_is_a_distribution(seed in 0u64..500, n in 2usize..40, p in 0.05f64..0.9) {
-        let mut rng = Rng::new(seed);
-        let g = erdos_renyi(n, p, &mut rng).unwrap();
-        let pr = pagerank(&g, 0.85, 1e-10, 200).unwrap();
-        let sum: f64 = pr.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-6);
-        prop_assert!(pr.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
     fn kappa_and_alpha_agree_on_self(labels in prop::collection::vec(0usize..4, 4..40)) {
         prop_assume!(labels.iter().any(|&l| l != labels[0]));
         let a: Vec<Option<usize>> = labels.iter().map(|&l| Some(l)).collect();
@@ -134,37 +87,6 @@ proptest! {
 }
 
 proptest! {
-    #[test]
-    fn louvain_partition_is_valid_and_nonnegative_q(seed in 0u64..200, n in 4usize..30, p in 0.1f64..0.8) {
-        let mut rng = Rng::new(seed);
-        let g = erdos_renyi(n, p, &mut rng).unwrap();
-        prop_assume!(g.edge_count() > 0);
-        let partition = humnet::graph::louvain(&g).unwrap();
-        prop_assert_eq!(partition.membership.len(), n);
-        let q = humnet::graph::modularity(&g, &partition).unwrap();
-        // Louvain never does worse than the singleton partition baseline
-        // it starts from, and modularity is bounded.
-        prop_assert!((-0.5 - 1e-9..=1.0 + 1e-9).contains(&q));
-        // Every community label is in range.
-        let k = partition.community_count();
-        prop_assert!(partition.membership.iter().all(|&c| c < k));
-    }
-
-    #[test]
-    fn core_numbers_bounded_by_degree(seed in 0u64..200, n in 2usize..40, p in 0.05f64..0.7) {
-        let mut rng = Rng::new(seed);
-        let g = erdos_renyi(n, p, &mut rng).unwrap();
-        let core = humnet::graph::core_numbers(&g);
-        for v in 0..n {
-            prop_assert!(core[v] <= g.degree(v));
-        }
-        // Max core number is at least min degree of the densest... weak but
-        // useful bound: max core <= max degree.
-        let max_core = core.iter().copied().max().unwrap_or(0);
-        let max_deg = (0..n).map(|v| g.degree(v)).max().unwrap_or(0);
-        prop_assert!(max_core <= max_deg);
-    }
-
     #[test]
     fn interval_alpha_at_most_one(
         base in prop::collection::vec(0.0f64..5.0, 5..30),
