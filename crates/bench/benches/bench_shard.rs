@@ -3,8 +3,8 @@
 //! fan-out over cheap synthetic jobs at 1 / 2 / 4 / 8 shards. The merge
 //! bench prices the aggregation itself; the run benches price the
 //! per-worker overhead that `--shards` adds on top of the work (pooled
-//! worker dispatch, the shared claim counter and breaker, watchdog
-//! deadlines), which is what decides the break-even job size.
+//! worker dispatch, the shared claim counter and breaker, per-attempt
+//! reply channels), which is what decides the break-even job size.
 //! Baselines live in `BENCH_shard.json` at the repo root.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

@@ -169,33 +169,6 @@ impl MeshNetwork {
         served.iter().filter(|&&s| s).count() as f64 / served.len().max(1) as f64
     }
 
-    /// Mean hop distance from served nodes to their nearest gateway
-    /// (ignores unserved nodes; 0 when nothing is served).
-    pub fn mean_gateway_distance(&self) -> f64 {
-        let n = self.node_count();
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        for &g in &self.gateways {
-            if self.states[g] == NodeState::Up {
-                dist[g] = 0;
-                queue.push_back(g);
-            }
-        }
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.links[u] {
-                if dist[v] == usize::MAX && self.states[v] == NodeState::Up {
-                    dist[v] = dist[u] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        let served: Vec<usize> = dist.into_iter().filter(|&d| d != usize::MAX).collect();
-        if served.is_empty() {
-            0.0
-        } else {
-            served.iter().sum::<usize>() as f64 / served.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -269,17 +242,6 @@ mod tests {
         assert!(!served[1]);
         assert!(!served[2], "downstream node orphaned");
         assert!((m.service_fraction() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_gateway_distance_on_line() {
-        let m = MeshNetwork {
-            positions: vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
-            links: vec![vec![1], vec![0, 2], vec![1]],
-            states: vec![NodeState::Up; 3],
-            gateways: vec![0],
-        };
-        assert!((m.mean_gateway_distance() - 1.0).abs() < 1e-12); // (0+1+2)/3
     }
 
     #[test]

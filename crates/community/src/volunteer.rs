@@ -161,14 +161,6 @@ impl VolunteerPool {
         self.members.iter().filter(|v| v.quit).count()
     }
 
-    /// Mean burnout over non-quit members (0 if all quit).
-    pub fn mean_burnout(&self) -> f64 {
-        let active: Vec<&Volunteer> = self.members.iter().filter(|v| !v.quit).collect();
-        if active.is_empty() {
-            return 0.0;
-        }
-        active.iter().map(|v| v.burnout).sum::<f64>() / active.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -240,14 +232,13 @@ mod tests {
     }
 
     #[test]
-    fn attrition_and_mean_burnout() {
+    fn attrition_counts_members_who_quit() {
         let mut pool = VolunteerPool::for_regime(VolunteerRegime::FewCore);
         assert_eq!(pool.attrition(), 0);
         for _ in 0..20 {
             pool.members[0].work_day();
         }
         assert_eq!(pool.attrition(), 1);
-        assert!(pool.mean_burnout() < 1.0);
     }
 
     #[test]

@@ -168,24 +168,6 @@ impl Topic {
         }
     }
 
-    /// The stakeholder class whose operational reality the topic mostly
-    /// reflects (a deliberately coarse mapping used by the attention
-    /// experiments).
-    pub fn primary_stakeholder(&self) -> StakeholderClass {
-        match self {
-            Topic::DatacenterPerformance | Topic::CongestionControl => {
-                StakeholderClass::Hyperscaler
-            }
-            Topic::InterdomainRouting => StakeholderClass::TransitIsp,
-            Topic::InternetMeasurement | Topic::SecurityPrivacy => {
-                StakeholderClass::ResearchCommunity
-            }
-            Topic::CommunityNetworks | Topic::AccessEquity => {
-                StakeholderClass::CommunityOperator
-            }
-            Topic::PolicyGovernance => StakeholderClass::Regulator,
-        }
-    }
 }
 
 /// Classes of Internet stakeholder, from the paper's §1 framing
@@ -476,9 +458,8 @@ mod tests {
     }
 
     #[test]
-    fn topic_stakeholder_mapping_is_total() {
+    fn every_topic_has_a_label() {
         for t in Topic::ALL {
-            let _ = t.primary_stakeholder(); // must not panic
             assert!(!t.label().is_empty());
         }
     }

@@ -31,15 +31,6 @@ impl LocalityReport {
         }
     }
 
-    /// Share of intra-region traffic that detours out of the region
-    /// ("tromboning" through foreign infrastructure).
-    pub fn detour_share(&self) -> f64 {
-        if self.total_volume > 0.0 {
-            self.path_leaves_region / self.total_volume
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Analyse where intra-region traffic is exchanged for one region name.
@@ -188,8 +179,6 @@ mod tests {
         assert_eq!(rep.local_ixp_volume, 0.0);
         assert_eq!(rep.transit_volume, rep.total_volume);
         assert_eq!(rep.local_ixp_share(), 0.0);
-        // Paths trombone through the US transit.
-        assert_eq!(rep.detour_share(), 1.0);
     }
 
     #[test]
@@ -198,7 +187,6 @@ mod tests {
         let rep = locality_report(&t, &flows, "MX").unwrap();
         assert_eq!(rep.local_ixp_share(), 1.0);
         assert_eq!(rep.transit_volume, 0.0);
-        assert_eq!(rep.detour_share(), 0.0);
     }
 
     #[test]

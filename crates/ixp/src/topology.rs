@@ -159,14 +159,6 @@ impl AsTopology {
         &self.regions
     }
 
-    /// Find an interned region by name (first match).
-    pub fn find_region(&self, name: &str) -> Option<RegionId> {
-        self.regions
-            .iter()
-            .position(|r| r.name == name)
-            .map(|i| i as RegionId)
-    }
-
     /// Add an AS; returns its id. The region is interned (cloned at most
     /// once per distinct region, not per AS).
     pub fn add_as(&mut self, name: &str, kind: AsKind, region: &RegionTag, size: f64) -> AsId {
@@ -343,26 +335,6 @@ impl AsTopology {
     /// link insertion order.
     pub fn peers_of(&self, id: AsId) -> &[(AsId, Option<IxpId>)] {
         &self.peer_adj[id]
-    }
-
-    /// The customer cone of an AS: itself plus all (transitive) customers.
-    pub fn customer_cone(&self, id: AsId) -> Result<Vec<AsId>> {
-        self.check(id)?;
-        let mut seen = vec![false; self.ases.len()];
-        let mut stack = vec![id];
-        seen[id] = true;
-        let mut cone = Vec::new();
-        while let Some(u) = stack.pop() {
-            cone.push(u);
-            for &c in &self.customers[u] {
-                if !seen[c] {
-                    seen[c] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        cone.sort_unstable();
-        Ok(cone)
     }
 
     /// Detect provider cycles (A transitively provides for itself), which
@@ -549,14 +521,12 @@ mod tests {
         let t = small();
         assert_eq!(t.regions().len(), 1);
         assert_eq!(t.region(t.as_info(0).unwrap().region), &region());
-        assert_eq!(t.find_region("MX"), Some(0));
-        assert_eq!(t.find_region("ZZ"), None);
     }
 
     #[test]
     fn add_as_in_validates_region() {
         let mut t = small();
-        let mx = t.find_region("MX").unwrap();
+        let mx = t.as_info(0).unwrap().region;
         let id = t.add_as_in("Fast".to_owned(), AsKind::Access, mx, 1.0).unwrap();
         assert_eq!(t.as_info(id).unwrap().region, mx);
         assert_eq!(
@@ -617,16 +587,6 @@ mod tests {
         assert!(t.join_ixp(0, 5).is_err());
         assert!(t.add_peering(1, 2, Some(9)).is_err());
         assert!(t.multilateral_peering(3).is_err());
-    }
-
-    #[test]
-    fn customer_cone_transitive() {
-        let mut t = small();
-        let reseller = t.add_as("Reseller", AsKind::Access, &region(), 2.0);
-        t.add_provider(reseller, 1).unwrap(); // reseller buys from ISP-A
-        assert_eq!(t.customer_cone(0).unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(t.customer_cone(1).unwrap(), vec![1, 3]);
-        assert_eq!(t.customer_cone(2).unwrap(), vec![2]);
     }
 
     #[test]

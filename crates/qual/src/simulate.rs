@@ -145,11 +145,6 @@ impl SimulatedStudy {
         })
     }
 
-    /// The latent true codes.
-    pub fn ground_truth(&self) -> &[usize] {
-        &self.ground_truth
-    }
-
     /// Simulate one coding pass at the given refinement round under a
     /// fault hook. Returns one label vector per coder (`None` = skipped
     /// unit). For each coder the hook is asked about
@@ -319,7 +314,7 @@ mod tests {
     fn study_is_deterministic() {
         let mut s1 = SimulatedStudy::new(StudyConfig::default(), 42).unwrap();
         let mut s2 = SimulatedStudy::new(StudyConfig::default(), 42).unwrap();
-        assert_eq!(s1.ground_truth(), s2.ground_truth());
+        assert_eq!(s1.ground_truth, s2.ground_truth);
         assert_eq!(s1.code_round(0, &mut NoFaults), s2.code_round(0, &mut NoFaults));
     }
 

@@ -1,13 +1,13 @@
 //! Deterministic fault injection and supervised experiment execution.
 //!
-//! Three layers:
+//! Seven layers:
 //!
 //! 1. [`fault`] — a reproducible fault model: [`FaultPlan`] decides purely
 //!    from `(seed, step, kind)` whether a fault fires, and simulators accept
 //!    a [`FaultHook`] injection point (volunteer dropout, link/IXP outages,
 //!    reviewer no-shows, coder attrition).
 //! 2. [`runner`] — a [`Supervisor`] executing experiments under
-//!    `catch_unwind` panic isolation, a watchdog deadline, bounded retry
+//!    `catch_unwind` panic isolation, a per-attempt deadline, bounded retry
 //!    with deterministic-jitter backoff ([`backoff`]), and a per-family
 //!    circuit breaker ([`breaker`]).
 //! 3. [`report`] — [`RunReport`]: per-experiment status rows with a
@@ -17,17 +17,15 @@
 //!    in spec order, so its canonical output is byte-identical to the
 //!    1-shard run of the same seed. [`ShardPlan`] is the contiguous
 //!    partition the cross-process tiers below use.
-//! 5. [`schedule`] — the process-wide watchdog timer every attempt's
-//!    deadline is armed on.
-//! 6. [`replay`] — reconstruct a past run's configuration and fault
+//! 5. [`replay`] — reconstruct a past run's configuration and fault
 //!    schedule from its captured journal, re-execute it, and diff the
 //!    canonical event streams.
-//! 7. [`dispatch`] — the cross-process counterpart of [`shard`]:
+//! 6. [`dispatch`] — the cross-process counterpart of [`shard`]:
 //!    supervised shard *child processes* with heartbeat liveness,
 //!    per-shard deadlines, crash retry, graceful partial-result
 //!    degradation, and merge-time circuit-breaker reconciliation — still
 //!    byte-identical to the in-process 1-shard run.
-//! 8. [`remote`] — the cross-machine tier: shard-slice *leases* to
+//! 7. [`remote`] — the cross-machine tier: shard-slice *leases* to
 //!    `experiments serve` daemons over the line-delimited TCP protocol
 //!    (framed by [`LineBuffer`]), with inline heartbeats,
 //!    connection-level liveness and deadline revocation, retry rotated
@@ -78,7 +76,6 @@ pub mod remote;
 pub mod replay;
 pub mod report;
 pub mod runner;
-pub mod schedule;
 pub mod shard;
 
 pub use backoff::Backoff;
@@ -100,7 +97,7 @@ pub use replay::{
 };
 pub use report::{ExperimentReport, ExperimentStatus, RunArtifact, RunReport};
 pub use runner::{
-    pool_execute, render_chain, ExperimentSpec, Job, JobError, JobOutput, PoolHandle,
-    RunnerConfig, SupervisedRun, Supervisor, SupervisorBuilder,
+    render_chain, ExperimentSpec, Job, JobError, JobOutput, RunnerConfig, SupervisedRun,
+    Supervisor, SupervisorBuilder,
 };
 pub use shard::{ShardPlan, ShardPlanError};

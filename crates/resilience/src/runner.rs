@@ -1,27 +1,24 @@
 //! Supervised experiment runner.
 //!
-//! Experiments execute on *pooled* worker threads: a process-wide cache of
-//! recycled threads ([`pool_execute`]) that the supervisor leases an
-//! [`AttemptExecutor`] session from, so a K-shard run spawns at most K
-//! workers once and reuses them for every later attempt and run (the seed
-//! spawned one thread per attempt, which dominated supervisor cost — see
-//! `BENCH_shard.json`). Deadlines are enforced by the single process-wide
-//! watchdog timer thread in [`crate::schedule`]: the supervisor arms a
-//! deadline, blocks on the attempt's reply channel, and whichever message
-//! arrives first — the worker's result or the watchdog's timeout verdict —
-//! settles the attempt. A timed-out session is abandoned (Rust offers no
-//! safe thread kill); its thread finishes the overrunning job eventually,
-//! finds its session channel closed, and re-enlists in the pool. Panics
-//! are contained with [`std::panic::catch_unwind`] and turned into
-//! `Failed` rows instead of aborting the run. Failures are retried with
-//! exponential backoff and deterministic jitter, and a per-family circuit
-//! breaker short-circuits experiments whose subsystem keeps failing.
+//! Every attempt is one closure handed to a process-wide cache of recycled
+//! worker threads (`pool_run`), so a K-shard run spawns at most K workers
+//! once and reuses them for every later attempt and run (the seed spawned
+//! one thread per attempt, which dominated supervisor cost — see
+//! `BENCH_shard.json`). The supervisor settles the attempt with
+//! [`mpsc::Receiver::recv_timeout`] on the attempt's own reply channel:
+//! the worker's result or the deadline, whichever comes first. A timed-out
+//! attempt is abandoned (Rust offers no safe thread kill); its thread
+//! finishes the overrunning job eventually, re-enlists in the pool, and
+//! finds the reply channel closed. Panics are contained with
+//! [`std::panic::catch_unwind`] and turned into `Failed` rows instead of
+//! aborting the run. Failures are retried with exponential backoff and
+//! deterministic jitter, and a per-family circuit breaker short-circuits
+//! experiments whose subsystem keeps failing.
 
 use crate::backoff::Backoff;
 use crate::breaker::CircuitBreaker;
 use crate::fault::{FaultPlan, FaultProfile};
 use crate::report::{ExperimentReport, ExperimentStatus, RunReport};
-use crate::schedule::arm_deadline;
 use humnet_telemetry::{spec_order_in_place, Event, Telemetry, TelemetrySnapshot};
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -144,7 +141,6 @@ pub struct Supervisor {
     /// One breaker for the whole run, shared by every worker.
     breaker: Arc<Mutex<CircuitBreaker>>,
     shards: u32,
-    executor: ExecutorSlot,
 }
 
 /// Fluent construction for [`Supervisor`] — the preferred alternative to
@@ -276,7 +272,6 @@ impl SupervisorBuilder {
             )),
             config: self.config,
             shards: self.shards,
-            executor: ExecutorSlot::default(),
         }
     }
 }
@@ -293,8 +288,15 @@ enum Attempt {
 // Pooled worker threads
 // ---------------------------------------------------------------------------
 
-/// A closure executed on a pooled worker thread.
-type PoolJob = Box<dyn FnOnce() + Send + 'static>;
+/// A closure executed on a pooled worker thread. It returns the step that
+/// hands its result back, which the worker runs only after re-enlisting:
+/// a caller woken by that result then leases the same warm thread again
+/// instead of spawning another (each thread that allocates brings its own
+/// allocator arena, so spreading attempts over threads grows the RSS).
+type PoolJob = Box<dyn FnOnce() -> Deliver + Send + 'static>;
+
+/// The last step of a [`PoolJob`]: send its result to whoever waits.
+type Deliver = Box<dyn FnOnce() + Send + 'static>;
 
 /// Idle pooled workers, each addressed by the sender of its private job
 /// channel. A worker runs one job, re-enlists here, and blocks for the
@@ -313,272 +315,135 @@ const POOL_MAX_IDLE: usize = 32;
 /// Run `job` on a pooled worker thread, reusing an idle one when
 /// available. `Err` hands the job back when no idle worker existed and
 /// spawning a fresh one failed.
-fn pool_run(job: PoolJob) -> Result<(), PoolJob> {
-    let mut job = job;
-    loop {
-        let idle = POOL_IDLE.lock().unwrap_or_else(|e| e.into_inner()).pop();
-        match idle {
-            Some(worker) => match worker.send(job) {
-                Ok(()) => return Ok(()),
-                // The worker died (cap exit raced); try the next one.
-                Err(mpsc::SendError(returned)) => job = returned,
-            },
-            None => break,
+fn pool_run(mut job: PoolJob) -> Result<(), PoolJob> {
+    let idle = POOL_IDLE.lock().unwrap_or_else(|e| e.into_inner()).pop();
+    if let Some(worker) = idle {
+        // An enlisted worker keeps its own sender and is blocked on its
+        // receiver, so this send only fails if its thread died anyway.
+        match worker.send(job) {
+            Ok(()) => return Ok(()),
+            Err(mpsc::SendError(returned)) => job = returned,
         }
     }
     let id = POOL_SPAWNED.fetch_add(1, Ordering::Relaxed);
     let (tx, rx) = mpsc::channel::<PoolJob>();
+    let enlist = tx.clone();
+    // Spawn an idle worker first and hand it the job only once it exists,
+    // so a failed spawn drops nothing but the builder and the caller gets
+    // its job back.
     let spawned = thread::Builder::new()
         // The `humnet-exp-` prefix keeps pooled threads under the quiet
-        // panic hook's filter, like the per-attempt workers they replace.
+        // panic hook's filter.
         .name(format!("{WORKER_PREFIX}pool-{id}"))
         .spawn(move || {
-            let mut job = job;
-            loop {
+            while let Ok(job) = rx.recv() {
                 // Contain panics so a panicking job cannot take the pooled
-                // thread down with it (callers see the failure through
-                // their own reply channels).
-                let _ = panic::catch_unwind(AssertUnwindSafe(job));
-                {
+                // thread down with it (its caller sees a closed channel).
+                let deliver = panic::catch_unwind(AssertUnwindSafe(job));
+                let stay = {
                     let mut idle = POOL_IDLE.lock().unwrap_or_else(|e| e.into_inner());
-                    if idle.len() >= POOL_MAX_IDLE {
-                        return;
+                    let stay = idle.len() < POOL_MAX_IDLE;
+                    if stay {
+                        idle.push(enlist.clone());
                     }
-                    idle.push(tx.clone());
+                    stay
+                };
+                if let Ok(deliver) = deliver {
+                    deliver();
                 }
-                match rx.recv() {
-                    Ok(next) => job = next,
-                    Err(_) => return, // pool entry dropped without a send
+                if !stay {
+                    return;
                 }
             }
         });
     match spawned {
-        Ok(_) => Ok(()),
-        // `job` was moved into the failed builder closure only on success;
-        // on failure we cannot recover it from `thread::Builder`, so this
-        // arm is unreachable in practice — but keep the signature honest.
-        Err(_) => Err(Box::new(|| {})),
+        // The worker holds its own sender, so its receiver outlives this send.
+        Ok(_) => tx.send(job).map_err(|mpsc::SendError(job)| job),
+        Err(_) => Err(job),
     }
 }
 
-/// Handle to a job running on a pooled worker; [`PoolHandle::join`] blocks
-/// for its result like [`std::thread::JoinHandle::join`].
-pub struct PoolHandle<T> {
-    rx: mpsc::Receiver<thread::Result<T>>,
-}
-
-impl<T> PoolHandle<T> {
-    /// Wait for the job's result; `Err` carries the panic payload.
-    pub fn join(self) -> thread::Result<T> {
-        match self.rx.recv() {
-            Ok(result) => result,
-            Err(_) => Err(Box::new("pooled worker vanished without a result".to_owned())),
-        }
-    }
-}
-
-/// Run `f` on a pooled worker thread and return a joinable handle. Falls
-/// back to running `f` inline if no thread could be obtained at all, so
-/// the handle always resolves. Public so a caller outside this crate can
-/// run `'static` work on the same warm pool instead of growing one of its
-/// own.
-pub fn pool_execute<T, F>(f: F) -> PoolHandle<T>
+/// Run `f` on a pooled worker thread — inline on the calling thread when
+/// no worker could be had — and return the channel its result (or panic
+/// payload) arrives on.
+fn pool_execute<T, F>(f: F) -> mpsc::Receiver<thread::Result<T>>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
     let (tx, rx) = mpsc::channel();
     let task: PoolJob = Box::new(move || {
-        let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(f)));
+        let result = panic::catch_unwind(AssertUnwindSafe(f));
+        Box::new(move || {
+            let _ = tx.send(result);
+        })
     });
     if let Err(task) = pool_run(task) {
-        task();
+        task()();
     }
-    PoolHandle { rx }
+    rx
 }
 
-// ---------------------------------------------------------------------------
-// Attempt execution on a leased worker session
-// ---------------------------------------------------------------------------
+/// One attempt on a pooled worker, settled by whichever comes first: the
+/// worker's reply or the deadline. Returns the outcome and, when the
+/// worker reported back in time, its telemetry snapshot. A timed-out
+/// attempt is abandoned, not killed (Rust offers no safe thread kill):
+/// its worker finishes the job, re-enlists in the pool, and finds the
+/// reply channel closed, dropping the telemetry.
+fn run_attempt(
+    config: &RunnerConfig,
+    spec: &ExperimentSpec,
+    attempt: u32,
+) -> (Attempt, Option<TelemetrySnapshot>) {
+    // Each attempt gets its own deterministic plan seed: retries see a
+    // fresh fault draw (a transient fault may clear), while the whole
+    // run — including every retry — replays identically from the same
+    // supervisor seed.
+    let plan = FaultPlan::new(
+        config.profile,
+        config.seed
+            ^ fnv1a(spec.code.as_bytes())
+            ^ u64::from(attempt).wrapping_mul(0x2545_F491_4F6C_DD1D),
+    )
+    .with_intensity(config.intensity);
 
-/// One attempt shipped to an executor session.
-struct ExecTask {
-    job: Job,
-    plan: FaultPlan,
-    reply: mpsc::Sender<AttemptReply>,
-}
-
-/// What settles an attempt: the worker's result or the watchdog's verdict,
-/// whichever reaches the supervisor's reply channel first.
-enum AttemptReply {
-    Done {
-        result: thread::Result<Result<JobOutput, JobError>>,
-        telemetry: TelemetrySnapshot,
-    },
-    DeadlineExceeded,
-}
-
-/// A live executor session: a pooled worker looping over [`ExecTask`]s.
-/// Dropping the session closes its task channel; the worker finishes its
-/// current job (if any) and re-enlists in the pool — which is exactly how
-/// a timed-out session is abandoned without killing the thread.
-struct AttemptExecutor {
-    tx: mpsc::Sender<ExecTask>,
-}
-
-/// Idle executor sessions kept warm across runs. Unlike [`POOL_IDLE`]
-/// workers, a cached session's thread stays parked inside its session
-/// loop, so re-leasing costs a mutex pop with no thread handoff: the
-/// first attempt of a new supervisor reuses the previous run's session
-/// without waking anyone.
-static EXEC_IDLE: Mutex<Vec<mpsc::Sender<ExecTask>>> = Mutex::new(Vec::new());
-
-/// Warm sessions kept; a release beyond this cap drops the task channel
-/// instead, sending the session thread back through the general pool.
-const EXEC_MAX_IDLE: usize = 16;
-
-impl AttemptExecutor {
-    /// Lease a session: a warm cached one when available, otherwise a
-    /// pooled worker started on a fresh session loop.
-    fn lease() -> Result<AttemptExecutor, String> {
-        let cached = EXEC_IDLE.lock().unwrap_or_else(|e| e.into_inner()).pop();
-        if let Some(tx) = cached {
-            // A cached sender's session thread is parked on its recv and
-            // cannot exit while the sender is alive, so this is never stale.
-            return Ok(AttemptExecutor { tx });
-        }
-        let (tx, rx) = mpsc::channel::<ExecTask>();
-        let session: PoolJob = Box::new(move || {
-            while let Ok(task) = rx.recv() {
-                // `Telemetry` is `Send` but not `Sync`: one instance lives
-                // entirely inside this session, and only the plain-data
-                // snapshot crosses back over the channel — so a panicking
-                // or failing job still ships the telemetry it gathered.
-                let tel = Telemetry::new();
-                let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    let _span = tel.span("runner.attempt");
-                    (task.job)(&task.plan, &tel)
-                }));
-                let _ = task.reply.send(AttemptReply::Done {
-                    result,
-                    telemetry: tel.into_snapshot(),
-                });
-            }
-        });
-        pool_run(session)
-            .map(|()| AttemptExecutor { tx })
-            .map_err(|_| "failed to lease a pooled worker".to_owned())
-    }
-}
-
-/// Lazily-leased executor session, abandoned and re-leased on timeout.
-/// Each run worker owns one (worker 0 uses its supervisor's), so attempt
-/// execution costs a channel round-trip, not a thread spawn.
-#[derive(Default)]
-pub(crate) struct ExecutorSlot {
-    session: Option<AttemptExecutor>,
-}
-
-impl Drop for ExecutorSlot {
-    /// Return a healthy session to the warm cache when the supervisor
-    /// finishes. Timed-out and disconnected sessions never get here:
-    /// `attempt` drops them directly, closing the channel so the (possibly
-    /// still busy) worker re-enlists in the pool on its own time.
-    fn drop(&mut self) {
-        if let Some(session) = self.session.take() {
-            let mut idle = EXEC_IDLE.lock().unwrap_or_else(|e| e.into_inner());
-            if idle.len() < EXEC_MAX_IDLE {
-                idle.push(session.tx);
-            }
-        }
-    }
-}
-
-impl ExecutorSlot {
-    /// One attempt on the leased session, under the process watchdog's
-    /// per-attempt deadline. Returns the outcome and, when the worker
-    /// reported back in time, its telemetry snapshot (a timed-out
-    /// session keeps its telemetry; it is abandoned with it).
-    fn attempt(
-        &mut self,
-        config: &RunnerConfig,
-        spec: &ExperimentSpec,
-        attempt: u32,
-    ) -> (Attempt, Option<TelemetrySnapshot>) {
-        // Each attempt gets its own deterministic plan seed: retries see a
-        // fresh fault draw (a transient fault may clear), while the whole
-        // run — including every retry — replays identically from the same
-        // supervisor seed.
-        let plan = FaultPlan::new(
-            config.profile,
-            config.seed
-                ^ fnv1a(spec.code.as_bytes())
-                ^ u64::from(attempt).wrapping_mul(0x2545_F491_4F6C_DD1D),
-        )
-        .with_intensity(config.intensity);
-
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut sent = false;
-        // One retry: a cached session may have exited at the pool's idle
-        // cap between runs; re-lease once before giving up.
-        for _ in 0..2 {
-            let session = match &self.session {
-                Some(session) => session,
-                None => match AttemptExecutor::lease() {
-                    Ok(session) => self.session.insert(session),
-                    Err(message) => return (Attempt::Error(message), None),
-                },
-            };
-            let task = ExecTask {
-                job: Arc::clone(&spec.job),
-                plan,
-                reply: reply_tx.clone(),
-            };
-            if session.tx.send(task).is_ok() {
-                sent = true;
-                break;
-            }
-            self.session = None;
-        }
-        if !sent {
-            return (
-                Attempt::Error("failed to dispatch attempt to a pooled worker".to_owned()),
-                None,
-            );
-        }
-
-        let verdict_tx = reply_tx.clone();
-        let _deadline = arm_deadline(
-            config.deadline,
-            Box::new(move || {
-                let _ = verdict_tx.send(AttemptReply::DeadlineExceeded);
-            }),
+    let job = Arc::clone(&spec.job);
+    let (reply_tx, reply_rx) = mpsc::channel();
+    let task: PoolJob = Box::new(move || {
+        // `Telemetry` is `Send` but not `Sync`: one instance lives entirely
+        // on the worker, and only the plain-data snapshot crosses back
+        // over the channel — so a panicking or failing job still ships
+        // the telemetry it gathered.
+        let tel = Telemetry::new();
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            let _span = tel.span("runner.attempt");
+            job(&plan, &tel)
+        }));
+        let reply = (result, tel.into_snapshot());
+        Box::new(move || {
+            let _ = reply_tx.send(reply);
+        })
+    });
+    if pool_run(task).is_err() {
+        return (
+            Attempt::Error("failed to lease a pooled worker".to_owned()),
+            None,
         );
-        drop(reply_tx);
-        match reply_rx.recv() {
-            Ok(AttemptReply::Done { result, telemetry }) => match result {
-                Ok(Ok(output)) => (Attempt::Success(output), Some(telemetry)),
-                Ok(Err(err)) => (Attempt::Error(render_chain(err.as_ref())), Some(telemetry)),
-                Err(payload) => (
-                    Attempt::Panic(panic_message(payload.as_ref())),
-                    Some(telemetry),
-                ),
-            },
-            Ok(AttemptReply::DeadlineExceeded) => {
-                // Abandon the session: the worker finishes the overrunning
-                // job on its own time, finds the channel closed, and
-                // re-enlists in the pool.
-                self.session = None;
-                (Attempt::Timeout, None)
-            }
-            Err(_) => {
-                self.session = None;
-                (
-                    Attempt::Error("worker disconnected without a result".to_owned()),
-                    None,
-                )
-            }
+    }
+    match reply_rx.recv_timeout(config.deadline) {
+        Ok((Ok(Ok(output)), telemetry)) => (Attempt::Success(output), Some(telemetry)),
+        Ok((Ok(Err(err)), telemetry)) => {
+            (Attempt::Error(render_chain(err.as_ref())), Some(telemetry))
         }
+        Ok((Err(payload), telemetry)) => (
+            Attempt::Panic(panic_message(payload.as_ref())),
+            Some(telemetry),
+        ),
+        Err(mpsc::RecvTimeoutError::Timeout) => (Attempt::Timeout, None),
+        Err(mpsc::RecvTimeoutError::Disconnected) => (
+            Attempt::Error("worker disconnected without a result".to_owned()),
+            None,
+        ),
     }
 }
 
@@ -590,7 +455,6 @@ impl ExecutorSlot {
 fn run_spec(
     config: &RunnerConfig,
     breaker: &Mutex<CircuitBreaker>,
-    executor: &mut ExecutorSlot,
     spec: &ExperimentSpec,
     tel: &Telemetry,
 ) -> (ExperimentReport, Option<String>) {
@@ -646,7 +510,7 @@ fn run_spec(
             thread::sleep(backoff.delay(attempt - 1));
         }
         attempts += 1;
-        let (outcome, snapshot) = executor.attempt(config, spec, attempt);
+        let (outcome, snapshot) = run_attempt(config, spec, attempt);
         // Merge the worker's telemetry in execution order, scoped to
         // this experiment, before recording the outcome event.
         if let Some(snapshot) = snapshot {
@@ -763,7 +627,6 @@ struct Claimed {
 fn run_claimed(
     config: &RunnerConfig,
     breaker: &Mutex<CircuitBreaker>,
-    executor: &mut ExecutorSlot,
     specs: &[ExperimentSpec],
     next: &AtomicUsize,
     tel: &Telemetry,
@@ -775,7 +638,7 @@ fn run_claimed(
             return claimed;
         };
         let mark = tel.event_count();
-        let (row, rendered) = run_spec(config, breaker, executor, spec, tel);
+        let (row, rendered) = run_spec(config, breaker, spec, tel);
         tel.stamp_spec_from(mark, index as u64);
         if let Some(rendered) = rendered {
             claimed.outputs.insert(spec.code.clone(), rendered);
@@ -828,9 +691,7 @@ impl Supervisor {
                     let specs = Arc::clone(&shared);
                     pool_execute(move || {
                         let tel = Telemetry::new();
-                        let mut executor = ExecutorSlot::default();
-                        let claimed =
-                            run_claimed(&config, &breaker, &mut executor, &specs, &next, &tel);
+                        let claimed = run_claimed(&config, &breaker, &specs, &next, &tel);
                         tel.counter(
                             &format!("runner.shard.{w}.experiments"),
                             claimed.rows.len() as u64,
@@ -848,21 +709,15 @@ impl Supervisor {
         let Claimed {
             mut rows,
             mut outputs,
-        } = run_claimed(
-            &self.config,
-            &self.breaker,
-            &mut self.executor,
-            specs,
-            &next,
-            &tel,
-        );
+        } = run_claimed(&self.config, &self.breaker, specs, &next, &tel);
         if sharded {
             tel.counter("runner.shards", u64::from(self.shards));
             tel.counter("runner.shard.0.experiments", rows.len() as u64);
         }
         for helper in helpers {
             let (claimed, telemetry) = helper
-                .join()
+                .recv()
+                .unwrap_or_else(|_| Err(Box::new("pooled worker vanished without a result")))
                 .unwrap_or_else(|payload| panic::resume_unwind(payload));
             rows.extend(claimed.rows);
             outputs.extend(claimed.outputs);
@@ -1082,6 +937,52 @@ mod tests {
         assert_eq!(run.report.experiments[0].status, ExperimentStatus::TimedOut);
         assert!(started.elapsed() < Duration::from_secs(4), "watchdog fired");
         assert_eq!(run.report.exit_code(), 2);
+    }
+
+    #[test]
+    fn a_timed_out_attempts_late_result_never_settles_its_retry() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let mut config = quick_config();
+        config.deadline = Duration::from_millis(50);
+        config.retries = 1;
+        let calls = Arc::new(AtomicU32::new(0));
+        let calls_in_job = Arc::clone(&calls);
+        let spec = ExperimentSpec::new("slow", "t", "f", move |_plan, _tel| {
+            let rendered = if calls_in_job.fetch_add(1, Ordering::SeqCst) == 0 {
+                thread::sleep(Duration::from_millis(300));
+                "late"
+            } else {
+                "on time"
+            };
+            Ok(JobOutput {
+                rendered: rendered.to_owned(),
+                faults_injected: 0,
+            })
+        });
+        let mut sup = Supervisor::builder().config(config).build();
+        let run = sup.run(&[spec]);
+        let row = &run.report.experiments[0];
+        assert_eq!(row.status, ExperimentStatus::Retried);
+        assert_eq!(row.attempts, 2);
+        assert_eq!(run.outputs["slow"], "on time");
+        let count = |kind: &str| run.telemetry.events.iter().filter(|e| e.kind == kind).count();
+        assert_eq!(count("timeout"), 1);
+        assert_eq!(count("experiment-end"), 1);
+        let attempt_spans = |snap: &TelemetrySnapshot| {
+            snap.spans.iter().find(|s| s.name == "runner.attempt").unwrap().count
+        };
+        assert_eq!(attempt_spans(&run.telemetry), 1, "only the retry reported back");
+
+        // Once the abandoned attempt has finished on its pooled thread,
+        // nothing of it reaches a later run.
+        thread::sleep(Duration::from_millis(400));
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        let mut sup = Supervisor::builder().config(quick_config()).build();
+        let run = sup.run(&[ok_spec("next")]);
+        assert_eq!(run.outputs.len(), 1);
+        assert_eq!(run.outputs["next"], "fine");
+        assert!(run.telemetry.events.iter().all(|e| e.experiment != "slow"));
+        assert_eq!(attempt_spans(&run.telemetry), 1);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A long-lived experiment service: accept `{experiment, seed, profile,
 //! intensity}` requests over a tiny line-delimited JSON protocol on TCP,
-//! execute misses on the existing pooled scheduler runtime (warm executor
-//! sessions — no per-request process spawn), and answer repeats from a
+//! execute misses on the existing pooled worker runtime (no per-request
+//! process or thread spawn), and answer repeats from a
 //! content-addressed result cache.
 //!
 //! The whole design leans on one invariant the rest of the workspace

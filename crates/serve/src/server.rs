@@ -28,9 +28,9 @@
 //! unbounded queue or a hung client. The handler and worker pools are
 //! fixed at startup — a request never spawns a process or thread; misses
 //! and shard leases (`humnet_resilience::Lease`, the `dispatch --workers`
-//! protocol) run on the same pooled scheduler runtime (warm executor
-//! sessions) the batch CLI uses. A request line is capped at 1 MiB, so
-//! no peer can grow a handler's buffer without bound.
+//! protocol) run on the same pooled worker runtime the batch CLI uses. A
+//! request line is capped at 1 MiB, so no peer can grow a handler's
+//! buffer without bound.
 //!
 //! Shutdown — a `shutdown` request or SIGTERM ([`install_signal_handlers`])
 //! — stops the accept loop, lets the workers drain every queued run and

@@ -80,36 +80,6 @@ pub fn jain_fairness(data: &[f64]) -> Result<f64> {
     Ok(sum * sum / (data.len() as f64 * sumsq))
 }
 
-/// Theil T index of a positive sample (0 = equality, grows with inequality).
-///
-/// `T = (1/n) Σ (x_i / μ) ln(x_i / μ)`. Zero values are permitted and
-/// contribute zero (the `x ln x → 0` limit).
-pub fn theil_index(data: &[f64]) -> Result<f64> {
-    if data.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    if data.iter().any(|&x| x < 0.0 || !x.is_finite()) {
-        return Err(StatsError::InvalidParameter("theil requires finite nonnegative values"));
-    }
-    let mu: f64 = data.iter().sum::<f64>() / data.len() as f64;
-    if mu <= 0.0 {
-        return Err(StatsError::Degenerate("theil undefined for zero mean"));
-    }
-    let t = data
-        .iter()
-        .map(|&x| {
-            let r = x / mu;
-            if r > 0.0 {
-                r * r.ln()
-            } else {
-                0.0
-            }
-        })
-        .sum::<f64>()
-        / data.len() as f64;
-    Ok(t)
-}
-
 /// Share of the total held by the top `k` observations (`k ≥ 1`).
 /// If `k` exceeds the sample size the share is 1.
 pub fn top_share(data: &[f64], k: usize) -> Result<f64> {
@@ -190,18 +160,6 @@ mod tests {
     fn jain_single_hog_is_one_over_n() {
         let j = jain_fairness(&[10.0, 0.0, 0.0, 0.0]).unwrap();
         assert!((j - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn theil_equal_is_zero() {
-        assert!(theil_index(&[3.0, 3.0, 3.0]).unwrap().abs() < 1e-12);
-    }
-
-    #[test]
-    fn theil_increases_with_inequality() {
-        let low = theil_index(&[4.0, 5.0, 6.0]).unwrap();
-        let high = theil_index(&[1.0, 1.0, 13.0]).unwrap();
-        assert!(high > low);
     }
 
     #[test]

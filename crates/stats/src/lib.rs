@@ -8,7 +8,7 @@
 //!   ([`rng::Rng`]) so that every experiment is reproducible bit-for-bit
 //!   from a `u64` seed;
 //! * inequality and fairness indices ([`inequality`]) — Gini, Lorenz,
-//!   Theil, Jain — used to quantify concentration of research attention;
+//!   top share, Jain — used to quantify concentration of research attention;
 //! * exact Fenwick-tree samplers ([`sampler`]) that draw what
 //!   [`Rng::choose_weighted`] draws without rescanning the weights.
 //!
@@ -23,7 +23,7 @@ pub mod inequality;
 pub mod rng;
 pub mod sampler;
 
-pub use inequality::{gini, jain_fairness, lorenz_curve, theil_index, top_share};
+pub use inequality::{gini, jain_fairness, lorenz_curve, top_share};
 pub use rng::Rng;
 pub use sampler::{CumulativeWeights, FenwickWeights};
 

@@ -62,15 +62,6 @@ impl Rng {
         }
     }
 
-    /// Derive an independent child generator, e.g. one per simulation agent.
-    ///
-    /// The child stream is decorrelated from the parent by mixing the parent's
-    /// next output with the `stream` label through SplitMix64.
-    pub fn fork(&mut self, stream: u64) -> Rng {
-        let base = self.next_u64();
-        Rng::new(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1]
@@ -352,15 +343,6 @@ mod tests {
         let mut b = Rng::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 4, "streams from different seeds should diverge");
-    }
-
-    #[test]
-    fn forked_streams_are_decorrelated() {
-        let mut parent = Rng::new(99);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert!(same < 4);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! cargo run --release --bin experiments -- f3 t1              # bare form = `run`
 //! ```
 //!
-//! Every experiment executes on a watchdogged worker thread with panic
-//! isolation, bounded retries and a per-family circuit breaker. With
+//! Every experiment executes on a pooled worker thread under a deadline,
+//! with panic isolation, bounded retries and a per-family circuit breaker. With
 //! `--shards N`, N in-process workers each claim the next experiment until
 //! none is left, and the merged canonical journal and report are
 //! byte-identical to the single-shard run of the same seed. `dispatch
