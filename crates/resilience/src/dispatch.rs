@@ -1,43 +1,42 @@
-//! Cross-process dispatch: supervised shard *child processes*.
+//! Dispatch: the shards of one run supervised out of process, leased to
+//! `experiments serve` daemons ([`crate::remote`]), spawned as child
+//! processes of this binary, or both in turn.
 //!
 //! [`dispatch`] is the distributed counterpart of [`crate::shard`]'s
-//! in-process fan-out: each shard of the experiment list runs in its own
-//! child process (the `experiments` binary re-invokes itself with
-//! `run --shards 1` over the shard's slice), writes its artifacts —
-//! a telemetry snapshot (`--metrics-out`, events included), a serialized
-//! [`RunArtifact`] (`--report-out`), and a heartbeat file — into a
-//! per-shard scratch directory, and is supervised by a parent-side
-//! watcher thread:
-//!
-//! * **crash detection** — a nonzero or signal exit fails the attempt;
-//! * **deadlines** — a child outliving the per-shard wall-clock budget is
-//!   killed;
-//! * **liveness** — a child whose heartbeat file stops growing for longer
-//!   than the grace window is declared hung and killed, even if the
-//!   deadline has not elapsed;
-//! * **retry** — failed shards are re-spawned up to a retry budget, with
-//!   the same deterministic-jitter [`Backoff`] schedule the in-process
-//!   runner uses.
+//! in-process fan-out and the only dispatch entry point. Each non-empty
+//! shard's watcher thread walks one ladder with one retry loop: leases
+//! rotated across [`DispatchConfig::workers`] if there are any, then —
+//! without workers, or as failover — child spawns (`run --shards 1` over
+//! the slice, writing a telemetry snapshot, a serialized [`RunArtifact`]
+//! and a heartbeat file into a per-attempt scratch directory). Each rung
+//! numbers its attempts from 0 and sleeps the shard's deterministic
+//! [`Backoff`] stream between them. Either transport fails an attempt on
+//! a crash, on the per-shard deadline, or on heartbeat silence longer
+//! than the liveness grace.
 //!
 //! Because every per-experiment decision derives from `(seed, experiment
-//! code, attempt)` alone, a re-spawned shard reproduces its predecessor's
-//! events exactly, and the merged canonical journal of a K-process
-//! dispatch is **byte-identical** to the in-process 1-shard run of the
-//! same seed — including runs where chaos killed and retried shards along
-//! the way. The merge strips each child's `run-start`/`run-end` boundary
-//! events, re-bases its 0-based spec indices onto the shard's slice
-//! offset, stamps shard provenance, and emits a single run-level
-//! `run-start`/`run-end` pair around the canonical `(class, spec, seq)`
-//! sort.
+//! code, attempt)` alone, a retried shard reproduces its predecessor's
+//! events exactly, and the merged canonical journal of a K-shard dispatch
+//! is **byte-identical** to the in-process 1-shard run of the same seed,
+//! whichever rung answered. A child's artifact files and a daemon's
+//! `done` frame parse into the same per-shard yield; the merge strips each
+//! shard's `run-start`/`run-end` boundary events, re-bases its 0-based
+//! spec indices onto the slice offset, stamps shard provenance, and emits
+//! a single run-level `run-start`/`run-end` pair around the canonical
+//! `(class, spec, seq)` sort.
 //!
-//! Shards that exhaust their retries either fail the dispatch loudly
+//! Shards that exhaust every rung either fail the dispatch loudly
 //! ([`DispatchError::ShardsFailed`]) or — under `allow_partial` — degrade
 //! gracefully: the merged report is marked degraded, the missing shards
 //! and experiment codes are listed, and the caller exits with a distinct
 //! code. Circuit-breaker state is reconciled at merge time
 //! ([`reconcile_breakers`]): per-family failure counts are summed across
 //! shards and families that would have been open globally are flagged,
-//! since per-child breakers cannot see failures on sibling shards.
+//! since per-shard breakers cannot see failures on sibling shards.
+//!
+//! A successful attempt's scratch directory goes once its artifacts are
+//! parsed; a failed one keeps its child log. A complete run then removes
+//! the scratch directory only if that left it empty.
 //!
 //! Process-level fault injection for tests and CI rides on the
 //! [`CHAOS_ENV`] environment variable: [`ChaosProc`] specs (`kill:2`,
@@ -47,6 +46,7 @@
 //! paths are deterministically exercisable.
 
 use crate::backoff::Backoff;
+use crate::remote::{lease_attempt, ChaosNet};
 use crate::report::{RunArtifact, RunReport};
 use crate::runner::{run_start_detail, RunnerConfig, SupervisedRun};
 use humnet_telemetry::{spec_order_in_place, Event, Telemetry, TelemetrySnapshot};
@@ -144,10 +144,21 @@ pub struct DispatchConfig {
     /// Seed for the retry backoff jitter (per-shard streams derive from it).
     pub seed: u64,
     /// Keep per-(shard, attempt) scratch directories after a successful
-    /// attempt instead of removing them once their artifacts are parsed.
-    /// Failed attempts always keep theirs — the child log is the only
-    /// evidence of what went wrong.
+    /// attempt instead of removing them once their artifacts are parsed
+    /// (lease answers are written there too). Failed attempts always keep
+    /// theirs — the child log is the only evidence of what went wrong.
     pub keep_scratch: bool,
+    /// `serve` daemon addresses (`host:port`) to lease shards to, in
+    /// `--workers` order; retries rotate through the list. Empty runs
+    /// every shard as local child processes.
+    pub workers: Vec<String>,
+    /// Per-dial TCP connect budget for a lease.
+    pub connect_timeout: Duration,
+    /// Network-level fault injections (testing/CI).
+    pub chaos_net: Vec<ChaosNet>,
+    /// After the lease retries exhaust, fail the slice over to local
+    /// child processes before declaring the shard missing.
+    pub local_failover: bool,
 }
 
 impl Default for DispatchConfig {
@@ -163,6 +174,10 @@ impl Default for DispatchConfig {
             backoff_base: Duration::from_millis(25),
             seed: 42,
             keep_scratch: false,
+            workers: Vec::new(),
+            connect_timeout: Duration::from_secs(5),
+            chaos_net: Vec::new(),
+            local_failover: true,
         }
     }
 }
@@ -253,15 +268,29 @@ impl fmt::Display for AttemptFailure {
 
 /// What a successful shard hands back after artifact parsing.
 pub(crate) struct ShardYield {
-    pub(crate) artifact: RunArtifact,
-    pub(crate) telemetry: TelemetrySnapshot,
+    artifact: RunArtifact,
+    telemetry: TelemetrySnapshot,
+}
+
+impl ShardYield {
+    /// Parse a shard's two artifacts: a child's `report.json` and
+    /// `metrics.json`, or a `done` frame's `artifact` and `metrics`.
+    pub(crate) fn parse(artifact: &str, metrics: &str) -> Result<ShardYield, String> {
+        Ok(ShardYield {
+            artifact: RunArtifact::from_json(artifact)
+                .map_err(|e| format!("artifact unusable: {e}"))?,
+            telemetry: TelemetrySnapshot::from_json(metrics)
+                .map_err(|e| format!("metrics unusable: {e}"))?,
+        })
+    }
 }
 
 /// Final per-shard supervision outcome.
-pub(crate) struct ShardOutcome {
-    pub(crate) spec: ShardSpec,
-    pub(crate) attempts: u32,
-    pub(crate) result: Result<ShardYield, AttemptFailure>,
+struct ShardOutcome {
+    spec: ShardSpec,
+    /// Attempts summed across the rungs.
+    attempts: u32,
+    result: Result<ShardYield, AttemptFailure>,
 }
 
 /// A shard that never produced a usable result (after all retries).
@@ -474,15 +503,17 @@ impl DispatchOutcome {
     }
 }
 
-/// Run `shards` as supervised child processes and merge their artifacts.
+/// Run `shards` out of process — leased to [`DispatchConfig::workers`],
+/// spawned as child processes, or both in turn — and merge the results.
 ///
 /// `build` constructs the child [`Command`] for one shard attempt — the
 /// `experiments` binary passes a self-invocation (`current_exe` +
 /// `run --shards 1 …`), tests can substitute anything that writes the
-/// artifact files. The dispatcher owns everything around the command:
-/// scratch directories, chaos environment stamping, stdio capture into
+/// artifact files. The dispatcher owns everything around the command and
+/// the lease: scratch directories, chaos stamping, stdio capture into
 /// the attempt's log file, kill-on-deadline, heartbeat liveness, retry
-/// with deterministic backoff, artifact parsing, and the final merge.
+/// with deterministic backoff, failover, artifact parsing, the final
+/// merge and the scratch cleanup.
 ///
 /// Shards with empty `codes` are skipped without spawning (they could not
 /// contribute events or report rows).
@@ -502,7 +533,7 @@ where
         let handles: Vec<_> = shards
             .into_iter()
             .filter(|spec| !spec.codes.is_empty())
-            .map(|spec| scope.spawn(|| supervise_shard(config, spec, &build)))
+            .map(|spec| scope.spawn(|| supervise_shard(config, runner, spec, &build)))
             .collect();
         handles
             .into_iter()
@@ -526,42 +557,91 @@ where
         return Err(DispatchError::ShardsFailed(missing));
     }
 
+    // Successful attempts already removed their dirs; `remove_dir` takes
+    // the scratch dir only if nothing else (a failed attempt's log, a
+    // caller's file) lives there.
+    if config.keep_scratch || !missing.is_empty() || fs::remove_dir(&config.scratch).is_err() {
+        eprintln!("dispatch scratch kept at {}", config.scratch.display());
+    }
     Ok(merge_outcomes(runner, planned, outcomes, missing))
 }
 
-/// Supervise one shard: spawn, watch, retry. Returns the last attempt's
-/// parsed artifacts or the last failure. Also the local-failover rung of
-/// [`crate::remote::dispatch_remote`]'s ladder.
-pub(crate) fn supervise_shard<F>(config: &DispatchConfig, spec: ShardSpec, build: &F) -> ShardOutcome
+/// A rung of the shard ladder: which transport its attempts use.
+#[derive(Clone, Copy)]
+enum Rung {
+    Lease,
+    Spawn,
+}
+
+impl Rung {
+    /// How supervision logs name this rung's attempts.
+    fn label(self) -> &'static str {
+        match self {
+            Rung::Lease => "remote ",
+            Rung::Spawn => "",
+        }
+    }
+}
+
+/// Supervise one shard down its rungs — leases rotated across the
+/// workers if there are any, then local child spawns unless failover is
+/// off — retrying each rung with the shard's backoff stream. Returns the
+/// first success or the last failure.
+fn supervise_shard<F>(
+    config: &DispatchConfig,
+    runner: &RunnerConfig,
+    spec: ShardSpec,
+    build: &F,
+) -> ShardOutcome
 where
     F: Fn(&ShardSpec, &ShardPaths) -> Command,
 {
+    let rungs: &[Rung] = match (config.workers.is_empty(), config.local_failover) {
+        (true, _) => &[Rung::Spawn],
+        (false, true) => &[Rung::Lease, Rung::Spawn],
+        (false, false) => &[Rung::Lease],
+    };
     let backoff = Backoff::for_shard(config.backoff_base, config.seed, spec.shard);
     let mut last = AttemptFailure::Spawn("never attempted".to_owned());
     let mut attempts = 0;
-    for attempt in 0..=config.shard_retries {
-        if attempt > 0 {
+    for (i, &rung) in rungs.iter().enumerate() {
+        if i > 0 {
             eprintln!(
-                "dispatch: shard {} attempt {attempt} after failure: {last}",
+                "dispatch: shard {} failing over to a local child after {attempts} remote attempts: {last}",
                 spec.shard
             );
-            thread::sleep(backoff.delay(attempt - 1));
         }
-        attempts += 1;
-        match run_attempt(config, &spec, attempt, build) {
-            Ok(yielded) => {
-                return ShardOutcome {
-                    spec,
-                    attempts,
-                    result: Ok(yielded),
-                };
+        for attempt in 0..=config.shard_retries {
+            if attempt > 0 {
+                eprintln!(
+                    "dispatch: shard {} {}attempt {attempt} after failure: {last}",
+                    spec.shard,
+                    rung.label()
+                );
+                thread::sleep(backoff.delay(attempt - 1));
             }
-            Err(failure) => last = failure,
+            attempts += 1;
+            let result = match rung {
+                Rung::Lease => lease_attempt(config, runner, &spec, attempt),
+                Rung::Spawn => run_attempt(config, &spec, attempt, build),
+            };
+            match result {
+                Ok(yielded) => {
+                    return ShardOutcome {
+                        spec,
+                        attempts,
+                        result: Ok(yielded),
+                    };
+                }
+                Err(failure) => last = failure,
+            }
         }
     }
     eprintln!(
-        "dispatch: shard {} gave up after {attempts} attempts: {last}",
-        spec.shard
+        "dispatch: shard {} gave up after {} {}attempts: {last}",
+        spec.shard,
+        config.shard_retries + 1,
+        rungs[rungs.len() - 1].label()
     );
     ShardOutcome {
         spec,
@@ -659,19 +739,14 @@ fn watch(child: &mut Child, paths: &ShardPaths, config: &DispatchConfig) -> Verd
     }
 }
 
-/// Parse a completed attempt's artifacts back into a [`ShardYield`].
+/// Parse a completed attempt's artifact files back into a [`ShardYield`].
 fn collect(paths: &ShardPaths) -> Result<ShardYield, AttemptFailure> {
-    let metrics = fs::read_to_string(&paths.metrics)
-        .map_err(|e| AttemptFailure::Artifact(format!("read {}: {e}", paths.metrics.display())))?;
-    let telemetry = TelemetrySnapshot::from_json(&metrics).map_err(|e| {
-        AttemptFailure::Artifact(format!("parse {}: {e}", paths.metrics.display()))
-    })?;
-    let report = fs::read_to_string(&paths.report)
-        .map_err(|e| AttemptFailure::Artifact(format!("read {}: {e}", paths.report.display())))?;
-    let artifact = RunArtifact::from_json(&report).map_err(|e| {
-        AttemptFailure::Artifact(format!("parse {}: {e}", paths.report.display()))
-    })?;
-    Ok(ShardYield { artifact, telemetry })
+    let read = |path: &Path| {
+        fs::read_to_string(path)
+            .map_err(|e| AttemptFailure::Artifact(format!("read {}: {e}", path.display())))
+    };
+    ShardYield::parse(&read(&paths.report)?, &read(&paths.metrics)?)
+        .map_err(|e| AttemptFailure::Artifact(format!("{}: {e}", paths.dir.display())))
 }
 
 /// Fold the per-shard results into one run-level [`SupervisedRun`].
@@ -683,10 +758,9 @@ fn collect(paths: &ShardPaths) -> Result<ShardYield, AttemptFailure> {
 /// *not* re-record them; and each child's
 /// journal carries its own `run-start`/`run-end` pair plus 0-based spec
 /// indices, which the merge strips and re-bases before the canonical sort.
-/// Shared verbatim with [`crate::remote::dispatch_remote`] — a worker's
-/// final frame and a child's artifact files parse into the same
-/// [`ShardYield`], so remote and local shards merge identically.
-pub(crate) fn merge_outcomes(
+/// A daemon's `done` frame and a child's artifact files parse into the
+/// same [`ShardYield`], so leased and spawned shards merge identically.
+fn merge_outcomes(
     runner: &RunnerConfig,
     planned: usize,
     outcomes: Vec<ShardOutcome>,

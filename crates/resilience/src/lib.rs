@@ -20,18 +20,18 @@
 //! 5. [`replay`] — reconstruct a past run's configuration and fault
 //!    schedule from its captured journal, re-execute it, and diff the
 //!    canonical event streams.
-//! 6. [`dispatch`] — the cross-process counterpart of [`shard`]:
-//!    supervised shard *child processes* with heartbeat liveness,
-//!    per-shard deadlines, crash retry, graceful partial-result
-//!    degradation, and merge-time circuit-breaker reconciliation — still
-//!    byte-identical to the in-process 1-shard run.
-//! 7. [`remote`] — the cross-machine tier: shard-slice *leases* to
-//!    `experiments serve` daemons over the line-delimited TCP protocol
-//!    (framed by [`LineBuffer`]), with inline heartbeats,
-//!    connection-level liveness and deadline revocation, retry rotated
-//!    across surviving workers, local child-process failover, and
-//!    `--chaos-net` partition/stall/garble injection — same merge, same
-//!    byte-identity.
+//! 6. [`dispatch`](mod@dispatch) — the out-of-process counterpart of
+//!    [`shard`], and its one entry point: each shard walks one ladder of
+//!    remote leases and local child processes under one retry loop, with
+//!    heartbeat liveness, per-shard deadlines, failover, graceful
+//!    partial-result degradation, and merge-time circuit-breaker
+//!    reconciliation — still byte-identical to the in-process 1-shard
+//!    run.
+//! 7. [`remote`] — the lease transport of that ladder: shard-slice
+//!    *leases* to `experiments serve` daemons over the line-delimited
+//!    TCP protocol (framed by [`LineBuffer`]), with inline heartbeats,
+//!    connection-level liveness, deadline revocation, stale-lease
+//!    refusal, and `--chaos-net` partition/stall/garble injection.
 
 pub mod backoff;
 
@@ -88,9 +88,7 @@ pub use dispatch::{
 pub use fault::{
     FaultHook, FaultKind, FaultPlan, FaultProfile, InstrumentedHook, NoFaults, PlanHook,
 };
-pub use remote::{
-    dispatch_remote, ChaosKind, ChaosNet, Lease, LineBuffer, RemoteOptions, WorkerFrame,
-};
+pub use remote::{ChaosKind, ChaosNet, Lease, LineBuffer, WorkerFrame};
 pub use replay::{
     first_divergence, reconstruct, replay, Divergence, RecordedFault, RecordedFaults,
     ReplayError, ReplayReport, ReplaySpec,

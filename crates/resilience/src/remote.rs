@@ -1,44 +1,31 @@
-//! Cross-machine dispatch: supervised shard leases over TCP.
+//! Cross-machine dispatch: shard leases over TCP.
 //!
-//! The remote tier of the distributed run driver. Workers are
-//! `experiments serve` daemons: `lease` is one more request kind on the
-//! serve wire protocol (line-delimited JSON, framed by [`LineBuffer`]).
-//! The dispatcher leases a daemon one shard slice at a time ([`Lease`]):
+//! The lease transport of [`dispatch`](mod@crate::dispatch). Workers
+//! are `experiments serve` daemons: `lease` is one more request kind on
+//! the serve wire protocol (line-delimited JSON, framed by
+//! [`LineBuffer`]). The dispatcher leases a daemon one shard slice at a
+//! time ([`Lease`]):
 //! experiment codes, spec-base offset, and the full run configuration
 //! tuple (`seed`, `profile`, `intensity`, `retries`, `deadline_ms`,
 //! `breaker_cooldown`). The daemon admits the lease through its bounded
 //! work queue, executes the slice on its warm in-process scheduler
 //! runtime (exactly as a `run --shards 1` dispatch child would), streams
 //! heartbeat frames inline on the connection while the lease is queued
-//! or running, and returns the serialized [`RunArtifact`] + telemetry
-//! snapshot + event journal as the final `done` frame. This module holds
-//! the wire frames and the dispatcher side; the daemon side lives in
+//! or running, and returns the serialized [`crate::RunArtifact`] +
+//! telemetry snapshot + event journal as the final `done` frame. This
+//! module holds the wire frames and one lease attempt; the shard ladder
+//! (retry, worker rotation, local failover, merge) is
+//! [`dispatch`](mod@crate::dispatch)'s, and the daemon side lives in
 //! `humnet-serve`.
 //!
-//! [`dispatch_remote`] gives leased shards the *same supervision contract*
-//! [`crate::dispatch`] gives local child processes, translated to
-//! connection terms:
-//!
-//! * **crash detection** — a worker that closes the connection (or was
-//!   never reachable) fails the attempt;
-//! * **deadlines** — a lease outliving the per-shard wall-clock budget is
-//!   revoked by dropping the connection;
-//! * **liveness** — a connection silent for longer than the grace window
-//!   (no heartbeat *or* result frame) is declared partitioned and the
-//!   lease revoked;
-//! * **retry + failover** — a failed slice is retried with the same
-//!   deterministic per-shard [`Backoff`] stream (`seed ^ shard`), rotated
-//!   across workers so retries land on survivors; when every remote
-//!   attempt is exhausted the slice **fails over to a local child
-//!   process** (the [`crate::dispatch::supervise_shard`] ladder), and only
-//!   if that also fails does the shard go missing — loudly, or degraded
-//!   under `allow_partial`.
-//!
-//! Merging reuses [`crate::dispatch::merge_outcomes`] verbatim: a worker's
-//! final frame parses into the same per-shard yield a child's artifact
-//! files do, so the merged canonical journal stays **byte-identical** to
-//! the in-process 1-shard run even when a worker is killed mid-lease and
-//! its slice fails over to a survivor or a local child.
+//! A lease attempt gives the verdicts a child attempt does, in
+//! connection terms: a worker that closes the connection (or was never
+//! reachable) fails the attempt; a lease outliving the per-shard
+//! wall-clock budget is revoked by dropping the connection; a connection
+//! silent for longer than the grace window (no heartbeat *or* result
+//! frame) is declared partitioned and the lease revoked. A frame whose
+//! lease id is not the attempt's own `(shard << 16) | attempt` fails the
+//! attempt too, so a stale answer is never merged.
 //!
 //! Network-level fault injection mirrors `--chaos-proc`: a [`ChaosNet`]
 //! spec (`kill:1`, `stall:0:1`, `garble:1`) makes the dispatcher stamp a
@@ -46,20 +33,12 @@
 //! the cooperating daemon drops the connection mid-lease, goes silent
 //! holding it open, or emits a corrupt frame.
 
-use crate::backoff::Backoff;
-use crate::dispatch::{
-    merge_outcomes, supervise_shard, AttemptFailure, DispatchConfig, DispatchError,
-    DispatchOutcome, MissingShard, ShardOutcome, ShardPaths, ShardSpec, ShardYield,
-};
-use crate::report::RunArtifact;
+use crate::dispatch::{AttemptFailure, DispatchConfig, ShardPaths, ShardSpec, ShardYield};
 use crate::runner::RunnerConfig;
-use humnet_telemetry::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::process::Command;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// How a chaos-selected worker misbehaves on the wire.
@@ -210,7 +189,7 @@ pub struct WorkerFrame {
     pub beat: Option<u64>,
     /// Shard index of the slice (on `done`).
     pub shard: Option<u32>,
-    /// Serialized canonical [`RunArtifact`] JSON (on `done`).
+    /// Serialized canonical [`crate::RunArtifact`] JSON (on `done`).
     pub artifact: Option<String>,
     /// Serialized telemetry snapshot JSON, events included (on `done`).
     pub metrics: Option<String>,
@@ -350,153 +329,6 @@ impl LineBuffer {
 // Dispatcher side
 // ---------------------------------------------------------------------------
 
-/// Remote-dispatch knobs layered on top of [`DispatchConfig`] (which keeps
-/// supplying the shared supervision budget: `shard_retries`,
-/// `shard_deadline`, `liveness`, backoff, `allow_partial`).
-#[derive(Debug, Clone)]
-pub struct RemoteOptions {
-    /// Worker addresses (`host:port`), in `--workers` order. Retries
-    /// rotate through this list so a dead worker's slice lands on a
-    /// survivor.
-    pub workers: Vec<String>,
-    /// Per-dial TCP connect budget.
-    pub connect_timeout: Duration,
-    /// Network-level fault injections (testing/CI).
-    pub chaos: Vec<ChaosNet>,
-    /// After remote retries exhaust, fail the slice over to a local child
-    /// process before declaring the shard missing.
-    pub local_failover: bool,
-}
-
-impl Default for RemoteOptions {
-    fn default() -> Self {
-        RemoteOptions {
-            workers: Vec::new(),
-            connect_timeout: Duration::from_secs(5),
-            chaos: Vec::new(),
-            local_failover: true,
-        }
-    }
-}
-
-/// Run `shards` as leases against remote workers and merge their results.
-///
-/// The supervision ladder per shard: remote attempts `0..=shard_retries`
-/// (deterministic [`Backoff`] from `seed ^ shard`, worker rotated per
-/// attempt), then — unless `local_failover` is off — the full local
-/// child-process ladder of [`crate::dispatch::dispatch`] via `build`, then
-/// missing. Merging is shared with local dispatch, so the canonical
-/// journal is byte-identical to the in-process run regardless of which
-/// rung produced each slice.
-pub fn dispatch_remote<F>(
-    config: &DispatchConfig,
-    remote: &RemoteOptions,
-    runner: &RunnerConfig,
-    shards: Vec<ShardSpec>,
-    build: F,
-) -> Result<DispatchOutcome, DispatchError>
-where
-    F: Fn(&ShardSpec, &ShardPaths) -> Command + Sync,
-{
-    assert!(
-        !remote.workers.is_empty(),
-        "dispatch_remote requires at least one worker address"
-    );
-    // Local failover spawns children that write artifacts here.
-    fs::create_dir_all(&config.scratch).map_err(|e| DispatchError::Scratch(e.to_string()))?;
-    let planned: usize = shards.iter().map(|s| s.codes.len()).sum();
-
-    let outcomes: Vec<ShardOutcome> = thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .filter(|spec| !spec.codes.is_empty())
-            .map(|spec| scope.spawn(|| supervise_remote_shard(config, remote, runner, spec, &build)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard lease watcher never panics"))
-            .collect()
-    });
-
-    let missing: Vec<MissingShard> = outcomes
-        .iter()
-        .filter_map(|o| match &o.result {
-            Ok(_) => None,
-            Err(failure) => Some(MissingShard {
-                shard: o.spec.shard,
-                attempts: o.attempts,
-                codes: o.spec.codes.clone(),
-                reason: failure.to_string(),
-            }),
-        })
-        .collect();
-    if !missing.is_empty() && !config.allow_partial {
-        return Err(DispatchError::ShardsFailed(missing));
-    }
-
-    Ok(merge_outcomes(runner, planned, outcomes, missing))
-}
-
-/// Supervise one shard's remote lease ladder: lease, watch, retry against
-/// rotated workers, then fail over locally.
-fn supervise_remote_shard<F>(
-    config: &DispatchConfig,
-    remote: &RemoteOptions,
-    runner: &RunnerConfig,
-    spec: ShardSpec,
-    build: &F,
-) -> ShardOutcome
-where
-    F: Fn(&ShardSpec, &ShardPaths) -> Command,
-{
-    let backoff = Backoff::for_shard(config.backoff_base, config.seed, spec.shard);
-    let mut last = AttemptFailure::Remote("never attempted".to_owned());
-    let mut attempts = 0;
-    for attempt in 0..=config.shard_retries {
-        if attempt > 0 {
-            eprintln!(
-                "dispatch: shard {} remote attempt {attempt} after failure: {last}",
-                spec.shard
-            );
-            thread::sleep(backoff.delay(attempt - 1));
-        }
-        attempts += 1;
-        let widx = ((spec.shard + attempt) as usize) % remote.workers.len();
-        let chaos = remote
-            .chaos
-            .iter()
-            .find_map(|c| c.directive(widx as u32, attempt));
-        match lease_attempt(config, remote, runner, &spec, attempt, widx, chaos) {
-            Ok(yielded) => {
-                return ShardOutcome {
-                    spec,
-                    attempts,
-                    result: Ok(yielded),
-                };
-            }
-            Err(failure) => last = failure,
-        }
-    }
-    if remote.local_failover {
-        eprintln!(
-            "dispatch: shard {} failing over to a local child after {attempts} remote attempts: {last}",
-            spec.shard
-        );
-        let mut outcome = supervise_shard(config, spec, build);
-        outcome.attempts += attempts;
-        return outcome;
-    }
-    eprintln!(
-        "dispatch: shard {} gave up after {attempts} remote attempts: {last}",
-        spec.shard
-    );
-    ShardOutcome {
-        spec,
-        attempts,
-        result: Err(last),
-    }
-}
-
 /// Dial every resolved address for `addr` until one connects in budget.
 fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
     let resolved = addr.to_socket_addrs()?;
@@ -513,28 +345,31 @@ fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
     Err(last)
 }
 
-/// One lease-watch-collect cycle against a single worker. Dropping the
-/// stream on any exit path *is* the lease revocation: the worker notices
-/// the dead connection on its next frame write and abandons the result.
-fn lease_attempt(
+/// One lease-watch-collect cycle: shard attempt `attempt` against worker
+/// `(shard + attempt) % workers`. Dropping the stream on any exit path
+/// *is* the lease revocation: the worker notices the dead connection on
+/// its next frame write and abandons the result.
+pub(crate) fn lease_attempt(
     config: &DispatchConfig,
-    remote: &RemoteOptions,
     runner: &RunnerConfig,
     spec: &ShardSpec,
     attempt: u32,
-    widx: usize,
-    chaos: Option<ChaosKind>,
 ) -> Result<ShardYield, AttemptFailure> {
-    let addr = &remote.workers[widx];
+    let widx = (spec.shard + attempt) as usize % config.workers.len();
+    let addr = &config.workers[widx];
     let fail = |msg: String| AttemptFailure::Remote(format!("worker {addr}: {msg}"));
 
     let mut stream =
-        connect(addr, remote.connect_timeout).map_err(|e| fail(format!("connect failed: {e}")))?;
+        connect(addr, config.connect_timeout).map_err(|e| fail(format!("connect failed: {e}")))?;
     let _ = stream.set_nodelay(true);
 
     let lease_id = (u64::from(spec.shard) << 16) | u64::from(attempt);
     let mut lease = Lease::for_shard(spec, runner, lease_id);
-    lease.chaos = chaos.map(|k| k.label().to_owned());
+    lease.chaos = config
+        .chaos_net
+        .iter()
+        .find_map(|c| c.directive(widx as u32, attempt))
+        .map(|k| k.label().to_owned());
     let line = lease
         .to_line()
         .map_err(|e| fail(format!("lease not serializable: {e}")))?;
@@ -560,6 +395,13 @@ fn lease_attempt(
             })?;
             last_frame = Instant::now();
             match frame.status.as_str() {
+                "hb" | "done" if frame.lease != Some(lease_id) => {
+                    let answered = frame.lease.map_or("none".to_owned(), |id| id.to_string());
+                    return Err(fail(format!(
+                        "{} frame for lease {answered} on lease {lease_id}; stale answer refused",
+                        frame.status
+                    )));
+                }
                 "hb" => {}
                 "done" => return collect_done(&frame, config, spec, attempt).map_err(fail),
                 "error" => {
@@ -593,45 +435,41 @@ fn lease_attempt(
 }
 
 /// Parse a `done` frame into the same per-shard yield a local child's
-/// artifact files produce; optionally persist the frame's artifacts into
-/// the attempt's scratch layout for inspection.
+/// artifact files produce; under `keep_scratch`, persist the frame's
+/// artifacts into the attempt's scratch layout for inspection.
 fn collect_done(
     frame: &WorkerFrame,
     config: &DispatchConfig,
     spec: &ShardSpec,
     attempt: u32,
 ) -> Result<ShardYield, String> {
-    let artifact_json = frame
-        .artifact
-        .as_deref()
-        .ok_or_else(|| "done frame missing artifact".to_owned())?;
-    let metrics_json = frame
-        .metrics
-        .as_deref()
-        .ok_or_else(|| "done frame missing metrics".to_owned())?;
-    let artifact = RunArtifact::from_json(artifact_json)
-        .map_err(|e| format!("done frame artifact unusable: {e}"))?;
-    let telemetry = TelemetrySnapshot::from_json(metrics_json)
-        .map_err(|e| format!("done frame metrics unusable: {e}"))?;
+    let (Some(artifact), Some(metrics)) = (frame.artifact.as_deref(), frame.metrics.as_deref())
+    else {
+        return Err("done frame missing artifact or metrics".to_owned());
+    };
+    let yielded = ShardYield::parse(artifact, metrics).map_err(|e| format!("done frame {e}"))?;
     if config.keep_scratch {
         let paths = ShardPaths::new(&config.scratch, spec.shard, attempt);
         if fs::create_dir_all(&paths.dir).is_ok() {
-            let _ = fs::write(&paths.report, artifact_json);
-            let _ = fs::write(&paths.metrics, metrics_json);
+            let _ = fs::write(&paths.report, artifact);
+            let _ = fs::write(&paths.metrics, metrics);
             if let Some(journal) = frame.journal.as_deref() {
                 let _ = fs::write(&paths.journal, journal);
             }
         }
     }
-    Ok(ShardYield { artifact, telemetry })
+    Ok(yielded)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::dispatch;
+    use crate::report::RunArtifact;
     use proptest::prelude::*;
     use std::net::TcpListener;
     use std::path::PathBuf;
+    use std::process::Command;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -773,15 +611,11 @@ mod tests {
         let mut config = quick_config("unreachable");
         config.shard_retries = 1;
         config.allow_partial = true;
-        let remote = RemoteOptions {
-            workers: vec![dead],
-            connect_timeout: Duration::from_millis(500),
-            local_failover: false,
-            ..RemoteOptions::default()
-        };
-        let outcome = dispatch_remote(
+        config.workers = vec![dead];
+        config.connect_timeout = Duration::from_millis(500);
+        config.local_failover = false;
+        let outcome = dispatch(
             &config,
-            &remote,
             &RunnerConfig::default(),
             vec![shard_spec(0, 0, &["exp1"])],
             no_local_children,
@@ -808,14 +642,10 @@ mod tests {
         };
         let mut config = quick_config("failover");
         config.shard_retries = 0;
-        let remote = RemoteOptions {
-            workers: vec![dead],
-            connect_timeout: Duration::from_millis(300),
-            ..RemoteOptions::default()
-        };
-        let outcome = dispatch_remote(
+        config.workers = vec![dead];
+        config.connect_timeout = Duration::from_millis(300);
+        let outcome = dispatch(
             &config,
-            &remote,
             &RunnerConfig::default(),
             vec![shard_spec(0, 0, &["exp1"])],
             |spec, paths| {
@@ -857,6 +687,52 @@ mod tests {
         // One failed remote attempt + one successful local child attempt.
         assert_eq!(outcome.shard_attempts, vec![2]);
         assert_eq!(outcome.run.outputs["exp1"], "local output");
+        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    #[test]
+    fn a_done_frame_for_another_lease_fails_the_attempt() {
+        // A well-formed answer to the wrong lease: what a late frame from
+        // a revoked lease would look like on a reused connection.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut framer = LineBuffer::new();
+            let mut chunk = [0u8; 1024];
+            let lease = loop {
+                if let Some(line) = framer.next_line() {
+                    break Lease::from_line(&line).unwrap();
+                }
+                let n = stream.read(&mut chunk).unwrap();
+                framer.push(&chunk[..n]);
+            };
+            let artifact = RunArtifact::default().to_json().unwrap();
+            let metrics = humnet_telemetry::Telemetry::new().into_snapshot().to_json().unwrap();
+            let stale = lease.lease.unwrap() + 1;
+            let done = WorkerFrame::done(stale, 0, artifact, metrics, String::new());
+            stream
+                .write_all(format!("{}\n", done.to_line().unwrap()).as_bytes())
+                .unwrap();
+        });
+        let mut config = quick_config("stale-lease");
+        config.shard_retries = 0;
+        config.allow_partial = true;
+        config.workers = vec![addr];
+        config.local_failover = false;
+        let outcome = dispatch(
+            &config,
+            &RunnerConfig::default(),
+            vec![shard_spec(3, 0, &["exp1"])],
+            no_local_children,
+        )
+        .unwrap();
+        peer.join().unwrap();
+        assert!(outcome.degraded(), "a stale done frame must not complete the shard");
+        let reason = &outcome.missing[0].reason;
+        let lease_id = 3u64 << 16;
+        assert!(reason.contains(&format!("lease {}", lease_id + 1)), "{reason}");
+        assert!(reason.contains(&format!("lease {lease_id}")), "{reason}");
         let _ = fs::remove_dir_all(&config.scratch);
     }
 }

@@ -897,8 +897,7 @@ mod tests {
     use crate::client::ServeClient;
     use crate::protocol::STATUS_HIT;
     use humnet_resilience::{
-        dispatch_remote, ChaosNet, DispatchConfig, JobOutput, RemoteOptions, ShardPaths, ShardSpec,
-        SupervisedRun,
+        dispatch, ChaosNet, DispatchConfig, JobOutput, ShardPaths, ShardSpec, SupervisedRun,
     };
     use proptest::prelude::*;
     use std::fs;
@@ -1267,15 +1266,15 @@ mod tests {
         panic!("test expected no local failover");
     }
 
-    fn remote(workers: &[&str], chaos: Option<&str>) -> RemoteOptions {
-        RemoteOptions {
+    fn remote(config: &DispatchConfig, workers: &[&str], chaos: Option<&str>) -> DispatchConfig {
+        DispatchConfig {
             workers: workers.iter().map(|w| (*w).to_owned()).collect(),
             connect_timeout: Duration::from_millis(500),
-            chaos: chaos
+            chaos_net: chaos
                 .into_iter()
                 .map(|c| ChaosNet::parse(c).unwrap())
                 .collect(),
-            ..RemoteOptions::default()
+            ..config.clone()
         }
     }
 
@@ -1356,9 +1355,8 @@ mod tests {
             shard_spec(1, 2, &["exp3"]),
             shard_spec(2, 3, &["exp4"]),
         ];
-        let outcome = dispatch_remote(
-            &config,
-            &remote(&[&addr_a, &addr_b], None),
+        let outcome = dispatch(
+            &remote(&config, &[&addr_a, &addr_b], None),
             &runner,
             shards,
             no_local_children,
@@ -1394,9 +1392,8 @@ mod tests {
         let (addr_good, handle_good) = start_worker("reissue-good");
         let config = quick_dispatch("reissue");
         let runner = RunnerConfig::default();
-        let outcome = dispatch_remote(
-            &config,
-            &remote(&[&addr_bad, &addr_good], Some("kill:0")),
+        let outcome = dispatch(
+            &remote(&config, &[&addr_bad, &addr_good], Some("kill:0")),
             &runner,
             vec![shard_spec(0, 0, &["exp1", "exp2"])],
             no_local_children,
@@ -1422,11 +1419,9 @@ mod tests {
         let mut config = quick_dispatch("garble");
         config.shard_retries = 0;
         config.allow_partial = true;
-        let mut remote = remote(&[&addr], Some("garble:0"));
-        remote.local_failover = false;
-        let outcome = dispatch_remote(
-            &config,
-            &remote,
+        config.local_failover = false;
+        let outcome = dispatch(
+            &remote(&config, &[&addr], Some("garble:0")),
             &RunnerConfig::default(),
             vec![shard_spec(0, 0, &["exp1"])],
             no_local_children,
@@ -1449,12 +1444,10 @@ mod tests {
         config.shard_retries = 0;
         config.allow_partial = true;
         config.liveness = Duration::from_millis(150);
-        let mut remote = remote(&[&addr], Some("stall:0"));
-        remote.local_failover = false;
+        config.local_failover = false;
         let started = Instant::now();
-        let outcome = dispatch_remote(
-            &config,
-            &remote,
+        let outcome = dispatch(
+            &remote(&config, &[&addr], Some("stall:0")),
             &RunnerConfig::default(),
             vec![shard_spec(0, 0, &["exp1"])],
             no_local_children,
@@ -1538,9 +1531,8 @@ mod tests {
             config.liveness = Duration::from_millis(400);
             let runner = RunnerConfig { seed: 5, ..RunnerConfig::default() };
             let shards = vec![shard_spec(0, 0, &["exp1", "exp2"])];
-            let outcome = dispatch_remote(
-                &config,
-                &remote(&[&flaky, &good], None),
+            let outcome = dispatch(
+                &remote(&config, &[&flaky, &good], None),
                 &runner,
                 shards,
                 no_local_children,

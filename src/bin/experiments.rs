@@ -51,9 +51,9 @@
 
 use humnet::core::experiments::ExperimentId;
 use humnet::resilience::{
-    code_rev, dispatch, dispatch_remote, git_rev, replay, ChaosNet, ChaosProc, DispatchConfig,
-    DispatchOutcome, ExperimentSpec, FaultProfile, RemoteOptions, RunArtifact, RunnerConfig,
-    ShardPlan, ShardSpec, Supervisor, CHAOS_ENV, CHAOS_KILL_CODE,
+    code_rev, dispatch, git_rev, replay, ChaosNet, ChaosProc, DispatchConfig, ExperimentSpec,
+    FaultProfile, RunArtifact, RunnerConfig, ShardPlan, ShardSpec, SupervisedRun, Supervisor,
+    CHAOS_ENV, CHAOS_KILL_CODE,
 };
 use humnet::serve::{install_signal_handlers, Request, ServeClient, ServeConfig, Server};
 use humnet::telemetry::{journal, TelemetrySnapshot, TextTable};
@@ -219,17 +219,137 @@ impl RunFlags {
     }
 }
 
+// ------------------------------------------------------------- output --
+
+/// The output flags `run` and `dispatch` share, and the one place a
+/// finished run is printed and written.
+#[derive(Default)]
+struct Outputs {
+    report_only: bool,
+    metrics_out: Option<String>,
+    journal_out: Option<String>,
+    /// Only `run` accepts `--report-out`.
+    report_out: Option<String>,
+    trace_summary: bool,
+}
+
+impl Outputs {
+    /// Consume `arg` (pulling its value from `args`) if it is one of the
+    /// shared output flags; `Ok(false)` hands it back to the caller.
+    fn try_consume(
+        &mut self,
+        arg: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, Failure> {
+        let mut value = |flag: &str| -> Result<String, Failure> {
+            args.next()
+                .ok_or_else(|| Failure::Usage(format!("{flag} needs a value")))
+        };
+        match arg {
+            "--report-only" => self.report_only = true,
+            "--metrics-out" => self.metrics_out = Some(value("--metrics-out")?),
+            "--journal-out" => self.journal_out = Some(value("--journal-out")?),
+            "--trace-summary" => self.trace_summary = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Create/truncate every output file now, so an unwritable path fails
+    /// before minutes of experiments rather than after.
+    fn preflight(&self) -> Result<(), Failure> {
+        for (path, what) in [
+            (&self.metrics_out, "metrics snapshot"),
+            (&self.journal_out, "event journal"),
+            (&self.report_out, "report artifact"),
+        ] {
+            if let Some(path) = path {
+                preflight_writable(path, what)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Print `run` — per-experiment outputs (missing ones flagged), the
+    /// report, the dispatch `summary` when there is one, the metrics table
+    /// — and write the requested artifacts.
+    fn emit(
+        &self,
+        ids: &[ExperimentId],
+        run: &SupervisedRun,
+        summary: Option<&str>,
+    ) -> Result<(), Failure> {
+        if !self.report_only {
+            for id in ids {
+                banner(&format!("{} — {}", id.code().to_uppercase(), id.title()));
+                match run.outputs.get(id.code()) {
+                    Some(rendered) => println!("{rendered}"),
+                    None => match run.report.experiments.iter().find(|r| r.code == id.code()) {
+                        Some(row) => {
+                            eprintln!("{} {}: {}", id.code().to_uppercase(), row.status, row.message)
+                        }
+                        None => eprintln!(
+                            "{}: missing — its shard died and --allow-partial degraded the run",
+                            id.code().to_uppercase()
+                        ),
+                    },
+                }
+            }
+        }
+
+        println!("\n{}", run.report.render());
+        if let Some(summary) = summary {
+            print!("{summary}");
+        }
+
+        // The metrics table carries timings, so it would break the
+        // byte-stability of --report-only output across identical runs; the
+        // report-only mode is what CI diffs.
+        if !self.report_only {
+            println!("\n{}", run.telemetry.render_metrics_table());
+        }
+        if self.trace_summary {
+            println!("\n{}", run.telemetry.render_trace_summary());
+        }
+        if let Some(path) = &self.metrics_out {
+            let json = run
+                .telemetry
+                .to_json()
+                .map_err(|e| Failure::Fatal(format!("failed to serialize metrics snapshot: {e}")))?;
+            write_file(path, &json, "metrics snapshot")?;
+        }
+        if let Some(path) = &self.journal_out {
+            let jsonl = run
+                .telemetry
+                .to_jsonl()
+                .map_err(|e| Failure::Fatal(format!("failed to serialize event journal: {e}")))?;
+            write_file(path, &jsonl, "event journal")?;
+        }
+        if let Some(path) = &self.report_out {
+            // Canonicalized: the artifact is the reproducible face of the run
+            // (the serve cache equates it byte-for-byte across same-seed
+            // runs); wall-clock durations live in render() and the metrics.
+            let artifact = RunArtifact {
+                report: run.report.clone(),
+                outputs: run.outputs.clone(),
+            }
+            .canonicalized();
+            let json = artifact
+                .to_json()
+                .map_err(|e| Failure::Fatal(format!("failed to serialize report artifact: {e}")))?;
+            write_file(path, &json, "report artifact")?;
+        }
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------- run --
 
 struct RunCli {
     config: RunnerConfig,
     shards: u32,
     ids: Vec<ExperimentId>,
-    report_only: bool,
-    metrics_out: Option<String>,
-    journal_out: Option<String>,
-    report_out: Option<String>,
-    trace_summary: bool,
+    out: Outputs,
     heartbeat: Option<String>,
     heartbeat_every: Duration,
 }
@@ -240,16 +360,10 @@ fn cmd_run(args: Vec<String>) -> CmdResult {
     };
 
     // Fail on unwritable output paths *before* spending minutes running
-    // experiments: create/truncate each output file up front.
-    for (path, what) in [
-        (&cli.metrics_out, "metrics snapshot"),
-        (&cli.journal_out, "event journal"),
-        (&cli.report_out, "report artifact"),
-        (&cli.heartbeat, "heartbeat file"),
-    ] {
-        if let Some(path) = path {
-            preflight_writable(path, what)?;
-        }
+    // experiments.
+    cli.out.preflight()?;
+    if let Some(path) = &cli.heartbeat {
+        preflight_writable(path, "heartbeat file")?;
     }
 
     // Cooperative process-level fault injection: a dispatch parent under
@@ -280,57 +394,7 @@ fn cmd_run(args: Vec<String>) -> CmdResult {
         .shards(cli.shards)
         .build()
         .run(&specs);
-
-    if !cli.report_only {
-        for (id, row) in cli.ids.iter().zip(&run.report.experiments) {
-            banner(&format!("{} — {}", id.code().to_uppercase(), id.title()));
-            match run.outputs.get(id.code()) {
-                Some(rendered) => println!("{rendered}"),
-                None => eprintln!("{} {}: {}", id.code().to_uppercase(), row.status, row.message),
-            }
-        }
-    }
-
-    println!("\n{}", run.report.render());
-
-    // The metrics table carries timings, so it would break the
-    // byte-stability of --report-only output across identical runs; the
-    // report-only mode is what CI diffs.
-    if !cli.report_only {
-        println!("\n{}", run.telemetry.render_metrics_table());
-    }
-    if cli.trace_summary {
-        println!("\n{}", run.telemetry.render_trace_summary());
-    }
-    if let Some(path) = &cli.metrics_out {
-        let json = run
-            .telemetry
-            .to_json()
-            .map_err(|e| Failure::Fatal(format!("failed to serialize metrics snapshot: {e}")))?;
-        write_file(path, &json, "metrics snapshot")?;
-    }
-    if let Some(path) = &cli.journal_out {
-        let jsonl = run
-            .telemetry
-            .to_jsonl()
-            .map_err(|e| Failure::Fatal(format!("failed to serialize event journal: {e}")))?;
-        write_file(path, &jsonl, "event journal")?;
-    }
-    if let Some(path) = &cli.report_out {
-        // Canonicalized: the artifact is the reproducible face of the run
-        // (the serve cache equates it byte-for-byte across same-seed
-        // runs); wall-clock durations live in render() and the metrics.
-        let artifact = RunArtifact {
-            report: run.report.clone(),
-            outputs: run.outputs.clone(),
-        }
-        .canonicalized();
-        let json = artifact
-            .to_json()
-            .map_err(|e| Failure::Fatal(format!("failed to serialize report artifact: {e}")))?;
-        write_file(path, &json, "report artifact")?;
-    }
-
+    cli.out.emit(&cli.ids, &run, None)?;
     Ok(run.report.exit_code() as u8)
 }
 
@@ -340,11 +404,7 @@ fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunCli>, 
         config: RunnerConfig::default(),
         shards: 1,
         ids: Vec::new(),
-        report_only: false,
-        metrics_out: None,
-        journal_out: None,
-        report_out: None,
-        trace_summary: false,
+        out: Outputs::default(),
         heartbeat: None,
         heartbeat_every: Duration::from_millis(100),
     };
@@ -352,7 +412,7 @@ fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunCli>, 
     let mut args = args.peekable();
 
     while let Some(arg) = args.next() {
-        if flags.try_consume(&arg, &mut args)? {
+        if flags.try_consume(&arg, &mut args)? || cli.out.try_consume(&arg, &mut args)? {
             continue;
         }
         let mut value = |flag: &str| -> Result<String, Failure> {
@@ -371,11 +431,7 @@ fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunCli>, 
                 }
                 cli.shards = n;
             }
-            "--report-only" => cli.report_only = true,
-            "--metrics-out" => cli.metrics_out = Some(value("--metrics-out")?),
-            "--journal-out" => cli.journal_out = Some(value("--journal-out")?),
-            "--report-out" => cli.report_out = Some(value("--report-out")?),
-            "--trace-summary" => cli.trace_summary = true,
+            "--report-out" => cli.out.report_out = Some(value("--report-out")?),
             "--heartbeat" => cli.heartbeat = Some(value("--heartbeat")?),
             "--heartbeat-ms" => {
                 let ms: u64 = parse_num(&value("--heartbeat-ms")?, "--heartbeat-ms")?;
@@ -409,28 +465,14 @@ struct DispatchCli {
     procs: u32,
     ids: Vec<ExperimentId>,
     dispatch: DispatchConfig,
-    remote: RemoteOptions,
-    heartbeat_every: Duration,
-    keep_scratch: bool,
-    report_only: bool,
-    metrics_out: Option<String>,
-    journal_out: Option<String>,
-    trace_summary: bool,
+    out: Outputs,
 }
 
 fn cmd_dispatch(args: Vec<String>) -> CmdResult {
     let Some(cli) = parse_dispatch_args(args.into_iter())? else {
         return Ok(0); // --help
     };
-
-    for (path, what) in [
-        (&cli.metrics_out, "metrics snapshot"),
-        (&cli.journal_out, "event journal"),
-    ] {
-        if let Some(path) = path {
-            preflight_writable(path, what)?;
-        }
-    }
+    cli.out.preflight()?;
 
     let exe = std::env::current_exe()
         .map_err(|e| Failure::Fatal(format!("cannot locate own executable: {e}")))?;
@@ -447,7 +489,6 @@ fn cmd_dispatch(args: Vec<String>) -> CmdResult {
         .collect();
 
     let config = cli.config;
-    let heartbeat_ms = cli.heartbeat_every.as_millis().to_string();
     let build = |spec: &ShardSpec, paths: &humnet::resilience::ShardPaths| {
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg("run")
@@ -474,85 +515,14 @@ fn cmd_dispatch(args: Vec<String>) -> CmdResult {
             .arg(&paths.report)
             .arg("--heartbeat")
             .arg(&paths.heartbeat)
-            .arg("--heartbeat-ms")
-            .arg(&heartbeat_ms)
             .args(&spec.codes);
         cmd
     };
 
-    let outcome = if cli.remote.workers.is_empty() {
-        dispatch(&cli.dispatch, &config, shards, build)
-    } else {
-        dispatch_remote(&cli.dispatch, &cli.remote, &config, shards, build)
-    }
-    .map_err(|e| Failure::Fatal(format!("dispatch failed: {e}")))?;
-
-    print_dispatch(&cli, &outcome)?;
-
-    if cli.keep_scratch || outcome.degraded() {
-        eprintln!(
-            "dispatch scratch kept at {}",
-            cli.dispatch.scratch.display()
-        );
-    } else {
-        let _ = std::fs::remove_dir_all(&cli.dispatch.scratch);
-    }
+    let outcome = dispatch(&cli.dispatch, &config, shards, build)
+        .map_err(|e| Failure::Fatal(format!("dispatch failed: {e}")))?;
+    cli.out.emit(&cli.ids, &outcome.run, Some(&outcome.render_summary()))?;
     Ok(outcome.exit_code() as u8)
-}
-
-/// Render a finished dispatch exactly like `run` renders: per-experiment
-/// outputs (missing ones flagged), the report, the dispatch verdict with
-/// breaker reconciliation, then the optional metrics/journal artifacts.
-fn print_dispatch(cli: &DispatchCli, outcome: &DispatchOutcome) -> Result<(), Failure> {
-    let run = &outcome.run;
-    if !cli.report_only {
-        for id in &cli.ids {
-            banner(&format!("{} — {}", id.code().to_uppercase(), id.title()));
-            match run.outputs.get(id.code()) {
-                Some(rendered) => println!("{rendered}"),
-                None => {
-                    let row = run.report.experiments.iter().find(|r| r.code == id.code());
-                    match row {
-                        Some(row) => eprintln!(
-                            "{} {}: {}",
-                            id.code().to_uppercase(),
-                            row.status,
-                            row.message
-                        ),
-                        None => eprintln!(
-                            "{}: missing — its shard died and --allow-partial degraded the run",
-                            id.code().to_uppercase()
-                        ),
-                    }
-                }
-            }
-        }
-    }
-
-    println!("\n{}", run.report.render());
-    print!("{}", outcome.render_summary());
-
-    if !cli.report_only {
-        println!("\n{}", run.telemetry.render_metrics_table());
-    }
-    if cli.trace_summary {
-        println!("\n{}", run.telemetry.render_trace_summary());
-    }
-    if let Some(path) = &cli.metrics_out {
-        let json = run
-            .telemetry
-            .to_json()
-            .map_err(|e| Failure::Fatal(format!("failed to serialize metrics snapshot: {e}")))?;
-        write_file(path, &json, "metrics snapshot")?;
-    }
-    if let Some(path) = &cli.journal_out {
-        let jsonl = run
-            .telemetry
-            .to_jsonl()
-            .map_err(|e| Failure::Fatal(format!("failed to serialize event journal: {e}")))?;
-        write_file(path, &jsonl, "event journal")?;
-    }
-    Ok(())
 }
 
 fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<DispatchCli>, Failure> {
@@ -561,20 +531,13 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
         procs: 0,
         ids: Vec::new(),
         dispatch: DispatchConfig::default(),
-        remote: RemoteOptions::default(),
-        heartbeat_every: Duration::from_millis(100),
-        keep_scratch: false,
-        report_only: false,
-        metrics_out: None,
-        journal_out: None,
-        trace_summary: false,
+        out: Outputs::default(),
     };
-    cli.dispatch.chaos.clear();
     let mut flags = RunFlags::default();
     let mut args = args.peekable();
 
     while let Some(arg) = args.next() {
-        if flags.try_consume(&arg, &mut args)? {
+        if flags.try_consume(&arg, &mut args)? || cli.out.try_consume(&arg, &mut args)? {
             continue;
         }
         let mut value = |flag: &str| -> Result<String, Failure> {
@@ -612,13 +575,6 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
                 let ms: u64 = parse_num(&value("--liveness-ms")?, "--liveness-ms")?;
                 cli.dispatch.liveness = Duration::from_millis(ms);
             }
-            "--heartbeat-ms" => {
-                let ms: u64 = parse_num(&value("--heartbeat-ms")?, "--heartbeat-ms")?;
-                if ms == 0 {
-                    return Err(Failure::Usage("--heartbeat-ms must be positive".to_owned()));
-                }
-                cli.heartbeat_every = Duration::from_millis(ms);
-            }
             "--allow-partial" => cli.dispatch.allow_partial = true,
             "--chaos-proc" => {
                 let v = value("--chaos-proc")?;
@@ -639,7 +595,7 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
                             "--workers needs host:port[,host:port...]".to_owned(),
                         ));
                     }
-                    cli.remote.workers.push(addr.to_owned());
+                    cli.dispatch.workers.push(addr.to_owned());
                 }
             }
             "--chaos-net" => {
@@ -650,9 +606,9 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
                          | garble:<worker>[:lease])"
                     ))
                 })?;
-                cli.remote.chaos.push(chaos);
+                cli.dispatch.chaos_net.push(chaos);
             }
-            "--no-failover" => cli.remote.local_failover = false,
+            "--no-failover" => cli.dispatch.local_failover = false,
             "--connect-timeout-ms" => {
                 let ms: u64 = parse_num(&value("--connect-timeout-ms")?, "--connect-timeout-ms")?;
                 if ms == 0 {
@@ -660,16 +616,12 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
                         "--connect-timeout-ms must be positive".to_owned(),
                     ));
                 }
-                cli.remote.connect_timeout = Duration::from_millis(ms);
+                cli.dispatch.connect_timeout = Duration::from_millis(ms);
             }
             "--scratch" => {
                 cli.dispatch.scratch = std::path::PathBuf::from(value("--scratch")?);
             }
-            "--keep-scratch" => cli.keep_scratch = true,
-            "--report-only" => cli.report_only = true,
-            "--metrics-out" => cli.metrics_out = Some(value("--metrics-out")?),
-            "--journal-out" => cli.journal_out = Some(value("--journal-out")?),
-            "--trace-summary" => cli.trace_summary = true,
+            "--keep-scratch" => cli.dispatch.keep_scratch = true,
             flag if flag.starts_with('-') => {
                 return Err(Failure::Usage(format!("unknown option '{flag}'")));
             }
@@ -688,13 +640,13 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
             "dispatch needs --procs <K> (number of child processes)".to_owned(),
         ));
     }
-    if cli.remote.workers.is_empty() {
-        if !cli.remote.chaos.is_empty() {
+    if cli.dispatch.workers.is_empty() {
+        if !cli.dispatch.chaos_net.is_empty() {
             return Err(Failure::Usage(
                 "--chaos-net needs --workers (it injects faults on the worker wire)".to_owned(),
             ));
         }
-        if !cli.remote.local_failover {
+        if !cli.dispatch.local_failover {
             return Err(Failure::Usage(
                 "--no-failover needs --workers (local dispatch has nothing to fail over from)"
                     .to_owned(),
@@ -706,7 +658,6 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
     // The retry backoff jitter stream derives from the run seed, like
     // every other deterministic decision.
     cli.dispatch.seed = cli.config.seed;
-    cli.dispatch.keep_scratch = cli.keep_scratch;
     Ok(Some(cli))
 }
 
@@ -1152,11 +1103,13 @@ Run options (plus the shared options above):
   --help               show this help
 
 Dispatch options (shared options above plus the run options, minus --shards,
---report-out and --heartbeat, which dispatch manages itself):
-  --procs <K>          number of child processes (required); the merged
-                       canonical output is byte-identical to the in-process
-                       1-shard run of the same seed
-  --shard-retries <N>  extra spawn attempts per crashed/hung shard (default 1)
+--report-out, --heartbeat and --heartbeat-ms, which dispatch manages itself;
+children heartbeat every 100 ms):
+  --procs <K>          number of shards (required); the merged canonical
+                       output is byte-identical to the in-process 1-shard
+                       run of the same seed
+  --shard-retries <N>  extra attempts per crashed/hung shard on each rung: the
+                       leases to --workers, then the child spawns (default 1)
   --shard-deadline-ms <N>
                        per-attempt wall-clock budget for one child (default 120000)
   --liveness-ms <N>    kill a child whose heartbeat file stalls this long;
@@ -1165,7 +1118,9 @@ Dispatch options (shared options above plus the run options, minus --shards,
                        failing when a shard exhausts its retries
   --chaos-proc <kill:<shard>[:attempt] | hang:<shard>[:attempt]>
                        deterministic process-fault injection (repeatable)
-  --scratch <DIR>      artifact scratch directory (default under the temp dir)
+  --scratch <DIR>      artifact scratch directory (default under the temp dir);
+                       a complete run removes DIR only if it is then empty
+                       (failed attempts keep their child logs)
   --keep-scratch       keep per-shard artifacts and child logs on success
   --workers <HOST:PORT[,HOST:PORT...]>
                        lease shards to these `experiments serve` daemons (in

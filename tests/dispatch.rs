@@ -12,6 +12,8 @@
 //!   experiments named in the report).
 //! - `--breaker-cooldown` round-trips into the captured journal's
 //!   run-start line on both `run` and `dispatch`.
+//! - A complete dispatch leaves no attempt directory behind and never
+//!   deletes anything else in `--scratch`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -234,4 +236,36 @@ fn dispatch_cli_rejects_bad_arguments() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(stderr(&out).contains(needle), "{args:?}: {}", stderr(&out));
     }
+}
+
+#[test]
+fn a_complete_dispatch_removes_only_its_own_scratch_dirs() {
+    let dir = scratch("own-dirs");
+    let shared = dir.join("shared");
+    std::fs::create_dir_all(&shared).unwrap();
+    std::fs::write(shared.join("keep.txt"), "precious\n").unwrap();
+
+    let out = run(&[
+        "dispatch", "--procs", "2", "--report-only", "--seed", "7",
+        "--scratch", shared.to_str().unwrap(),
+        "f3", "t2",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let left: Vec<String> = std::fs::read_dir(&shared)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(left, ["keep.txt"], "only the dispatch's own dirs go");
+    assert_eq!(std::fs::read_to_string(shared.join("keep.txt")).unwrap(), "precious\n");
+
+    // A scratch dir the dispatch made itself is removed once empty.
+    let own = dir.join("own");
+    let out = run(&[
+        "dispatch", "--procs", "2", "--report-only", "--seed", "7",
+        "--scratch", own.to_str().unwrap(),
+        "f3", "t2",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(!own.exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 //! - Under a tiny queue the daemon sheds excess load with `overloaded`
 //!   (query exit code 3) instead of hanging, and serves again once
 //!   drained.
-//! - SIGTERM drains the daemon gracefully (exit 0).
+//! - SIGTERM drains the daemon gracefully (exit 0, `serve: drained`).
 //! - A deeply nested request line is answered with one `error` line, and
 //!   the daemon keeps serving.
 
@@ -70,7 +70,7 @@ fn start_daemon(dir: &std::path::Path, extra: &[&str]) -> Daemon {
         ])
         .args(extra)
         .stdout(Stdio::null())
-        .stderr(Stdio::null())
+        .stderr(std::fs::File::create(dir.join("daemon.log")).unwrap())
         .spawn()
         .expect("daemon spawns");
     let t0 = Instant::now();
@@ -245,6 +245,8 @@ fn sigterm_drains_the_daemon_gracefully() {
     assert!(kill.success());
     let status = daemon.child.wait().expect("daemon exits");
     assert!(status.success(), "SIGTERM exit: {status:?}");
+    let log = std::fs::read_to_string(dir.join("daemon.log")).unwrap();
+    assert!(log.contains("serve: drained"), "{log}");
 
     // The flushed cache serves the entry to a fresh daemon as a hit.
     std::mem::forget(daemon);
