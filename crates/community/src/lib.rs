@@ -32,7 +32,7 @@ pub use congestion::{AllocationPolicy, CongestionConfig, CongestionOutcome, Cong
 pub use economics::{
     compare_policies, simulate_economics, DuesPolicy, EconomicsConfig, EconomicsOutcome,
 };
-pub use mesh::{MeshConfig, MeshNetwork, NodeState};
+pub use mesh::{MeshConfig, MeshNetwork, NodeState, ServiceScratch};
 pub use sim::{SustainabilityConfig, SustainabilityOutcome, SustainabilitySim};
 pub use volunteer::{Volunteer, VolunteerPool, VolunteerRegime};
 

@@ -45,7 +45,7 @@ pub struct MeshNetwork {
     links: Vec<Vec<usize>>,
     /// Per-node state.
     states: Vec<NodeState>,
-    /// Gateway node ids.
+    /// Gateway node ids (distinct).
     gateways: Vec<usize>,
 }
 
@@ -125,50 +125,51 @@ impl MeshNetwork {
         }
     }
 
-    /// Ids of nodes currently down.
-    pub fn down_nodes(&self) -> Vec<usize> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s == NodeState::Down)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Neighbors of a node.
     pub fn neighbors(&self, id: usize) -> &[usize] {
         &self.links[id]
     }
 
-    /// A node has *service* when it is up and can reach an up gateway
-    /// through up nodes. Returns the service bitmap.
-    pub fn service_map(&self) -> Vec<bool> {
-        let n = self.node_count();
-        let mut served = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
+    /// Number of nodes with *service*: up and able to reach an up gateway
+    /// through up nodes. A breadth-first search from the up gateways that
+    /// reuses `scratch`'s buffers across calls.
+    pub fn served_count(&self, scratch: &mut ServiceScratch) -> usize {
+        let ServiceScratch { served, queue } = scratch;
+        served.clear();
+        served.resize(self.node_count(), false);
+        queue.clear();
         for &g in &self.gateways {
             if self.states[g] == NodeState::Up {
                 served[g] = true;
-                queue.push_back(g);
+                queue.push(g);
             }
         }
-        while let Some(u) = queue.pop_front() {
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
             for &v in &self.links[u] {
                 if !served[v] && self.states[v] == NodeState::Up {
                     served[v] = true;
-                    queue.push_back(v);
+                    queue.push(v);
                 }
             }
         }
-        served
+        queue.len()
     }
 
     /// Fraction of all nodes currently holding service.
     pub fn service_fraction(&self) -> f64 {
-        let served = self.service_map();
-        served.iter().filter(|&&s| s).count() as f64 / served.len().max(1) as f64
+        self.served_count(&mut ServiceScratch::default()) as f64 / self.node_count().max(1) as f64
     }
+}
 
+/// Reusable buffers for [`MeshNetwork::served_count`]: after a call,
+/// `served` is the service bitmap and `queue` the served nodes in visit
+/// order.
+#[derive(Debug, Default)]
+pub struct ServiceScratch {
+    served: Vec<bool>,
+    queue: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -215,7 +216,6 @@ mod tests {
     fn fully_up_dense_mesh_serves_everyone() {
         let m = dense_mesh();
         assert_eq!(m.service_fraction(), 1.0);
-        assert!(m.down_nodes().is_empty());
     }
 
     #[test]
@@ -223,7 +223,7 @@ mod tests {
         let mut m = dense_mesh();
         m.set_state(0, NodeState::Down).unwrap(); // only gateway
         assert_eq!(m.service_fraction(), 0.0);
-        assert_eq!(m.down_nodes(), vec![0]);
+        assert_eq!(m.state(0).unwrap(), NodeState::Down);
     }
 
     #[test]
@@ -237,11 +237,37 @@ mod tests {
         };
         assert_eq!(m.service_fraction(), 1.0);
         m.set_state(1, NodeState::Down).unwrap();
-        let served = m.service_map();
-        assert!(served[0]);
-        assert!(!served[1]);
-        assert!(!served[2], "downstream node orphaned");
+        let mut scratch = ServiceScratch::default();
+        assert_eq!(m.served_count(&mut scratch), 1);
+        assert_eq!(
+            scratch.served,
+            [true, false, false],
+            "downstream node orphaned"
+        );
         assert!((m.service_fraction() - 1.0 / 3.0).abs() < 1e-12);
+        // Reused buffers start over: the repair restores the full count.
+        m.set_state(1, NodeState::Up).unwrap();
+        assert_eq!(m.served_count(&mut scratch), 3);
+        assert_eq!(scratch.served, [true; 3]);
+    }
+
+    #[test]
+    fn only_up_nodes_hold_service() {
+        for seed in 0..50 {
+            let mut rng = Rng::new(seed);
+            let mut m = MeshNetwork::deploy(&MeshConfig::default(), &mut rng).unwrap();
+            for v in 0..m.node_count() {
+                if rng.chance(0.3) {
+                    m.set_state(v, NodeState::Down).unwrap();
+                }
+            }
+            let mut scratch = ServiceScratch::default();
+            let served = m.served_count(&mut scratch);
+            assert_eq!(served, scratch.served.iter().filter(|&&s| s).count());
+            for (v, &s) in scratch.served.iter().enumerate() {
+                assert!(!s || m.states[v] == NodeState::Up, "seed {seed}: node {v}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! 4. uptime accounting: a node-day counts as served when the node has
 //!    service (path to an up gateway).
 
-use crate::mesh::{MeshConfig, MeshNetwork, NodeState};
+use crate::mesh::{MeshConfig, MeshNetwork, NodeState, ServiceScratch};
 use crate::volunteer::{VolunteerPool, VolunteerRegime};
 use crate::Result;
 use humnet_resilience::{FaultHook, FaultKind};
@@ -108,7 +108,24 @@ impl SustainabilitySim {
         let mut repair_latencies: Vec<u32> = Vec::new();
         let mut failures = 0usize;
         let mut total_cost = 0.0;
-        let mut rr_cursor = 0usize; // round-robin cursor for stewardship
+        // Dispatch order: FewCore concentrates on the most skilled;
+        // stewardship rotates by one volunteer a day. `skill` never
+        // changes, so the (stable) by-skill sort is done once per run.
+        let k = pool.members.len();
+        let mut order: Vec<usize> = (0..k).collect();
+        if self.config.regime != VolunteerRegime::DistributedStewardship {
+            order.sort_by(|&a, &b| {
+                pool.members[b]
+                    .skill
+                    .partial_cmp(&pool.members[a].skill)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+        }
+        // Per-day buffers, reused across days.
+        let mut down: Vec<usize> = Vec::with_capacity(n);
+        let mut worked = vec![false; k];
+        let mut available = vec![false; k];
+        let mut scratch = ServiceScratch::default();
         for day in 0..self.config.days {
             let t0 = tel.start();
             // Fault injection perturbs the day's *probabilities* rather than
@@ -126,46 +143,30 @@ impl SustainabilitySim {
                     Some(severity) => 1.0 - severity,
                     None => 1.0,
                 };
-            // 1. Failures.
+            // 1. Failures; `down` collects every node down afterwards, in
+            // id order.
+            down.clear();
             for node in 0..n {
-                if mesh.state(node)? == NodeState::Up && rng.chance(day_failure_rate) {
-                    mesh.set_state(node, NodeState::Down)?;
-                    failed_on[node] = Some(day);
-                    failures += 1;
+                if mesh.state(node)? == NodeState::Up {
+                    if rng.chance(day_failure_rate) {
+                        mesh.set_state(node, NodeState::Down)?;
+                        failed_on[node] = Some(day);
+                        failures += 1;
+                        down.push(node);
+                    }
+                } else {
+                    down.push(node);
                 }
             }
             // 2. Repair dispatch.
-            let down = mesh.down_nodes();
-            let mut worked = vec![false; pool.members.len()];
+            worked.fill(false);
             // Determine today's availability per volunteer.
-            let available: Vec<bool> = pool
-                .members
-                .iter()
-                .map(|v| rng.chance(v.effective_availability() * availability_scale))
-                .collect();
-            // Dispatch order: FewCore concentrates on the most skilled;
-            // stewardship rotates.
-            let order: Vec<usize> = match self.config.regime {
-                VolunteerRegime::DistributedStewardship => {
-                    let k = pool.members.len();
-                    let o = (0..k).map(|i| (rr_cursor + i) % k).collect();
-                    rr_cursor = (rr_cursor + 1) % k;
-                    o
-                }
-                _ => {
-                    let mut idx: Vec<usize> = (0..pool.members.len()).collect();
-                    idx.sort_by(|&a, &b| {
-                        pool.members[b]
-                            .skill
-                            .partial_cmp(&pool.members[a].skill)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    idx
-                }
-            };
-            let mut order_iter = order.into_iter().filter(|&v| available[v]);
-            for node in down {
-                let Some(vol_idx) = order_iter.next() else {
+            for (free, v) in available.iter_mut().zip(&pool.members) {
+                *free = rng.chance(v.effective_availability() * availability_scale);
+            }
+            let mut hands = order.iter().copied().filter(|&v| available[v]);
+            for &node in &down {
+                let Some(vol_idx) = hands.next() else {
                     break; // no more hands today
                 };
                 worked[vol_idx] = true;
@@ -175,6 +176,9 @@ impl SustainabilitySim {
                         repair_latencies.push(day - f + 1);
                     }
                 }
+            }
+            if self.config.regime == VolunteerRegime::DistributedStewardship {
+                order.rotate_left(1);
             }
             // 3. Burnout bookkeeping and costs.
             for (i, member) in pool.members.iter_mut().enumerate() {
@@ -188,7 +192,7 @@ impl SustainabilitySim {
                 }
             }
             // 4. Uptime accounting.
-            served_node_days += mesh.service_map().iter().filter(|&&s| s).count() as u64;
+            served_node_days += mesh.served_count(&mut scratch) as u64;
             tel.observe_since("community.day_ns", t0);
         }
         let uptime = served_node_days as f64 / (n as u64 * self.config.days as u64) as f64;

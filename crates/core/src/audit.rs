@@ -13,7 +13,7 @@
 
 use crate::Result;
 use humnet_corpus::{Corpus, MethodTag, Paper, VenueKind};
-use humnet_survey::detect_positionality;
+use humnet_survey::has_positionality_statement;
 
 /// Audit results for one venue kind.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,13 +87,14 @@ impl MethodsAuditor {
         if corpus.papers.is_empty() {
             return Err(crate::CoreError::EmptyInput);
         }
-        // The detector lowercases the whole abstract and allocates its
-        // matches, so it runs once per paper; one pass buckets the papers
-        // by venue kind (indexed by `VenueKind as usize`, the `ALL` order).
+        // The audit needs only whether a statement is present, not its
+        // triggers or facets. The check lowercases the whole abstract, so
+        // it runs once per paper; one pass buckets the papers by venue
+        // kind (indexed by `VenueKind as usize`, the `ALL` order).
         let detected: Vec<bool> = corpus
             .papers
             .iter()
-            .map(|p| detect_positionality(&p.abstract_text).is_some())
+            .map(|p| has_positionality_statement(&p.abstract_text))
             .collect();
         let mut by_kind: [Vec<(&Paper, bool)>; VenueKind::ALL.len()] = Default::default();
         for (p, &flag) in corpus.papers.iter().zip(&detected) {

@@ -247,7 +247,7 @@ impl CorpusConfig {
         kind: VenueKind,
         author_weights: &CumulativeWeights,
         cite_weights: &[FenwickWeights; Topic::ALL.len()],
-        markov: &[(Topic, MarkovModel)],
+        markov: &[MarkovModel; Topic::ALL.len()],
         rng: &mut Rng,
     ) -> Paper {
         let topic = sample_topic(kind, rng);
@@ -262,7 +262,7 @@ impl CorpusConfig {
             rng,
         );
         let title = make_title(topic, id, rng);
-        let abstract_text = make_abstract(topic, &methods, markov, rng);
+        let abstract_text = make_abstract(&markov[topic as usize], &methods, rng);
         // §5.1/§5.2 documentation behaviour: participatory work documents
         // partners most of the time; other human-centered work sometimes;
         // purely technical work rarely.
@@ -492,13 +492,13 @@ fn sample_citations(
 }
 
 fn make_title(topic: Topic, id: usize, rng: &mut Rng) -> String {
-    const PATTERNS: &[&str] = &[
-        "Towards {}",
-        "Rethinking {}",
-        "Understanding {}",
-        "A Study of {}",
-        "Revisiting {}",
-        "On the Practice of {}",
+    const PREFIXES: &[&str] = &[
+        "Towards",
+        "Rethinking",
+        "Understanding",
+        "A Study of",
+        "Revisiting",
+        "On the Practice of",
     ];
     let subject = match topic {
         Topic::DatacenterPerformance => "Datacenter Fabric Performance",
@@ -510,8 +510,8 @@ fn make_title(topic: Topic, id: usize, rng: &mut Rng) -> String {
         Topic::PolicyGovernance => "Internet Governance",
         Topic::AccessEquity => "Equitable Internet Access",
     };
-    let pattern = rng.choose(PATTERNS);
-    format!("{} [{}]", pattern.replace("{}", subject), id)
+    let prefix = rng.choose(PREFIXES);
+    format!("{prefix} {subject} [{id}]")
 }
 
 /// Seed text per topic used to train the abstract Markov models. Each seed
@@ -591,29 +591,17 @@ fn method_sentence(tag: MethodTag) -> &'static str {
     }
 }
 
-/// Train one Markov model per topic (done once per corpus generation).
-fn topic_markov_models() -> Vec<(Topic, MarkovModel)> {
-    Topic::ALL
-        .iter()
-        .map(|&t| {
-            let mut m = MarkovModel::new();
-            m.train_text(topic_seed(t));
-            (t, m)
-        })
-        .collect()
+/// Train one Markov model per topic (done once per corpus generation),
+/// indexed by `Topic as usize`.
+fn topic_markov_models() -> [MarkovModel; Topic::ALL.len()] {
+    Topic::ALL.map(|t| {
+        let mut m = MarkovModel::new();
+        m.train_text(topic_seed(t));
+        m
+    })
 }
 
-fn make_abstract(
-    topic: Topic,
-    methods: &[MethodTag],
-    markov: &[(Topic, MarkovModel)],
-    rng: &mut Rng,
-) -> String {
-    let model = &markov
-        .iter()
-        .find(|(t, _)| *t == topic)
-        .expect("all topics trained")
-        .1;
+fn make_abstract(model: &MarkovModel, methods: &[MethodTag], rng: &mut Rng) -> String {
     let mut text = model.generate_paragraph(3, 14, rng);
     for &m in methods {
         text.push(' ');

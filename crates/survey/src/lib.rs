@@ -12,8 +12,8 @@
 pub mod positionality;
 
 pub use positionality::{
-    detect_positionality, reflexivity_score, DetectedStatement, PositionalityFacet,
-    PositionalityStatement,
+    detect_positionality, has_positionality_statement, reflexivity_score, DetectedStatement,
+    PositionalityFacet, PositionalityStatement,
 };
 
 /// Errors produced by the survey substrate.

@@ -157,19 +157,29 @@ const TRIGGERS: &[&str] = &[
     "the authors acknowledge their",
 ];
 
+/// Whether free text carries a positionality statement: the presence
+/// check of [`detect_positionality`], without collecting what matched.
+pub fn has_positionality_statement(text: &str) -> bool {
+    has_trigger(&text.to_lowercase())
+}
+
+fn has_trigger(lower: &str) -> bool {
+    TRIGGERS.iter().any(|t| lower.contains(t))
+}
+
 /// Detect a positionality statement in free text. Returns `None` when no
 /// trigger phrase is present; otherwise reports the matched triggers and
 /// any facet cues found.
 pub fn detect_positionality(text: &str) -> Option<DetectedStatement> {
     let lower = text.to_lowercase();
+    if !has_trigger(&lower) {
+        return None;
+    }
     let triggers: Vec<String> = TRIGGERS
         .iter()
         .filter(|t| lower.contains(*t))
         .map(|t| t.to_string())
         .collect();
-    if triggers.is_empty() {
-        return None;
-    }
     let facets: Vec<PositionalityFacet> = PositionalityFacet::ALL
         .into_iter()
         .filter(|f| f.cues().iter().any(|c| lower.contains(c)))
@@ -249,6 +259,24 @@ mod tests {
         let text = "We measure tail latency across the datacenter fabric and \
             propose a load balancing scheme.";
         assert!(detect_positionality(text).is_none());
+        assert!(!has_positionality_statement(text));
+    }
+
+    #[test]
+    fn presence_check_agrees_with_the_detector() {
+        for text in [
+            "We situate ourselves in this work.",
+            "REFLEXIVITY shaped our questions.",
+            "Situated knowledge, located in the Global South.",
+            "We measure the network.",
+            "",
+        ] {
+            assert_eq!(
+                has_positionality_statement(text),
+                detect_positionality(text).is_some(),
+                "{text}"
+            );
+        }
     }
 
     #[test]
@@ -264,6 +292,7 @@ mod tests {
     #[test]
     fn detector_is_case_insensitive() {
         assert!(detect_positionality("POSITIONALITY matters.").is_some());
+        assert!(has_positionality_statement("POSITIONALITY matters."));
     }
 
     #[test]

@@ -10,12 +10,44 @@ use humnet_stats::Rng;
 use std::collections::HashMap;
 
 /// A first-order word-level Markov model.
+///
+/// Words are interned at training time: generation walks word ids and
+/// draws straight from the stored weights, so it allocates only the
+/// paragraph it returns.
 #[derive(Debug, Clone, Default)]
 pub struct MarkovModel {
-    /// Transition table: word -> (successor, count) list.
-    table: HashMap<String, Vec<(String, u64)>>,
-    /// Sentence-start words with counts.
-    starts: Vec<(String, u64)>,
+    /// Interned vocabulary: a word's id is its index.
+    words: Vec<String>,
+    /// Word -> id.
+    ids: HashMap<String, usize>,
+    /// Per word id, the words that followed it in training.
+    successors: Vec<Successors>,
+    /// Sentence-start words.
+    starts: Successors,
+}
+
+/// Successor word ids with their counts as `f64` weights, in first-seen
+/// order (the draw order of [`Rng::choose_weighted`]).
+#[derive(Debug, Clone, Default)]
+struct Successors {
+    ids: Vec<usize>,
+    weights: Vec<f64>,
+}
+
+impl Successors {
+    fn bump(&mut self, id: usize) {
+        match self.ids.iter().position(|&w| w == id) {
+            Some(i) => self.weights[i] += 1.0,
+            None => {
+                self.ids.push(id);
+                self.weights.push(1.0);
+            }
+        }
+    }
+
+    fn pick(&self, rng: &mut Rng) -> usize {
+        self.ids[rng.choose_weighted(&self.weights)]
+    }
 }
 
 impl MarkovModel {
@@ -27,13 +59,15 @@ impl MarkovModel {
     /// Train on a sentence (a sequence of tokens). Multiple calls
     /// accumulate. Empty sentences are ignored.
     pub fn train(&mut self, tokens: &[String]) {
-        if tokens.is_empty() {
+        let Some(first) = tokens.first() else {
             return;
-        }
-        bump(&mut self.starts, &tokens[0]);
-        for w in tokens.windows(2) {
-            let entry = self.table.entry(w[0].clone()).or_default();
-            bump(entry, &w[1]);
+        };
+        let mut prev = self.intern(first);
+        self.starts.bump(prev);
+        for word in &tokens[1..] {
+            let next = self.intern(word);
+            self.successors[prev].bump(next);
+            prev = next;
         }
     }
 
@@ -44,64 +78,49 @@ impl MarkovModel {
         }
     }
 
-    /// True if the model has no training data.
-    pub fn is_empty(&self) -> bool {
-        self.starts.is_empty()
-    }
-
-    /// Generate a sentence of at most `max_words` words. Returns an empty
-    /// vector for an untrained model. Generation stops early when a word
-    /// has no successors.
-    pub fn generate(&self, max_words: usize, rng: &mut Rng) -> Vec<String> {
-        if self.starts.is_empty() || max_words == 0 {
-            return Vec::new();
+    fn intern(&mut self, word: &str) -> usize {
+        if let Some(&id) = self.ids.get(word) {
+            return id;
         }
-        let mut out = Vec::with_capacity(max_words);
-        let mut current = pick(&self.starts, rng).to_owned();
-        out.push(current.clone());
-        while out.len() < max_words {
-            match self.table.get(&current) {
-                Some(successors) if !successors.is_empty() => {
-                    current = pick(successors, rng).to_owned();
-                    out.push(current.clone());
-                }
-                _ => break,
-            }
-        }
-        out
+        let id = self.words.len();
+        self.words.push(word.to_owned());
+        self.ids.insert(word.to_owned(), id);
+        self.successors.push(Successors::default());
+        id
     }
 
     /// Generate a paragraph of `sentences` sentences, capitalized and
-    /// period-joined.
+    /// period-joined. Each sentence has at most `max_words` words and stops
+    /// early at a word with no successors. An untrained model, or
+    /// `max_words == 0`, gives an empty paragraph.
     pub fn generate_paragraph(&self, sentences: usize, max_words: usize, rng: &mut Rng) -> String {
-        let mut parts = Vec::with_capacity(sentences);
+        let mut out = String::new();
+        if self.starts.ids.is_empty() || max_words == 0 {
+            return out;
+        }
         for _ in 0..sentences {
-            let words = self.generate(max_words, rng);
-            if words.is_empty() {
-                continue;
+            if !out.is_empty() {
+                out.push(' ');
             }
-            let mut s = words.join(" ");
-            if let Some(first) = s.get_mut(0..1) {
+            let sentence = out.len();
+            let mut current = self.starts.pick(rng);
+            out.push_str(&self.words[current]);
+            for _ in 1..max_words {
+                let next = &self.successors[current];
+                if next.ids.is_empty() {
+                    break;
+                }
+                current = next.pick(rng);
+                out.push(' ');
+                out.push_str(&self.words[current]);
+            }
+            if let Some(first) = out.get_mut(sentence..sentence + 1) {
                 first.make_ascii_uppercase();
             }
-            s.push('.');
-            parts.push(s);
+            out.push('.');
         }
-        parts.join(" ")
+        out
     }
-}
-
-fn bump(list: &mut Vec<(String, u64)>, word: &str) {
-    if let Some(entry) = list.iter_mut().find(|(w, _)| w == word) {
-        entry.1 += 1;
-    } else {
-        list.push((word.to_owned(), 1));
-    }
-}
-
-fn pick<'a>(list: &'a [(String, u64)], rng: &mut Rng) -> &'a str {
-    let weights: Vec<f64> = list.iter().map(|&(_, c)| c as f64).collect();
-    &list[rng.choose_weighted(&weights)].0
 }
 
 #[cfg(test)]
@@ -117,11 +136,17 @@ mod tests {
         m
     }
 
+    /// The lowercased words of each sentence of a paragraph.
+    fn sentence_words(paragraph: &str) -> Vec<Vec<String>> {
+        crate::tokenize::sentences(paragraph)
+            .iter()
+            .map(|s| crate::tokenize::tokenize(s))
+            .collect()
+    }
+
     #[test]
     fn untrained_model_generates_nothing() {
         let m = MarkovModel::new();
-        assert!(m.is_empty());
-        assert!(m.generate(10, &mut Rng::new(1)).is_empty());
         assert_eq!(m.generate_paragraph(2, 5, &mut Rng::new(1)), "");
     }
 
@@ -130,8 +155,8 @@ mod tests {
         let m = trained();
         let mut rng = Rng::new(2);
         let vocab: Vec<String> = crate::tokenize::tokenize(SEED_TEXT);
-        for _ in 0..20 {
-            for word in m.generate(12, &mut rng) {
+        for words in sentence_words(&m.generate_paragraph(20, 12, &mut rng)) {
+            for word in words {
                 assert!(vocab.contains(&word), "unseen word {word}");
             }
         }
@@ -149,9 +174,8 @@ mod tests {
                 pairs.insert((w[0].clone(), w[1].clone()));
             }
         }
-        for _ in 0..20 {
-            let out = m.generate(12, &mut rng);
-            for w in out.windows(2) {
+        for words in sentence_words(&m.generate_paragraph(20, 12, &mut rng)) {
+            for w in words.windows(2) {
                 assert!(
                     pairs.contains(&(w[0].clone(), w[1].clone())),
                     "unseen transition {w:?}"
@@ -164,15 +188,17 @@ mod tests {
     fn respects_max_words() {
         let m = trained();
         let mut rng = Rng::new(4);
-        assert!(m.generate(3, &mut rng).len() <= 3);
-        assert!(m.generate(0, &mut rng).is_empty());
+        for words in sentence_words(&m.generate_paragraph(5, 3, &mut rng)) {
+            assert!(words.len() <= 3, "{words:?}");
+        }
+        assert_eq!(m.generate_paragraph(5, 0, &mut rng), "");
     }
 
     #[test]
     fn deterministic_given_seed() {
         let m = trained();
-        let a = m.generate(10, &mut Rng::new(7));
-        let b = m.generate(10, &mut Rng::new(7));
+        let a = m.generate_paragraph(3, 10, &mut Rng::new(7));
+        let b = m.generate_paragraph(3, 10, &mut Rng::new(7));
         assert_eq!(a, b);
     }
 

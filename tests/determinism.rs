@@ -211,7 +211,8 @@ fn hot_experiment_outputs_are_pinned() {
 
     // FNV-1a-64 of the rendered output of the experiments whose hot loops
     // skip recomputation (AgendaSim's per-round discovery weights, the
-    // corpus generator's Fenwick-tree samplers, F10's single routing pass);
+    // corpus generator's Fenwick-tree samplers and interned Markov
+    // abstracts, F10's single routing pass, T3's reused day buffers);
     // skipping it must not move a bit.
     let chaos = FaultPlan::new(FaultProfile::Chaos, 7);
     let cases = [
@@ -225,6 +226,8 @@ fn hot_experiment_outputs_are_pinned() {
         (ExperimentId::F7, chaos, 0x7d7f_0a39_e383_0eaa),
         (ExperimentId::F10, FaultPlan::none(), 0x32d2_1b27_cabb_d1d1),
         (ExperimentId::F10, chaos, 0x32d2_1b27_cabb_d1d1),
+        (ExperimentId::T3, FaultPlan::none(), 0x6ebd_65ef_0253_f74a),
+        (ExperimentId::T3, chaos, 0xc270_5e5d_7173_c5cd),
     ];
     for (id, plan, want) in cases {
         let out = id.run_instrumented(&plan, &Telemetry::disabled()).unwrap();
@@ -236,6 +239,32 @@ fn hot_experiment_outputs_are_pinned() {
             plan.profile
         );
     }
+}
+
+#[test]
+fn markov_paragraphs_are_pinned() {
+    use humnet::text::MarkovModel;
+
+    // Repeated bigrams ("the network" x4, "we measure" x2, ...) give
+    // successor counts above 1, so a sampler that ignored the counts, or
+    // reordered the successors, would draw different words.
+    let mut model = MarkovModel::new();
+    model.train_text(
+        "We measure the network. We interview the operators. The operators \
+         maintain the network. The network serves the community. We measure \
+         the operators and the network. Ñandutí meshes serve the community.",
+    );
+    let mut paragraphs = String::new();
+    for seed in 1..=4 {
+        paragraphs.push_str(&model.generate_paragraph(3, 14, &mut Rng::new(seed)));
+        paragraphs.push('\n');
+    }
+    paragraphs.push_str(&model.generate_paragraph(5, 2, &mut Rng::new(5)));
+    assert_eq!(
+        fnv1a(paragraphs.as_bytes()),
+        0x5f7a_a792_9e19_0d8b,
+        "{paragraphs}"
+    );
 }
 
 #[test]
