@@ -93,19 +93,6 @@ impl ShardPlan {
         let len = base + usize::from(k < extra);
         start..(start + len).min(n)
     }
-
-    /// All shard ranges for `n` items, in shard order.
-    pub fn ranges(&self, n: usize) -> Vec<Range<usize>> {
-        (0..self.shards).map(|k| self.range(k, n)).collect()
-    }
-
-    /// Clone-partition `items` into one owned slice per shard.
-    pub fn assign<T: Clone>(&self, items: &[T]) -> Vec<Vec<T>> {
-        self.ranges(items.len())
-            .into_iter()
-            .map(|r| items[r].to_vec())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -121,7 +108,7 @@ mod tests {
         for shards in 1..=7u32 {
             for n in 0..40usize {
                 let plan = ShardPlan::new(shards);
-                let ranges = plan.ranges(n);
+                let ranges: Vec<Range<usize>> = (0..shards).map(|k| plan.range(k, n)).collect();
                 assert_eq!(ranges.len(), shards as usize);
                 // Contiguous cover of 0..n.
                 let mut cursor = 0;
@@ -142,7 +129,7 @@ mod tests {
     fn zero_shards_clamps_to_one() {
         let plan = ShardPlan::new(0);
         assert_eq!(plan.shards(), 1);
-        assert_eq!(plan.ranges(5), vec![0..5]);
+        assert_eq!(plan.range(0, 5), 0..5);
     }
 
     fn counting_spec(code: &str) -> ExperimentSpec {

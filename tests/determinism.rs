@@ -2,6 +2,8 @@
 //! reproducible from its seed, and sensitive to seed changes. This is what
 //! makes `EXPERIMENTS.md` reproducible on any machine.
 
+mod common;
+
 use humnet::agenda::{AgendaConfig, AgendaSim};
 use humnet::community::{
     AllocationPolicy, CongestionConfig, CongestionSim, SustainabilityConfig, SustainabilitySim,
@@ -269,28 +271,11 @@ fn markov_paragraphs_are_pinned() {
 
 #[test]
 fn supervised_chaos_run_reproducible() {
-    use humnet::core::experiments::ExperimentId;
-    use humnet::resilience::{ExperimentSpec, FaultProfile, Supervisor};
-    use std::time::Duration;
-
-    let specs = || -> Vec<ExperimentSpec> {
-        // A cross-family subset keeps the double run fast; the binary's
-        // acceptance path covers all seventeen.
-        [ExperimentId::F1, ExperimentId::T2, ExperimentId::F4, ExperimentId::F5]
-            .into_iter()
-            .map(ExperimentId::spec)
-            .collect()
-    };
-    let supervisor = |seed: u64| {
-        Supervisor::builder()
-            .retries(2)
-            .deadline(Duration::from_secs(30))
-            .fault_profile(FaultProfile::Chaos)
-            .seed(seed)
-            .build()
-    };
-    let a = supervisor(1234).run(&specs());
-    let b = supervisor(1234).run(&specs());
+    // A cross-family subset keeps the double run fast; the binary's
+    // contract (tests/contract.rs) covers all seventeen.
+    let supervisor = |seed: u64| common::chaos(seed).build();
+    let a = supervisor(1234).run(&common::suite());
+    let b = supervisor(1234).run(&common::suite());
     // Same seed + plan => byte-identical canonical report and outputs.
     assert_eq!(a.report.canonical(), b.report.canonical());
     assert_eq!(a.outputs, b.outputs);
@@ -300,6 +285,6 @@ fn supervised_chaos_run_reproducible() {
     assert_eq!(a.report.exit_code(), 0, "chaos degrades, not fails");
 
     // A different seed draws a different fault schedule.
-    let c = supervisor(4321).run(&specs());
+    let c = supervisor(4321).run(&common::suite());
     assert_ne!(a.report.canonical(), c.report.canonical());
 }

@@ -11,6 +11,9 @@
 //! - Edge cases: more workers than jobs, empty spec lists, zero shards as
 //!   a typed error, and a timed-out job not stalling the rest of the run.
 
+mod common;
+
+use common::{suite, supervisor};
 use humnet::core::experiments::ExperimentId;
 use humnet::resilience::{
     replay, ExperimentSpec, FaultProfile, JobError, JobOutput, ShardPlan, ShardPlanError,
@@ -20,24 +23,6 @@ use humnet::telemetry::Event;
 use proptest::prelude::*;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// The fast cross-family fault-capable subset (same as shard_replay.rs).
-fn suite() -> Vec<ExperimentSpec> {
-    [ExperimentId::F1, ExperimentId::T2, ExperimentId::F4, ExperimentId::F5]
-        .into_iter()
-        .map(ExperimentId::spec)
-        .collect()
-}
-
-fn supervisor(shards: u32) -> Supervisor {
-    Supervisor::builder()
-        .retries(2)
-        .deadline(Duration::from_secs(30))
-        .fault_profile(FaultProfile::Chaos)
-        .seed(2025)
-        .shards(shards)
-        .build()
-}
 
 /// Two workers over four specs: each worker runs several specs into one
 /// journal, interleaved with the other's, so the spec-order assembly has

@@ -4,19 +4,21 @@
 //!   order-insensitive, so any shard count and any fold order yields the
 //!   same run-level view — checked property-style over randomized shard
 //!   splits of randomized observation streams.
-//! - A K-shard supervised run over the real experiment suite produces a
-//!   merged canonical journal, report, and outputs byte-identical to the
-//!   1-shard run of the same seed.
-//! - A captured chaos journal replays with zero divergences, and a
-//!   recorded fault schedule reproduces the run it was extracted from.
+//! - A captured chaos journal replays with zero divergences (a 4-shard
+//!   capture too), and a recorded fault schedule reproduces the run it
+//!   was extracted from.
+//!
+//! That a 4-shard run's canonical journal, report and outputs are
+//! byte-identical to the 1-shard run's is the `run --shards 4` row of
+//! `tests/contract.rs`.
 
+mod common;
+
+use common::{suite, supervisor};
 use humnet::core::experiments::ExperimentId;
-use humnet::resilience::{
-    replay, ExperimentSpec, FaultProfile, RecordedFault, RecordedFaults, ShardPlan, Supervisor,
-};
+use humnet::resilience::{replay, ExperimentSpec, RecordedFault, RecordedFaults, ShardPlan};
 use humnet::telemetry::{Telemetry, TelemetrySnapshot};
 use proptest::prelude::*;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Merge algebra
@@ -56,10 +58,8 @@ proptest! {
     ) {
         let whole = snapshot_of(&values);
         let plan = ShardPlan::new(shards);
-        let parts: Vec<TelemetrySnapshot> = plan
-            .ranges(values.len())
-            .into_iter()
-            .map(|r| snapshot_of(&values[r]))
+        let parts: Vec<TelemetrySnapshot> = (0..shards)
+            .map(|k| snapshot_of(&values[plan.range(k, values.len())]))
             .collect();
 
         let merged = fold(&parts);
@@ -102,50 +102,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end shard invariance over the real experiment suite
-// ---------------------------------------------------------------------
-
-/// The fast cross-family fault-capable subset (same as determinism.rs).
-fn specs() -> Vec<ExperimentSpec> {
-    [ExperimentId::F1, ExperimentId::T2, ExperimentId::F4, ExperimentId::F5]
-        .into_iter()
-        .map(ExperimentId::spec)
-        .collect()
-}
-
-fn supervisor(shards: u32) -> Supervisor {
-    Supervisor::builder()
-        .retries(2)
-        .deadline(Duration::from_secs(30))
-        .fault_profile(FaultProfile::Chaos)
-        .seed(2025)
-        .shards(shards)
-        .build()
-}
-
-#[test]
-fn four_shard_run_matches_single_shard_byte_for_byte() {
-    let single = supervisor(1).run(&specs());
-    let sharded = supervisor(4).run(&specs());
-
-    // The acceptance criterion: merged canonical journal is identical.
-    assert_eq!(
-        single.telemetry.canonical_events(),
-        sharded.telemetry.canonical_events()
-    );
-    assert_eq!(single.report.canonical(), sharded.report.canonical());
-    assert_eq!(single.outputs, sharded.outputs);
-    assert!(single.report.total_faults() > 0, "chaos must inject");
-
-    // Shard bookkeeping exists only on the sharded side and never leaks
-    // into the canonical view.
-    assert_eq!(sharded.telemetry.metrics.counters["runner.shards"], 4);
-    assert!(!single.telemetry.metrics.counters.contains_key("runner.shards"));
-    assert!(sharded.telemetry.events.iter().any(|e| e.shard.is_some()));
-    assert!(single.telemetry.events.iter().all(|e| e.shard.is_none()));
-}
-
-// ---------------------------------------------------------------------
 // Replay round-trips
 // ---------------------------------------------------------------------
 
@@ -155,7 +111,7 @@ fn factory(code: &str) -> Option<ExperimentSpec> {
 
 #[test]
 fn captured_chaos_journal_replays_with_zero_divergences() {
-    let run = supervisor(1).run(&specs());
+    let run = supervisor(1).run(&suite());
     let report = replay::replay(&run.telemetry.events, &factory).expect("replayable journal");
     assert!(report.is_clean(), "{}", report.render());
     assert_eq!(report.exit_code(), 0);
@@ -169,7 +125,7 @@ fn captured_chaos_journal_replays_with_zero_divergences() {
 fn sharded_capture_replays_cleanly_on_one_shard() {
     // Journals serialize the merged (shard, seq)-ordered stream, so a
     // 4-shard capture must replay cleanly through the 1-shard engine.
-    let run = supervisor(4).run(&specs());
+    let run = supervisor(4).run(&suite());
     let report = replay::replay(&run.telemetry.events, &factory).expect("replayable journal");
     assert!(report.is_clean(), "{}", report.render());
 }
@@ -179,7 +135,7 @@ fn recorded_fault_schedule_reproduces_the_run() {
     // Extract the fault schedule for one experiment from a captured
     // journal and drive the experiment from the recording instead of a
     // live plan: outputs must match the original attempt exactly.
-    let run = supervisor(1).run(&specs());
+    let run = supervisor(1).run(&suite());
     let spec = replay::reconstruct(&run.telemetry.events).expect("reconstructible journal");
     let schedule: &[RecordedFault] = spec.faults.get("f5").map(Vec::as_slice).unwrap_or(&[]);
     assert!(!schedule.is_empty(), "chaos at seed 2025 faults f5");
