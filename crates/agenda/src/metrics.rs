@@ -78,22 +78,25 @@ mod tests {
     #[test]
     fn attention_sums_to_total_publications() {
         let sim = finished(MethodRegime::DataDriven);
-        let by_class: u64 = attention_by_class(&sim.space).iter().map(|&(_, c)| c).sum();
+        let by_class: u64 = attention_by_class(sim.space())
+            .iter()
+            .map(|&(_, c)| c)
+            .sum();
         assert_eq!(by_class, sim.history().last().unwrap().publications);
     }
 
     #[test]
     fn data_driven_more_concentrated_than_par() {
-        let dd = attention_gini(&finished(MethodRegime::DataDriven).space).unwrap();
-        let par = attention_gini(&finished(MethodRegime::Par).space).unwrap();
+        let dd = attention_gini(finished(MethodRegime::DataDriven).space()).unwrap();
+        let par = attention_gini(finished(MethodRegime::Par).space()).unwrap();
         assert!(dd > par, "data-driven gini {dd} should exceed par {par}");
     }
 
     #[test]
     fn coverage_bounds_and_gap() {
         let sim = finished(MethodRegime::DataDriven);
-        let marg = coverage(&sim.space, true).unwrap();
-        let dominant = coverage(&sim.space, false).unwrap();
+        let marg = coverage(sim.space(), true).unwrap();
+        let dominant = coverage(sim.space(), false).unwrap();
         assert!((0.0..=1.0).contains(&marg));
         assert!(dominant > marg, "dominant {dominant} vs marginalized {marg}");
     }
@@ -113,10 +116,8 @@ mod tests {
             cfg.seed = seed;
             let mut sim = AgendaSim::new(cfg).unwrap();
             sim.run(&mut NoFaults, &Telemetry::disabled()).unwrap();
-            hyper_sum +=
-                mean_time_to_surface(&sim.space, StakeholderClass::Hyperscaler).unwrap();
-            if let Some(c) =
-                mean_time_to_surface(&sim.space, StakeholderClass::CommunityOperator)
+            hyper_sum += mean_time_to_surface(sim.space(), StakeholderClass::Hyperscaler).unwrap();
+            if let Some(c) = mean_time_to_surface(sim.space(), StakeholderClass::CommunityOperator)
             {
                 comm_sum += c;
                 comm_n += 1;

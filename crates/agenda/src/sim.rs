@@ -16,6 +16,19 @@ use humnet_resilience::{FaultHook, FaultKind};
 use humnet_stats::{CumulativeWeights, Rng};
 use humnet_telemetry::{Event, Telemetry};
 
+/// The methods whose weights a `regime` draws from. Under the Mixed
+/// regime each researcher-round flips between data-driven and
+/// participatory work (a population half of whom work each way), so it
+/// keeps both.
+fn methods(regime: MethodRegime) -> &'static [MethodRegime] {
+    match regime {
+        MethodRegime::Mixed => &[MethodRegime::DataDriven, MethodRegime::Par],
+        MethodRegime::DataDriven => &[MethodRegime::DataDriven],
+        MethodRegime::Par => &[MethodRegime::Par],
+        MethodRegime::Ethnographic => &[MethodRegime::Ethnographic],
+    }
+}
+
 /// Configuration of an agenda run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AgendaConfig {
@@ -67,8 +80,12 @@ pub struct RoundSnapshot {
 #[derive(Debug, Clone)]
 pub struct AgendaSim {
     config: AgendaConfig,
-    /// Problem space (public for inspection after running).
-    pub space: ProblemSpace,
+    space: ProblemSpace,
+    /// One sampler per method of [`methods`]`(config.regime)`, in that
+    /// order, over every problem's current discovery weight. Only
+    /// `publish` changes a problem, and each publication refreshes its
+    /// entry, so the samplers stay current across rounds.
+    samplers: Vec<CumulativeWeights>,
     rng: Rng,
     history: Vec<RoundSnapshot>,
     round: u32,
@@ -88,9 +105,22 @@ impl AgendaSim {
         }
         let mut rng = Rng::new(config.seed);
         let space = ProblemSpace::generate(&config.space, &mut rng)?;
+        let samplers = methods(config.regime)
+            .iter()
+            .map(|&m| {
+                CumulativeWeights::new(
+                    space
+                        .problems
+                        .iter()
+                        .map(|p| m.discovery_weight(p))
+                        .collect(),
+                )
+            })
+            .collect();
         Ok(AgendaSim {
             config,
             space,
+            samplers,
             rng,
             history: Vec::new(),
             round: 0,
@@ -134,23 +164,8 @@ impl AgendaSim {
     pub fn step(&mut self, hook: &mut dyn FaultHook, tel: &Telemetry) {
         let t0 = tel.start();
         let (active, feedback_scale) = self.round_faults(hook);
-        // Under the Mixed regime, each researcher-round flips between
-        // methods (a population half of whom work each way), so both
-        // methods' weights are kept.
         let regime = self.config.regime;
-        let methods: &[MethodRegime] = match regime {
-            MethodRegime::Mixed => &[MethodRegime::DataDriven, MethodRegime::Par],
-            _ => std::slice::from_ref(&regime),
-        };
-        // A weight is a pure function of its problem's state, and only a
-        // publication changes that state: build each method's sampler once
-        // per round and refresh the one entry a publication touches, an
-        // O(log n) tree update. They are rebuilt every round because
-        // `space` is public.
-        let mut weights: Vec<CumulativeWeights> = methods
-            .iter()
-            .map(|&m| CumulativeWeights::new(self.weights(m)))
-            .collect();
+        let methods = methods(regime);
         for _ in 0..active {
             // The Mixed flip is the only extra draw: heads works
             // data-driven (slot 0), tails participatory (slot 1).
@@ -158,11 +173,13 @@ impl AgendaSim {
                 MethodRegime::Mixed if !self.rng.chance(0.5) => 1,
                 _ => 0,
             };
-            let pick = weights[slot].sample(&mut self.rng);
+            let pick = self.samplers[slot].sample(&mut self.rng);
             if self.rng.chance(methods[slot].throughput()) {
                 self.publish(pick, feedback_scale);
+                // A weight is a pure function of its problem's state, so
+                // the published problem's entry is the only one to refresh.
                 let p = &self.space.problems[pick];
-                for (m, w) in methods.iter().zip(&mut weights) {
+                for (m, w) in methods.iter().zip(&mut self.samplers) {
                     w.set(pick, m.discovery_weight(p));
                 }
             }
@@ -190,15 +207,6 @@ impl AgendaSim {
             None => 1.0,
         };
         (active, feedback_scale)
-    }
-
-    /// Every problem's discovery weight under `method`, in space order.
-    fn weights(&self, method: MethodRegime) -> Vec<f64> {
-        self.space
-            .problems
-            .iter()
-            .map(|p| method.discovery_weight(p))
-            .collect()
     }
 
     /// Record a publication on problem `pick`.
@@ -239,6 +247,11 @@ impl AgendaSim {
             publications,
         });
         self.round += 1;
+    }
+
+    /// The problem space, as the rounds so far have left it.
+    pub fn space(&self) -> &ProblemSpace {
+        &self.space
     }
 
     /// The recorded history.
@@ -423,7 +436,12 @@ mod tests {
             } else {
                 sim.config.regime
             };
-            let weights = sim.weights(effective);
+            let weights: Vec<f64> = sim
+                .space
+                .problems
+                .iter()
+                .map(|p| effective.discovery_weight(p))
+                .collect();
             let pick = sim.rng.choose_weighted(&weights);
             if sim.rng.chance(effective.throughput()) {
                 sim.publish(pick, feedback_scale);

@@ -1,10 +1,13 @@
 //! Micro-benchmarks of the substrate kernels every experiment leans on:
-//! RNG, weighted samplers, inequality indices and policy routing.
+//! RNG, weighted samplers, inequality indices, policy routing and the
+//! route-table digest.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use humnet_ixp::routing::reference::ReferenceTable;
-use humnet_ixp::{synthetic_internet, AsKind, AsTopology, RegionTag, RoutingTable};
-use humnet_stats::{gini, CumulativeWeights, Rng};
+use humnet_ixp::{
+    synthetic_internet, AsKind, AsTopology, RegionTag, RoutingTable, TrafficConfig, TrafficMatrix,
+};
+use humnet_stats::{gini, CumulativeWeights, FenwickWeights, Rng};
 
 fn bench_rng(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_rng");
@@ -35,7 +38,8 @@ fn bench_rng(c: &mut Criterion) {
     group.finish();
 }
 
-/// `CumulativeWeights` in the two shapes the experiments use it in.
+/// `CumulativeWeights` in the two shapes the experiments use it in, and
+/// `FenwickWeights` in the corpus generator's.
 fn bench_sampler(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_sampler");
     // AgendaSim's: 110 problems whose weight grows with each publication,
@@ -74,6 +78,37 @@ fn bench_sampler(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    // The corpus generator's citation draw: 1,600 papers with weight
+    // in-degree + 1, drawn from the base tree plus one topic's tree (one
+    // paper in eight is the topic's and weighs double), no updates.
+    let (mut base, mut own) = (FenwickWeights::new(), FenwickWeights::new());
+    for i in 0..1600 {
+        let w = 1 + rng.poisson(3.0);
+        base.push(w);
+        own.push(if i % 8 == 0 { w } else { 0 });
+    }
+    group.bench_function("citations_1600_summed_x1000", |b| {
+        let mut rng = Rng::new(9);
+        b.iter(|| {
+            let mut acc = 0;
+            for _ in 0..1000 {
+                acc += base.sample_summed(&own, &mut rng);
+            }
+            black_box(acc)
+        })
+    });
+    group.finish();
+}
+
+/// `RoutingTable::digest` alone on F10's table: the 2,000-AS synthetic
+/// internet at seed 7, routed toward the 232 destinations of 512 sampled
+/// gravity demands, as `experiments f10` computes it.
+fn bench_digest(c: &mut Criterion) {
+    let mut group = c.benchmark_group("substrate_digest");
+    let t = synthetic_internet(2_000, 7).unwrap();
+    let matrix = TrafficMatrix::gravity_sampled(&t, &TrafficConfig::default(), 512, 7).unwrap();
+    let table = RoutingTable::compute_frozen(&t.freeze(), &matrix.destinations(), 1).unwrap();
+    group.bench_function("f10_table", |b| b.iter(|| black_box(table.digest())));
     group.finish();
 }
 
@@ -156,6 +191,7 @@ criterion_group!(
     benches,
     bench_rng,
     bench_sampler,
+    bench_digest,
     bench_stats,
     bench_routing,
     bench_routing_scale

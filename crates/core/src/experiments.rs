@@ -56,7 +56,7 @@ pub fn f1_attention(seed: u64, hook: &mut dyn FaultHook, tel: &Telemetry) -> Res
     let mut sim = AgendaSim::new(cfg).map_err(upstream("agenda config"))?;
     sim.run(hook, tel).map_err(upstream("agenda run"))?;
     let counts: Vec<f64> = sim
-        .space
+        .space()
         .problems
         .iter()
         .map(|p| p.publications as f64)
@@ -70,12 +70,12 @@ pub fn f1_attention(seed: u64, hook: &mut dyn FaultHook, tel: &Telemetry) -> Res
     for (x, y) in curve {
         lorenz.push(x, y);
     }
-    let gini = attention_gini(&sim.space).map_err(upstream("gini"))?;
+    let gini = attention_gini(sim.space()).map_err(upstream("gini"))?;
     let mut by_class = Table::new(
         "F1: publications by stakeholder class",
         &["class", "publications", "marginalized"],
     );
-    for (class, pubs) in attention_by_class(&sim.space) {
+    for (class, pubs) in attention_by_class(sim.space()) {
         by_class.row(&[
             class.label().to_owned(),
             pubs.to_string(),
@@ -127,9 +127,9 @@ pub fn t1_regimes(
             cfg.seed = seed;
             let mut sim = AgendaSim::new(cfg).map_err(upstream("agenda config"))?;
             sim.run(hook, tel).map_err(upstream("agenda run"))?;
-            marg += coverage(&sim.space, true).map_err(upstream("coverage"))?;
-            dom += coverage(&sim.space, false).map_err(upstream("coverage"))?;
-            gini += attention_gini(&sim.space).map_err(upstream("gini"))?;
+            marg += coverage(sim.space(), true).map_err(upstream("coverage"))?;
+            dom += coverage(sim.space(), false).map_err(upstream("coverage"))?;
+            gini += attention_gini(sim.space()).map_err(upstream("gini"))?;
             pubs += sim.history().last().map(|s| s.publications as f64).unwrap_or(0.0);
         }
         let n = seeds.len() as f64;

@@ -178,10 +178,7 @@ impl CorpusConfig {
         let author_weights = VenueKind::ALL.map(|kind| author_weights(&authors, kind));
         let markov = topic_markov_models();
         let mut papers: Vec<Paper> = Vec::new();
-        // One preferential-citation tree per citing topic, indexed by
-        // `Topic as usize`: a paper weighs `in_degree + 1`, doubled in the
-        // tree of its own topic (homophily).
-        let mut cite_weights: [FenwickWeights; Topic::ALL.len()] = Default::default();
+        let mut cite_weights = CitationWeights::default();
         for year_idx in 0..self.years {
             let year = self.start_year + year_idx;
             for (venue_id, profile) in self.venues.iter().enumerate() {
@@ -198,14 +195,9 @@ impl CorpusConfig {
                         &mut rng,
                     );
                     for &c in &paper.citations {
-                        let cited = papers[c].topic;
-                        for (topic, tree) in Topic::ALL.into_iter().zip(&mut cite_weights) {
-                            tree.add(c, if topic == cited { 2 } else { 1 });
-                        }
+                        cite_weights.cite(c, papers[c].topic);
                     }
-                    for (topic, tree) in Topic::ALL.into_iter().zip(&mut cite_weights) {
-                        tree.push(if topic == paper.topic { 2 } else { 1 });
-                    }
+                    cite_weights.push(paper.topic);
                     papers.push(paper);
                 }
             }
@@ -246,7 +238,7 @@ impl CorpusConfig {
         venue_id: usize,
         kind: VenueKind,
         author_weights: &CumulativeWeights,
-        cite_weights: &[FenwickWeights; Topic::ALL.len()],
+        cite_weights: &CitationWeights,
         markov: &[MarkovModel; Topic::ALL.len()],
         rng: &mut Rng,
     ) -> Paper {
@@ -256,7 +248,8 @@ impl CorpusConfig {
         let n_authors = (1 + rng.poisson(self.mean_authors - 1.0) as usize).min(8);
         let author_ids = sample_authors(author_weights, n_authors, rng);
         let citations = sample_citations(
-            &cite_weights[topic as usize],
+            cite_weights,
+            topic,
             self.mean_citations,
             self.preferential_strength,
             rng,
@@ -462,10 +455,51 @@ fn sample_authors(weights: &CumulativeWeights, n: usize, rng: &mut Rng) -> Vec<u
     chosen
 }
 
-/// Citations from a new paper into the papers before it. `weights` is the
-/// citing topic's preferential-attachment tree over those papers.
+/// Preferential-attachment weights over the papers so far. Citing topic
+/// `t` weighs paper `j` at `b_j + [topic_j = t]·b_j`, where
+/// `b_j = in_degree + 1`: homophily doubles a paper's weight for its own
+/// topic. So one tree holds every `b_j` and one tree per topic holds only
+/// that topic's papers, zero elsewhere. A citation updates two trees
+/// instead of one per topic, and a draw descends the base tree plus the
+/// citing topic's, which returns what one tree of the summed weights
+/// would.
+#[derive(Debug, Default)]
+struct CitationWeights {
+    base: FenwickWeights,
+    /// Indexed by `Topic as usize`.
+    own: [FenwickWeights; Topic::ALL.len()],
+}
+
+impl CitationWeights {
+    /// Number of papers indexed.
+    fn len(&self) -> usize {
+        self.base.len()
+    }
+
+    /// Index a new, uncited paper of `topic`.
+    fn push(&mut self, topic: Topic) {
+        self.base.push(1);
+        for (t, tree) in Topic::ALL.into_iter().zip(&mut self.own) {
+            tree.push(u64::from(t == topic));
+        }
+    }
+
+    /// Record one citation of paper `j`, of `topic`.
+    fn cite(&mut self, j: usize, topic: Topic) {
+        self.base.add(j, 1);
+        self.own[topic as usize].add(j, 1);
+    }
+
+    /// Draw a paper for a citing paper of `topic`.
+    fn sample(&self, topic: Topic, rng: &mut Rng) -> usize {
+        self.base.sample_summed(&self.own[topic as usize], rng)
+    }
+}
+
+/// Citations from a new paper of `topic` into the papers before it.
 fn sample_citations(
-    weights: &FenwickWeights,
+    weights: &CitationWeights,
+    topic: Topic,
     mean: f64,
     preferential: f64,
     rng: &mut Rng,
@@ -480,7 +514,7 @@ fn sample_citations(
     while cites.len() < want.min(prior) && guard < 10_000 {
         guard += 1;
         let candidate = if rng.chance(preferential) {
-            weights.sample(rng)
+            weights.sample(topic, rng)
         } else {
             rng.range(0, prior)
         };

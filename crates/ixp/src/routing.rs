@@ -389,31 +389,47 @@ impl RoutingTable {
 
     /// FNV-1a digest over the packed route arrays — a cheap fingerprint
     /// for byte-identity assertions across worker counts.
+    ///
+    /// The value is the byte-serial FNV-1a of `dests` (8 little-endian
+    /// bytes each), then `class`, then `next` and `peer_ixp` (4 each), but
+    /// runs of known bytes are folded rather than hashed one by one
+    /// ([`Fnv1a`]): the zero bytes above a value's highest nonzero byte
+    /// cost one multiply, a run of `u32::MAX` entries one table step per
+    /// set bit of its byte count, and an 8-byte `class` word of one route
+    /// class one table step.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut eat = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        };
+        let mut h = Fnv1a::new();
         for &d in &self.dests {
-            for b in (d as u64).to_le_bytes() {
-                eat(b);
+            h.word(d as u64, 8);
+        }
+        let mut words = self.class.chunks_exact(8);
+        for w in &mut words {
+            if w.iter().all(|&c| c == w[0]) {
+                h.repeat(w[0], 8);
+            } else {
+                for &c in w {
+                    h.byte(c);
+                }
             }
         }
-        for &c in &self.class {
-            eat(c);
+        for &c in words.remainder() {
+            h.byte(c);
         }
         for &x in &self.next {
-            for b in x.to_le_bytes() {
-                eat(b);
+            h.word(u64::from(x), 4);
+        }
+        let mut ixp = &self.peer_ixp[..];
+        while let Some(&x) = ixp.first() {
+            if x == u32::MAX {
+                let run = run_len(ixp, u32::MAX);
+                h.repeat(0xff, 4 * run);
+                ixp = &ixp[run..];
+            } else {
+                h.word(u64::from(x), 4);
+                ixp = &ixp[1..];
             }
         }
-        for &x in &self.peer_ixp {
-            for b in x.to_le_bytes() {
-                eat(b);
-            }
-        }
-        h
+        h.finish()
     }
 
     /// The selected route from `src` to `dst`, or an error when none exists
@@ -703,6 +719,158 @@ pub mod reference {
     }
 }
 
+/// Length of the run of `x` at the start of `s`, compared a chunk at a
+/// time without a branch per entry.
+fn run_len(s: &[u32], x: u32) -> usize {
+    let mut run = 0;
+    for chunk in s.chunks(16) {
+        let differ = chunk
+            .iter()
+            .enumerate()
+            .fold(0u32, |m, (i, &y)| m | u32::from(y != x) << i);
+        if differ != 0 {
+            return run + differ.trailing_zeros() as usize;
+        }
+        run += chunk.len();
+    }
+    run
+}
+
+/// FNV-1a's 64-bit prime.
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// `FNV_PRIME^k` for `k` in `0..=8`, wrapping.
+const FNV_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// Byte-serial FNV-1a, `h = (h ^ b) · P` per byte, with two shortcuts that
+/// give the same state as feeding every byte:
+///
+/// * XOR with a zero byte changes nothing, so `k` zero bytes are one
+///   multiply by `P^k`.
+/// * XOR with a byte touches only the low byte of `h`, and the low byte of
+///   a sum or product mod 2^64 depends only on the operands' low bytes.
+///   So hashing a fixed string of `m` bytes from state `h` gives
+///   `P^m·h + D[h & 0xff]` ([`Fold`]), where the 256-entry table `D`
+///   depends only on the string. Composing two such maps gives another,
+///   so `2^j` copies of a byte take one table, built from the table for
+///   `2^(j-1)` in 256 steps.
+struct Fnv1a {
+    h: u64,
+    /// `folds[b][j]` hashes `2^j` copies of byte `b`; built on first use.
+    folds: Vec<Vec<Fold>>,
+}
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a {
+            h: 0xcbf29ce484222325,
+            folds: vec![Vec::new(); 256],
+        }
+    }
+
+    fn byte(&mut self, b: u8) {
+        self.h = (self.h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+
+    /// The low `width` bytes of `x`, little-endian: the bytes up to the
+    /// highest nonzero one, then one multiply for the zero bytes above it.
+    /// One- and two-byte values, most of a table's `next` entries, take a
+    /// path of their own with no loop.
+    fn word(&mut self, x: u64, width: usize) {
+        if x < 1 << 8 {
+            self.h = (self.h ^ x).wrapping_mul(FNV_POW[width]);
+        } else if x < 1 << 16 {
+            let low = (self.h ^ (x & 0xff)).wrapping_mul(FNV_PRIME);
+            self.h = (low ^ (x >> 8)).wrapping_mul(FNV_POW[width - 1]);
+        } else {
+            let len = (8 - x.leading_zeros() as usize / 8).min(width);
+            for i in 0..len {
+                self.byte((x >> (8 * i)) as u8);
+            }
+            self.h = self.h.wrapping_mul(FNV_POW[width - len]);
+        }
+    }
+
+    /// `count` copies of byte `b`: one fold per set bit of `count`, the
+    /// fold for `2^j` copies being the one for `2^(j-1)` applied twice.
+    fn repeat(&mut self, b: u8, count: usize) {
+        if count == 0 {
+            return;
+        }
+        let ladder = &mut self.folds[usize::from(b)];
+        while ladder.len() <= count.ilog2() as usize {
+            let next = match ladder.last() {
+                Some(fold) => fold.twice(),
+                None => Fold::byte(b),
+            };
+            ladder.push(next);
+        }
+        let mut bits = count;
+        while bits != 0 {
+            self.h = ladder[bits.trailing_zeros() as usize].apply(self.h);
+            bits &= bits - 1;
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.h
+    }
+}
+
+/// FNV-1a over one fixed byte string as a map of the state:
+/// `h ↦ mul·h + add[h & 0xff]`, all wrapping.
+#[derive(Clone)]
+struct Fold {
+    mul: u64,
+    add: Box<[u64; 256]>,
+}
+
+impl Fold {
+    /// The fold of the single byte `b`: `(h ^ b)·P = P·h + P·((h ^ b) − h)`,
+    /// and `(h ^ b) − h` depends only on the low byte of `h`.
+    fn byte(b: u8) -> Self {
+        let mut add = Box::new([0u64; 256]);
+        for (lo, a) in (0u64..).zip(add.iter_mut()) {
+            *a = ((lo ^ u64::from(b)).wrapping_sub(lo)).wrapping_mul(FNV_PRIME);
+        }
+        Fold {
+            mul: FNV_PRIME,
+            add,
+        }
+    }
+
+    fn apply(&self, h: u64) -> u64 {
+        h.wrapping_mul(self.mul)
+            .wrapping_add(self.add[(h & 0xff) as usize])
+    }
+
+    /// This fold applied twice: `mul²·h + mul·add[lo] + add[lo']`, where
+    /// `lo'`, the low byte after the first application, is the low byte of
+    /// `mul·lo + add[lo]`.
+    fn twice(&self) -> Self {
+        let mut add = Box::new([0u64; 256]);
+        for (lo, a) in (0u64..).zip(add.iter_mut()) {
+            let once = self.apply(lo);
+            *a = self
+                .mul
+                .wrapping_mul(self.add[lo as usize])
+                .wrapping_add(self.add[(once & 0xff) as usize]);
+        }
+        Fold {
+            mul: self.mul.wrapping_mul(self.mul),
+            add,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,5 +1128,80 @@ mod tests {
                 assert_eq!(soa.route(src, dst).ok(), naive.route(src, dst).ok());
             }
         }
+    }
+
+    /// FNV-1a fed one byte at a time over `digest`'s byte order.
+    fn byte_serial_fnv1a(t: &RoutingTable) -> u64 {
+        t.dests
+            .iter()
+            .flat_map(|&d| (d as u64).to_le_bytes())
+            .chain(t.class.iter().copied())
+            .chain(t.next.iter().flat_map(|x| x.to_le_bytes()))
+            .chain(t.peer_ixp.iter().flat_map(|x| x.to_le_bytes()))
+            .fold(0xcbf29ce484222325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+            })
+    }
+
+    /// A `u32` from each class `digest` folds differently: below 2^8,
+    /// below 2^16, at or above 2^16, and `u32::MAX`.
+    fn entry(code: u64) -> u32 {
+        let bits = (code >> 8) as u32;
+        match code % 4 {
+            0 => bits & 0xff,
+            1 => bits & 0xffff,
+            2 => bits | 1 << 16,
+            _ => u32::MAX,
+        }
+    }
+
+    /// Expand codes into runs: a third of the codes are each a run of
+    /// `fill` whose length (odd or even, up to a few hundred) comes from
+    /// the code's high bits; any other code is one value from `single`.
+    fn with_runs<T: Copy>(
+        codes: &[u64],
+        fill: impl Fn(u64) -> T,
+        single: impl Fn(u64) -> T,
+    ) -> Vec<T> {
+        let mut out = Vec::new();
+        for &c in codes {
+            if c % 3 == 0 {
+                let len = (c >> 40) as usize % 300;
+                out.extend(std::iter::repeat_n(fill(c), len));
+            } else {
+                out.push(single(c));
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn digest_matches_byte_serial_fnv1a(
+            dests in proptest::collection::vec(0u64..u64::MAX, 0..6),
+            class in proptest::collection::vec(0u64..u64::MAX, 0..40),
+            next in proptest::collection::vec(0u64..u64::MAX, 0..60),
+            ixp in proptest::collection::vec(0u64..u64::MAX, 0..60),
+        ) {
+            // `digest` reads only the four arrays, so they are drawn with
+            // independent lengths: `class` need not fill whole 8-byte words.
+            let table = RoutingTable {
+                n: 0,
+                dests: dests.iter().map(|&d| (d >> (d % 64)) as usize).collect(),
+                dest_slot: Vec::new(),
+                class: with_runs(&class, |c| (c >> 8) as u8 % 4, |c| (c >> 8) as u8),
+                next: next.iter().map(|&c| entry(c)).collect(),
+                peer_ixp: with_runs(&ixp, |_| u32::MAX, entry),
+            };
+            proptest::prop_assert_eq!(table.digest(), byte_serial_fnv1a(&table));
+        }
+    }
+
+    #[test]
+    fn digest_matches_byte_serial_fnv1a_on_a_computed_table() {
+        let t = crate::synthetic_internet(300, 3).unwrap();
+        let table = RoutingTable::compute(&t).unwrap();
+        assert_eq!(table.digest(), byte_serial_fnv1a(&table));
     }
 }

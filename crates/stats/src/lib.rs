@@ -9,7 +9,8 @@
 //!   from a `u64` seed;
 //! * inequality and fairness indices ([`inequality`]) — Gini, Lorenz,
 //!   top share, Jain — used to quantify concentration of research attention;
-//! * exact Fenwick-tree samplers ([`sampler`]) that draw what
+//! * exact weighted samplers ([`sampler`]), a blocked prefix layout for
+//!   f64 weights and a Fenwick tree for integers, that draw what
 //!   [`Rng::choose_weighted`] draws without rescanning the weights.
 //!
 //! The crate is dependency-light and synchronous by design: the humnet

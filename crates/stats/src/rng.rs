@@ -226,8 +226,8 @@ impl Rng {
     /// reaches `next_f64() * total`. For repeated draws from weights that
     /// change by point updates, [`crate::CumulativeWeights`] (f64) and
     /// [`crate::FenwickWeights`] (integers) return the same index for the
-    /// same draw in O(log n); the f64 sampler runs this same scan, on its
-    /// own draw, whenever it cannot certify its pick.
+    /// same draw without rescanning; the f64 sampler runs this same scan,
+    /// on its own draw, whenever it cannot certify its pick.
     pub fn choose_weighted(&mut self, weights: &[f64]) -> usize {
         let total = positive_sum(weights);
         assert!(

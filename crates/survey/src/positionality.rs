@@ -159,6 +159,10 @@ const TRIGGERS: &[&str] = &[
 
 /// Whether free text carries a positionality statement: the presence
 /// check of [`detect_positionality`], without collecting what matched.
+///
+/// The text is lowercased as Unicode, not ASCII-folded, because a
+/// non-ASCII character can lowercase to ASCII (the Kelvin sign `K` to
+/// `k`).
 pub fn has_positionality_statement(text: &str) -> bool {
     has_trigger(&text.to_lowercase())
 }
@@ -277,6 +281,22 @@ mod tests {
                 "{text}"
             );
         }
+    }
+
+    #[test]
+    fn presence_check_lowercases_non_ascii_text_as_unicode() {
+        // U+212A KELVIN SIGN lowercases to an ASCII `k`, so this carries
+        // "the authors acknowledge their"; ASCII case folding alone would
+        // miss it.
+        let kelvin = "The authors ac\u{212A}nowledge their privilege.";
+        assert!(has_positionality_statement(kelvin));
+        assert!(detect_positionality(kelvin).is_some());
+        // Non-ASCII text without a trigger stays negative.
+        assert!(!has_positionality_statement("Mesures du réseau à Zürich."));
+        // Non-ASCII text elsewhere does not hide an ASCII trigger.
+        assert!(has_positionality_statement(
+            "Réflexion: REFLEXIVITY shaped this."
+        ));
     }
 
     #[test]
