@@ -57,19 +57,27 @@ impl AdoptionConfig {
             return Err(AgendaError::InvalidParameter("rounds must be >= 1"));
         }
         if !(0.0..1.0).contains(&self.initial_human_share) || self.initial_human_share <= 0.0 {
-            return Err(AgendaError::InvalidParameter("initial_human_share must be in (0,1)"));
+            return Err(AgendaError::InvalidParameter(
+                "initial_human_share must be in (0,1)",
+            ));
         }
         if self.submissions_per_round < 10 {
-            return Err(AgendaError::InvalidParameter("need >= 10 submissions per round"));
+            return Err(AgendaError::InvalidParameter(
+                "need >= 10 submissions per round",
+            ));
         }
         if !(0.0..=1.0).contains(&self.selection_strength) || self.selection_strength == 0.0 {
-            return Err(AgendaError::InvalidParameter("selection_strength must be in (0,1]"));
+            return Err(AgendaError::InvalidParameter(
+                "selection_strength must be in (0,1]",
+            ));
         }
         if !(0.0..0.5).contains(&self.floor) {
             return Err(AgendaError::InvalidParameter("floor must be in [0, 0.5)"));
         }
         if !(0.0..=1.0).contains(&self.human_weight_after) {
-            return Err(AgendaError::InvalidParameter("human_weight_after must be in [0,1]"));
+            return Err(AgendaError::InvalidParameter(
+                "human_weight_after must be in [0,1]",
+            ));
         }
         Ok(())
     }
@@ -155,7 +163,10 @@ mod tests {
     #[test]
     fn deterministic() {
         let c = AdoptionConfig::default();
-        assert_eq!(simulate_adoption(&c).unwrap(), simulate_adoption(&c).unwrap());
+        assert_eq!(
+            simulate_adoption(&c).unwrap(),
+            simulate_adoption(&c).unwrap()
+        );
     }
 
     #[test]
@@ -195,8 +206,16 @@ mod tests {
         weak.human_weight_after = 0.40;
         let mut strong = AdoptionConfig::default();
         strong.human_weight_after = 0.55;
-        let w = simulate_adoption(&weak).unwrap().last().unwrap().human_share;
-        let s = simulate_adoption(&strong).unwrap().last().unwrap().human_share;
+        let w = simulate_adoption(&weak)
+            .unwrap()
+            .last()
+            .unwrap()
+            .human_share;
+        let s = simulate_adoption(&strong)
+            .unwrap()
+            .last()
+            .unwrap()
+            .human_share;
         assert!(s > w, "strong {s} vs weak {w}");
     }
 

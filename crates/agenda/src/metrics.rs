@@ -25,7 +25,11 @@ pub fn attention_gini(space: &ProblemSpace) -> Result<f64> {
     if space.is_empty() {
         return Err(AgendaError::EmptyInput);
     }
-    let counts: Vec<f64> = space.problems.iter().map(|p| p.publications as f64).collect();
+    let counts: Vec<f64> = space
+        .problems
+        .iter()
+        .map(|p| p.publications as f64)
+        .collect();
     humnet_stats::gini(&counts).map_err(|_| AgendaError::InvalidParameter("no publications"))
 }
 
@@ -98,7 +102,10 @@ mod tests {
         let marg = coverage(sim.space(), true).unwrap();
         let dominant = coverage(sim.space(), false).unwrap();
         assert!((0.0..=1.0).contains(&marg));
-        assert!(dominant > marg, "dominant {dominant} vs marginalized {marg}");
+        assert!(
+            dominant > marg,
+            "dominant {dominant} vs marginalized {marg}"
+        );
     }
 
     #[test]

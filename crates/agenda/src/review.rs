@@ -51,9 +51,16 @@ impl ContributionProfile {
 
     /// Validate ranges.
     pub fn validate(&self) -> Result<()> {
-        for v in [self.performance, self.scale, self.novelty, self.human_insight] {
+        for v in [
+            self.performance,
+            self.scale,
+            self.novelty,
+            self.human_insight,
+        ] {
             if !(0.0..=1.0).contains(&v) {
-                return Err(AgendaError::InvalidParameter("profile values must be in [0,1]"));
+                return Err(AgendaError::InvalidParameter(
+                    "profile values must be in [0,1]",
+                ));
             }
         }
         Ok(())
@@ -148,7 +155,9 @@ pub fn run_review(config: &ReviewConfig, weights: &VenueWeights) -> Result<Revie
         return Err(AgendaError::EmptyInput);
     }
     if !(0.0 < config.acceptance_rate && config.acceptance_rate <= 1.0) {
-        return Err(AgendaError::InvalidParameter("acceptance_rate must be in (0,1]"));
+        return Err(AgendaError::InvalidParameter(
+            "acceptance_rate must be in (0,1]",
+        ));
     }
     if config.reviewer_noise < 0.0 {
         return Err(AgendaError::InvalidParameter("reviewer_noise must be >= 0"));
@@ -158,11 +167,17 @@ pub fn run_review(config: &ReviewConfig, weights: &VenueWeights) -> Result<Revie
     let mut submissions: Vec<(u8, f64)> = Vec::new();
     for _ in 0..config.systems_submissions {
         let p = ContributionProfile::systems_paper(&mut rng);
-        submissions.push((0, weights.score(&p) + rng.normal(0.0, config.reviewer_noise)));
+        submissions.push((
+            0,
+            weights.score(&p) + rng.normal(0.0, config.reviewer_noise),
+        ));
     }
     for _ in 0..config.human_submissions {
         let p = ContributionProfile::human_centered_paper(&mut rng);
-        submissions.push((1, weights.score(&p) + rng.normal(0.0, config.reviewer_noise)));
+        submissions.push((
+            1,
+            weights.score(&p) + rng.normal(0.0, config.reviewer_noise),
+        ));
     }
     let total = submissions.len();
     let slots = ((total as f64 * config.acceptance_rate).round() as usize).clamp(1, total);
@@ -185,8 +200,11 @@ mod tests {
 
     #[test]
     fn traditional_venue_excludes_human_work() {
-        let out = run_review(&ReviewConfig::default(), &VenueWeights::traditional_systems())
-            .unwrap();
+        let out = run_review(
+            &ReviewConfig::default(),
+            &VenueWeights::traditional_systems(),
+        )
+        .unwrap();
         assert!(
             out.systems_acceptance > 5.0 * out.human_acceptance.max(0.01),
             "systems {} vs human {}",
@@ -207,7 +225,10 @@ mod tests {
             );
             last = out.human_acceptance;
         }
-        assert!(last > 0.3, "substantial human-insight weight should admit human work");
+        assert!(
+            last > 0.3,
+            "substantial human-insight weight should admit human work"
+        );
     }
 
     #[test]
@@ -247,7 +268,9 @@ mod tests {
     #[test]
     fn profile_validation() {
         let mut rng = Rng::new(1);
-        ContributionProfile::systems_paper(&mut rng).validate().unwrap();
+        ContributionProfile::systems_paper(&mut rng)
+            .validate()
+            .unwrap();
         ContributionProfile::human_centered_paper(&mut rng)
             .validate()
             .unwrap();

@@ -336,9 +336,8 @@ mod tests {
     fn data_driven_concentrates_on_funded_visible_problems() {
         let sim = run(MethodRegime::DataDriven, 3);
         let attention = sim.attention();
-        let get = |c: StakeholderClass| {
-            attention.iter().find(|&&(cl, _)| cl == c).unwrap().1 as f64
-        };
+        let get =
+            |c: StakeholderClass| attention.iter().find(|&&(cl, _)| cl == c).unwrap().1 as f64;
         let hyper = get(StakeholderClass::Hyperscaler);
         let community = get(StakeholderClass::CommunityOperator);
         assert!(
@@ -351,8 +350,8 @@ mod tests {
     fn par_surfaces_marginalized_problems_faster() {
         let dd = run(MethodRegime::DataDriven, 5);
         let par = run(MethodRegime::Par, 5);
-        let dd_frac =
-            dd.history().last().unwrap().surfaced_marginalized as f64 / dd.marginalized_total() as f64;
+        let dd_frac = dd.history().last().unwrap().surfaced_marginalized as f64
+            / dd.marginalized_total() as f64;
         let par_frac = par.history().last().unwrap().surfaced_marginalized as f64
             / par.marginalized_total() as f64;
         assert!(
@@ -366,8 +365,7 @@ mod tests {
         let dd = run(MethodRegime::DataDriven, 9);
         let eth = run(MethodRegime::Ethnographic, 9);
         assert!(
-            dd.history().last().unwrap().publications
-                > eth.history().last().unwrap().publications
+            dd.history().last().unwrap().publications > eth.history().last().unwrap().publications
         );
     }
 
@@ -387,7 +385,10 @@ mod tests {
         let dd = frac(MethodRegime::DataDriven);
         let mixed = frac(MethodRegime::Mixed);
         let par = frac(MethodRegime::Par);
-        assert!(par >= mixed && mixed >= dd, "par {par} mixed {mixed} dd {dd}");
+        assert!(
+            par >= mixed && mixed >= dd,
+            "par {par} mixed {mixed} dd {dd}"
+        );
     }
 
     #[test]
@@ -417,7 +418,10 @@ mod tests {
         cfg.seed = 7;
         let mut hooked = AgendaSim::new(cfg).unwrap();
         hooked
-            .run(&mut PlanHook::new(FaultPlan::none()), &Telemetry::disabled())
+            .run(
+                &mut PlanHook::new(FaultPlan::none()),
+                &Telemetry::disabled(),
+            )
             .unwrap();
         assert_eq!(plain.history(), hooked.history());
     }
@@ -472,7 +476,11 @@ mod tests {
                     for _ in 0..cfg.rounds {
                         reference_step(&mut reference, ref_hook.as_mut());
                     }
-                    assert_eq!(fast.history(), reference.history(), "{regime:?} seed {seed}");
+                    assert_eq!(
+                        fast.history(),
+                        reference.history(),
+                        "{regime:?} seed {seed}"
+                    );
                     assert_eq!(fast.space, reference.space, "{regime:?} seed {seed}");
                     assert_eq!(fast_hook.faults_injected(), ref_hook.faults_injected());
                 }

@@ -26,12 +26,17 @@ fn toy_factory() -> SpecFactory {
             return None;
         }
         let code = code.to_owned();
-        Some(ExperimentSpec::new(code.clone(), "bench toy", "toy", move |_plan, _tel| {
-            Ok(JobOutput {
-                rendered: format!("bench output for {code}\n"),
-                faults_injected: 0,
-            })
-        }))
+        Some(ExperimentSpec::new(
+            code.clone(),
+            "bench toy",
+            "toy",
+            move |_plan, _tel| {
+                Ok(JobOutput {
+                    rendered: format!("bench output for {code}\n"),
+                    faults_injected: 0,
+                })
+            },
+        ))
     })
 }
 
@@ -42,10 +47,7 @@ struct Daemon {
 }
 
 fn start_daemon(tag: &str) -> Daemon {
-    let dir = std::env::temp_dir().join(format!(
-        "humnet-serve-bench-{}-{tag}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("humnet-serve-bench-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut cfg = ServeConfig::default();
     cfg.addr = "127.0.0.1:0".to_owned();

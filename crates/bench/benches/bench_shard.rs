@@ -29,8 +29,7 @@ fn shard_snapshot(shard: u64, events: u64) -> TelemetrySnapshot {
 fn bench_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_merge");
     for shards in [2u64, 8, 32] {
-        let snaps: Vec<TelemetrySnapshot> =
-            (0..shards).map(|k| shard_snapshot(k, 200)).collect();
+        let snaps: Vec<TelemetrySnapshot> = (0..shards).map(|k| shard_snapshot(k, 200)).collect();
         group.bench_function(format!("merge_{shards}_snapshots"), |b| {
             b.iter(|| {
                 let mut acc = TelemetrySnapshot::default();

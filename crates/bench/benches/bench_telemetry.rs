@@ -42,7 +42,14 @@ fn bench_ixp(c: &mut Criterion) {
     // the instrumented variant is compared against.
     group.bench_function("mexico_run_bare", |b| {
         let tel = Telemetry::disabled();
-        b.iter(|| black_box(MexicoScenario::run(&cfg, &mut NoFaults, &tel).unwrap().flows.len()))
+        b.iter(|| {
+            black_box(
+                MexicoScenario::run(&cfg, &mut NoFaults, &tel)
+                    .unwrap()
+                    .flows
+                    .len(),
+            )
+        })
     });
     group.bench_function("mexico_run_instrumented_enabled", |b| {
         b.iter(|| {

@@ -49,7 +49,10 @@ pub mod schedule_specs {
             specs.push(sleeping_spec(format!("heavy{i}"), Duration::from_millis(2)));
         }
         for i in 0..light {
-            specs.push(sleeping_spec(format!("light{i}"), Duration::from_micros(200)));
+            specs.push(sleeping_spec(
+                format!("light{i}"),
+                Duration::from_micros(200),
+            ));
         }
         specs
     }

@@ -92,13 +92,17 @@ impl CongestionConfig {
             return Err(CommunityError::InvalidParameter("households must be >= 1"));
         }
         if self.capacity <= 0.0 {
-            return Err(CommunityError::InvalidParameter("capacity must be positive"));
+            return Err(CommunityError::InvalidParameter(
+                "capacity must be positive",
+            ));
         }
         if self.rounds == 0 {
             return Err(CommunityError::InvalidParameter("rounds must be >= 1"));
         }
         if self.demand_sigma < 0.0 {
-            return Err(CommunityError::InvalidParameter("demand_sigma must be >= 0"));
+            return Err(CommunityError::InvalidParameter(
+                "demand_sigma must be >= 0",
+            ));
         }
         if !(0.0..=1.0).contains(&self.burst_probability) {
             return Err(CommunityError::InvalidParameter(
@@ -106,10 +110,14 @@ impl CongestionConfig {
             ));
         }
         if self.burst_multiplier < 1.0 {
-            return Err(CommunityError::InvalidParameter("burst_multiplier must be >= 1"));
+            return Err(CommunityError::InvalidParameter(
+                "burst_multiplier must be >= 1",
+            ));
         }
         if self.bank_cap_rounds < 0.0 {
-            return Err(CommunityError::InvalidParameter("bank_cap_rounds must be >= 0"));
+            return Err(CommunityError::InvalidParameter(
+                "bank_cap_rounds must be >= 0",
+            ));
         }
         Ok(())
     }
@@ -165,7 +173,9 @@ impl CongestionSim {
         let n = cfg.households;
         // Baseline demands: log-normal, scaled so the mean offered load is
         // ~80% of capacity before bursts.
-        let mut base: Vec<f64> = (0..n).map(|_| rng.log_normal(0.0, cfg.demand_sigma)).collect();
+        let mut base: Vec<f64> = (0..n)
+            .map(|_| rng.log_normal(0.0, cfg.demand_sigma))
+            .collect();
         let sum: f64 = base.iter().sum();
         let scale = 0.8 * cfg.capacity / sum;
         for b in base.iter_mut() {
@@ -227,9 +237,8 @@ impl CongestionSim {
                         // Pass 2: max-min water-fill the leftover capacity
                         // over unmet demand.
                         let mut leftover = round_capacity - used;
-                        let mut unmet: Vec<usize> = (0..n)
-                            .filter(|&h| demand[h] - a[h] > 1e-12)
-                            .collect();
+                        let mut unmet: Vec<usize> =
+                            (0..n).filter(|&h| demand[h] - a[h] > 1e-12).collect();
                         while leftover > 1e-9 && !unmet.is_empty() {
                             let share = leftover / unmet.len() as f64;
                             let mut next_unmet = Vec::new();
@@ -353,7 +362,13 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let sim = CongestionSim::new(CongestionConfig::default()).unwrap();
-        let run = || sim.run(AllocationPolicy::FreeForAll, &mut NoFaults, &Telemetry::disabled());
+        let run = || {
+            sim.run(
+                AllocationPolicy::FreeForAll,
+                &mut NoFaults,
+                &Telemetry::disabled(),
+            )
+        };
         assert_eq!(run(), run());
     }
 
@@ -403,7 +418,10 @@ mod tests {
         for o in &outs {
             assert!(ffa.utilization >= o.utilization - 1e-9);
         }
-        assert!((ffa.utilization - 1.0).abs() < 1e-9, "ffa always fills the pipe");
+        assert!(
+            (ffa.utilization - 1.0).abs() < 1e-9,
+            "ffa always fills the pipe"
+        );
     }
 
     #[test]
@@ -451,7 +469,10 @@ mod tests {
             assert!((0.0..=1.0 + 1e-9).contains(&a.fairness), "{a:?}");
             assert!((0.0..=1.0).contains(&a.starvation), "{a:?}");
             // Losing capacity can only saturate more rounds, never fewer.
-            assert!(a.saturated_rounds >= plain.saturated_rounds, "{a:?} vs {plain:?}");
+            assert!(
+                a.saturated_rounds >= plain.saturated_rounds,
+                "{a:?} vs {plain:?}"
+            );
         }
     }
 
@@ -462,7 +483,11 @@ mod tests {
         cfg.demand_sigma = 0.0;
         // Mean load is 80% of capacity with zero variance: never saturates.
         let sim = CongestionSim::new(cfg).unwrap();
-        let out = sim.run(AllocationPolicy::FreeForAll, &mut NoFaults, &Telemetry::disabled());
+        let out = sim.run(
+            AllocationPolicy::FreeForAll,
+            &mut NoFaults,
+            &Telemetry::disabled(),
+        );
         assert_eq!(out.saturated_rounds, 0);
         assert_eq!(out.starvation, 0.0);
     }

@@ -87,20 +87,26 @@ impl EconomicsConfig {
     /// Validate parameters.
     pub fn validate(&self) -> Result<()> {
         if self.households == 0 || self.months == 0 {
-            return Err(CommunityError::InvalidParameter("households and months must be >= 1"));
+            return Err(CommunityError::InvalidParameter(
+                "households and months must be >= 1",
+            ));
         }
         if self.backhaul_cost < 0.0
             || self.equipment_cost < 0.0
             || self.dues < 0.0
             || self.opening_balance < 0.0
         {
-            return Err(CommunityError::InvalidParameter("costs must be nonnegative"));
+            return Err(CommunityError::InvalidParameter(
+                "costs must be nonnegative",
+            ));
         }
         if self.equipment_mtbf_months <= 0.0 {
             return Err(CommunityError::InvalidParameter("mtbf must be positive"));
         }
         if self.income_sigma < 0.0 {
-            return Err(CommunityError::InvalidParameter("income_sigma must be >= 0"));
+            return Err(CommunityError::InvalidParameter(
+                "income_sigma must be >= 0",
+            ));
         }
         if !(0.0..=1.0).contains(&self.affordability_threshold) {
             return Err(CommunityError::InvalidParameter(
@@ -129,7 +135,10 @@ pub struct EconomicsOutcome {
 }
 
 /// Simulate one dues policy.
-pub fn simulate_economics(config: &EconomicsConfig, policy: DuesPolicy) -> Result<EconomicsOutcome> {
+pub fn simulate_economics(
+    config: &EconomicsConfig,
+    policy: DuesPolicy,
+) -> Result<EconomicsOutcome> {
     config.validate()?;
     let mut rng = Rng::new(config.seed);
     // Household incomes: log-normal scaled so the median income makes the
@@ -182,8 +191,7 @@ pub fn simulate_economics(config: &EconomicsConfig, policy: DuesPolicy) -> Resul
                 }
             };
             // Affordability check (donations are always affordable).
-            if policy != DuesPolicy::Donation
-                && asked > config.affordability_threshold * incomes[h]
+            if policy != DuesPolicy::Donation && asked > config.affordability_threshold * incomes[h]
             {
                 member[h] = false;
                 dropped += 1;

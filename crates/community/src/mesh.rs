@@ -67,7 +67,12 @@ impl MeshNetwork {
             ));
         }
         let positions: Vec<(f64, f64)> = (0..config.nodes)
-            .map(|_| (rng.range_f64(0.0, config.area), rng.range_f64(0.0, config.area)))
+            .map(|_| {
+                (
+                    rng.range_f64(0.0, config.area),
+                    rng.range_f64(0.0, config.area),
+                )
+            })
             .collect();
         let mut links = vec![Vec::new(); config.nodes];
         for i in 0..config.nodes {

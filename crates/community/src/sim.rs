@@ -137,12 +137,12 @@ impl SustainabilitySim {
                 Some(severity) => (self.config.daily_failure_rate + 0.35 * severity).min(1.0),
                 None => self.config.daily_failure_rate,
             };
-            let availability_scale =
-                match hook.inject(u64::from(day), FaultKind::VolunteerDropout) {
-                    // A dropout spike: most hands stay home today.
-                    Some(severity) => 1.0 - severity,
-                    None => 1.0,
-                };
+            let availability_scale = match hook.inject(u64::from(day), FaultKind::VolunteerDropout)
+            {
+                // A dropout spike: most hands stay home today.
+                Some(severity) => 1.0 - severity,
+                None => 1.0,
+            };
             // 1. Failures; `down` collects every node down afterwards, in
             // id order.
             down.clear();
@@ -199,8 +199,7 @@ impl SustainabilitySim {
         let mttr = if repair_latencies.is_empty() {
             f64::NAN
         } else {
-            repair_latencies.iter().map(|&l| l as f64).sum::<f64>()
-                / repair_latencies.len() as f64
+            repair_latencies.iter().map(|&l| l as f64).sum::<f64>() / repair_latencies.len() as f64
         };
         tel.counter("community.days", u64::from(self.config.days));
         tel.counter("community.failures", failures as u64);
@@ -237,7 +236,12 @@ mod tests {
     use super::*;
     use humnet_resilience::NoFaults;
 
-    fn run(regime: VolunteerRegime, failure_rate: f64, days: u32, seed: u64) -> SustainabilityOutcome {
+    fn run(
+        regime: VolunteerRegime,
+        failure_rate: f64,
+        days: u32,
+        seed: u64,
+    ) -> SustainabilityOutcome {
         let mut cfg = SustainabilityConfig::default();
         cfg.regime = regime;
         cfg.daily_failure_rate = failure_rate;

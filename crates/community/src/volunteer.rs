@@ -131,7 +131,7 @@ impl VolunteerPool {
                 quit: false,
                 daily_cost: 1.0,
             }],
-            };
+        };
         VolunteerPool { members, regime }
     }
 
@@ -160,7 +160,6 @@ impl VolunteerPool {
     pub fn attrition(&self) -> usize {
         self.members.iter().filter(|v| v.quit).count()
     }
-
 }
 
 #[cfg(test)]
@@ -179,14 +178,24 @@ mod tests {
 
     #[test]
     fn regime_pool_shapes() {
-        assert_eq!(VolunteerPool::for_regime(VolunteerRegime::FewCore).members.len(), 2);
+        assert_eq!(
+            VolunteerPool::for_regime(VolunteerRegime::FewCore)
+                .members
+                .len(),
+            2
+        );
         assert_eq!(
             VolunteerPool::for_regime(VolunteerRegime::DistributedStewardship)
                 .members
                 .len(),
             10
         );
-        assert_eq!(VolunteerPool::for_regime(VolunteerRegime::PaidStaff).members.len(), 1);
+        assert_eq!(
+            VolunteerPool::for_regime(VolunteerRegime::PaidStaff)
+                .members
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -207,8 +216,8 @@ mod tests {
 
     #[test]
     fn rest_recovers_burnout() {
-        let mut v = VolunteerPool::for_regime(VolunteerRegime::DistributedStewardship).members[0]
-            .clone();
+        let mut v =
+            VolunteerPool::for_regime(VolunteerRegime::DistributedStewardship).members[0].clone();
         v.work_day();
         v.work_day();
         let high = v.burnout;

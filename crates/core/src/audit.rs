@@ -183,12 +183,16 @@ mod tests {
     }
 
     fn audit(corpus: &Corpus) -> AuditReport {
-        MethodsAuditor::new().audit(corpus, &Telemetry::disabled()).unwrap()
+        MethodsAuditor::new()
+            .audit(corpus, &Telemetry::disabled())
+            .unwrap()
     }
 
     #[test]
     fn empty_corpus_errors() {
-        assert!(MethodsAuditor::new().audit(&Corpus::default(), &Telemetry::disabled()).is_err());
+        assert!(MethodsAuditor::new()
+            .audit(&Corpus::default(), &Telemetry::disabled())
+            .is_err());
     }
 
     #[test]

@@ -104,7 +104,9 @@ impl EthnographyConfig {
                     return Err(CoreError::InvalidParameter("fragments must be >= 1"));
                 }
                 if *fragments as u32 > self.budget_days {
-                    return Err(CoreError::InvalidParameter("more fragments than budget days"));
+                    return Err(CoreError::InvalidParameter(
+                        "more fragments than budget days",
+                    ));
                 }
             }
             Schedule::Rapid { days_on_site } => {
@@ -118,7 +120,9 @@ impl EthnographyConfig {
         }
         if let MemoPractice::Reflexive(keep) = self.memos {
             if !(0.0..=1.0).contains(&keep) {
-                return Err(CoreError::InvalidParameter("memo retention must be in [0,1]"));
+                return Err(CoreError::InvalidParameter(
+                    "memo retention must be in [0,1]",
+                ));
             }
         }
         Ok(())
@@ -181,9 +185,7 @@ impl FieldStudy {
             } else {
                 depth = match cfg.memos {
                     MemoPractice::None => cfg.entry_depth,
-                    MemoPractice::Reflexive(keep) => {
-                        (depth * keep).max(cfg.entry_depth)
-                    }
+                    MemoPractice::Reflexive(keep) => (depth * keep).max(cfg.entry_depth),
                 };
             }
             for _ in 0..len {
@@ -198,7 +200,11 @@ impl FieldStudy {
             insights,
             saturation: insights / cfg.insight_pool,
             days_on_site: days,
-            mean_depth: if days > 0 { depth_sum / days as f64 } else { 0.0 },
+            mean_depth: if days > 0 {
+                depth_sum / days as f64
+            } else {
+                0.0
+            },
         }
     }
 }

@@ -15,8 +15,7 @@ use humnet_agenda::{
     ReviewConfig, VenueWeights,
 };
 use humnet_community::{
-    CongestionConfig, CongestionSim, SustainabilityConfig, SustainabilitySim,
-    VolunteerRegime,
+    CongestionConfig, CongestionSim, SustainabilityConfig, SustainabilitySim, VolunteerRegime,
 };
 use humnet_corpus::{CorpusConfig, MethodTag, VenueKind};
 use humnet_ixp::{
@@ -130,7 +129,11 @@ pub fn t1_regimes(
             marg += coverage(sim.space(), true).map_err(upstream("coverage"))?;
             dom += coverage(sim.space(), false).map_err(upstream("coverage"))?;
             gini += attention_gini(sim.space()).map_err(upstream("gini"))?;
-            pubs += sim.history().last().map(|s| s.publications as f64).unwrap_or(0.0);
+            pubs += sim
+                .history()
+                .last()
+                .map(|s| s.publications as f64)
+                .unwrap_or(0.0);
         }
         let n = seeds.len() as f64;
         rows.push(T1Row {
@@ -168,7 +171,9 @@ pub fn t1_regimes(
 /// `tel`.
 pub fn f2_positionality(seed: u64, tel: &Telemetry) -> Result<(Table, Vec<Series>)> {
     let cfg = CorpusConfig::default();
-    let corpus = cfg.generate(seed, tel).map_err(upstream("corpus generate"))?;
+    let corpus = cfg
+        .generate(seed, tel)
+        .map_err(upstream("corpus generate"))?;
     let report = MethodsAuditor::new().audit(&corpus, tel)?;
     let mut table = Table::new(
         "F2: positionality prevalence by venue kind",
@@ -212,7 +217,12 @@ pub fn t2_irr(seed: u64, rounds: u32, hook: &mut dyn FaultHook, tel: &Telemetry)
         .map_err(upstream("trajectory"))?;
     let mut table = Table::new(
         "T2: inter-rater reliability vs codebook refinement",
-        &["round", "percent agreement", "fleiss kappa", "krippendorff alpha"],
+        &[
+            "round",
+            "percent agreement",
+            "fleiss kappa",
+            "krippendorff alpha",
+        ],
     );
     for r in &traj {
         table.row(&[
@@ -248,7 +258,12 @@ pub fn f3_telmex(
     );
     let mut table = Table::new(
         "F3: Telmex scenario",
-        &["enforcement", "share (comply)", "share (split)", "transit cost (split)"],
+        &[
+            "enforcement",
+            "share (comply)",
+            "share (split)",
+            "transit cost (split)",
+        ],
     );
     for i in 0..points {
         let e = i as f64 / (points - 1) as f64;
@@ -356,7 +371,10 @@ pub fn f10_scale(seed: u64, tel: &Telemetry) -> Result<Table> {
     );
     table.row(&["ASes".into(), n.to_string()]);
     table.row(&["sampled demands".into(), pairs.to_string()]);
-    table.row(&["destinations computed".into(), routes.destinations().len().to_string()]);
+    table.row(&[
+        "destinations computed".into(),
+        routes.destinations().len().to_string(),
+    ]);
     table.row(&["route digest".into(), format!("{:016x}", routes.digest())]);
     table.row(&["flows served".into(), flows.len().to_string()]);
     table.row(&["flows unserved".into(), unserved.len().to_string()]);
@@ -429,7 +447,12 @@ pub fn f5_congestion(seed: u64, hook: &mut dyn FaultHook, tel: &Telemetry) -> Re
     let sim = CongestionSim::new(cfg).map_err(upstream("congestion config"))?;
     let mut table = Table::new(
         "F5: congestion-management policies (30 households, bursty demand)",
-        &["policy", "fairness (backlogged)", "utilization", "modest-user starvation"],
+        &[
+            "policy",
+            "fairness (backlogged)",
+            "utilization",
+            "modest-user starvation",
+        ],
     );
     for out in sim.compare(hook, tel) {
         table.row(&[
@@ -446,7 +469,12 @@ pub fn f5_congestion(seed: u64, hook: &mut dyn FaultHook, tel: &Telemetry) -> Re
 pub fn t4_ladder() -> Result<Table> {
     let mut table = Table::new(
         "T4: participation-ladder audit of project archetypes",
-        &["archetype", "participation score", "§5.1 compliant", "violations"],
+        &[
+            "archetype",
+            "participation score",
+            "§5.1 compliant",
+            "violations",
+        ],
     );
     for i in 0..6 {
         let p = ParProject::archetype(i);
@@ -465,7 +493,14 @@ pub fn t4_ladder() -> Result<Table> {
 pub fn f6_patchwork() -> Result<Table> {
     let mut table = Table::new(
         "F6: ethnography schedules at a fixed 60-day budget",
-        &["schedule", "memos", "days on site", "insights", "saturation", "mean depth"],
+        &[
+            "schedule",
+            "memos",
+            "days on site",
+            "insights",
+            "saturation",
+            "mean depth",
+        ],
     );
     let cases: Vec<(&str, Schedule, MemoPractice)> = vec![
         ("traditional", Schedule::Traditional, MemoPractice::None),
@@ -493,13 +528,19 @@ pub fn f6_patchwork() -> Result<Table> {
             },
             MemoPractice::Reflexive(0.9),
         ),
-        ("rapid (10 days)", Schedule::Rapid { days_on_site: 10 }, MemoPractice::None),
+        (
+            "rapid (10 days)",
+            Schedule::Rapid { days_on_site: 10 },
+            MemoPractice::None,
+        ),
     ];
     for (label, schedule, memos) in cases {
         let mut cfg = EthnographyConfig::default();
         cfg.schedule = schedule;
         cfg.memos = memos;
-        let out = FieldStudy::new(cfg).map_err(upstream("ethnography config"))?.run();
+        let out = FieldStudy::new(cfg)
+            .map_err(upstream("ethnography config"))?
+            .run();
         let memo_label = match memos {
             MemoPractice::None => "none".to_owned(),
             MemoPractice::Reflexive(k) => format!("reflexive {k:.1}"),
@@ -570,7 +611,12 @@ pub fn f8_growth(points: usize, tel: &Telemetry) -> Result<(Series, Series, Tabl
     );
     let mut table = Table::new(
         "F8: IXP growth dynamics",
-        &["gamma", "top share", "membership gini", "south joined local"],
+        &[
+            "gamma",
+            "top share",
+            "membership gini",
+            "south joined local",
+        ],
     );
     for i in 0..points {
         let gamma = 3.0 * i as f64 / (points - 1) as f64;
@@ -600,7 +646,13 @@ pub fn f9_adoption() -> Result<(Series, Table)> {
     );
     let mut table = Table::new(
         "F9: adoption dynamics",
-        &["round", "human share", "human acceptance", "systems acceptance", "cfp broadened"],
+        &[
+            "round",
+            "human share",
+            "human acceptance",
+            "systems acceptance",
+            "cfp broadened",
+        ],
     );
     for snap in &traj {
         series.push(snap.round as f64, snap.human_share);
@@ -1021,9 +1073,15 @@ impl ExperimentId {
     /// replayed or dispatched experiment is driven by exactly the code that
     /// produced the capture.
     pub fn spec(self) -> ExperimentSpec {
-        ExperimentSpec::new(self.code(), self.title(), self.family(), move |plan, tel| {
-            self.run_instrumented(plan, tel).map_err(|e| Box::new(e) as JobError)
-        })
+        ExperimentSpec::new(
+            self.code(),
+            self.title(),
+            self.family(),
+            move |plan, tel| {
+                self.run_instrumented(plan, tel)
+                    .map_err(|e| Box::new(e) as JobError)
+            },
+        )
     }
 }
 
@@ -1062,11 +1120,7 @@ mod tests {
         let (table, series) = f2_positionality(7, &off()).unwrap();
         assert_eq!(series.len(), 2);
         let rate = |label: &str| -> f64 {
-            table
-                .rows
-                .iter()
-                .find(|r| r[0] == label)
-                .unwrap()[2]
+            table.rows.iter().find(|r| r[0] == label).unwrap()[2]
                 .parse()
                 .unwrap()
         };
@@ -1121,7 +1175,9 @@ mod tests {
     fn f6_memos_rescue_patchwork() {
         let t = f6_patchwork().unwrap();
         let insights = |label: &str| -> f64 {
-            t.rows.iter().find(|r| r[0] == label).unwrap()[3].parse().unwrap()
+            t.rows.iter().find(|r| r[0] == label).unwrap()[3]
+                .parse()
+                .unwrap()
         };
         assert!(insights("patchwork x6 + memos") > insights("patchwork x6"));
         assert!(insights("traditional") > insights("rapid (10 days)"));
@@ -1163,7 +1219,9 @@ mod tests {
         let t = t7_economics(&[1, 2, 3]).unwrap();
         assert_eq!(t.rows.len(), 3);
         let get = |label: &str, col: usize| -> f64 {
-            t.rows.iter().find(|r| r[0] == label).unwrap()[col].parse().unwrap()
+            t.rows.iter().find(|r| r[0] == label).unwrap()[col]
+                .parse()
+                .unwrap()
         };
         // Income scaling keeps more members than flat dues.
         assert!(get("income-scaled", 3) >= get("flat", 3));
@@ -1190,28 +1248,45 @@ mod tests {
         // can reach: the others never report a fault, and each capable
         // experiment of the fast subset reports one for some seed.
         let seeds = 0..4;
-        for id in ExperimentId::ALL.into_iter().filter(|id| !id.fault_capable()) {
+        for id in ExperimentId::ALL
+            .into_iter()
+            .filter(|id| !id.fault_capable())
+        {
             for seed in seeds.clone() {
                 let plan = FaultPlan::new(FaultProfile::Chaos, seed);
                 let run = id.run_instrumented(&plan, &off()).unwrap();
                 assert_eq!(run.faults_injected, 0, "{} seed {seed}", id.code());
             }
         }
-        for id in [ExperimentId::F1, ExperimentId::T2, ExperimentId::F4, ExperimentId::F5] {
+        for id in [
+            ExperimentId::F1,
+            ExperimentId::T2,
+            ExperimentId::F4,
+            ExperimentId::F5,
+        ] {
             assert!(id.fault_capable());
             let injected = seeds.clone().any(|seed| {
                 let plan = FaultPlan::new(FaultProfile::Chaos, seed);
                 id.run_instrumented(&plan, &off()).unwrap().faults_injected > 0
             });
-            assert!(injected, "{} injected no fault for seeds {seeds:?}", id.code());
+            assert!(
+                injected,
+                "{} injected no fault for seeds {seeds:?}",
+                id.code()
+            );
         }
     }
 
     #[test]
     fn registry_run_matches_the_experiment_function_without_faults() {
-        let run = ExperimentId::F5.run_instrumented(&FaultPlan::none(), &off()).unwrap();
+        let run = ExperimentId::F5
+            .run_instrumented(&FaultPlan::none(), &off())
+            .unwrap();
         assert_eq!(run.faults_injected, 0);
-        assert_eq!(run.rendered, f5_congestion(1, &mut NoFaults, &off()).unwrap().render());
+        assert_eq!(
+            run.rendered,
+            f5_congestion(1, &mut NoFaults, &off()).unwrap().render()
+        );
     }
 
     #[test]
@@ -1238,14 +1313,16 @@ mod tests {
         let a = f10_scale(7, &off()).unwrap();
         let b = f10_scale(7, &off()).unwrap();
         assert_eq!(a, b);
-        let get = |label: &str| -> String {
-            a.rows.iter().find(|r| r[0] == label).unwrap()[1].clone()
-        };
+        let get =
+            |label: &str| -> String { a.rows.iter().find(|r| r[0] == label).unwrap()[1].clone() };
         // The synthetic internet is fully reachable: every demand is served.
         assert_eq!(get("flows served"), "512");
         assert_eq!(get("flows unserved"), "0");
         let peer_share: f64 = get("peer-hop volume share").parse().unwrap();
-        assert!(peer_share > 0.0, "some traffic should be exchanged settlement-free");
+        assert!(
+            peer_share > 0.0,
+            "some traffic should be exchanged settlement-free"
+        );
         let hops: f64 = get("mean AS-path hops").parse().unwrap();
         assert!((1.0..10.0).contains(&hops), "mean hops = {hops}");
     }
@@ -1255,7 +1332,9 @@ mod tests {
         let t = t6_diary(5, &off()).unwrap();
         assert_eq!(t.rows.len(), 2);
         let final_week = |label: &str| -> f64 {
-            t.rows.iter().find(|r| r[0] == label).unwrap()[2].parse().unwrap()
+            t.rows.iter().find(|r| r[0] == label).unwrap()[2]
+                .parse()
+                .unwrap()
         };
         assert!(final_week("diary + probes") > final_week("plain diary"));
     }

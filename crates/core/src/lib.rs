@@ -83,8 +83,14 @@ impl PartialEq for CoreError {
             // Source errors are type-erased; compare by stage and message,
             // which is what callers observe.
             (
-                CoreError::Upstream { stage: sa, source: ea },
-                CoreError::Upstream { stage: sb, source: eb },
+                CoreError::Upstream {
+                    stage: sa,
+                    source: ea,
+                },
+                CoreError::Upstream {
+                    stage: sb,
+                    source: eb,
+                },
             ) => sa == sb && ea.to_string() == eb.to_string(),
             _ => false,
         }

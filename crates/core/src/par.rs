@@ -227,7 +227,10 @@ impl ParProject {
             // Dataset-first research: community never in the room.
             0 => vec![(Dissemination, Informed, false)],
             // Solution built, then community "validated" it.
-            1 => vec![(Evaluation, Consulted, true), (Dissemination, Informed, true)],
+            1 => vec![
+                (Evaluation, Consulted, true),
+                (Dissemination, Informed, true),
+            ],
             // Advisory board consulted throughout, decisions held by lab.
             2 => ResearchStage::ALL
                 .iter()
@@ -298,14 +301,32 @@ mod tests {
     fn engagement_validation() {
         let mut p = ParProject::new("x");
         assert!(p
-            .engage(ResearchStage::Evaluation, 0, EngagementKind::Informed, "a", true)
+            .engage(
+                ResearchStage::Evaluation,
+                0,
+                EngagementKind::Informed,
+                "a",
+                true
+            )
             .is_err());
         let id = p.add_partner("p", "r");
         assert!(p
-            .engage(ResearchStage::Evaluation, id, EngagementKind::Informed, "  ", true)
+            .engage(
+                ResearchStage::Evaluation,
+                id,
+                EngagementKind::Informed,
+                "  ",
+                true
+            )
             .is_err());
         assert!(p
-            .engage(ResearchStage::Evaluation, id, EngagementKind::Informed, "ok", true)
+            .engage(
+                ResearchStage::Evaluation,
+                id,
+                EngagementKind::Informed,
+                "ok",
+                true
+            )
             .is_ok());
     }
 

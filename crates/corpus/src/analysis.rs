@@ -25,7 +25,10 @@ pub fn method_prevalence(corpus: &Corpus) -> Vec<MethodPrevalence> {
         let papers = corpus.papers_in_kind(kind);
         let total = papers.len();
         for method in MethodTag::ALL {
-            let count = papers.iter().filter(|p| p.methods.contains(&method)).count();
+            let count = papers
+                .iter()
+                .filter(|p| p.methods.contains(&method))
+                .count();
             out.push(MethodPrevalence {
                 kind,
                 method,
@@ -43,12 +46,7 @@ pub fn method_prevalence(corpus: &Corpus) -> Vec<MethodPrevalence> {
 }
 
 /// Prevalence of one method at one venue kind for a single year.
-pub fn method_rate_by_year(
-    corpus: &Corpus,
-    kind: VenueKind,
-    method: MethodTag,
-    year: u32,
-) -> f64 {
+pub fn method_rate_by_year(corpus: &Corpus, kind: VenueKind, method: MethodTag, year: u32) -> f64 {
     let papers: Vec<_> = corpus
         .papers_in_kind(kind)
         .into_iter()
@@ -57,7 +55,11 @@ pub fn method_rate_by_year(
     if papers.is_empty() {
         return 0.0;
     }
-    papers.iter().filter(|p| p.methods.contains(&method)).count() as f64 / papers.len() as f64
+    papers
+        .iter()
+        .filter(|p| p.methods.contains(&method))
+        .count() as f64
+        / papers.len() as f64
 }
 
 /// Paper counts per venue name.
@@ -123,7 +125,8 @@ mod tests {
             v.papers_per_year = 10;
         }
         cfg.author_pool = 100;
-        cfg.generate(99, &humnet_telemetry::Telemetry::disabled()).unwrap()
+        cfg.generate(99, &humnet_telemetry::Telemetry::disabled())
+            .unwrap()
     }
 
     #[test]

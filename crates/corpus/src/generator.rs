@@ -19,9 +19,7 @@
 //! Every knob is a public field of [`CorpusConfig`] so experiments can
 //! ablate them.
 
-use crate::model::{
-    Author, Corpus, MethodTag, Paper, Region, Topic, Venue, VenueKind,
-};
+use crate::model::{Author, Corpus, MethodTag, Paper, Region, Topic, Venue, VenueKind};
 use crate::{CorpusError, Result};
 use humnet_stats::{CumulativeWeights, FenwickWeights, Rng};
 use humnet_text::MarkovModel;
@@ -119,10 +117,14 @@ impl CorpusConfig {
             return Err(CorpusError::InvalidParameter("need at least one venue"));
         }
         if self.author_pool == 0 {
-            return Err(CorpusError::InvalidParameter("author pool must be nonempty"));
+            return Err(CorpusError::InvalidParameter(
+                "author pool must be nonempty",
+            ));
         }
         if !(0.0..=1.0).contains(&self.global_south_share) {
-            return Err(CorpusError::InvalidParameter("global_south_share must be in [0,1]"));
+            return Err(CorpusError::InvalidParameter(
+                "global_south_share must be in [0,1]",
+            ));
         }
         if !(0.0..=1.0).contains(&self.preferential_strength) {
             return Err(CorpusError::InvalidParameter(
@@ -243,7 +245,13 @@ impl CorpusConfig {
         rng: &mut Rng,
     ) -> Paper {
         let topic = sample_topic(kind, rng);
-        let methods = sample_methods(kind, topic, year_idx, self.positionality_trend_per_year, rng);
+        let methods = sample_methods(
+            kind,
+            topic,
+            year_idx,
+            self.positionality_trend_per_year,
+            rng,
+        );
         // Authors: 1 + Poisson(mean - 1), capped.
         let n_authors = (1 + rng.poisson(self.mean_authors - 1.0) as usize).min(8);
         let author_ids = sample_authors(author_weights, n_authors, rng);
@@ -694,7 +702,9 @@ mod tests {
 
     #[test]
     fn positionality_is_rare_at_networking_venues() {
-        let corpus = CorpusConfig::default().generate(7, &Telemetry::disabled()).unwrap();
+        let corpus = CorpusConfig::default()
+            .generate(7, &Telemetry::disabled())
+            .unwrap();
         let rate = |kind: VenueKind| {
             let papers = corpus.papers_in_kind(kind);
             papers.iter().filter(|p| p.has_positionality()).count() as f64
@@ -710,7 +720,9 @@ mod tests {
 
     #[test]
     fn human_methods_cluster_at_human_venues() {
-        let corpus = CorpusConfig::default().generate(11, &Telemetry::disabled()).unwrap();
+        let corpus = CorpusConfig::default()
+            .generate(11, &Telemetry::disabled())
+            .unwrap();
         let hc_rate = |kind: VenueKind| {
             let papers = corpus.papers_in_kind(kind);
             papers.iter().filter(|p| p.is_human_centered()).count() as f64
@@ -722,7 +734,9 @@ mod tests {
 
     #[test]
     fn citation_distribution_is_heavy_tailed() {
-        let corpus = CorpusConfig::default().generate(13, &Telemetry::disabled()).unwrap();
+        let corpus = CorpusConfig::default()
+            .generate(13, &Telemetry::disabled())
+            .unwrap();
         let counts: Vec<f64> = corpus
             .citation_counts()
             .into_iter()

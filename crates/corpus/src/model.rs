@@ -167,7 +167,6 @@ impl Topic {
             Topic::AccessEquity => "access-equity",
         }
     }
-
 }
 
 /// Classes of Internet stakeholder, from the paper's §1 framing
@@ -302,23 +301,31 @@ impl Corpus {
     pub fn validate(&self) -> crate::Result<()> {
         for (i, v) in self.venues.iter().enumerate() {
             if v.id != i {
-                return Err(crate::CorpusError::InvalidParameter("venue ids must be dense"));
+                return Err(crate::CorpusError::InvalidParameter(
+                    "venue ids must be dense",
+                ));
             }
         }
         for (i, a) in self.authors.iter().enumerate() {
             if a.id != i {
-                return Err(crate::CorpusError::InvalidParameter("author ids must be dense"));
+                return Err(crate::CorpusError::InvalidParameter(
+                    "author ids must be dense",
+                ));
             }
         }
         for (i, p) in self.papers.iter().enumerate() {
             if p.id != i {
-                return Err(crate::CorpusError::InvalidParameter("paper ids must be dense"));
+                return Err(crate::CorpusError::InvalidParameter(
+                    "paper ids must be dense",
+                ));
             }
             if p.venue >= self.venues.len() {
                 return Err(crate::CorpusError::DanglingReference("venue", p.venue));
             }
             if p.authors.is_empty() {
-                return Err(crate::CorpusError::InvalidParameter("paper must have authors"));
+                return Err(crate::CorpusError::InvalidParameter(
+                    "paper must have authors",
+                ));
             }
             for &a in &p.authors {
                 if a >= self.authors.len() {

@@ -102,7 +102,9 @@ impl GrowthConfig {
             return Err(IxpError::InvalidParameter("need at least one exchange"));
         }
         if self.arrivals_per_round == 0 || self.rounds == 0 {
-            return Err(IxpError::InvalidParameter("arrivals and rounds must be >= 1"));
+            return Err(IxpError::InvalidParameter(
+                "arrivals and rounds must be >= 1",
+            ));
         }
         if !(0.0..=1.0).contains(&self.south_share) {
             return Err(IxpError::InvalidParameter("south_share must be in [0,1]"));

@@ -193,7 +193,14 @@ pub fn synthetic_internet_with(cfg: &InternetConfig) -> Result<AsTopology> {
                     t.add_provider(id, p2)?;
                 }
             }
-            join_and_peer(&mut t, &mut rng, id, ixps[r], &mut ixp_members[r], cfg.peer_sessions_per_as)?;
+            join_and_peer(
+                &mut t,
+                &mut rng,
+                id,
+                ixps[r],
+                &mut ixp_members[r],
+                cfg.peer_sessions_per_as,
+            )?;
             attach[r].push(id);
         }
     }
@@ -218,7 +225,11 @@ pub fn synthetic_internet_with(cfg: &InternetConfig) -> Result<AsTopology> {
         let id = t.add_as_in(format!("AS{i}"), kind, region_ids[r], size)?;
         // Provider(s) from the regional pool; fall back to the tier-1s
         // when the region has no transit yet (tiny configurations).
-        let pool: &[AsId] = if attach[r].is_empty() { &t1_ids } else { &attach[r] };
+        let pool: &[AsId] = if attach[r].is_empty() {
+            &t1_ids
+        } else {
+            &attach[r]
+        };
         let p1 = *rng.choose(pool);
         t.add_provider(id, p1)?;
         if rng.chance(cfg.second_provider_prob) {
@@ -238,17 +249,45 @@ pub fn synthetic_internet_with(cfg: &InternetConfig) -> Result<AsTopology> {
         // Southern access networks occasionally remote-peer at the giant.
         match kind {
             AsKind::Content => {
-                join_and_peer(&mut t, &mut rng, id, giant, &mut ixp_members[0], cfg.peer_sessions_per_as)?;
+                join_and_peer(
+                    &mut t,
+                    &mut rng,
+                    id,
+                    giant,
+                    &mut ixp_members[0],
+                    cfg.peer_sessions_per_as,
+                )?;
                 if r != 0 && rng.chance(cfg.ixp_join_prob) {
-                    join_and_peer(&mut t, &mut rng, id, ixps[r], &mut ixp_members[r], cfg.peer_sessions_per_as)?;
+                    join_and_peer(
+                        &mut t,
+                        &mut rng,
+                        id,
+                        ixps[r],
+                        &mut ixp_members[r],
+                        cfg.peer_sessions_per_as,
+                    )?;
                 }
             }
             _ => {
                 if rng.chance(cfg.ixp_join_prob) {
-                    join_and_peer(&mut t, &mut rng, id, ixps[r], &mut ixp_members[r], cfg.peer_sessions_per_as)?;
+                    join_and_peer(
+                        &mut t,
+                        &mut rng,
+                        id,
+                        ixps[r],
+                        &mut ixp_members[r],
+                        cfg.peer_sessions_per_as,
+                    )?;
                 }
                 if kind == AsKind::Access && r != 0 && rng.chance(cfg.remote_join_prob) {
-                    join_and_peer(&mut t, &mut rng, id, giant, &mut ixp_members[0], cfg.peer_sessions_per_as)?;
+                    join_and_peer(
+                        &mut t,
+                        &mut rng,
+                        id,
+                        giant,
+                        &mut ixp_members[0],
+                        cfg.peer_sessions_per_as,
+                    )?;
                 }
             }
         }

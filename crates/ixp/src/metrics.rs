@@ -30,7 +30,6 @@ impl LocalityReport {
             0.0
         }
     }
-
 }
 
 /// Analyse where intra-region traffic is exchanged for one region name.
@@ -48,7 +47,11 @@ pub fn locality_report(
         path_leaves_region: 0.0,
     };
     // One name comparison per interned region instead of one per flow/hop.
-    let in_region: Vec<bool> = topology.regions().iter().map(|r| r.name == region).collect();
+    let in_region: Vec<bool> = topology
+        .regions()
+        .iter()
+        .map(|r| r.name == region)
+        .collect();
     for f in flows {
         let src = topology.as_info(f.src)?;
         let dst = topology.as_info(f.dst)?;
@@ -130,7 +133,9 @@ pub fn foreign_exchange_share(topology: &AsTopology, flows: &[FlowAssignment]) -
         }
     }
     if south_total <= 0.0 {
-        return Err(IxpError::InvalidParameter("no Global South traffic in assignment"));
+        return Err(IxpError::InvalidParameter(
+            "no Global South traffic in assignment",
+        ));
     }
     Ok(at_north_ixp / south_total)
 }

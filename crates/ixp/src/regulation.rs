@@ -103,8 +103,7 @@ pub fn apply_regulation(
             })
         }
         CircumventionStrategy::AsnSplitting => {
-            let shell =
-                topology.add_as_in(shell_name, AsKind::Incumbent, shell_region, 0.0)?;
+            let shell = topology.add_as_in(shell_name, AsKind::Incumbent, shell_region, 0.0)?;
             topology.add_provider(shell, incumbent)?;
             topology.join_ixp(shell, ixp)?;
             // Enforcement re-homes the first ⌈e·k⌉ direct customers (by id,
@@ -192,7 +191,10 @@ mod tests {
         // Competitor reaches retail customers via the peer session.
         for dst in [c1, c2] {
             let route = rt.route(comp, dst).unwrap();
-            assert!(route.has_peer_hop, "route should use IXP peering: {route:?}");
+            assert!(
+                route.has_peer_hop,
+                "route should use IXP peering: {route:?}"
+            );
             assert_eq!(route.crossed_ixp, Some(ixp));
         }
     }
@@ -243,7 +245,10 @@ mod tests {
         assert_eq!(out.rehomed_customers, vec![c1, c2]);
         let rt = RoutingTable::compute(&t).unwrap();
         let route = rt.route(comp, c1).unwrap();
-        assert!(route.has_peer_hop, "rehomed customer reachable via IXP: {route:?}");
+        assert!(
+            route.has_peer_hop,
+            "rehomed customer reachable via IXP: {route:?}"
+        );
         let _ = inc;
     }
 
@@ -274,16 +279,14 @@ mod tests {
             mandatory_peering: true,
             enforcement: 1.5,
         };
-        assert!(apply_regulation(&mut t, inc, ixp, bad, CircumventionStrategy::ComplyFully)
-            .is_err());
+        assert!(
+            apply_regulation(&mut t, inc, ixp, bad, CircumventionStrategy::ComplyFully).is_err()
+        );
         let ok = PeeringRegulation {
             mandatory_peering: true,
             enforcement: 0.5,
         };
-        assert!(apply_regulation(&mut t, 99, ixp, ok, CircumventionStrategy::ComplyFully)
-            .is_err());
-        assert!(
-            apply_regulation(&mut t, inc, 7, ok, CircumventionStrategy::ComplyFully).is_err()
-        );
+        assert!(apply_regulation(&mut t, 99, ixp, ok, CircumventionStrategy::ComplyFully).is_err());
+        assert!(apply_regulation(&mut t, inc, 7, ok, CircumventionStrategy::ComplyFully).is_err());
     }
 }

@@ -189,7 +189,10 @@ fn route_rows(
         } else if s.dist_peer[u] != INF {
             let via = s.next_peer[u];
             let (nbrs, ixps) = ft.peer_sessions_of(u);
-            let first = nbrs.iter().position(|&v| v == via).expect("winning peer is a neighbour");
+            let first = nbrs
+                .iter()
+                .position(|&v| v == via)
+                .expect("winning peer is a neighbour");
             (CLASS_PEER, via, ixps[first], s.dist_peer[u])
         } else {
             let mut best_len = INF;
@@ -298,9 +301,11 @@ impl RoutingTable {
     pub fn compute_frozen(ft: &FrozenTopology, dests: &[AsId], workers: usize) -> Result<Self> {
         let n = ft.as_count();
         // Phase 3's order; valley-free routing is undefined on a cycle.
-        let order = ft.providers_first_order().ok_or(IxpError::InconsistentRelationship(
-            "provider hierarchy contains a cycle",
-        ))?;
+        let order = ft
+            .providers_first_order()
+            .ok_or(IxpError::InconsistentRelationship(
+                "provider hierarchy contains a cycle",
+            ))?;
         let mut dests = dests.to_vec();
         dests.sort_unstable();
         dests.dedup();
@@ -318,7 +323,8 @@ impl RoutingTable {
         let workers = workers.max(1).min(rows.max(1));
         let (base, extra) = (rows / workers, rows % workers);
         let mut slices = Vec::with_capacity(workers);
-        let (mut d, mut c, mut x, mut p) = (&dests[..], &mut class[..], &mut next[..], &mut peer_ixp[..]);
+        let (mut d, mut c, mut x, mut p) =
+            (&dests[..], &mut class[..], &mut next[..], &mut peer_ixp[..]);
         for i in 0..workers {
             let len = base + usize::from(i < extra);
             let (d0, d1) = d.split_at(len);
@@ -943,7 +949,11 @@ mod tests {
         // Now C -> A -peer-> B -> D, avoiding the transit tier.
         assert_eq!(route.path, vec![c, a, b, d]);
         assert!(route.has_peer_hop);
-        assert_eq!(route.kind, RouteKind::Provider, "C still reaches via its provider A");
+        assert_eq!(
+            route.kind,
+            RouteKind::Provider,
+            "C still reaches via its provider A"
+        );
         assert_eq!(route.transit_hops(), 2);
     }
 

@@ -348,7 +348,10 @@ mod tests {
             share_comp > share_circ + 0.3,
             "compliance {share_comp} should dwarf circumvention {share_circ}"
         );
-        assert!((share_comp - 1.0).abs() < 1e-9, "full compliance localizes everything");
+        assert!(
+            (share_comp - 1.0).abs() < 1e-9,
+            "full compliance localizes everything"
+        );
         // Circumvention preserves the incumbent's transit revenue.
         assert!(circumvented.transit_cost() > complied.transit_cost());
     }
@@ -367,7 +370,10 @@ mod tests {
             );
             last = share;
         }
-        assert!(last > 0.9, "full enforcement should localize competitor traffic");
+        assert!(
+            last > 0.9,
+            "full enforcement should localize competitor traffic"
+        );
     }
 
     #[test]

@@ -468,7 +468,9 @@ impl FrozenTopology {
         let mut pending: Vec<u32> = (0..n)
             .map(|u| self.prov_off[u + 1] - self.prov_off[u])
             .collect();
-        let mut order: Vec<u32> = (0..n as u32).filter(|&u| pending[u as usize] == 0).collect();
+        let mut order: Vec<u32> = (0..n as u32)
+            .filter(|&u| pending[u as usize] == 0)
+            .collect();
         order.reserve(n - order.len());
         let mut head = 0;
         while let Some(&u) = order.get(head) {
@@ -527,7 +529,9 @@ mod tests {
     fn add_as_in_validates_region() {
         let mut t = small();
         let mx = t.as_info(0).unwrap().region;
-        let id = t.add_as_in("Fast".to_owned(), AsKind::Access, mx, 1.0).unwrap();
+        let id = t
+            .add_as_in("Fast".to_owned(), AsKind::Access, mx, 1.0)
+            .unwrap();
         assert_eq!(t.as_info(id).unwrap().region, mx);
         assert_eq!(
             t.add_as_in("Bad".to_owned(), AsKind::Access, 7, 1.0),
@@ -634,8 +638,7 @@ mod tests {
                 .iter()
                 .map(|&(v, x)| (v as u32, x.map_or(NO_IXP, |x| x as u32)))
                 .collect();
-            let got: Vec<(u32, u32)> =
-                nbrs.iter().copied().zip(ixps.iter().copied()).collect();
+            let got: Vec<(u32, u32)> = nbrs.iter().copied().zip(ixps.iter().copied()).collect();
             assert_eq!(got, want);
         }
     }

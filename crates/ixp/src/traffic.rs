@@ -129,7 +129,9 @@ impl TrafficMatrix {
             .filter(|a| a.kind == AsKind::Content)
             .collect();
         if eyeballs.is_empty() {
-            return Err(IxpError::InvalidParameter("no eyeball ASes to source traffic"));
+            return Err(IxpError::InvalidParameter(
+                "no eyeball ASes to source traffic",
+            ));
         }
         if eyeballs.len() < 2 && contents.is_empty() {
             return Err(IxpError::InvalidParameter("no destinations to sample"));
@@ -177,10 +179,7 @@ impl TrafficMatrix {
 
     /// Resolve every demand to its route. Demands with no valley-free route
     /// are returned separately (unserved traffic).
-    pub fn assign(
-        &self,
-        routes: &RoutingTable,
-    ) -> (Vec<FlowAssignment>, Vec<(AsId, AsId, f64)>) {
+    pub fn assign(&self, routes: &RoutingTable) -> (Vec<FlowAssignment>, Vec<(AsId, AsId, f64)>) {
         let mut assigned = Vec::with_capacity(self.demands.len());
         let mut unserved = Vec::new();
         for &(src, dst, volume) in &self.demands {
@@ -309,10 +308,7 @@ mod tests {
             assert_ne!(src, dst);
             assert!(v > 0.0);
         }
-        assert_ne!(
-            TrafficMatrix::gravity_sampled(&t, &cfg, 64, 10).unwrap(),
-            a
-        );
+        assert_ne!(TrafficMatrix::gravity_sampled(&t, &cfg, 64, 10).unwrap(), a);
     }
 
     #[test]

@@ -79,11 +79,15 @@ impl DiaryConfig {
             self.richness_decay,
         ] {
             if !(0.0..=1.0).contains(&p) {
-                return Err(QualError::InvalidParameter("probabilities must be in [0,1]"));
+                return Err(QualError::InvalidParameter(
+                    "probabilities must be in [0,1]",
+                ));
             }
         }
         if self.initial_words <= 0.0 {
-            return Err(QualError::InvalidParameter("initial_words must be positive"));
+            return Err(QualError::InvalidParameter(
+                "initial_words must be positive",
+            ));
         }
         Ok(())
     }
@@ -171,7 +175,11 @@ fn simulate_diary_inner(config: &DiaryConfig, seed: u64) -> Result<DiaryOutcome>
                 writers += 1;
                 // Prompted entries are grounded in a concrete event and run
                 // a little longer.
-                let mean = if prompted { words_mean * 1.3 } else { words_mean };
+                let mean = if prompted {
+                    words_mean * 1.3
+                } else {
+                    words_mean
+                };
                 let words = rng.normal(mean, mean * 0.25).max(5.0).round() as u32;
                 entries.push(DiaryEntry {
                     participant,

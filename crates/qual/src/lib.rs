@@ -25,8 +25,8 @@ pub mod simulate;
 
 pub use diary::{simulate_diary, DiaryConfig, DiaryEntry, DiaryOutcome};
 pub use reliability::{
-    cohen_kappa, fleiss_kappa, krippendorff_alpha, krippendorff_alpha_interval,
-    percent_agreement, scott_pi, weighted_kappa,
+    cohen_kappa, fleiss_kappa, krippendorff_alpha, krippendorff_alpha_interval, percent_agreement,
+    scott_pi, weighted_kappa,
 };
 pub use simulate::{CoderProfile, SimulatedStudy, StudyConfig};
 

@@ -144,13 +144,7 @@ pub fn fleiss_kappa(ratings: &[Vec<Option<usize>>]) -> Result<f64> {
         }
     }
     let m = ratings.len() as f64;
-    let k = ratings
-        .iter()
-        .flatten()
-        .map(|l| l.unwrap())
-        .max()
-        .unwrap()
-        + 1;
+    let k = ratings.iter().flatten().map(|l| l.unwrap()).max().unwrap() + 1;
     // n_uc: count of raters assigning category c to unit u.
     let mut n_uc = vec![vec![0.0; k]; units];
     for r in ratings {

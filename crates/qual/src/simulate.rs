@@ -96,7 +96,9 @@ impl StudyConfig {
                 || !(0.0..=1.0).contains(&c.max_accuracy)
                 || !(0.0..=1.0).contains(&c.skip_rate)
             {
-                return Err(QualError::InvalidParameter("coder probabilities must be in [0,1]"));
+                return Err(QualError::InvalidParameter(
+                    "coder probabilities must be in [0,1]",
+                ));
             }
             if c.max_accuracy < c.base_accuracy {
                 return Err(QualError::InvalidParameter("max_accuracy < base_accuracy"));
@@ -315,7 +317,10 @@ mod tests {
         let mut s1 = SimulatedStudy::new(StudyConfig::default(), 42).unwrap();
         let mut s2 = SimulatedStudy::new(StudyConfig::default(), 42).unwrap();
         assert_eq!(s1.ground_truth, s2.ground_truth);
-        assert_eq!(s1.code_round(0, &mut NoFaults), s2.code_round(0, &mut NoFaults));
+        assert_eq!(
+            s1.code_round(0, &mut NoFaults),
+            s2.code_round(0, &mut NoFaults)
+        );
     }
 
     #[test]
@@ -358,10 +363,15 @@ mod tests {
         // An inactive plan reproduces the fault-free trajectory exactly.
         let tel = Telemetry::disabled();
         let mut plain = SimulatedStudy::new(StudyConfig::default(), 42).unwrap();
-        let baseline = plain.reliability_trajectory(4, &mut NoFaults, &tel).unwrap();
+        let baseline = plain
+            .reliability_trajectory(4, &mut NoFaults, &tel)
+            .unwrap();
         let mut hooked = SimulatedStudy::new(StudyConfig::default(), 42).unwrap();
         let mut none = PlanHook::new(FaultPlan::none());
-        assert_eq!(hooked.reliability_trajectory(4, &mut none, &tel).unwrap(), baseline);
+        assert_eq!(
+            hooked.reliability_trajectory(4, &mut none, &tel).unwrap(),
+            baseline
+        );
         // Chaos attrition: deterministic, metrics stay in their ranges.
         let chaos = |seed| {
             let mut s = SimulatedStudy::new(StudyConfig::default(), 42).unwrap();

@@ -40,7 +40,8 @@ impl Backoff {
             .saturating_mul(1u32.checked_shl(attempt.min(16)).unwrap_or(u32::MAX))
             .min(self.cap);
         // ±25% multiplicative jitter.
-        let mut h = SplitMix64::new(self.seed ^ u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F));
+        let mut h =
+            SplitMix64::new(self.seed ^ u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F));
         let unit = (h.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         let factor = 0.75 + 0.5 * unit;
         Duration::from_nanos((exp.as_nanos() as f64 * factor) as u64)
@@ -81,7 +82,10 @@ mod tests {
                 .min(b.cap)
                 .as_secs_f64();
             let d = b.delay(attempt).as_secs_f64();
-            assert!(d >= nominal * 0.749 && d <= nominal * 1.251, "attempt {attempt}: {d}");
+            assert!(
+                d >= nominal * 0.749 && d <= nominal * 1.251,
+                "attempt {attempt}: {d}"
+            );
         }
     }
 }

@@ -81,17 +81,17 @@ pub mod shard;
 pub use backoff::Backoff;
 pub use breaker::{Admission, CircuitBreaker};
 pub use dispatch::{
-    dispatch, reconcile_breakers, BreakerReconciliation, ChaosProc, DispatchConfig,
-    DispatchError, DispatchOutcome, FamilyBreakerState, MissingShard, ShardPaths, ShardSpec,
-    CHAOS_ENV, CHAOS_KILL_CODE,
+    dispatch, reconcile_breakers, BreakerReconciliation, ChaosProc, DispatchConfig, DispatchError,
+    DispatchOutcome, FamilyBreakerState, MissingShard, ShardPaths, ShardSpec, CHAOS_ENV,
+    CHAOS_KILL_CODE,
 };
 pub use fault::{
     FaultHook, FaultKind, FaultPlan, FaultProfile, InstrumentedHook, NoFaults, PlanHook,
 };
 pub use remote::{ChaosKind, ChaosNet, Lease, LineBuffer, WorkerFrame};
 pub use replay::{
-    first_divergence, reconstruct, replay, Divergence, RecordedFault, RecordedFaults,
-    ReplayError, ReplayReport, ReplaySpec,
+    first_divergence, reconstruct, replay, Divergence, RecordedFault, RecordedFaults, ReplayError,
+    ReplayReport, ReplaySpec,
 };
 pub use report::{ExperimentReport, ExperimentStatus, RunArtifact, RunReport};
 pub use runner::{

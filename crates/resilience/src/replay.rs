@@ -127,10 +127,16 @@ impl fmt::Display for ReplayError {
         match self {
             ReplayError::EmptyJournal => write!(f, "journal contains no events"),
             ReplayError::MissingRunStart => {
-                write!(f, "journal has no run-start event to recover the config from")
+                write!(
+                    f,
+                    "journal has no run-start event to recover the config from"
+                )
             }
             ReplayError::MalformedRunStart { field, value } => {
-                write!(f, "run-start field '{field}' has unparseable value '{value}'")
+                write!(
+                    f,
+                    "run-start field '{field}' has unparseable value '{value}'"
+                )
             }
             ReplayError::UnknownExperiment(code) => {
                 write!(f, "journal names unknown experiment '{code}'")
@@ -190,23 +196,24 @@ pub fn reconstruct(events: &[Event]) -> Result<ReplaySpec, ReplayError> {
     for event in events {
         match event.kind.as_str() {
             "experiment-start" | "breaker-skip"
-                if !event.experiment.is_empty()
-                    && !experiments.contains(&event.experiment) =>
+                if !event.experiment.is_empty() && !experiments.contains(&event.experiment) =>
             {
                 experiments.push(event.experiment.clone());
             }
             "fault" => {
-                let (Some(kind), Some(step), Some(severity)) = (
-                    FaultKind::parse(&event.detail),
-                    event.step,
-                    event.severity,
-                ) else {
+                let (Some(kind), Some(step), Some(severity)) =
+                    (FaultKind::parse(&event.detail), event.step, event.severity)
+                else {
                     continue;
                 };
                 faults
                     .entry(event.experiment.clone())
                     .or_default()
-                    .push(RecordedFault { kind, step, severity });
+                    .push(RecordedFault {
+                        kind,
+                        step,
+                        severity,
+                    });
             }
             _ => {}
         }
@@ -273,9 +280,13 @@ impl ReplayReport {
         match &self.divergence {
             None => out.push_str("verdict: MATCH — replay reproduces the captured journal\n"),
             Some(d) => {
-                out.push_str(&format!("verdict: DIVERGED at canonical event {}\n", d.index));
+                out.push_str(&format!(
+                    "verdict: DIVERGED at canonical event {}\n",
+                    d.index
+                ));
                 let line = |side: &Option<String>| {
-                    side.clone().unwrap_or_else(|| "(journal ends here)".to_owned())
+                    side.clone()
+                        .unwrap_or_else(|| "(journal ends here)".to_owned())
                 };
                 out.push_str(&format!("  captured: {}\n", line(&d.captured)));
                 out.push_str(&format!("  replayed: {}\n", line(&d.replayed)));
@@ -314,13 +325,16 @@ pub fn replay(
     let specs = spec
         .experiments
         .iter()
-        .map(|code| {
-            factory(code).ok_or_else(|| ReplayError::UnknownExperiment(code.clone()))
-        })
+        .map(|code| factory(code).ok_or_else(|| ReplayError::UnknownExperiment(code.clone())))
         .collect::<Result<Vec<_>, _>>()?;
-    let run = Supervisor::builder().config(spec.config).build().run(&specs);
-    let captured_canonical: Vec<String> =
-        spec_ordered(captured).iter().map(Event::canonical).collect();
+    let run = Supervisor::builder()
+        .config(spec.config)
+        .build()
+        .run(&specs);
+    let captured_canonical: Vec<String> = spec_ordered(captured)
+        .iter()
+        .map(Event::canonical)
+        .collect();
     let replayed_canonical: Vec<String> = spec_ordered(&run.telemetry.events)
         .iter()
         .map(Event::canonical)
@@ -380,7 +394,10 @@ mod tests {
     #[test]
     fn reconstruct_recovers_config_and_experiment_order() {
         let specs: Vec<ExperimentSpec> = (0..4).map(|i| fault_spec(&format!("e{i}"))).collect();
-        let run = Supervisor::builder().config(chaos_config()).build().run(&specs);
+        let run = Supervisor::builder()
+            .config(chaos_config())
+            .build()
+            .run(&specs);
         let spec = reconstruct(&run.telemetry.events).unwrap();
         assert_eq!(spec.config.profile, FaultProfile::Chaos);
         assert_eq!(spec.config.seed, 4242);
@@ -394,7 +411,10 @@ mod tests {
     #[test]
     fn replay_of_a_fresh_capture_is_clean() {
         let specs: Vec<ExperimentSpec> = (0..3).map(|i| fault_spec(&format!("e{i}"))).collect();
-        let run = Supervisor::builder().config(chaos_config()).build().run(&specs);
+        let run = Supervisor::builder()
+            .config(chaos_config())
+            .build()
+            .run(&specs);
         let report = replay(&run.telemetry.events, &factory).unwrap();
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.exit_code(), 0);
@@ -405,7 +425,10 @@ mod tests {
     #[test]
     fn replay_detects_a_tampered_journal() {
         let specs = vec![fault_spec("e0"), fault_spec("e1")];
-        let run = Supervisor::builder().config(chaos_config()).build().run(&specs);
+        let run = Supervisor::builder()
+            .config(chaos_config())
+            .build()
+            .run(&specs);
         let mut tampered = run.telemetry.events.clone();
         // Flip one recorded fault's step: replay must flag exactly that line.
         let idx = tampered.iter().position(|e| e.kind == "fault").unwrap();
@@ -428,7 +451,10 @@ mod tests {
             Err(ReplayError::MalformedRunStart { .. })
         ));
         let specs = vec![fault_spec("e0")];
-        let run = Supervisor::builder().config(chaos_config()).build().run(&specs);
+        let run = Supervisor::builder()
+            .config(chaos_config())
+            .build()
+            .run(&specs);
         let err = replay(&run.telemetry.events, &|_| None).unwrap_err();
         assert_eq!(err, ReplayError::UnknownExperiment("e0".to_owned()));
     }
@@ -455,7 +481,11 @@ mod tests {
         for step in 0..200 {
             for kind in FaultKind::ALL {
                 if let Some(severity) = live.inject(step, kind) {
-                    recorded.push(RecordedFault { kind, step, severity });
+                    recorded.push(RecordedFault {
+                        kind,
+                        step,
+                        severity,
+                    });
                 }
             }
         }

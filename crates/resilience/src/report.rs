@@ -108,7 +108,10 @@ impl RunReport {
 
     /// Count of experiments with the given status.
     pub fn count(&self, status: ExperimentStatus) -> usize {
-        self.experiments.iter().filter(|e| e.status == status).count()
+        self.experiments
+            .iter()
+            .filter(|e| e.status == status)
+            .count()
     }
 
     /// Append another report's rows (sharded-run aggregation: shard
@@ -141,7 +144,11 @@ impl RunReport {
         if parts.is_empty() {
             parts.push("nothing run".to_owned());
         }
-        format!("{} experiments: {}", self.experiments.len(), parts.join(", "))
+        format!(
+            "{} experiments: {}",
+            self.experiments.len(),
+            parts.join(", ")
+        )
     }
 
     /// The `run report` header line. The rev token only appears on

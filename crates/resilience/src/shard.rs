@@ -159,10 +159,17 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_single_shard_canonically() {
-        let specs: Vec<ExperimentSpec> =
-            (0..9).map(|i| counting_spec(&format!("e{i}"))).collect();
-        let single = Supervisor::builder().config(config()).shards(1).build().run(&specs);
-        let sharded = Supervisor::builder().config(config()).shards(4).build().run(&specs);
+        let specs: Vec<ExperimentSpec> = (0..9).map(|i| counting_spec(&format!("e{i}"))).collect();
+        let single = Supervisor::builder()
+            .config(config())
+            .shards(1)
+            .build()
+            .run(&specs);
+        let sharded = Supervisor::builder()
+            .config(config())
+            .shards(4)
+            .build()
+            .run(&specs);
         assert_eq!(single.report.canonical(), sharded.report.canonical());
         assert_eq!(single.outputs, sharded.outputs);
         assert_eq!(
@@ -180,14 +187,21 @@ mod tests {
             .map(|w| sharded.telemetry.metrics.counters[&format!("runner.shard.{w}.experiments")])
             .sum();
         assert_eq!(claimed, 9, "every spec is claimed by exactly one worker");
-        assert!(!single.telemetry.metrics.counters.contains_key("runner.shards"));
+        assert!(!single
+            .telemetry
+            .metrics
+            .counters
+            .contains_key("runner.shards"));
     }
 
     #[test]
     fn sharded_events_carry_worker_ids() {
-        let specs: Vec<ExperimentSpec> =
-            (0..6).map(|i| counting_spec(&format!("e{i}"))).collect();
-        let run = Supervisor::builder().config(config()).shards(3).build().run(&specs);
+        let specs: Vec<ExperimentSpec> = (0..6).map(|i| counting_spec(&format!("e{i}"))).collect();
+        let run = Supervisor::builder()
+            .config(config())
+            .shards(3)
+            .build()
+            .run(&specs);
         // run-start / run-end are run-level (no shard); every other event
         // names the worker that ran its spec.
         let events = &run.telemetry.events;
@@ -205,7 +219,11 @@ mod tests {
     #[test]
     fn more_shards_than_specs_is_fine() {
         let specs = vec![counting_spec("only")];
-        let run = Supervisor::builder().config(config()).shards(8).build().run(&specs);
+        let run = Supervisor::builder()
+            .config(config())
+            .shards(8)
+            .build()
+            .run(&specs);
         assert_eq!(run.report.experiments.len(), 1);
         assert_eq!(run.report.exit_code(), 0);
         assert_eq!(run.telemetry.metrics.counters["runner.shards"], 8);

@@ -141,7 +141,11 @@ impl ServeClient {
             .map_err(|e| ClientError::new(format!("request serialization: {e}")))?;
         let mut bytes = line.into_bytes();
         bytes.push(b'\n');
-        if let Err(e) = self.stream.write_all(&bytes).and_then(|()| self.stream.flush()) {
+        if let Err(e) = self
+            .stream
+            .write_all(&bytes)
+            .and_then(|()| self.stream.flush())
+        {
             return self.poison(format!("send to {}: {e}", self.addr));
         }
         self.in_flight += 1;
@@ -201,7 +205,10 @@ impl ServeClient {
             }
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
-                    let msg = format!("{} closed with {} request(s) in flight", self.addr, self.in_flight);
+                    let msg = format!(
+                        "{} closed with {} request(s) in flight",
+                        self.addr, self.in_flight
+                    );
                     return self.poison(msg);
                 }
                 Ok(n) => {
@@ -331,7 +338,9 @@ mod tests {
     fn pipelined_responses_come_back_in_request_order() {
         let (addr, server) = toy_line_server(Duration::ZERO);
         let mut client = ServeClient::connect(&addr, TIMEOUT).unwrap();
-        let requests: Vec<Request> = (0..16u64).map(|s| Request::run("exp", s, "none", 1.0)).collect();
+        let requests: Vec<Request> = (0..16u64)
+            .map(|s| Request::run("exp", s, "none", 1.0))
+            .collect();
         for req in &requests {
             client.send(req).unwrap();
         }

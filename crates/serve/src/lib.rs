@@ -44,6 +44,4 @@ pub mod server;
 pub use cache::{cache_key, CacheEntry, RehydrateStats, ResultCache};
 pub use client::{ClientError, ServeClient};
 pub use protocol::{LineBuffer, Request, Response};
-pub use server::{
-    install_signal_handlers, ServeConfig, ServeSummary, Server, SpecFactory,
-};
+pub use server::{install_signal_handlers, ServeConfig, ServeSummary, Server, SpecFactory};

@@ -234,8 +234,13 @@ mod tests {
         // Artifact JSON is pretty-printed (multi-line) — it must survive
         // the single-line framing byte-for-byte.
         let artifact = "{\n  \"report\": \"x\"\n}".to_owned();
-        let resp =
-            Response::artifact(STATUS_HIT, "00ff", "0.1.0+abc", artifact.clone(), "{}".into());
+        let resp = Response::artifact(
+            STATUS_HIT,
+            "00ff",
+            "0.1.0+abc",
+            artifact.clone(),
+            "{}".into(),
+        );
         let line = resp.to_line().unwrap();
         assert!(!line.contains('\n'), "{line}");
         let back = Response::from_line(&line).unwrap();

@@ -17,7 +17,9 @@ pub fn gini(data: &[f64]) -> Result<f64> {
         return Err(StatsError::EmptyInput);
     }
     if data.iter().any(|&x| x < 0.0 || !x.is_finite()) {
-        return Err(StatsError::InvalidParameter("gini requires finite nonnegative values"));
+        return Err(StatsError::InvalidParameter(
+            "gini requires finite nonnegative values",
+        ));
     }
     let total: f64 = data.iter().sum();
     if total <= 0.0 {
@@ -42,7 +44,9 @@ pub fn lorenz_curve(data: &[f64]) -> Result<Vec<(f64, f64)>> {
         return Err(StatsError::EmptyInput);
     }
     if data.iter().any(|&x| x < 0.0 || !x.is_finite()) {
-        return Err(StatsError::InvalidParameter("lorenz requires finite nonnegative values"));
+        return Err(StatsError::InvalidParameter(
+            "lorenz requires finite nonnegative values",
+        ));
     }
     let total: f64 = data.iter().sum();
     if total <= 0.0 {
@@ -70,12 +74,16 @@ pub fn jain_fairness(data: &[f64]) -> Result<f64> {
         return Err(StatsError::EmptyInput);
     }
     if data.iter().any(|&x| x < 0.0 || !x.is_finite()) {
-        return Err(StatsError::InvalidParameter("jain requires finite nonnegative values"));
+        return Err(StatsError::InvalidParameter(
+            "jain requires finite nonnegative values",
+        ));
     }
     let sum: f64 = data.iter().sum();
     let sumsq: f64 = data.iter().map(|x| x * x).sum();
     if sumsq <= 0.0 {
-        return Err(StatsError::Degenerate("jain undefined for all-zero allocations"));
+        return Err(StatsError::Degenerate(
+            "jain undefined for all-zero allocations",
+        ));
     }
     Ok(sum * sum / (data.len() as f64 * sumsq))
 }
@@ -90,7 +98,9 @@ pub fn top_share(data: &[f64], k: usize) -> Result<f64> {
         return Err(StatsError::InvalidParameter("top_share requires k >= 1"));
     }
     if data.iter().any(|&x| x < 0.0 || !x.is_finite()) {
-        return Err(StatsError::InvalidParameter("top_share requires finite nonnegative values"));
+        return Err(StatsError::InvalidParameter(
+            "top_share requires finite nonnegative values",
+        ));
     }
     let total: f64 = data.iter().sum();
     if total <= 0.0 {

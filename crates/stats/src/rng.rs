@@ -64,10 +64,7 @@ impl Rng {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -199,7 +196,10 @@ impl Rng {
 
     /// Pareto (type I) deviate with scale `xm > 0` and shape `alpha > 0`.
     pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        assert!(xm > 0.0 && alpha > 0.0, "pareto() requires positive parameters");
+        assert!(
+            xm > 0.0 && alpha > 0.0,
+            "pareto() requires positive parameters"
+        );
         xm / (1.0 - self.next_f64()).powf(1.0 / alpha)
     }
 
@@ -407,7 +407,10 @@ mod tests {
         let n = 50_000;
         for &m in &[0.5, 4.0, 80.0] {
             let mean: f64 = (0..n).map(|_| rng.poisson(m) as f64).sum::<f64>() / n as f64;
-            assert!((mean - m).abs() / m.max(1.0) < 0.05, "target {m} got {mean}");
+            assert!(
+                (mean - m).abs() / m.max(1.0) < 0.05,
+                "target {m} got {mean}"
+            );
         }
     }
 
@@ -445,7 +448,10 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.geometric(p) as f64).sum::<f64>() / n as f64;
         let expected = (1.0 - p) / p;
-        assert!((mean - expected).abs() < 0.05, "mean {mean} expected {expected}");
+        assert!(
+            (mean - expected).abs() < 0.05,
+            "mean {mean} expected {expected}"
+        );
     }
 
     #[test]

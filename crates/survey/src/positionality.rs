@@ -60,19 +60,27 @@ impl PositionalityFacet {
             PositionalityFacet::Socioeconomic => {
                 &["socioeconomic", "class background", "economic position"]
             }
-            PositionalityFacet::Beliefs => {
-                &["we believe", "feminist", "political perspective", "our values"]
-            }
+            PositionalityFacet::Beliefs => &[
+                "we believe",
+                "feminist",
+                "political perspective",
+                "our values",
+            ],
             PositionalityFacet::CommunityMembership => {
                 &["member of the", "part of the community", "we are members"]
             }
-            PositionalityFacet::InstitutionalTies => {
-                &["ties with the industry", "industry ties", "affiliated with", "funded by"]
-            }
-            PositionalityFacet::Disciplinary => {
-                &["as network engineers", "as computer scientists", "disciplinary lens",
-                  "engineering perspective"]
-            }
+            PositionalityFacet::InstitutionalTies => &[
+                "ties with the industry",
+                "industry ties",
+                "affiliated with",
+                "funded by",
+            ],
+            PositionalityFacet::Disciplinary => &[
+                "as network engineers",
+                "as computer scientists",
+                "disciplinary lens",
+                "engineering perspective",
+            ],
         }
     }
 }
@@ -198,7 +206,11 @@ pub fn reflexivity_score(statement: &PositionalityStatement) -> Result<f64> {
         return Err(SurveyError::EmptyInput);
     }
     let facet_share = statement.facets().len() as f64 / PositionalityFacet::ALL.len() as f64;
-    let bonus = if statement.reflects_on_influence { 0.3 } else { 0.0 };
+    let bonus = if statement.reflects_on_influence {
+        0.3
+    } else {
+        0.0
+    };
     Ok(facet_share * 0.7 + bonus)
 }
 

@@ -236,7 +236,11 @@ mod tests {
     fn journal_assigns_sequence_numbers() {
         let mut j = Journal::default();
         j.record(Event::new("run-start", "profile=chaos"));
-        j.record(Event::new("fault", "link-outage").with_step(7).with_severity(0.5));
+        j.record(
+            Event::new("fault", "link-outage")
+                .with_step(7)
+                .with_severity(0.5),
+        );
         assert_eq!(j.len(), 2);
         assert_eq!(j.events()[0].seq, 0);
         assert_eq!(j.events()[1].seq, 1);
@@ -307,7 +311,10 @@ mod tests {
     #[test]
     fn spec_is_excluded_from_canonical() {
         let a = Event::new("fault", "x").with_step(3);
-        let b = Event::new("fault", "x").with_step(3).with_spec(9).with_shard(1);
+        let b = Event::new("fault", "x")
+            .with_step(3)
+            .with_spec(9)
+            .with_shard(1);
         assert_eq!(a.canonical(), b.canonical());
     }
 
@@ -337,10 +344,8 @@ mod tests {
         j.record(Event::new("experiment-end", "ok").with_spec(0));
         j.record(Event::new("run-end", "2 ok"));
         let sorted = spec_ordered(j.events());
-        let kinds_and_specs: Vec<(String, Option<u64>)> = sorted
-            .iter()
-            .map(|e| (e.kind.clone(), e.spec))
-            .collect();
+        let kinds_and_specs: Vec<(String, Option<u64>)> =
+            sorted.iter().map(|e| (e.kind.clone(), e.spec)).collect();
         assert_eq!(
             kinds_and_specs,
             vec![

@@ -111,15 +111,15 @@ pub struct SpanSnapshot {
 
 /// Merge span lists by name (sharded-run aggregation); result sorted by name.
 pub fn merge_spans(into: &mut Vec<SpanSnapshot>, other: &[SpanSnapshot]) {
-    let mut by_name: BTreeMap<String, SpanSnapshot> = into
-        .drain(..)
-        .map(|s| (s.name.clone(), s))
-        .collect();
+    let mut by_name: BTreeMap<String, SpanSnapshot> =
+        into.drain(..).map(|s| (s.name.clone(), s)).collect();
     for s in other {
-        let entry = by_name.entry(s.name.clone()).or_insert_with(|| SpanSnapshot {
-            name: s.name.clone(),
-            ..SpanSnapshot::default()
-        });
+        let entry = by_name
+            .entry(s.name.clone())
+            .or_insert_with(|| SpanSnapshot {
+                name: s.name.clone(),
+                ..SpanSnapshot::default()
+            });
         entry.count += s.count;
         entry.total_ns = entry.total_ns.saturating_add(s.total_ns);
         entry.self_ns = entry.self_ns.saturating_add(s.self_ns);
@@ -189,6 +189,9 @@ mod tests {
         );
         assert_eq!(into.len(), 2);
         let x = into.iter().find(|s| s.name == "x").unwrap();
-        assert_eq!((x.count, x.total_ns, x.self_ns, x.max_ns), (3, 150, 130, 60));
+        assert_eq!(
+            (x.count, x.total_ns, x.self_ns, x.max_ns),
+            (3, 150, 130, 60)
+        );
     }
 }

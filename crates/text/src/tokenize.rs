@@ -72,7 +72,10 @@ mod tests {
 
     #[test]
     fn tokenize_numbers_kept() {
-        assert_eq!(tokenize("BGP4 and 35 IXPs"), vec!["bgp4", "and", "35", "ixps"]);
+        assert_eq!(
+            tokenize("BGP4 and 35 IXPs"),
+            vec!["bgp4", "and", "35", "ixps"]
+        );
     }
 
     #[test]

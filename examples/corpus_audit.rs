@@ -53,7 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "\nspot check on \"{}\": detector {} (facets: {:?})",
             paper.title,
-            if detected.is_some() { "fired" } else { "missed" },
+            if detected.is_some() {
+                "fired"
+            } else {
+                "missed"
+            },
             detected.map(|d| d.facets).unwrap_or_default()
         );
     }

@@ -70,7 +70,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(e) => vec![e],
         None => (0..=4).map(|i| i as f64 / 4.0).collect(),
     };
-    println!("{:<12} {:>16} {:>16} {:>14}", "enforcement", "share (comply)", "share (split)", "transit (split)");
+    println!(
+        "{:<12} {:>16} {:>16} {:>14}",
+        "enforcement", "share (comply)", "share (split)", "transit (split)"
+    );
     for e in enforcements {
         let mut cfg = MexicoConfig::default();
         cfg.competitors = args.competitors;

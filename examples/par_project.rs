@@ -55,7 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         true,
     )?;
 
-    println!("participation score: {:.3} / 1.0", project.participation_score());
+    println!(
+        "participation score: {:.3} / 1.0",
+        project.participation_score()
+    );
     println!("§5.1 compliant: {}", project.is_5_1_compliant());
     for stage in ResearchStage::ALL {
         println!(

@@ -25,7 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Deterministic statistics -------------------------------------
     let mut rng = Rng::new(2025);
     let sample: Vec<f64> = (0..200).map(|_| rng.pareto(1.0, 1.3)).collect();
-    println!("1. A Pareto sample of 200 'citation counts' has Gini {:.3}", gini(&sample)?);
+    println!(
+        "1. A Pareto sample of 200 'citation counts' has Gini {:.3}",
+        gini(&sample)?
+    );
 
     // 2. The agenda feedback loop -------------------------------------
     let mut cfg = AgendaConfig::default();
@@ -71,7 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 6. And the whole experiment suite is one call away ---------------
     let f1 = experiments::f1_attention(42, &mut NoFaults, &off)?;
-    println!("6. Experiment F1 regenerated: attention gini = {:.3}", f1.gini);
+    println!(
+        "6. Experiment F1 regenerated: attention gini = {:.3}",
+        f1.gini
+    );
     println!("\nRun `cargo run --bin experiments` for every table and figure.");
     Ok(())
 }

@@ -10,7 +10,8 @@ fn corpus() -> humnet::corpus::Corpus {
         v.papers_per_year = 15;
     }
     cfg.author_pool = 200;
-    cfg.generate(99, &humnet::telemetry::Telemetry::disabled()).unwrap()
+    cfg.generate(99, &humnet::telemetry::Telemetry::disabled())
+        .unwrap()
 }
 
 #[test]

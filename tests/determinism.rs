@@ -77,15 +77,24 @@ fn community_sims_reproducible() {
     cfg.days = 100;
     cfg.seed = 3;
     let off = Telemetry::disabled();
-    let a = SustainabilitySim::new(cfg.clone()).unwrap().run(&mut NoFaults, &off).unwrap();
-    let b = SustainabilitySim::new(cfg).unwrap().run(&mut NoFaults, &off).unwrap();
+    let a = SustainabilitySim::new(cfg.clone())
+        .unwrap()
+        .run(&mut NoFaults, &off)
+        .unwrap();
+    let b = SustainabilitySim::new(cfg)
+        .unwrap()
+        .run(&mut NoFaults, &off)
+        .unwrap();
     assert_eq!(a, b);
 
     let ccfg = CongestionConfig::default();
     let s1 = CongestionSim::new(ccfg.clone()).unwrap();
     let s2 = CongestionSim::new(ccfg).unwrap();
     for p in AllocationPolicy::ALL {
-        assert_eq!(s1.run(p, &mut NoFaults, &off), s2.run(p, &mut NoFaults, &off));
+        assert_eq!(
+            s1.run(p, &mut NoFaults, &off),
+            s2.run(p, &mut NoFaults, &off)
+        );
     }
 }
 
@@ -93,7 +102,8 @@ fn community_sims_reproducible() {
 fn qual_study_reproducible() {
     let run = |seed| {
         let mut s = SimulatedStudy::new(StudyConfig::default(), seed).unwrap();
-        s.reliability_trajectory(3, &mut NoFaults, &Telemetry::disabled()).unwrap()
+        s.reliability_trajectory(3, &mut NoFaults, &Telemetry::disabled())
+            .unwrap()
     };
     assert_eq!(run(9), run(9));
     assert_ne!(run(9), run(10));
@@ -280,7 +290,10 @@ fn supervised_chaos_run_reproducible() {
     assert_eq!(a.report.canonical(), b.report.canonical());
     assert_eq!(a.outputs, b.outputs);
     // ... and the same telemetry event sequence (timings excluded).
-    assert_eq!(a.telemetry.canonical_events(), b.telemetry.canonical_events());
+    assert_eq!(
+        a.telemetry.canonical_events(),
+        b.telemetry.canonical_events()
+    );
     assert!(a.report.total_faults() > 0, "chaos must actually inject");
     assert_eq!(a.report.exit_code(), 0, "chaos degrades, not fails");
 

@@ -54,7 +54,12 @@ fn hung_child_is_killed_at_the_shard_deadline() {
         "dispatch --procs 2 --report-only --seed 7 --chaos-proc hang:0 --shard-retries 0 \
          --allow-partial --shard-deadline-ms 1500 --liveness-ms 0 --scratch s f3 t2",
     );
-    assert_eq!(out.status.code(), Some(3), "degraded exit: {}", stderr(&out));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "degraded exit: {}",
+        stderr(&out)
+    );
     let text = stdout(&out);
     assert!(text.contains("DEGRADED"), "{text}");
     assert!(text.contains("shard deadline"), "{text}");
@@ -69,7 +74,12 @@ fn silent_child_is_killed_by_heartbeat_liveness_before_the_deadline() {
         "dispatch --procs 2 --report-only --seed 7 --chaos-proc hang:0 --shard-retries 0 \
          --allow-partial --shard-deadline-ms 60000 --liveness-ms 1000 --scratch s f3 t2",
     );
-    assert_eq!(out.status.code(), Some(3), "degraded exit: {}", stderr(&out));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "degraded exit: {}",
+        stderr(&out)
+    );
     assert!(stdout(&out).contains("no heartbeat"), "{}", stdout(&out));
 }
 
@@ -82,7 +92,12 @@ fn exhausted_retries_degrade_gracefully_with_allow_partial() {
         "dispatch --procs 2 --report-only --seed 7 --chaos-proc kill:1 --chaos-proc kill:1:1 \
          --shard-retries 1 --allow-partial --scratch s f3 t2 f4 t3",
     );
-    assert_eq!(out.status.code(), Some(3), "degraded exit: {}", stderr(&out));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "degraded exit: {}",
+        stderr(&out)
+    );
     let text = stdout(&out);
     assert!(text.contains("DEGRADED"), "{text}");
     assert!(text.contains("missing shard 1 after 2 attempts"), "{text}");
@@ -158,7 +173,10 @@ fn a_complete_dispatch_removes_only_its_own_scratch_dirs() {
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     assert_eq!(left, ["keep.txt"], "only the dispatch's own dirs go");
-    assert_eq!(std::fs::read_to_string(shared.join("keep.txt")).unwrap(), "precious\n");
+    assert_eq!(
+        std::fs::read_to_string(shared.join("keep.txt")).unwrap(),
+        "precious\n"
+    );
 
     // A scratch dir the dispatch made itself is removed once empty.
     let out = dir.run("dispatch --procs 2 --report-only --seed 7 --scratch own f3 t2");

@@ -66,7 +66,10 @@ fn display_messages_are_tidy() {
 fn upstream_preserves_the_source_chain() {
     let core = CoreError::upstream("t3 sustainability", CommunityError::EmptyInput);
     // Display shows stage + source...
-    assert_eq!(core.to_string(), format!("t3 sustainability: {}", CommunityError::EmptyInput));
+    assert_eq!(
+        core.to_string(),
+        format!("t3 sustainability: {}", CommunityError::EmptyInput)
+    );
     // ...and source() walks back to the typed originating error.
     let source = core.source().expect("Upstream must expose a source");
     let community = source
@@ -85,7 +88,10 @@ fn render_chain_walks_nested_upstreams() {
     // Both stages and the root cause appear once each.
     assert!(chain.starts_with("f1 attention: lorenz:"), "{chain}");
     assert_eq!(chain.matches("lorenz").count(), 1, "{chain}");
-    assert!(chain.contains(&StatsError::EmptyInput.to_string()), "{chain}");
+    assert!(
+        chain.contains(&StatsError::EmptyInput.to_string()),
+        "{chain}"
+    );
 }
 
 #[test]
@@ -96,5 +102,9 @@ fn experiment_failures_carry_their_origin() {
     cfg.researchers = 0; // invalid: the agenda crate rejects it
     let err = humnet::agenda::AgendaSim::new(cfg).unwrap_err();
     let core = CoreError::upstream("agenda config", err);
-    assert!(core.source().unwrap().downcast_ref::<AgendaError>().is_some());
+    assert!(core
+        .source()
+        .unwrap()
+        .downcast_ref::<AgendaError>()
+        .is_some());
 }

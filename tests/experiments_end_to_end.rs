@@ -18,11 +18,7 @@ fn f1_attention_is_concentrated_under_data_driven_regime() {
     }
     // The hyperscaler row out-publishes the community row.
     let pubs = |label: &str| -> u64 {
-        r.by_class
-            .rows
-            .iter()
-            .find(|row| row[0] == label)
-            .unwrap()[1]
+        r.by_class.rows.iter().find(|row| row[0] == label).unwrap()[1]
             .parse()
             .unwrap()
     };
@@ -53,7 +49,9 @@ fn t1_par_widens_coverage_at_a_publication_cost() {
 fn f2_positionality_gap_between_cultures() {
     let (table, series) = exp::f2_positionality(7, &Telemetry::disabled()).unwrap();
     let rate = |label: &str| -> f64 {
-        table.rows.iter().find(|r| r[0] == label).unwrap()[2].parse().unwrap()
+        table.rows.iter().find(|r| r[0] == label).unwrap()[2]
+            .parse()
+            .unwrap()
     };
     // Paper §4/§6.4: rare at networking venues, normal in HCI and social
     // science.
@@ -102,7 +100,11 @@ fn f4_content_presence_pulls_exchange_home() {
     let (foreign, local) = exp::f4_gravity(6, &mut NoFaults, &Telemetry::disabled()).unwrap();
     // With no local content, over half of South traffic is exchanged
     // abroad; with full presence it drops to (near) zero.
-    assert!(foreign.points[0].1 > 0.5, "foreign share = {}", foreign.points[0].1);
+    assert!(
+        foreign.points[0].1 > 0.5,
+        "foreign share = {}",
+        foreign.points[0].1
+    );
     assert!(foreign.points.last().unwrap().1 < 0.1);
     // Local exchange share mirrors it.
     assert!(local.points.last().unwrap().1 > local.points[0].1 + 0.3);
@@ -113,16 +115,22 @@ fn t3_stewardship_beats_hero_volunteers() {
     let table =
         exp::t3_sustainability(&[1, 2, 3, 4, 5], &mut NoFaults, &Telemetry::disabled()).unwrap();
     let uptime = |label: &str| -> f64 {
-        table.rows.iter().find(|r| r[0] == label).unwrap()[1].parse().unwrap()
+        table.rows.iter().find(|r| r[0] == label).unwrap()[1]
+            .parse()
+            .unwrap()
     };
     let attrition = |label: &str| -> f64 {
-        table.rows.iter().find(|r| r[0] == label).unwrap()[3].parse().unwrap()
+        table.rows.iter().find(|r| r[0] == label).unwrap()[3]
+            .parse()
+            .unwrap()
     };
     assert!(uptime("distributed-stewardship") > uptime("few-core"));
     assert!(attrition("few-core") > 0.5);
     assert!(attrition("paid-staff") == 0.0);
     let cost = |label: &str| -> f64 {
-        table.rows.iter().find(|r| r[0] == label).unwrap()[4].parse().unwrap()
+        table.rows.iter().find(|r| r[0] == label).unwrap()[4]
+            .parse()
+            .unwrap()
     };
     assert_eq!(cost("distributed-stewardship"), 0.0);
     assert!(cost("paid-staff") > 0.0);
@@ -132,7 +140,9 @@ fn t3_stewardship_beats_hero_volunteers() {
 fn f5_community_tokens_get_both_fairness_and_utilization() {
     let table = exp::f5_congestion(1, &mut NoFaults, &Telemetry::disabled()).unwrap();
     let get = |label: &str, col: usize| -> f64 {
-        table.rows.iter().find(|r| r[0] == label).unwrap()[col].parse().unwrap()
+        table.rows.iter().find(|r| r[0] == label).unwrap()[col]
+            .parse()
+            .unwrap()
     };
     // fairness col 1, utilization col 2, starvation col 3.
     assert!(get("community-tokens", 1) > get("free-for-all", 1));
@@ -154,7 +164,9 @@ fn t4_ladder_orders_archetypes() {
 fn f6_patchwork_with_memos_matches_traditional() {
     let table = exp::f6_patchwork().unwrap();
     let insights = |label: &str| -> f64 {
-        table.rows.iter().find(|r| r[0] == label).unwrap()[3].parse().unwrap()
+        table.rows.iter().find(|r| r[0] == label).unwrap()[3]
+            .parse()
+            .unwrap()
     };
     let trad = insights("traditional");
     let patch_memo = insights("patchwork x6 + memos");
@@ -180,7 +192,10 @@ fn t5_cfp_broadening_admits_human_work_at_modest_systems_cost() {
     // human submissions outscore systems outright, which is the mirror
     // image of the original gatekeeping — the model shows both regimes.
     let s_mid = systems.points[3].1;
-    assert!(s_mid > 0.05, "moderate broadening keeps systems work in: {s_mid}");
+    assert!(
+        s_mid > 0.05,
+        "moderate broadening keeps systems work in: {s_mid}"
+    );
     assert!(s0 > s_last, "slots are conserved");
 }
 
@@ -197,9 +212,8 @@ fn f8_locality_vs_connectivity_maximization() {
 #[test]
 fn f10_internet_scale_concentration() {
     let table = exp::f10_scale(7, &Telemetry::disabled()).unwrap();
-    let get = |label: &str| -> String {
-        table.rows.iter().find(|r| r[0] == label).unwrap()[1].clone()
-    };
+    let get =
+        |label: &str| -> String { table.rows.iter().find(|r| r[0] == label).unwrap()[1].clone() };
     // The synthetic internet is fully reachable: every sampled demand routes.
     assert_eq!(get("flows served"), get("sampled demands"));
     assert_eq!(get("flows unserved"), "0");
@@ -222,7 +236,10 @@ fn f9_cfp_intervention_reverses_methodology_collapse() {
     let start = series.points[0].1;
     let trough = series.points[15].1;
     let end = series.points.last().unwrap().1;
-    assert!(trough < start, "human share declines under the traditional CFP");
+    assert!(
+        trough < start,
+        "human share declines under the traditional CFP"
+    );
     assert!(end > trough + 0.1, "and recovers after the intervention");
 }
 
@@ -230,7 +247,9 @@ fn f9_cfp_intervention_reverses_methodology_collapse() {
 fn t6_probes_counteract_compliance_decay() {
     let table = exp::t6_diary(5, &Telemetry::disabled()).unwrap();
     let get = |label: &str, col: usize| -> f64 {
-        table.rows.iter().find(|r| r[0] == label).unwrap()[col].parse().unwrap()
+        table.rows.iter().find(|r| r[0] == label).unwrap()[col]
+            .parse()
+            .unwrap()
     };
     // Final-week compliance (col 2) is the retention signal.
     assert!(get("diary + probes", 2) > get("plain diary", 2) + 0.1);
@@ -243,7 +262,9 @@ fn t6_probes_counteract_compliance_decay() {
 fn t7_dues_policy_trade_offs() {
     let table = exp::t7_economics(&[1, 2, 3, 4, 5]).unwrap();
     let get = |label: &str, col: usize| -> f64 {
-        table.rows.iter().find(|r| r[0] == label).unwrap()[col].parse().unwrap()
+        table.rows.iter().find(|r| r[0] == label).unwrap()[col]
+            .parse()
+            .unwrap()
     };
     // Income scaling retains at least as many members as flat dues (col 3),
     // and donations are the least solvent (col 1).
@@ -255,7 +276,9 @@ fn t7_dues_policy_trade_offs() {
 fn f7_gap_holds_on_every_recommendation() {
     let table = exp::f7_audit(3, &Telemetry::disabled()).unwrap();
     let get = |label: &str, col: usize| -> f64 {
-        table.rows.iter().find(|r| r[0] == label).unwrap()[col].parse().unwrap()
+        table.rows.iter().find(|r| r[0] == label).unwrap()[col]
+            .parse()
+            .unwrap()
     };
     for col in 1..=3 {
         assert!(

@@ -199,8 +199,7 @@ fn random_topology(seed: u64, n: usize) -> AsTopology {
             // already have a transit relationship (hybrid relationships
             // exist in reality but would make the hop classifier below
             // ambiguous).
-            let related =
-                t.providers_of(a).contains(&b) || t.providers_of(b).contains(&a);
+            let related = t.providers_of(a).contains(&b) || t.providers_of(b).contains(&a);
             if !related && rng.chance(0.1) {
                 let _ = t.add_peering(a, b, None);
             }
@@ -294,7 +293,13 @@ fn matches_reference(topology: &AsTopology) -> Result<(), TestCaseError> {
     for src in 0..n {
         for dst in 0..n {
             let expected = naive.route(src, dst).ok();
-            prop_assert_eq!(&soa.route(src, dst).ok(), &expected, "route {}->{}", src, dst);
+            prop_assert_eq!(
+                &soa.route(src, dst).ok(),
+                &expected,
+                "route {}->{}",
+                src,
+                dst
+            );
             if (src + dst) % 5 == 0 {
                 let demand = RoutingTable::route_on_demand(&ft, src, dst).ok();
                 prop_assert_eq!(&demand, &expected, "on-demand {}->{}", src, dst);
@@ -304,7 +309,8 @@ fn matches_reference(topology: &AsTopology) -> Result<(), TestCaseError> {
     // A sampled table agrees on its covered rows, at 1 and 4 workers.
     let sample: Vec<usize> = (0..n).filter(|d| d % 2 == 0).collect();
     let sampled = RoutingTable::compute_for_destinations(topology, &sample).unwrap();
-    let sampled_par = RoutingTable::compute_for_destinations_parallel(topology, &sample, 4).unwrap();
+    let sampled_par =
+        RoutingTable::compute_for_destinations_parallel(topology, &sample, 4).unwrap();
     prop_assert_eq!(&sampled_par, &sampled);
     for src in 0..n {
         for &dst in &sample {
@@ -341,7 +347,11 @@ fn shuffled_ixp_topology(seed: u64, n: usize) -> AsTopology {
             if !rng.chance(0.2) {
                 continue;
             }
-            let (u, v) = if rng.chance(0.5) { (id[a], id[b]) } else { (id[b], id[a]) };
+            let (u, v) = if rng.chance(0.5) {
+                (id[a], id[b])
+            } else {
+                (id[b], id[a])
+            };
             let first = rng.range(0, 2);
             match rng.range(0, 4) {
                 0 => t.add_peering(u, v, None).unwrap(),

@@ -88,7 +88,12 @@ fn dead_workers_without_failover_degrade_under_allow_partial() {
         "dispatch --procs 2 --report-only --seed 7 --workers 127.0.0.1:1 --no-failover \
          --shard-retries 1 --allow-partial --connect-timeout-ms 500 --scratch s f3 t2 f4 t3",
     );
-    assert_eq!(out.status.code(), Some(3), "degraded exit: {}", stderr(&out));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "degraded exit: {}",
+        stderr(&out)
+    );
     let text = stdout(&out);
     assert!(text.contains("DEGRADED"), "{text}");
     assert!(text.contains("missing shard 0 after 2 attempts"), "{text}");
@@ -116,11 +121,23 @@ fn dead_workers_without_failover_fail_loudly_by_default() {
 #[test]
 fn remote_cli_rejects_bad_arguments() {
     for (args, needle) in [
-        ("dispatch --procs 2 --chaos-net kill:0", "--chaos-net needs --workers"),
-        ("dispatch --procs 2 --no-failover", "--no-failover needs --workers"),
-        ("dispatch --procs 2 --workers h:1 --chaos-net explode:0", "bad --chaos-net"),
+        (
+            "dispatch --procs 2 --chaos-net kill:0",
+            "--chaos-net needs --workers",
+        ),
+        (
+            "dispatch --procs 2 --no-failover",
+            "--no-failover needs --workers",
+        ),
+        (
+            "dispatch --procs 2 --workers h:1 --chaos-net explode:0",
+            "bad --chaos-net",
+        ),
         ("dispatch --procs 2 --workers ,", "--workers needs"),
-        ("dispatch --procs 2 --workers h:1 --connect-timeout-ms 0", "positive"),
+        (
+            "dispatch --procs 2 --workers h:1 --connect-timeout-ms 0",
+            "positive",
+        ),
         // `worker` is no subcommand, so the bare form reads it as an id.
         ("worker", "unknown experiment id 'worker'"),
     ] {

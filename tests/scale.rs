@@ -12,7 +12,9 @@ use std::time::{Duration, Instant};
 /// Deterministic stride sample of `k` destinations out of `n` ASes.
 fn sample_destinations(n: usize, k: usize) -> Vec<usize> {
     let stride = (n / k).max(1);
-    (0..k).map(|i| (i * stride + i * i % stride.max(2)) % n).collect()
+    (0..k)
+        .map(|i| (i * stride + i * i % stride.max(2)) % n)
+        .collect()
 }
 
 /// Route-metric invariants on a sampled table: every (src, dst) pair with a

@@ -122,7 +122,9 @@ fn a_deeply_nested_request_line_is_refused_and_the_daemon_keeps_serving() {
     line.push('\n');
     stream.write_all(line.as_bytes()).unwrap();
     let mut reply = String::new();
-    BufReader::new(&stream).read_line(&mut reply).expect("one reply line");
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("one reply line");
     assert!(reply.contains(r#""status":"error""#), "{reply}");
     assert!(reply.contains("nesting deeper than 128"), "{reply}");
     drop(stream);
