@@ -7,7 +7,9 @@
 #![allow(dead_code)]
 
 use humnet::core::experiments::ExperimentId;
-use humnet::resilience::{ExperimentSpec, FaultProfile, Supervisor, SupervisorBuilder};
+use humnet::resilience::{
+    ExperimentSpec, FaultProfile, RunnerConfig, Supervisor, SupervisorBuilder,
+};
 use humnet::serve::ServeClient;
 use humnet::telemetry::{journal, Event, TelemetrySnapshot};
 use std::collections::BTreeMap;
@@ -208,11 +210,13 @@ pub fn suite() -> Vec<ExperimentSpec> {
 
 /// A chaos supervisor with retries and a generous deadline.
 pub fn chaos(seed: u64) -> SupervisorBuilder {
-    Supervisor::builder()
-        .retries(2)
-        .deadline(Duration::from_secs(30))
-        .fault_profile(FaultProfile::Chaos)
-        .seed(seed)
+    Supervisor::builder().config(RunnerConfig {
+        retries: 2,
+        deadline: Duration::from_secs(30),
+        profile: FaultProfile::Chaos,
+        seed,
+        ..RunnerConfig::default()
+    })
 }
 
 /// [`chaos`] at seed 2025 over `shards` workers.
