@@ -27,11 +27,12 @@
 //!    partial-result degradation, and merge-time circuit-breaker
 //!    reconciliation — still byte-identical to the in-process 1-shard
 //!    run.
-//! 7. [`remote`] — the lease transport of that ladder: shard-slice
-//!    *leases* to `experiments serve` daemons over the line-delimited
-//!    TCP protocol (framed by [`LineBuffer`]), with inline heartbeats,
-//!    connection-level liveness, deadline revocation, stale-lease
-//!    refusal, and `--chaos-net` partition/stall/garble injection.
+//! 7. [`remote`] — the serve wire protocol ([`Request`] and [`Response`]
+//!    lines, framed by [`LineBuffer`]) and the lease transport of that
+//!    ladder: shard-slice *leases* to `experiments serve` daemons, with
+//!    inline heartbeats, connection-level liveness, deadline revocation,
+//!    stale-lease refusal, and `--chaos-net` partition/stall/garble
+//!    injection.
 
 pub mod backoff;
 
@@ -88,7 +89,7 @@ pub use dispatch::{
 pub use fault::{
     FaultHook, FaultKind, FaultPlan, FaultProfile, InstrumentedHook, NoFaults, PlanHook,
 };
-pub use remote::{ChaosKind, ChaosNet, Lease, LineBuffer, WorkerFrame};
+pub use remote::{ChaosKind, ChaosNet, LineBuffer, Request, Response};
 pub use replay::{
     first_divergence, reconstruct, replay, Divergence, RecordedFault, RecordedFaults, ReplayError,
     ReplayReport, ReplaySpec,

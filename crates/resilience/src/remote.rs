@@ -1,22 +1,25 @@
-//! Cross-machine dispatch: shard leases over TCP.
+//! The serve wire protocol, and cross-machine dispatch over it.
 //!
-//! The lease transport of [`dispatch`](mod@crate::dispatch). Workers
-//! are `experiments serve` daemons: `lease` is one more request kind on
-//! the serve wire protocol (line-delimited JSON, framed by
-//! [`LineBuffer`]). The dispatcher leases a daemon one shard slice at a
-//! time ([`Lease`]):
-//! experiment codes, spec-base offset, and the full run configuration
-//! tuple (`seed`, `profile`, `intensity`, `retries`, `deadline_ms`,
-//! `breaker_cooldown`). The daemon admits the lease through its bounded
-//! work queue, executes the slice on its warm in-process scheduler
-//! runtime (exactly as a `run --shards 1` dispatch child would), streams
-//! heartbeat frames inline on the connection while the lease is queued
-//! or running, and returns the serialized [`crate::RunArtifact`] and
-//! telemetry snapshot (events included) as the final `done` frame. This
-//! module holds the wire frames and one lease attempt; the shard ladder
-//! (retry, worker rotation, local failover, merge) is
-//! [`dispatch`](mod@crate::dispatch)'s, and the daemon side lives in
-//! `humnet-serve`.
+//! One protocol: line-delimited JSON over TCP, one [`Request`] per line
+//! in and one [`Response`] per line out, framed by [`LineBuffer`]. The
+//! `experiments serve` daemon in `humnet-serve` answers it (and
+//! re-exports these types); this crate's dispatcher speaks it too, so the
+//! types live here, where both can reach them.
+//!
+//! Workers are serve daemons, and a shard lease is one more request: a
+//! [`Request`] with `cmd: "lease"`, its slice in `experiments`, its id in
+//! `lease`, and the run tuple (`seed`, `profile`, `intensity`, `retries`,
+//! `deadline_ms`, `breaker_cooldown`) a run request carries too. The
+//! daemon admits it through its bounded work queue, executes the slice
+//! on its warm in-process scheduler runtime (exactly as a `run --shards
+//! 1` dispatch child would), writes an `hb` [`Response`] while the lease
+//! is queued or running, and answers with a final `done` one carrying the
+//! serialized [`crate::RunArtifact`] and telemetry snapshot (events
+//! included). Older peers also sent a lease's `shard` and `spec_base` and
+//! a `done` frame's `shard`; nothing reads them, and unknown keys are
+//! ignored. This module holds the wire types and one lease attempt; the
+//! shard ladder (retry, worker rotation, local failover, merge) is
+//! [`dispatch`](mod@crate::dispatch)'s.
 //!
 //! A lease attempt gives the verdicts a child attempt does, in
 //! connection terms: a worker that closes the connection (or was never
@@ -29,11 +32,12 @@
 //!
 //! Network-level fault injection mirrors `--chaos-proc`: a [`ChaosNet`]
 //! spec (`kill:1`, `stall:0:1`, `garble:1`) makes the dispatcher stamp a
-//! chaos directive onto the matching `(worker, attempt)` lease frame, and
-//! the cooperating daemon drops the connection mid-lease, goes silent
+//! chaos directive onto the matching `(worker, attempt)` lease request,
+//! and the cooperating daemon drops the connection mid-lease, goes silent
 //! holding it open, or emits a corrupt frame.
 
 use crate::dispatch::{AttemptFailure, DispatchConfig, ShardPaths, ShardSpec, ShardYield};
+use crate::fault::FaultProfile;
 use crate::runner::RunnerConfig;
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -116,140 +120,269 @@ impl ChaosNet {
 }
 
 // ---------------------------------------------------------------------------
-// Wire frames (line-delimited JSON, one frame per line — the serve
-// protocol's `lease` request and its answers; plain `Option` fields so
-// absent keys read as `None`).
+// The wire protocol: one JSON `Request` per line in, one JSON `Response`
+// per line out. The vendored serde has no field attributes, so optional
+// fields are plain `Option`s: absent keys read as `None`, unknown keys
+// are ignored, and `None` is written as `null`.
 // ---------------------------------------------------------------------------
 
-/// A dispatcher → worker request frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Lease {
-    /// Always `lease` (execute a shard slice); a daemon's other commands
-    /// are serve requests.
+/// Request command: execute (or look up) one experiment run.
+pub const CMD_RUN: &str = "run";
+/// Request command: execute one shard slice, answered with [`STATUS_HB`]
+/// frames and a final [`STATUS_DONE`] or [`STATUS_ERROR`] one.
+pub const CMD_LEASE: &str = "lease";
+/// Request command: return the daemon's telemetry snapshot.
+pub const CMD_STATS: &str = "stats";
+/// Request command: drain in-flight runs, flush the cache index, exit.
+pub const CMD_SHUTDOWN: &str = "shutdown";
+
+/// Response status: answered from the cache index — no runner attempt.
+pub const STATUS_HIT: &str = "hit";
+/// Response status: executed on the warm pool and now cached.
+pub const STATUS_MISS: &str = "miss";
+/// Response status: load-shed — the pending queue was full.
+pub const STATUS_OVERLOADED: &str = "overloaded";
+/// Response status: the request was invalid or execution failed.
+pub const STATUS_ERROR: &str = "error";
+/// Response status: a `stats` answer.
+pub const STATUS_STATS: &str = "stats";
+/// Response status: acknowledgement (e.g. of `shutdown`).
+pub const STATUS_OK: &str = "ok";
+/// Response status: a heartbeat for a lease in flight.
+pub const STATUS_HB: &str = "hb";
+/// Response status: a lease's final result.
+pub const STATUS_DONE: &str = "done";
+
+/// One request line. `cmd` selects the action. A `run` names one
+/// `experiment`; a `lease` names its slice in `experiments`, its id in
+/// `lease`, and may carry a `chaos` directive. Both carry the run tuple
+/// (`seed`, `profile`, `intensity`, `retries`, `deadline_ms`, and for a
+/// lease `breaker_cooldown`); absent fields keep the daemon's defaults.
+/// `deadline_ms` is wall-clock, so it is not part of a run's cache key;
+/// `retries` is, because it changes what a faulted run reports. A run
+/// never reads `breaker_cooldown`: it is not in the key either.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Request {
+    /// One of the `CMD_*` constants.
     pub cmd: String,
-    /// Dispatcher-chosen lease id, echoed on every response frame.
-    pub lease: Option<u64>,
-    /// Shard index the slice belongs to.
-    pub shard: Option<u32>,
-    /// Offset of the slice in the full experiment list.
-    pub spec_base: Option<u64>,
-    /// Experiment codes in the slice, canonical order.
-    pub experiments: Option<Vec<String>>,
-    /// Run seed.
+    /// Experiment code of a run (e.g. `f3`), validated against the registry.
+    pub experiment: Option<String>,
+    /// Seed for fault plans and jitter streams.
     pub seed: Option<u64>,
-    /// Fault profile label.
+    /// Fault profile label (`none|churn|outage|chaos`).
     pub profile: Option<String>,
-    /// Fault intensity multiplier.
+    /// Multiplier on the profile's fault rates.
     pub intensity: Option<f64>,
-    /// Per-experiment retry budget.
+    /// Extra attempts per experiment.
     pub retries: Option<u32>,
     /// Per-attempt deadline in milliseconds.
     pub deadline_ms: Option<u64>,
-    /// Breaker half-open cooldown.
+    /// Breaker half-open cooldown (leases only).
     pub breaker_cooldown: Option<u32>,
-    /// Chaos directive ([`ChaosKind`] label) the worker should cooperate
+    /// Dispatcher-chosen lease id, echoed on every frame of the answer.
+    pub lease: Option<u64>,
+    /// Experiment codes in a lease's slice, canonical order.
+    pub experiments: Option<Vec<String>>,
+    /// Chaos directive ([`ChaosKind`] label) the daemon should cooperate
     /// with on this lease; absent in production traffic.
     pub chaos: Option<String>,
 }
 
-impl Lease {
-    /// A lease frame for one shard slice under `runner`'s configuration.
-    pub fn for_shard(spec: &ShardSpec, runner: &RunnerConfig, lease_id: u64) -> Lease {
-        Lease {
-            cmd: "lease".to_owned(),
-            lease: Some(lease_id),
-            shard: Some(spec.shard),
-            spec_base: Some(spec.spec_base),
-            experiments: Some(spec.codes.clone()),
+impl Request {
+    /// A `run` request for one experiment tuple.
+    pub fn run(experiment: &str, seed: u64, profile: &str, intensity: f64) -> Request {
+        Request {
+            cmd: CMD_RUN.to_owned(),
+            experiment: Some(experiment.to_owned()),
+            seed: Some(seed),
+            profile: Some(profile.to_owned()),
+            intensity: Some(intensity),
+            ..Request::default()
+        }
+    }
+
+    /// A `lease` request: run the slice `codes` under `runner`'s tuple as
+    /// lease `id`.
+    pub fn lease(id: u64, codes: &[String], runner: &RunnerConfig) -> Request {
+        Request {
+            cmd: CMD_LEASE.to_owned(),
             seed: Some(runner.seed),
             profile: Some(runner.profile.label().to_owned()),
             intensity: Some(runner.intensity),
             retries: Some(runner.retries),
             deadline_ms: Some(runner.deadline.as_millis() as u64),
             breaker_cooldown: Some(runner.breaker_cooldown),
-            chaos: None,
+            lease: Some(id),
+            experiments: Some(codes.to_vec()),
+            ..Request::default()
         }
     }
 
-    /// Serialize as one wire line (no trailing newline).
+    /// A `stats` request.
+    pub fn stats() -> Request {
+        Request {
+            cmd: CMD_STATS.to_owned(),
+            ..Request::default()
+        }
+    }
+
+    /// A `shutdown` request.
+    pub fn shutdown() -> Request {
+        Request {
+            cmd: CMD_SHUTDOWN.to_owned(),
+            ..Request::default()
+        }
+    }
+
+    /// Lay this request's run tuple over `defaults`: each present field
+    /// replaces its counterpart. The one way a tuple becomes a
+    /// [`RunnerConfig`] — the daemon's runs and leases and the binary's
+    /// shared run flags all go through it, so all of them refuse what no
+    /// run could honour.
+    pub fn overlay(&self, defaults: &RunnerConfig) -> Result<RunnerConfig, String> {
+        let mut config = *defaults;
+        if let Some(label) = &self.profile {
+            config.profile = FaultProfile::parse(label).ok_or_else(|| {
+                format!("unknown fault profile '{label}' (none|churn|outage|chaos)")
+            })?;
+        }
+        if let Some(x) = self.intensity {
+            if !x.is_finite() || x < 0.0 {
+                return Err(format!("intensity must be a nonnegative number, got {x}"));
+            }
+            config.intensity = x;
+        }
+        match self.deadline_ms {
+            None => {}
+            Some(0) => return Err("deadline_ms must be positive".to_owned()),
+            Some(ms) => config.deadline = Duration::from_millis(ms),
+        }
+        config.seed = self.seed.unwrap_or(config.seed);
+        config.retries = self.retries.unwrap_or(config.retries);
+        config.breaker_cooldown = self.breaker_cooldown.unwrap_or(config.breaker_cooldown);
+        Ok(config)
+    }
+
+    /// Encode as one protocol line (no trailing newline).
     pub fn to_line(&self) -> Result<String, serde_json::Error> {
         serde_json::to_string(self)
     }
 
-    /// Parse one wire line.
-    pub fn from_line(line: &str) -> Result<Lease, serde_json::Error> {
+    /// Decode a protocol line.
+    pub fn from_line(line: &str) -> Result<Request, serde_json::Error> {
         serde_json::from_str(line.trim())
     }
 }
 
-/// A worker → dispatcher response frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkerFrame {
-    /// `hb` (inline heartbeat), `done` (final result), or `error`.
+/// One response line. `status` says which optional fields are set:
+/// `hit`/`miss` carry `key`, `code_rev`, `artifact` and `metrics`; `stats`
+/// carries `stats`; `error`, `overloaded` and `ok` carry `message`. A
+/// lease is answered with `hb` frames (`lease`, `beat`) and then one
+/// `done` (`lease`, `artifact`, `metrics`) or `error` (`lease`, `message`).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Response {
+    /// One of the `STATUS_*` constants.
     pub status: String,
-    /// Lease id this frame answers.
+    /// Content-address of a run's tuple (32 hex chars).
+    pub key: Option<String>,
+    /// Code revision of the binary that produced the artifact.
+    pub code_rev: Option<String>,
+    /// The canonicalized [`crate::RunArtifact`] JSON, verbatim.
+    pub artifact: Option<String>,
+    /// The run's telemetry snapshot JSON, verbatim (captured at miss
+    /// time; a hit replays the stored one byte-for-byte).
+    pub metrics: Option<String>,
+    /// Human-readable detail for `error`/`overloaded`/`ok`.
+    pub message: Option<String>,
+    /// Daemon telemetry snapshot JSON, for `stats`.
+    pub stats: Option<String>,
+    /// The lease id a frame answers.
     pub lease: Option<u64>,
     /// Heartbeat counter, monotonic per lease.
     pub beat: Option<u64>,
-    /// Shard index of the slice (on `done`).
-    pub shard: Option<u32>,
-    /// Serialized canonical [`crate::RunArtifact`] JSON (on `done`).
-    pub artifact: Option<String>,
-    /// Serialized telemetry snapshot JSON, events included (on `done`).
-    pub metrics: Option<String>,
-    /// Human-readable failure (on `error`).
-    pub message: Option<String>,
 }
 
-impl WorkerFrame {
-    fn empty(status: &str) -> WorkerFrame {
-        WorkerFrame {
+impl Response {
+    fn with_status(status: &str) -> Response {
+        Response {
             status: status.to_owned(),
-            lease: None,
-            beat: None,
-            shard: None,
-            artifact: None,
-            metrics: None,
-            message: None,
+            ..Response::default()
         }
+    }
+
+    fn with_message(status: &str, message: &str) -> Response {
+        Response {
+            message: Some(message.to_owned()),
+            ..Response::with_status(status)
+        }
+    }
+
+    /// A cache-hit or miss answer carrying the artifact.
+    pub fn artifact(
+        status: &str,
+        key: &str,
+        code_rev: &str,
+        artifact: String,
+        metrics: String,
+    ) -> Response {
+        Response {
+            key: Some(key.to_owned()),
+            code_rev: Some(code_rev.to_owned()),
+            artifact: Some(artifact),
+            metrics: Some(metrics),
+            ..Response::with_status(status)
+        }
+    }
+
+    /// A load-shed answer.
+    pub fn overloaded(message: &str) -> Response {
+        Response::with_message(STATUS_OVERLOADED, message)
+    }
+
+    /// An error answer.
+    pub fn error(message: &str) -> Response {
+        Response::with_message(STATUS_ERROR, message)
+    }
+
+    /// A `stats` answer.
+    pub fn stats(snapshot_json: String) -> Response {
+        Response {
+            stats: Some(snapshot_json),
+            ..Response::with_status(STATUS_STATS)
+        }
+    }
+
+    /// A plain acknowledgement.
+    pub fn ok(message: &str) -> Response {
+        Response::with_message(STATUS_OK, message)
     }
 
     /// An inline heartbeat for a lease in flight.
-    pub fn hb(lease: u64, beat: u64) -> WorkerFrame {
-        WorkerFrame {
+    pub fn hb(lease: u64, beat: u64) -> Response {
+        Response {
             lease: Some(lease),
             beat: Some(beat),
-            ..WorkerFrame::empty("hb")
+            ..Response::with_status(STATUS_HB)
         }
     }
 
-    /// The final result frame of a completed lease.
-    pub fn done(lease: u64, shard: u32, artifact: String, metrics: String) -> WorkerFrame {
-        WorkerFrame {
+    /// The final frame of a completed lease.
+    pub fn done(lease: u64, artifact: String, metrics: String) -> Response {
+        Response {
             lease: Some(lease),
-            shard: Some(shard),
             artifact: Some(artifact),
             metrics: Some(metrics),
-            ..WorkerFrame::empty("done")
+            ..Response::with_status(STATUS_DONE)
         }
     }
 
-    /// A lease-level failure the worker could diagnose itself.
-    pub fn error(lease: Option<u64>, message: impl Into<String>) -> WorkerFrame {
-        WorkerFrame {
-            lease,
-            message: Some(message.into()),
-            ..WorkerFrame::empty("error")
-        }
-    }
-
-    /// Serialize as one wire line (no trailing newline).
+    /// Encode as one protocol line (no trailing newline).
     pub fn to_line(&self) -> Result<String, serde_json::Error> {
         serde_json::to_string(self)
     }
 
-    /// Parse one wire line.
-    pub fn from_line(line: &str) -> Result<WorkerFrame, serde_json::Error> {
+    /// Decode a protocol line.
+    pub fn from_line(line: &str) -> Result<Response, serde_json::Error> {
         serde_json::from_str(line.trim())
     }
 }
@@ -357,7 +490,7 @@ pub(crate) fn lease_attempt(
     let _ = stream.set_nodelay(true);
 
     let lease_id = (u64::from(spec.shard) << 16) | u64::from(attempt);
-    let mut lease = Lease::for_shard(spec, runner, lease_id);
+    let mut lease = Request::lease(lease_id, &spec.codes, runner);
     lease.chaos = config
         .chaos_net
         .iter()
@@ -382,22 +515,22 @@ pub(crate) fn lease_attempt(
     let mut chunk = [0u8; 8192];
     loop {
         while let Some(line) = framer.next_line() {
-            let frame = WorkerFrame::from_line(&line).map_err(|_| {
+            let frame = Response::from_line(&line).map_err(|_| {
                 let shown: String = line.chars().take(80).collect();
                 fail(format!("garbled frame: {shown:?}"))
             })?;
             last_frame = Instant::now();
             match frame.status.as_str() {
-                "hb" | "done" if frame.lease != Some(lease_id) => {
+                STATUS_HB | STATUS_DONE if frame.lease != Some(lease_id) => {
                     let answered = frame.lease.map_or("none".to_owned(), |id| id.to_string());
                     return Err(fail(format!(
                         "{} frame for lease {answered} on lease {lease_id}; stale answer refused",
                         frame.status
                     )));
                 }
-                "hb" => {}
-                "done" => return collect_done(&frame, config, spec, attempt).map_err(fail),
-                "error" => {
+                STATUS_HB => {}
+                STATUS_DONE => return collect_done(&frame, config, spec, attempt).map_err(fail),
+                STATUS_ERROR => {
                     let msg = frame.message.unwrap_or_else(|| "unspecified".to_owned());
                     return Err(fail(format!("lease refused: {msg}")));
                 }
@@ -432,7 +565,7 @@ pub(crate) fn lease_attempt(
 /// artifact and metrics to the attempt's `report.json` and
 /// `metrics.json`, as a child does.
 fn collect_done(
-    frame: &WorkerFrame,
+    frame: &Response,
     config: &DispatchConfig,
     spec: &ShardSpec,
     attempt: u32,
@@ -588,28 +721,185 @@ mod tests {
     }
 
     #[test]
+    fn request_lines_round_trip() {
+        let mut req = Request::run("f3", 7, "chaos", 1.5);
+        req.retries = Some(2);
+        let line = req.to_line().unwrap();
+        assert!(!line.contains('\n'), "{line}");
+        assert_eq!(Request::from_line(&line).unwrap(), req);
+        let stats = Request::stats().to_line().unwrap();
+        assert_eq!(Request::from_line(&stats).unwrap().cmd, CMD_STATS);
+    }
+
+    #[test]
+    fn absent_optional_fields_deserialize_to_none() {
+        let req = Request::from_line(r#"{"cmd": "run", "experiment": "f1"}"#).unwrap();
+        assert_eq!(req.experiment.as_deref(), Some("f1"));
+        assert_eq!(req.seed, None);
+        assert_eq!(req.deadline_ms, None);
+    }
+
+    #[test]
+    fn response_embeds_artifact_verbatim_across_the_wire() {
+        // Artifact JSON is pretty-printed (multi-line) — it must survive
+        // the single-line framing byte-for-byte.
+        let artifact = "{\n  \"report\": \"x\"\n}".to_owned();
+        let resp = Response::artifact(
+            STATUS_HIT,
+            "00ff",
+            "0.1.0+abc",
+            artifact.clone(),
+            "{}".into(),
+        );
+        let line = resp.to_line().unwrap();
+        assert!(!line.contains('\n'), "{line}");
+        let back = Response::from_line(&line).unwrap();
+        assert_eq!(back.artifact.as_deref(), Some(artifact.as_str()));
+        assert_eq!(back.status, STATUS_HIT);
+    }
+
+    #[test]
     fn frames_round_trip_through_lines() {
         let spec = shard_spec(2, 5, &["exp1", "exp2"]);
-        let lease = Lease::for_shard(&spec, &RunnerConfig::default(), 7);
-        let back = Lease::from_line(&lease.to_line().unwrap()).unwrap();
+        let lease = Request::lease(7, &spec.codes, &RunnerConfig::default());
+        let back = Request::from_line(&lease.to_line().unwrap()).unwrap();
         assert_eq!(back, lease);
         assert_eq!(
             back.experiments.as_deref(),
             Some(&["exp1".to_owned(), "exp2".to_owned()][..])
         );
+        // Older dispatchers also sent the slice's shard and spec base;
+        // unknown keys are ignored.
+        let mut older = lease.to_line().unwrap();
+        older.insert_str(older.len() - 1, r#","shard":2,"spec_base":5"#);
+        assert_eq!(Request::from_line(&older).unwrap(), lease);
 
-        let done = WorkerFrame::done(7, 2, "{}".into(), "{}".into());
-        assert_eq!(
-            WorkerFrame::from_line(&done.to_line().unwrap()).unwrap(),
-            done
-        );
-        // Older daemons also sent the journal; unknown keys are ignored.
+        let done = Response::done(7, "{}".into(), "{}".into());
+        assert_eq!(Response::from_line(&done.to_line().unwrap()).unwrap(), done);
+        // Older daemons also sent the journal and the shard.
         let mut older = done.to_line().unwrap();
         older.insert_str(older.len() - 1, r#","journal":"{\"seq\":0}\n""#);
-        assert_eq!(WorkerFrame::from_line(&older).unwrap(), done);
-        let hb = WorkerFrame::hb(7, 3);
-        assert_eq!(WorkerFrame::from_line(&hb.to_line().unwrap()).unwrap(), hb);
-        assert!(WorkerFrame::from_line("}{ not a frame").is_err());
+        older.insert_str(older.len() - 1, r#","shard":2"#);
+        assert_eq!(Response::from_line(&older).unwrap(), done);
+        let hb = Response::hb(7, 3);
+        assert_eq!(Response::from_line(&hb.to_line().unwrap()).unwrap(), hb);
+        assert!(Response::from_line("}{ not a frame").is_err());
+    }
+
+    #[test]
+    fn overlay_lays_present_fields_over_the_defaults_and_refuses_the_rest() {
+        let defaults = RunnerConfig::default();
+        assert_eq!(
+            Request::stats().overlay(&defaults).unwrap(),
+            defaults,
+            "an empty tuple keeps every default"
+        );
+        let runner = RunnerConfig {
+            seed: 9,
+            retries: 3,
+            deadline: Duration::from_millis(1500),
+            breaker_cooldown: 2,
+            profile: FaultProfile::Chaos,
+            intensity: 0.5,
+            ..defaults
+        };
+        let lease = Request::lease(1, &[], &runner);
+        assert_eq!(
+            lease.overlay(&defaults).unwrap(),
+            runner,
+            "a lease carries its whole tuple"
+        );
+        for (bad, needle) in [
+            (
+                Request {
+                    profile: Some("bogus".into()),
+                    ..Request::default()
+                },
+                "fault profile",
+            ),
+            (
+                Request {
+                    intensity: Some(-1.0),
+                    ..Request::default()
+                },
+                "intensity",
+            ),
+            (
+                Request {
+                    intensity: Some(f64::NAN),
+                    ..Request::default()
+                },
+                "intensity",
+            ),
+            (
+                Request {
+                    deadline_ms: Some(0),
+                    ..Request::default()
+                },
+                "deadline_ms",
+            ),
+        ] {
+            let err = bad.overlay(&defaults).unwrap_err();
+            assert!(err.contains(needle), "{bad:?}: {err}");
+        }
+    }
+
+    /// A strategy's worth of JSON-ish text: characters drawn mostly from
+    /// the ones the parser branches on.
+    const JSONISH: &[char] = &[
+        '{',
+        '}',
+        '[',
+        ']',
+        '"',
+        ':',
+        ',',
+        '\\',
+        'u',
+        'n',
+        't',
+        'f',
+        'e',
+        'E',
+        '-',
+        '+',
+        '.',
+        '0',
+        '1',
+        '9',
+        'd',
+        '8',
+        ' ',
+        '\t',
+        'a',
+        '\u{e9}',
+        '\u{1f600}',
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn wire_parsers_never_panic_on_arbitrary_text(
+            chars in prop::collection::vec(prop::char::any(), 0..64),
+            jsonish in prop::collection::vec(0usize..JSONISH.len(), 0..64),
+            cut in 0usize..400,
+            splice in prop::collection::vec(0usize..JSONISH.len(), 0..4),
+        ) {
+            let arbitrary: String = chars.into_iter().collect();
+            let jsonish: String = jsonish.into_iter().map(|i| JSONISH[i]).collect();
+            // A valid line cut short, with a little JSON-ish text spliced
+            // in at the cut.
+            let valid = Request::lease(3, &["exp1".to_owned()], &RunnerConfig::default())
+                .to_line()
+                .unwrap();
+            let cut = cut % (valid.len() + 1);
+            let spliced: String = splice.into_iter().map(|i| JSONISH[i]).collect();
+            let mutated = format!("{}{spliced}", &valid[..cut]);
+            for text in [arbitrary, jsonish, mutated] {
+                let _ = Request::from_line(&text);
+                let _ = Response::from_line(&text);
+            }
+        }
     }
 
     #[test]
@@ -713,7 +1003,7 @@ mod tests {
             let mut chunk = [0u8; 1024];
             let lease = loop {
                 if let Some(line) = framer.next_line() {
-                    break Lease::from_line(&line).unwrap();
+                    break Request::from_line(&line).unwrap();
                 }
                 let n = stream.read(&mut chunk).unwrap();
                 framer.push(&chunk[..n]);
@@ -724,7 +1014,7 @@ mod tests {
                 .to_json()
                 .unwrap();
             let stale = lease.lease.unwrap() + 1;
-            let done = WorkerFrame::done(stale, 0, artifact, metrics);
+            let done = Response::done(stale, artifact, metrics);
             stream
                 .write_all(format!("{}\n", done.to_line().unwrap()).as_bytes())
                 .unwrap();

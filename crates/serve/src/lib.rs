@@ -24,9 +24,9 @@
 //!    load-shedding, bounded request lines), daemon telemetry behind a
 //!    `stats` request, and graceful shutdown on SIGTERM or a `shutdown`
 //!    request. It is also the remote shard worker: a `lease` request
-//!    (`humnet_resilience::Lease`, sent by `dispatch --workers`) runs a
-//!    shard slice through the same queue and workers, answered with
-//!    inline heartbeats and a final `done` frame.
+//!    (sent by `dispatch --workers`) runs a shard slice through the same
+//!    queue and workers, answered with inline `hb` responses and a final
+//!    `done` one.
 //!
 //! [`client`] is the matching side: [`client::ServeClient`] owns one
 //! persistent connection (the line protocol already permits N requests
@@ -38,7 +38,29 @@
 
 pub mod cache;
 pub mod client;
-pub mod protocol;
+pub mod protocol {
+    //! The serve wire protocol: line-delimited JSON over TCP.
+    //!
+    //! One [`Request`] object per line from the client, one [`Response`]
+    //! object per line back. Responses are always compact (single-line) JSON;
+    //! the artifact travels *as a string field* holding the exact
+    //! `RunArtifact` JSON the run produced, so a client comparing a hit
+    //! against a miss — or against an `experiments run --report-out` file —
+    //! compares bytes, not re-serialized structures.
+    //!
+    //! A shard lease from `dispatch --workers` is a [`Request`] too
+    //! ([`CMD_LEASE`]), answered by `hb` [`Response`]s and a final `done` or
+    //! `error` one. The types, the command and status constants and the
+    //! line framer live in `humnet_resilience::remote`, because the
+    //! dispatcher speaks the same protocol and cannot depend on this crate;
+    //! they are re-exported here unchanged.
+
+    pub use humnet_resilience::remote::{
+        LineBuffer, Request, Response, CMD_LEASE, CMD_RUN, CMD_SHUTDOWN, CMD_STATS, STATUS_DONE,
+        STATUS_ERROR, STATUS_HB, STATUS_HIT, STATUS_MISS, STATUS_OK, STATUS_OVERLOADED,
+        STATUS_STATS,
+    };
+}
 pub mod server;
 
 pub use cache::{cache_key, CacheEntry, RehydrateStats, ResultCache};

@@ -52,9 +52,10 @@
 use humnet::core::experiments::ExperimentId;
 use humnet::resilience::{
     code_rev, dispatch, git_rev, replay, ChaosNet, ChaosProc, DispatchConfig, ExperimentSpec,
-    FaultProfile, RunArtifact, RunnerConfig, ShardPlan, ShardSpec, SupervisedRun, Supervisor,
-    CHAOS_ENV, CHAOS_KILL_CODE,
+    RunArtifact, RunnerConfig, ShardPlan, ShardSpec, SupervisedRun, Supervisor, CHAOS_ENV,
+    CHAOS_KILL_CODE,
 };
+use humnet::serve::protocol::CMD_RUN;
 use humnet::serve::{install_signal_handlers, Request, ServeClient, ServeConfig, Server};
 use humnet::telemetry::{journal, TelemetrySnapshot, TextTable};
 use std::process::ExitCode;
@@ -105,122 +106,42 @@ type CmdResult = Result<u8, Failure>;
 
 // ---------------------------------------------------- shared run flags --
 
-/// The run-configuration flags every load-bearing subcommand accepts —
-/// `run`, `dispatch`, `serve` and `query` all take the same
+/// Consume `arg` (pulling its value from `args`) if it is one of the run
+/// flags every load-bearing subcommand accepts — `run`, `dispatch`,
+/// `serve` and `query` all take the same
 /// `--fault-profile/--seed/--intensity/--retries/--deadline-ms` tuple
-/// (plus `--breaker-cooldown` where a runner executes locally). One
-/// parse-and-validate path instead of four hand-copied match arms.
-///
-/// Every field is optional so each consumer can distinguish "given on
-/// the command line" from "keep your default": `run` overlays onto a
-/// [`RunnerConfig`], `query` onto a wire [`Request`] (absent fields let
-/// the daemon's own defaults fill in).
-#[derive(Default)]
-struct RunFlags {
-    profile: Option<FaultProfile>,
-    retries: Option<u32>,
-    deadline: Option<Duration>,
-    seed: Option<u64>,
-    intensity: Option<f64>,
-    breaker_cooldown: Option<u32>,
+/// (plus `--breaker-cooldown` where a runner executes locally) — into
+/// `tuple`, the run tuple of a wire [`Request`]; `Ok(false)` hands it
+/// back to the caller's own match. Only the syntax is checked here:
+/// [`runner_config`] checks the values.
+fn run_flag(
+    tuple: &mut Request,
+    arg: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<bool, Failure> {
+    let mut value = |flag: &str| -> Result<String, Failure> {
+        args.next()
+            .ok_or_else(|| Failure::Usage(format!("{flag} needs a value")))
+    };
+    match arg {
+        "--fault-profile" => tuple.profile = Some(value(arg)?),
+        "--retries" => tuple.retries = Some(parse_num(&value(arg)?, arg)?),
+        "--deadline-ms" => tuple.deadline_ms = Some(parse_num(&value(arg)?, arg)?),
+        "--seed" => tuple.seed = Some(parse_num(&value(arg)?, arg)?),
+        "--intensity" => tuple.intensity = Some(parse_num(&value(arg)?, arg)?),
+        "--breaker-cooldown" => tuple.breaker_cooldown = Some(parse_num(&value(arg)?, arg)?),
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
-impl RunFlags {
-    /// Consume `arg` (pulling its value from `args`) if it is one of the
-    /// shared flags; `Ok(false)` hands it back to the caller's own match.
-    /// Call this *before* borrowing `args` for command-specific flags.
-    fn try_consume(
-        &mut self,
-        arg: &str,
-        args: &mut std::iter::Peekable<impl Iterator<Item = String>>,
-    ) -> Result<bool, Failure> {
-        let mut value = |flag: &str| -> Result<String, Failure> {
-            args.next()
-                .ok_or_else(|| Failure::Usage(format!("{flag} needs a value")))
-        };
-        match arg {
-            "--fault-profile" => {
-                let v = value("--fault-profile")?;
-                self.profile = Some(FaultProfile::parse(&v).ok_or_else(|| {
-                    Failure::Usage(format!(
-                        "unknown fault profile '{v}' (none|churn|outage|chaos)"
-                    ))
-                })?);
-            }
-            "--retries" => self.retries = Some(parse_num(&value("--retries")?, "--retries")?),
-            "--deadline-ms" => {
-                let ms: u64 = parse_num(&value("--deadline-ms")?, "--deadline-ms")?;
-                if ms == 0 {
-                    return Err(Failure::Usage("--deadline-ms must be positive".to_owned()));
-                }
-                self.deadline = Some(Duration::from_millis(ms));
-            }
-            "--seed" => self.seed = Some(parse_num(&value("--seed")?, "--seed")?),
-            "--intensity" => {
-                let v = value("--intensity")?;
-                let x: f64 = v
-                    .parse()
-                    .map_err(|_| Failure::Usage(format!("bad --intensity value '{v}'")))?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err(Failure::Usage(
-                        "--intensity must be a nonnegative number".to_owned(),
-                    ));
-                }
-                self.intensity = Some(x);
-            }
-            "--breaker-cooldown" => {
-                self.breaker_cooldown = Some(parse_num(
-                    &value("--breaker-cooldown")?,
-                    "--breaker-cooldown",
-                )?);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Overlay onto a runner config; absent flags keep its defaults.
-    fn apply(&self, config: &mut RunnerConfig) {
-        if let Some(p) = self.profile {
-            config.profile = p;
-        }
-        if let Some(n) = self.retries {
-            config.retries = n;
-        }
-        if let Some(d) = self.deadline {
-            config.deadline = d;
-        }
-        if let Some(s) = self.seed {
-            config.seed = s;
-        }
-        if let Some(x) = self.intensity {
-            config.intensity = x;
-        }
-        if let Some(n) = self.breaker_cooldown {
-            config.breaker_cooldown = n;
-        }
-    }
-
-    /// Overlay onto a wire request; absent flags stay `None` so the
-    /// daemon's per-request defaults fill them in. The breaker cooldown
-    /// is not part of the protocol and is ignored here.
-    fn fill_request(&self, req: &mut Request) {
-        if let Some(p) = self.profile {
-            req.profile = Some(p.label().to_owned());
-        }
-        if let Some(n) = self.retries {
-            req.retries = Some(n);
-        }
-        if let Some(d) = self.deadline {
-            req.deadline_ms = Some(d.as_millis() as u64);
-        }
-        if let Some(s) = self.seed {
-            req.seed = Some(s);
-        }
-        if let Some(x) = self.intensity {
-            req.intensity = Some(x);
-        }
-    }
+/// The runner configuration the run flags in `tuple` ask for: the
+/// daemon's own step for runs and leases ([`Request::overlay`]) over the
+/// runner defaults, so the CLI refuses exactly what a daemon would.
+fn runner_config(tuple: &Request) -> Result<RunnerConfig, Failure> {
+    tuple
+        .overlay(&RunnerConfig::default())
+        .map_err(Failure::Usage)
 }
 
 // ------------------------------------------------------------- output --
@@ -407,7 +328,7 @@ fn cmd_run(args: Vec<String>) -> CmdResult {
 }
 
 /// `Ok(None)` means `--help` was printed; there is nothing to run.
-fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunCli>, Failure> {
+fn parse_run_args(mut args: impl Iterator<Item = String>) -> Result<Option<RunCli>, Failure> {
     let mut cli = RunCli {
         config: RunnerConfig::default(),
         shards: 1,
@@ -416,11 +337,10 @@ fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunCli>, 
         heartbeat: None,
         heartbeat_every: Duration::from_millis(100),
     };
-    let mut flags = RunFlags::default();
-    let mut args = args.peekable();
+    let mut tuple = Request::default();
 
     while let Some(arg) = args.next() {
-        if flags.try_consume(&arg, &mut args)? || cli.out.try_consume(&arg, &mut args)? {
+        if run_flag(&mut tuple, &arg, &mut args)? || cli.out.try_consume(&arg, &mut args)? {
             continue;
         }
         let mut value = |flag: &str| -> Result<String, Failure> {
@@ -461,7 +381,7 @@ fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunCli>, 
         }
     }
 
-    flags.apply(&mut cli.config);
+    cli.config = runner_config(&tuple)?;
     canonicalize_ids(&mut cli.ids);
     Ok(Some(cli))
 }
@@ -535,7 +455,9 @@ fn cmd_dispatch(args: Vec<String>) -> CmdResult {
     Ok(outcome.exit_code() as u8)
 }
 
-fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<DispatchCli>, Failure> {
+fn parse_dispatch_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<Option<DispatchCli>, Failure> {
     let mut cli = DispatchCli {
         config: RunnerConfig::default(),
         procs: 0,
@@ -543,11 +465,10 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
         dispatch: DispatchConfig::default(),
         out: Outputs::default(),
     };
-    let mut flags = RunFlags::default();
-    let mut args = args.peekable();
+    let mut tuple = Request::default();
 
     while let Some(arg) = args.next() {
-        if flags.try_consume(&arg, &mut args)? || cli.out.try_consume(&arg, &mut args)? {
+        if run_flag(&mut tuple, &arg, &mut args)? || cli.out.try_consume(&arg, &mut args)? {
             continue;
         }
         let mut value = |flag: &str| -> Result<String, Failure> {
@@ -663,7 +584,7 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
             ));
         }
     }
-    flags.apply(&mut cli.config);
+    cli.config = runner_config(&tuple)?;
     canonicalize_ids(&mut cli.ids);
     // The retry backoff jitter stream derives from the run seed, like
     // every other deterministic decision.
@@ -798,10 +719,10 @@ fn cmd_serve(args: Vec<String>) -> CmdResult {
     let mut cfg = ServeConfig::default();
     cfg.addr = DEFAULT_SERVE_ADDR.to_owned();
     let mut ready_file = None;
-    let mut flags = RunFlags::default();
-    let mut args = args.into_iter().peekable();
+    let mut tuple = Request::default();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        if flags.try_consume(&arg, &mut args)? {
+        if run_flag(&mut tuple, &arg, &mut args)? {
             continue;
         }
         let mut value = |flag: &str| -> Result<String, Failure> {
@@ -846,7 +767,7 @@ fn cmd_serve(args: Vec<String>) -> CmdResult {
         }
     }
 
-    flags.apply(&mut cfg.runner);
+    cfg.runner = runner_config(&tuple)?;
     install_signal_handlers();
     let factory = Arc::new(|code: &str| ExperimentId::parse(code).map(ExperimentId::spec));
     let server = Server::bind(cfg, factory)
@@ -894,14 +815,14 @@ fn cmd_serve(args: Vec<String>) -> CmdResult {
 
 fn cmd_query(args: Vec<String>) -> CmdResult {
     let mut addr = DEFAULT_SERVE_ADDR.to_owned();
-    let mut req = Request::stats();
-    req.cmd.clear();
+    // The run flags go straight into the request; its empty `cmd` is set
+    // by the experiment id, `--stats` or `--shutdown`.
+    let mut req = Request::default();
     let mut artifact_out = None;
     let mut timeout = Duration::from_secs(120);
-    let mut flags = RunFlags::default();
-    let mut args = args.into_iter().peekable();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        if flags.try_consume(&arg, &mut args)? {
+        if run_flag(&mut req, &arg, &mut args)? {
             continue;
         }
         let mut value = |flag: &str| -> Result<String, Failure> {
@@ -941,7 +862,7 @@ fn cmd_query(args: Vec<String>) -> CmdResult {
                 }
                 let parsed = ExperimentId::parse(id)
                     .ok_or_else(|| Failure::Usage(format!("unknown experiment id '{id}'")))?;
-                req.cmd = "run".to_owned();
+                req.cmd = CMD_RUN.to_owned();
                 req.experiment = Some(parsed.code().to_owned());
             }
         }
@@ -951,7 +872,15 @@ fn cmd_query(args: Vec<String>) -> CmdResult {
             "query needs an experiment id, --stats, or --shutdown".to_owned(),
         ));
     }
-    flags.fill_request(&mut req);
+    if req.breaker_cooldown.is_some() {
+        return Err(Failure::Usage(
+            "--breaker-cooldown is not a query option: a run's cache key leaves it out, so the \
+             daemon would never read it"
+                .to_owned(),
+        ));
+    }
+    // Refuse what the daemon would refuse, before dialling it.
+    runner_config(&req)?;
     if let Some(path) = &artifact_out {
         preflight_writable(path, "artifact")?;
     }
@@ -1092,7 +1021,8 @@ one validation path; each command overlays them on its own defaults):
   --breaker-cooldown <N>
                        admit one half-open probe after N outcomes recorded
                        against an open breaker; 0 latches open (default 0;
-                       not part of the wire protocol, so query ignores it)
+                       not accepted by query: a run's cache key leaves it
+                       out, so the daemon never reads it)
 
 Run options (plus the shared options above):
   --shards <N>         run on N in-process workers, each claiming the next
