@@ -9,7 +9,7 @@ use crate::audit::MethodsAuditor;
 use crate::ethnography::{EthnographyConfig, FieldStudy, MemoPractice, Schedule};
 use crate::par::ParProject;
 use crate::report::{Series, Table};
-use crate::{upstream, Result};
+use crate::{subrun, upstream, Result};
 use humnet_agenda::{
     attention_by_class, attention_gini, coverage, AgendaConfig, AgendaSim, MethodRegime,
     ReviewConfig, VenueWeights,
@@ -105,8 +105,22 @@ pub struct T1Row {
 
 /// **T1** — method-regime comparison over several seeds. Fault draws are
 /// pure per `(step, kind)`, so every regime faces the identical churn
-/// schedule and the cross-regime comparison stays fair.
+/// schedule and the cross-regime comparison stays fair. The
+/// `regimes × seeds` agenda runs are independent and fan out over the
+/// available cores; the output and journal are the serial loop's.
 pub fn t1_regimes(
+    seeds: &[u64],
+    hook: &mut dyn FaultHook,
+    tel: &Telemetry,
+) -> Result<(Vec<T1Row>, Table)> {
+    let jobs = MethodRegime::ALL.len() * seeds.len();
+    t1_regimes_on(subrun::workers_for(jobs), seeds, hook, tel)
+}
+
+/// [`t1_regimes`] on exactly `workers` threads. Nothing it returns or
+/// records depends on `workers`; tests pin it to show that.
+pub fn t1_regimes_on(
+    workers: usize,
     seeds: &[u64],
     hook: &mut dyn FaultHook,
     tel: &Telemetry,
@@ -114,36 +128,46 @@ pub fn t1_regimes(
     if seeds.is_empty() {
         return Err(crate::CoreError::EmptyInput);
     }
-    let mut rows = Vec::new();
-    for &regime in &MethodRegime::ALL {
-        let mut marg = 0.0;
-        let mut dom = 0.0;
-        let mut gini = 0.0;
-        let mut pubs = 0.0;
-        for &seed in seeds {
-            let mut cfg = AgendaConfig::default();
-            cfg.regime = regime;
-            cfg.seed = seed;
-            let mut sim = AgendaSim::new(cfg).map_err(upstream("agenda config"))?;
-            sim.run(hook, tel).map_err(upstream("agenda run"))?;
-            marg += coverage(sim.space(), true).map_err(upstream("coverage"))?;
-            dom += coverage(sim.space(), false).map_err(upstream("coverage"))?;
-            gini += attention_gini(sim.space()).map_err(upstream("gini"))?;
-            pubs += sim
-                .history()
+    let jobs = MethodRegime::ALL.len() * seeds.len();
+    // Job k runs regime k / seeds.len() at seed k % seeds.len(): the
+    // serial loop's order.
+    let runs = subrun::fork_join(jobs, workers, hook, tel, |k, hook, tel| {
+        let mut cfg = AgendaConfig::default();
+        cfg.regime = MethodRegime::ALL[k / seeds.len()];
+        cfg.seed = seeds[k % seeds.len()];
+        let mut sim = AgendaSim::new(cfg).map_err(upstream("agenda config"))?;
+        sim.run(hook, tel).map_err(upstream("agenda run"))?;
+        Ok([
+            coverage(sim.space(), true).map_err(upstream("coverage"))?,
+            coverage(sim.space(), false).map_err(upstream("coverage"))?,
+            attention_gini(sim.space()).map_err(upstream("gini"))?,
+            sim.history()
                 .last()
                 .map(|s| s.publications as f64)
-                .unwrap_or(0.0);
-        }
-        let n = seeds.len() as f64;
-        rows.push(T1Row {
-            regime,
-            marginalized_coverage: marg / n,
-            dominant_coverage: dom / n,
-            gini: gini / n,
-            publications: pubs / n,
-        });
-    }
+                .unwrap_or(0.0),
+        ])
+    })?;
+    let n = seeds.len() as f64;
+    let rows: Vec<T1Row> = MethodRegime::ALL
+        .iter()
+        .zip(runs.chunks(seeds.len()))
+        .map(|(&regime, runs)| {
+            // Summed in seed order from 0.0, as the serial loop did.
+            let mut sum = [0.0; 4];
+            for run in runs {
+                for (s, v) in sum.iter_mut().zip(run) {
+                    *s += v;
+                }
+            }
+            T1Row {
+                regime,
+                marginalized_coverage: sum[0] / n,
+                dominant_coverage: sum[1] / n,
+                gini: sum[2] / n,
+                publications: sum[3] / n,
+            }
+        })
+        .collect();
     let mut table = Table::new(
         "T1: problem surfacing by method regime",
         &[
@@ -324,10 +348,11 @@ pub fn f4_gravity(
 /// run is sized so the full suite stays fast; the scale-smoke CI job and
 /// `bench_substrates` exercise 10k/100k), samples a gravity traffic
 /// matrix, computes routes **only toward the sampled destinations** on
-/// the frozen SoA engine with 8 workers, and reports locality metrics.
-/// The worker count never changes the table (`tests/determinism.rs`
-/// pins it at 1, 2 and 8 workers). There is no fault surface: the
-/// computation either reproduces the same bytes or errors.
+/// the frozen SoA engine with one worker per available core (at most
+/// 8), and reports locality metrics. The worker count never changes the
+/// table (`tests/determinism.rs` pins it at 1, 2 and 8 workers). There
+/// is no fault surface: the computation either reproduces the same bytes
+/// or errors.
 pub fn f10_scale(seed: u64, tel: &Telemetry) -> Result<Table> {
     let _span = tel.span("ixp.internet");
     let n = 2_000;
@@ -338,7 +363,8 @@ pub fn f10_scale(seed: u64, tel: &Telemetry) -> Result<Table> {
         .map_err(upstream("sampled gravity"))?;
     let dests = matrix.destinations();
     let t0 = tel.start();
-    let routes = RoutingTable::compute_frozen(&ft, &dests, 8).map_err(upstream("routing"))?;
+    let workers = subrun::workers_for(dests.len()).min(8);
+    let routes = RoutingTable::compute_frozen(&ft, &dests, workers).map_err(upstream("routing"))?;
     tel.observe_since("ixp.route_assign_ns", t0);
     let (flows, unserved) = matrix.assign(&routes);
     let total_volume: f64 = flows.iter().map(|f| f.volume).sum();
@@ -386,8 +412,21 @@ pub fn f10_scale(seed: u64, tel: &Telemetry) -> Result<Table> {
 
 /// **T3** — community-network sustainability by volunteer regime. Link
 /// outages from `hook` spike the daily failure rate, volunteer dropout
-/// thins the repair pool.
+/// thins the repair pool. The `regimes × seeds` mesh runs are independent
+/// and fan out like [`t1_regimes`]'s.
 pub fn t3_sustainability(
+    seeds: &[u64],
+    hook: &mut dyn FaultHook,
+    tel: &Telemetry,
+) -> Result<Table> {
+    let jobs = VolunteerRegime::ALL.len() * seeds.len();
+    t3_sustainability_on(subrun::workers_for(jobs), seeds, hook, tel)
+}
+
+/// [`t3_sustainability`] on exactly `workers` threads. Nothing it returns
+/// or records depends on `workers`; tests pin it to show that.
+pub fn t3_sustainability_on(
+    workers: usize,
     seeds: &[u64],
     hook: &mut dyn FaultHook,
     tel: &Telemetry,
@@ -395,25 +434,29 @@ pub fn t3_sustainability(
     if seeds.is_empty() {
         return Err(crate::CoreError::EmptyInput);
     }
+    let jobs = VolunteerRegime::ALL.len() * seeds.len();
+    let runs = subrun::fork_join(jobs, workers, hook, tel, |k, hook, tel| {
+        let mut cfg = SustainabilityConfig::default();
+        cfg.regime = VolunteerRegime::ALL[k / seeds.len()];
+        cfg.daily_failure_rate = 0.05;
+        cfg.seed = seeds[k % seeds.len()];
+        SustainabilitySim::new(cfg)
+            .map_err(upstream("sustain config"))?
+            .run(hook, tel)
+            .map_err(upstream("sustain run"))
+    })?;
     let mut table = Table::new(
         "T3: sustainability by volunteer regime (1 year, 5% daily failure)",
         &["regime", "uptime", "mttr (days)", "attrition", "cost"],
     );
-    for regime in VolunteerRegime::ALL {
+    let n = seeds.len() as f64;
+    for (regime, runs) in VolunteerRegime::ALL.iter().zip(runs.chunks(seeds.len())) {
         let mut uptime = 0.0;
         let mut mttr = 0.0;
         let mut mttr_n = 0;
         let mut attrition = 0.0;
         let mut cost = 0.0;
-        for &seed in seeds {
-            let mut cfg = SustainabilityConfig::default();
-            cfg.regime = regime;
-            cfg.daily_failure_rate = 0.05;
-            cfg.seed = seed;
-            let out = SustainabilitySim::new(cfg)
-                .map_err(upstream("sustain config"))?
-                .run(hook, tel)
-                .map_err(upstream("sustain run"))?;
+        for out in runs {
             uptime += out.uptime;
             if !out.mttr.is_nan() {
                 mttr += out.mttr;
@@ -422,7 +465,6 @@ pub fn t3_sustainability(
             attrition += out.attrition as f64;
             cost += out.total_cost;
         }
-        let n = seeds.len() as f64;
         table.row(&[
             regime.label().to_owned(),
             Table::f(uptime / n),

@@ -16,6 +16,9 @@
 //! * [`report`] — plain-text tables and series used by the experiment
 //!   driver and benches to regenerate every table/figure in
 //!   `EXPERIMENTS.md`.
+//! * `subrun` — the fork-join that runs an experiment's independent
+//!   sub-runs (T1's 25 agenda runs, T3's 15 mesh runs) on several
+//!   threads with the serial loop's output and journal.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,6 +28,7 @@ pub mod ethnography;
 pub mod experiments;
 pub mod par;
 pub mod report;
+mod subrun;
 
 pub use audit::{AuditReport, MethodsAuditor, VenueAudit};
 pub use ethnography::{EthnographyConfig, FieldStudy, MemoPractice, Schedule, StudyOutcome};

@@ -472,6 +472,12 @@ mod tests {
             fn faults_injected(&self) -> u64 {
                 self.0
             }
+            fn fork(&self) -> humnet_resilience::HookFork {
+                humnet_resilience::HookFork::new(|_| Box::new(AllIxpsDark(0)))
+            }
+            fn join(&mut self, injected: u64) {
+                self.0 += injected;
+            }
         }
         let cfg = MexicoConfig::default();
         let mut hook = AllIxpsDark(0);

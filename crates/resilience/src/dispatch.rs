@@ -136,7 +136,9 @@ pub struct DispatchConfig {
     /// Maximum heartbeat silence before a live child is declared hung and
     /// killed. Zero disables liveness checking (the deadline still holds).
     pub liveness: Duration,
-    /// Supervision poll interval.
+    /// How often a child's heartbeat file is checked (and a lease's
+    /// socket read times out). A child's exit is noticed within about
+    /// 1 ms whatever this is.
     pub poll: Duration,
     /// Degrade to a partial merged result instead of failing the dispatch
     /// when a shard exhausts its retries.
@@ -725,12 +727,20 @@ enum Verdict {
     Hung(Duration),
 }
 
+/// How often [`watch`] asks whether its child has exited. A dispatch
+/// pass waits on its slowest child's exit, so a coarser tick shows up
+/// directly in the pass time; `try_wait` is one non-blocking syscall.
+const EXIT_POLL: Duration = Duration::from_millis(1);
+
 /// Poll the child until it exits, overruns the shard deadline, or stops
-/// heartbeating for longer than the liveness grace.
+/// heartbeating for longer than the liveness grace. The exit and the
+/// deadline are checked every [`EXIT_POLL`], the heartbeat file every
+/// `config.poll`.
 fn watch(child: &mut Child, paths: &ShardPaths, config: &DispatchConfig) -> Verdict {
     let started = Instant::now();
     let mut hb_len = 0u64;
     let mut hb_seen = Instant::now();
+    let mut hb_next = Instant::now();
     loop {
         match child.try_wait() {
             Ok(Some(status)) => return Verdict::Exited(status),
@@ -742,7 +752,8 @@ fn watch(child: &mut Child, paths: &ShardPaths, config: &DispatchConfig) -> Verd
         if started.elapsed() >= config.shard_deadline {
             return Verdict::TimedOut;
         }
-        if !config.liveness.is_zero() {
+        if !config.liveness.is_zero() && Instant::now() >= hb_next {
+            hb_next = Instant::now() + config.poll;
             let len = fs::metadata(&paths.heartbeat).map(|m| m.len()).unwrap_or(0);
             if len > hb_len {
                 hb_len = len;
@@ -751,7 +762,7 @@ fn watch(child: &mut Child, paths: &ShardPaths, config: &DispatchConfig) -> Verd
                 return Verdict::Hung(hb_seen.elapsed());
             }
         }
-        thread::sleep(config.poll);
+        thread::sleep(EXIT_POLL.min(config.poll));
     }
 }
 

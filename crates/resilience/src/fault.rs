@@ -215,6 +215,11 @@ fn unit(x: u64) -> f64 {
 /// Injection point implemented by long-running simulators. At each step a
 /// simulator asks the hook once per fault kind it knows how to express;
 /// `Some(severity)` means "this fault is active now, at this strength".
+///
+/// Every hook answers each `(step, kind)` the same however often and in
+/// whatever order it is asked, so an experiment can hand independent
+/// sub-runs a [`FaultHook::fork`] each, run them on several threads, and
+/// [`FaultHook::join`] their counts back in sub-run order.
 pub trait FaultHook {
     /// Decide whether `kind` fires at `step`; records the injection.
     fn inject(&mut self, step: u64, kind: FaultKind) -> Option<f64>;
@@ -222,6 +227,40 @@ pub trait FaultHook {
     /// Number of faults this hook has injected so far.
     fn faults_injected(&self) -> u64 {
         0
+    }
+
+    /// A hook for one independent sub-run: it answers every
+    /// `(step, kind)` as this hook would, counts its injections from 0,
+    /// and journals into the sub-run's [`Telemetry`] iff this hook
+    /// journals at all.
+    fn fork(&self) -> HookFork;
+
+    /// Add a finished fork's [`FaultHook::faults_injected`] to this
+    /// hook's count. Its journal lines arrive with the sub-run's
+    /// telemetry, so nothing is journaled here.
+    fn join(&mut self, injected: u64);
+}
+
+/// What [`FaultHook::fork`] returns: made on the parent's thread, sent
+/// to the thread that runs the sub-run, and there bound to the sub-run's
+/// own [`Telemetry`] (which is `Send` but not `Sync`, so it cannot be
+/// borrowed across threads).
+pub struct HookFork(Box<BindFork>);
+
+/// Builds a fork's hook from the sub-run's telemetry.
+type BindFork = dyn for<'t> FnOnce(&'t Telemetry) -> Box<dyn FaultHook + 't> + Send;
+
+impl HookFork {
+    /// A fork that builds its hook from the sub-run's telemetry.
+    pub fn new(
+        bind: impl for<'t> FnOnce(&'t Telemetry) -> Box<dyn FaultHook + 't> + Send + 'static,
+    ) -> Self {
+        HookFork(Box::new(bind))
+    }
+
+    /// The sub-run's hook, journaling (if at all) into `tel`.
+    pub fn bind(self, tel: &Telemetry) -> Box<dyn FaultHook + '_> {
+        (self.0)(tel)
     }
 }
 
@@ -237,6 +276,34 @@ impl<H: FaultHook + ?Sized> FaultHook for &mut H {
     fn faults_injected(&self) -> u64 {
         (**self).faults_injected()
     }
+
+    fn fork(&self) -> HookFork {
+        (**self).fork()
+    }
+
+    fn join(&mut self, injected: u64) {
+        (**self).join(injected)
+    }
+}
+
+/// A box forwards too: a bound [`HookFork`] is a boxed hook, and an
+/// [`InstrumentedHook`] fork wraps one.
+impl<H: FaultHook + ?Sized> FaultHook for Box<H> {
+    fn inject(&mut self, step: u64, kind: FaultKind) -> Option<f64> {
+        (**self).inject(step, kind)
+    }
+
+    fn faults_injected(&self) -> u64 {
+        (**self).faults_injected()
+    }
+
+    fn fork(&self) -> HookFork {
+        (**self).fork()
+    }
+
+    fn join(&mut self, injected: u64) {
+        (**self).join(injected)
+    }
 }
 
 /// The do-nothing hook: callers that want a fault-free run pass
@@ -248,6 +315,12 @@ impl FaultHook for NoFaults {
     fn inject(&mut self, _step: u64, _kind: FaultKind) -> Option<f64> {
         None
     }
+
+    fn fork(&self) -> HookFork {
+        HookFork::new(|_| Box::new(NoFaults))
+    }
+
+    fn join(&mut self, _injected: u64) {}
 }
 
 /// Hook driven by a [`FaultPlan`], counting injections for the run report.
@@ -280,6 +353,15 @@ impl FaultHook for PlanHook {
 
     fn faults_injected(&self) -> u64 {
         self.injected
+    }
+
+    fn fork(&self) -> HookFork {
+        let plan = self.plan;
+        HookFork::new(move |_| Box::new(PlanHook::new(plan)))
+    }
+
+    fn join(&mut self, injected: u64) {
+        self.injected += injected;
     }
 }
 
@@ -323,6 +405,15 @@ impl<H: FaultHook> FaultHook for InstrumentedHook<'_, H> {
 
     fn faults_injected(&self) -> u64 {
         self.inner.faults_injected()
+    }
+
+    fn fork(&self) -> HookFork {
+        let inner = self.inner.fork();
+        HookFork::new(move |tel| Box::new(InstrumentedHook::new(inner.bind(tel), tel)))
+    }
+
+    fn join(&mut self, injected: u64) {
+        self.inner.join(injected);
     }
 }
 

@@ -87,7 +87,7 @@ pub use dispatch::{
     CHAOS_KILL_CODE,
 };
 pub use fault::{
-    FaultHook, FaultKind, FaultPlan, FaultProfile, InstrumentedHook, NoFaults, PlanHook,
+    FaultHook, FaultKind, FaultPlan, FaultProfile, HookFork, InstrumentedHook, NoFaults, PlanHook,
 };
 pub use remote::{ChaosKind, ChaosNet, LineBuffer, Request, Response};
 pub use replay::{
@@ -97,6 +97,6 @@ pub use replay::{
 pub use report::{ExperimentReport, ExperimentStatus, RunArtifact, RunReport};
 pub use runner::{
     render_chain, ExperimentSpec, Job, JobError, JobOutput, RunnerConfig, SupervisedRun,
-    Supervisor, SupervisorBuilder,
+    Supervisor, SupervisorBuilder, WORKER_PREFIX,
 };
 pub use shard::{ShardPlan, ShardPlanError};

@@ -27,11 +27,12 @@
 //! journal, letting a single experiment re-run under the exact faults a
 //! past run saw without going through the supervisor at all.
 
-use crate::fault::{FaultHook, FaultKind, FaultProfile};
+use crate::fault::{FaultHook, FaultKind, FaultProfile, HookFork};
 use crate::runner::{ExperimentSpec, RunnerConfig, SupervisedRun, Supervisor};
 use humnet_telemetry::{spec_ordered, Event};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// One fault injection recovered from a captured journal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,7 +50,7 @@ pub struct RecordedFault {
 /// so a simulator re-executes under exactly the faults a past run saw.
 #[derive(Debug, Clone, Default)]
 pub struct RecordedFaults {
-    schedule: BTreeMap<(u64, &'static str), f64>,
+    schedule: Arc<BTreeMap<(u64, &'static str), f64>>,
     injected: u64,
 }
 
@@ -61,7 +62,8 @@ impl RecordedFaults {
             schedule: faults
                 .iter()
                 .map(|f| ((f.step, f.kind.label()), f.severity))
-                .collect(),
+                .collect::<BTreeMap<_, _>>()
+                .into(),
             injected: 0,
         }
     }
@@ -88,6 +90,20 @@ impl FaultHook for RecordedFaults {
 
     fn faults_injected(&self) -> u64 {
         self.injected
+    }
+
+    fn fork(&self) -> HookFork {
+        let schedule = Arc::clone(&self.schedule);
+        HookFork::new(move |_| {
+            Box::new(RecordedFaults {
+                schedule,
+                injected: 0,
+            })
+        })
+    }
+
+    fn join(&mut self, injected: u64) {
+        self.injected += injected;
     }
 }
 

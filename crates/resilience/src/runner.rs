@@ -693,7 +693,10 @@ impl Supervisor {
     }
 }
 
-const WORKER_PREFIX: &str = "humnet-exp-";
+/// Name prefix of the threads that run experiment code. A supervisor
+/// with `quiet_panics` silences panics on threads whose name starts with
+/// it, so a thread an experiment spawns for its own sub-runs takes it too.
+pub const WORKER_PREFIX: &str = "humnet-exp-";
 
 /// The `run-start` event detail: every configuration knob that shapes the
 /// canonical event stream, as `key=value` tokens. The replay engine parses

@@ -75,6 +75,16 @@ impl Telemetry {
         Telemetry::default()
     }
 
+    /// An empty instance that records iff this one does: what a sub-run
+    /// on another thread records into before its snapshot is
+    /// [`absorb`](Telemetry::absorb)ed here.
+    pub fn fork(&self) -> Self {
+        Telemetry {
+            enabled: self.enabled,
+            inner: RefCell::default(),
+        }
+    }
+
     /// Add `by` to the named counter.
     pub fn counter(&self, name: &str, by: u64) {
         if self.enabled {

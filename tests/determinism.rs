@@ -301,3 +301,149 @@ fn supervised_chaos_run_reproducible() {
     let c = supervisor(4321).run(&common::suite());
     assert_ne!(a.report.canonical(), c.report.canonical());
 }
+
+/// What one instrumented T1 or T3 run leaves behind, durations excluded.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    rendered: String,
+    faults_injected: u64,
+    events: Vec<String>,
+    counters: std::collections::BTreeMap<String, u64>,
+    gauges: std::collections::BTreeMap<String, f64>,
+    histogram_counts: Vec<(String, u64)>,
+}
+
+/// Run `run` under `hook`, instrumented the way `ExperimentId::run_hooked`
+/// instruments it, on a recording `Telemetry`.
+fn observe(
+    hook: &mut dyn humnet::resilience::FaultHook,
+    run: impl FnOnce(&mut dyn humnet::resilience::FaultHook, &Telemetry) -> String,
+) -> Observed {
+    use humnet::resilience::InstrumentedHook;
+    let tel = Telemetry::new();
+    let rendered = run(&mut InstrumentedHook::new(&mut *hook, &tel), &tel);
+    let snap = tel.into_snapshot();
+    Observed {
+        rendered,
+        faults_injected: hook.faults_injected(),
+        events: snap.canonical_events(),
+        counters: snap.metrics.counters,
+        gauges: snap.metrics.gauges,
+        histogram_counts: snap
+            .metrics
+            .histograms
+            .into_iter()
+            .map(|(name, h)| (name, h.count))
+            .collect(),
+    }
+}
+
+const SUBRUN_SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
+
+/// T1's 25 agenda runs as the serial loop ran them before they fanned
+/// out: straight on the caller's hook and telemetry.
+fn t1_serial(hook: &mut dyn humnet::resilience::FaultHook, tel: &Telemetry) -> String {
+    for regime in humnet::agenda::MethodRegime::ALL {
+        for seed in SUBRUN_SEEDS {
+            let mut cfg = AgendaConfig::default();
+            cfg.regime = regime;
+            cfg.seed = seed;
+            AgendaSim::new(cfg).unwrap().run(hook, tel).unwrap();
+        }
+    }
+    String::new()
+}
+
+/// T3's 15 mesh runs, likewise.
+fn t3_serial(hook: &mut dyn humnet::resilience::FaultHook, tel: &Telemetry) -> String {
+    for regime in humnet::community::VolunteerRegime::ALL {
+        for seed in SUBRUN_SEEDS {
+            let mut cfg = SustainabilityConfig::default();
+            cfg.regime = regime;
+            cfg.daily_failure_rate = 0.05;
+            cfg.seed = seed;
+            SustainabilitySim::new(cfg).unwrap().run(hook, tel).unwrap();
+        }
+    }
+    String::new()
+}
+
+#[test]
+fn t1_and_t3_are_independent_of_worker_count() {
+    use humnet::core::experiments as exp;
+    use humnet::resilience::{
+        FaultHook, FaultKind, FaultPlan, FaultProfile, InstrumentedHook, PlanHook, RecordedFault,
+        RecordedFaults,
+    };
+
+    type Serial = fn(&mut dyn FaultHook, &Telemetry) -> String;
+    type OnWorkers = fn(usize, &mut dyn FaultHook, &Telemetry) -> String;
+    let experiments: [(&str, Serial, OnWorkers); 2] = [
+        ("t1", t1_serial, |workers, hook, tel| {
+            exp::t1_regimes_on(workers, &SUBRUN_SEEDS, hook, tel)
+                .unwrap()
+                .1
+                .render()
+        }),
+        ("t3", t3_serial, |workers, hook, tel| {
+            exp::t3_sustainability_on(workers, &SUBRUN_SEEDS, hook, tel)
+                .unwrap()
+                .render()
+        }),
+    ];
+    let chaos = FaultPlan::new(FaultProfile::Chaos, 7);
+    for (code, serial, on_workers) in experiments {
+        // The fault schedule a chaos run journals, replayed through a
+        // `RecordedFaults` below.
+        let capture: Vec<RecordedFault> = {
+            let tel = Telemetry::new();
+            serial(&mut InstrumentedHook::new(PlanHook::new(chaos), &tel), &tel);
+            tel.snapshot()
+                .events
+                .iter()
+                .filter(|e| e.kind == "fault")
+                .map(|e| RecordedFault {
+                    kind: FaultKind::parse(&e.detail).unwrap(),
+                    step: e.step.unwrap(),
+                    severity: e.severity.unwrap(),
+                })
+                .collect()
+        };
+        assert!(!capture.is_empty(), "{code}: chaos must inject");
+        let hook = |name: &str| -> Box<dyn FaultHook> {
+            match name {
+                "none" => Box::new(NoFaults),
+                "chaos" => Box::new(PlanHook::new(chaos)),
+                _ => Box::new(RecordedFaults::new(&capture)),
+            }
+        };
+        let mut rendered = Vec::new();
+        for name in ["none", "chaos", "replayed chaos"] {
+            let want = observe(&mut *hook(name), serial);
+            for workers in [1, 2, 8] {
+                let got = observe(&mut *hook(name), |h, t| on_workers(workers, h, t));
+                assert_eq!(
+                    Observed {
+                        rendered: String::new(),
+                        ..got
+                    },
+                    want,
+                    "{code} under {name} on {workers} workers"
+                );
+                rendered.push((name, got.rendered));
+            }
+            if name != "none" {
+                assert_eq!(want.faults_injected, capture.len() as u64, "{code}");
+            }
+        }
+        // One rendering per hook: the replay renders what chaos did.
+        for (name, r) in &rendered {
+            let expect = if *name == "none" {
+                &rendered[0].1
+            } else {
+                &rendered[3].1
+            };
+            assert_eq!(r, expect, "{code} under {name}");
+        }
+    }
+}
