@@ -553,7 +553,27 @@ fn make_title(topic: Topic, id: usize, rng: &mut Rng) -> String {
         Topic::AccessEquity => "Equitable Internet Access",
     };
     let prefix = rng.choose(PREFIXES);
-    format!("{prefix} {subject} [{id}]")
+    // The decimal digits of `id`, filled from the right.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = id;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let digits = std::str::from_utf8(&digits[at..]).expect("ASCII digits");
+    let mut title = String::with_capacity(prefix.len() + subject.len() + digits.len() + 4);
+    title.push_str(prefix);
+    title.push(' ');
+    title.push_str(subject);
+    title.push_str(" [");
+    title.push_str(digits);
+    title.push(']');
+    title
 }
 
 /// Seed text per topic used to train the abstract Markov models. Each seed
@@ -644,7 +664,9 @@ fn topic_markov_models() -> [MarkovModel; Topic::ALL.len()] {
 }
 
 fn make_abstract(model: &MarkovModel, methods: &[MethodTag], rng: &mut Rng) -> String {
-    let mut text = model.generate_paragraph(3, 14, rng);
+    let signals: usize = methods.iter().map(|&m| 1 + method_sentence(m).len()).sum();
+    let mut text = String::with_capacity(model.max_paragraph_len(3, 14) + signals);
+    model.push_paragraph(&mut text, 3, 14, rng);
     for &m in methods {
         text.push(' ');
         text.push_str(method_sentence(m));

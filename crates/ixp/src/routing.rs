@@ -31,27 +31,30 @@
 //!
 //! The engine runs on [`FrozenTopology`] CSR adjacency and stores its
 //! result as structure-of-arrays: per computed destination, one `u8`
-//! *class* row (none/customer/peer/provider), one `u32` *next-hop* row and
-//! one `u32` *peer-IXP* row, each `n` wide, packed contiguously with
-//! `u32::MAX` as the "none" sentinel. That is 9 bytes per (AS,
-//! destination) pair instead of the seven pointer-carrying `Vec`s per
-//! destination the original implementation kept (retained verbatim in
-//! `reference`, behind the `reference` feature, for differential testing).
-//! Paths are reconstructed on request by walking next-hop rows, never
-//! stored.
+//! *class* row (none/customer/peer/provider) and one `u32` *next-hop* row,
+//! each `n` wide, packed contiguously with `u32::MAX` as the "none"
+//! sentinel. That is 5 bytes per (AS, destination) pair instead of the
+//! seven pointer-carrying `Vec`s per destination the original
+//! implementation kept (retained verbatim in `reference`, behind the
+//! `reference` feature, for differential testing). The IXP a peer hop
+//! crosses is not stored: it is the first of the AS's own sessions that
+//! reaches the hop's next AS, so the table shares the topology's peer
+//! sessions and derives it on read. Paths are reconstructed on request by
+//! walking next-hop rows, never stored.
 //!
 //! ## Parallelism and determinism
 //!
 //! Per-destination propagation is embarrassingly parallel.
-//! [`RoutingTable::compute_frozen`] allocates the three tables once and
+//! [`RoutingTable::compute_frozen`] allocates the two tables once and
 //! splits them into `workers` disjoint contiguous row ranges, one per
 //! slice of the sorted destination list. Scoped threads fill their ranges
 //! in place. Slice boundaries depend only on the row and worker counts and
 //! each row depends only on its destination, so the table is
 //! byte-identical whatever the worker count.
 
-use crate::topology::{AsId, AsTopology, FrozenTopology, IxpId, NO_IXP};
+use crate::topology::{AsId, AsTopology, FrozenTopology, IxpId, PeerSessions, NO_IXP};
 use crate::{IxpError, Result};
+use std::sync::Arc;
 
 const INF: u32 = u32::MAX;
 /// Sentinel for "no next hop" in the packed next-hop rows.
@@ -133,7 +136,7 @@ impl Scratch {
     }
 }
 
-/// One destination's propagation, written into its three `n`-wide rows.
+/// One destination's propagation, written into its two `n`-wide rows.
 /// `order` lists every AS providers-first.
 fn route_rows(
     ft: &FrozenTopology,
@@ -142,7 +145,6 @@ fn route_rows(
     s: &mut Scratch,
     class_row: &mut [u8],
     next_row: &mut [u32],
-    ixp_row: &mut [u32],
 ) {
     s.dist_cust.fill(INF);
     s.dist_peer.fill(INF);
@@ -183,17 +185,11 @@ fn route_rows(
     // same pass derives the packed rows.
     for &u in order {
         let u = u as usize;
-        let (class, next, ixp, len) = if s.dist_cust[u] != INF {
+        let (class, next, len) = if s.dist_cust[u] != INF {
             let next = if u == dst { NO_NEXT } else { s.next_cust[u] };
-            (CLASS_CUST, next, NO_IXP, s.dist_cust[u])
+            (CLASS_CUST, next, s.dist_cust[u])
         } else if s.dist_peer[u] != INF {
-            let via = s.next_peer[u];
-            let (nbrs, ixps) = ft.peer_sessions_of(u);
-            let first = nbrs
-                .iter()
-                .position(|&v| v == via)
-                .expect("winning peer is a neighbour");
-            (CLASS_PEER, via, ixps[first], s.dist_peer[u])
+            (CLASS_PEER, s.next_peer[u], s.dist_peer[u])
         } else {
             let mut best_len = INF;
             let mut best_p = NO_NEXT;
@@ -205,27 +201,25 @@ fn route_rows(
                 }
             }
             if best_len == INF {
-                (CLASS_NONE, NO_NEXT, NO_IXP, INF)
+                (CLASS_NONE, NO_NEXT, INF)
             } else {
-                (CLASS_PROV, best_p, NO_IXP, best_len + 1)
+                (CLASS_PROV, best_p, best_len + 1)
             }
         };
         s.selected_len[u] = len;
         class_row[u] = class;
         next_row[u] = next;
-        ixp_row[u] = ixp;
     }
 }
 
-/// Route toward each of `dests` in turn, filling row `i` of the three
-/// tables for `dests[i]`.
+/// Route toward each of `dests` in turn, filling row `i` of both tables
+/// for `dests[i]`.
 fn fill_rows(
     ft: &FrozenTopology,
     order: &[u32],
     dests: &[AsId],
     class: &mut [u8],
     next: &mut [u32],
-    ixp: &mut [u32],
 ) {
     let n = ft.as_count();
     let mut scratch = Scratch::new(n);
@@ -237,8 +231,7 @@ fn fill_rows(
             dst,
             &mut scratch,
             &mut class[row.clone()],
-            &mut next[row.clone()],
-            &mut ixp[row],
+            &mut next[row],
         );
     }
 }
@@ -255,7 +248,9 @@ pub struct RoutingTable {
     dest_slot: Vec<u32>,
     class: Vec<u8>,
     next: Vec<u32>,
-    peer_ixp: Vec<u32>,
+    /// The topology's peer sessions, from which a peer cell's IXP is
+    /// derived ([`PeerSessions::first_ixp`]).
+    peers: Arc<PeerSessions>,
 }
 
 impl RoutingTable {
@@ -316,32 +311,29 @@ impl RoutingTable {
         // `route_rows` writes every cell, so zeroed memory will do.
         let mut class = vec![0u8; rows * n];
         let mut next = vec![0u32; rows * n];
-        let mut peer_ixp = vec![0u32; rows * n];
         // Balanced contiguous slices: the first `extra` slices carry one
         // more destination. Slice boundaries depend only on (rows,
         // workers), never on timing.
         let workers = workers.max(1).min(rows.max(1));
         let (base, extra) = (rows / workers, rows % workers);
         let mut slices = Vec::with_capacity(workers);
-        let (mut d, mut c, mut x, mut p) =
-            (&dests[..], &mut class[..], &mut next[..], &mut peer_ixp[..]);
+        let (mut d, mut c, mut x) = (&dests[..], &mut class[..], &mut next[..]);
         for i in 0..workers {
             let len = base + usize::from(i < extra);
             let (d0, d1) = d.split_at(len);
             let (c0, c1) = std::mem::take(&mut c).split_at_mut(len * n);
             let (x0, x1) = std::mem::take(&mut x).split_at_mut(len * n);
-            let (p0, p1) = std::mem::take(&mut p).split_at_mut(len * n);
-            slices.push((d0, c0, x0, p0));
-            (d, c, x, p) = (d1, c1, x1, p1);
+            slices.push((d0, c0, x0));
+            (d, c, x) = (d1, c1, x1);
         }
         std::thread::scope(|scope| {
             let mut slices = slices.into_iter();
-            let (d0, c0, x0, p0) = slices.next().expect("at least one slice");
+            let (d0, c0, x0) = slices.next().expect("at least one slice");
             let order = &order;
             let handles: Vec<_> = slices
-                .map(|(d, c, x, p)| scope.spawn(move || fill_rows(ft, order, d, c, x, p)))
+                .map(|(d, c, x)| scope.spawn(move || fill_rows(ft, order, d, c, x)))
                 .collect();
-            fill_rows(ft, order, d0, c0, x0, p0);
+            fill_rows(ft, order, d0, c0, x0);
             for h in handles {
                 if let Err(payload) = h.join() {
                     std::panic::resume_unwind(payload);
@@ -358,7 +350,7 @@ impl RoutingTable {
             dest_slot,
             class,
             next,
-            peer_ixp,
+            peers: Arc::clone(ft.peer_sessions()),
         })
     }
 
@@ -397,44 +389,63 @@ impl RoutingTable {
     /// for byte-identity assertions across worker counts.
     ///
     /// The value is the byte-serial FNV-1a of `dests` (8 little-endian
-    /// bytes each), then `class`, then `next` and `peer_ixp` (4 each), but
-    /// runs of known bytes are folded rather than hashed one by one
+    /// bytes each), then `class`, then `next` and the dense peer-IXP
+    /// column (4 each): per cell, the IXP its peer hop crosses, or
+    /// [`NO_IXP`] for private peering and every cell that is not a peer
+    /// route. Runs of known bytes are folded rather than hashed one by one
     /// ([`Fnv1a`]): the zero bytes above a value's highest nonzero byte
     /// cost one multiply, a run of `u32::MAX` entries one table step per
     /// set bit of its byte count, and an 8-byte `class` word of one route
-    /// class one table step.
+    /// class one table step. The class pass notes the peer cells, so the
+    /// IXP column costs one derivation per peer cell and one fold per run
+    /// of `NO_IXP` between them.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
         for &d in &self.dests {
             h.word(d as u64, 8);
         }
+        let mut peer_cells = Vec::new();
         let mut words = self.class.chunks_exact(8);
-        for w in &mut words {
+        for (k, w) in (0..).step_by(8).zip(&mut words) {
             if w.iter().all(|&c| c == w[0]) {
                 h.repeat(w[0], 8);
+                if w[0] == CLASS_PEER {
+                    peer_cells.extend(k..k + 8);
+                }
             } else {
-                for &c in w {
+                for (k, &c) in (k..).zip(w) {
                     h.byte(c);
+                    if c == CLASS_PEER {
+                        peer_cells.push(k);
+                    }
                 }
             }
         }
-        for &c in words.remainder() {
+        let tail = self.class.len() - words.remainder().len();
+        for (k, &c) in (tail..).zip(words.remainder()) {
             h.byte(c);
+            if c == CLASS_PEER {
+                peer_cells.push(k);
+            }
         }
         for &x in &self.next {
             h.word(u64::from(x), 4);
         }
-        let mut ixp = &self.peer_ixp[..];
-        while let Some(&x) = ixp.first() {
-            if x == u32::MAX {
-                let run = run_len(ixp, u32::MAX);
-                h.repeat(0xff, 4 * run);
-                ixp = &ixp[run..];
+        // `unhashed` counts the NO_IXP entries since the last one hashed.
+        let (mut unhashed, mut from) = (0, 0);
+        for k in peer_cells {
+            unhashed += k - from;
+            from = k + 1;
+            let ixp = self.peers.first_ixp(k % self.n, self.next[k]);
+            if ixp == NO_IXP {
+                unhashed += 1;
             } else {
-                h.word(u64::from(x), 4);
-                ixp = &ixp[1..];
+                h.repeat(0xff, 4 * unhashed);
+                h.word(u64::from(ixp), 4);
+                unhashed = 0;
             }
         }
+        h.repeat(0xff, 4 * (unhashed + self.class.len() - from));
         h.finish()
     }
 
@@ -480,13 +491,13 @@ impl RoutingTable {
         }
         if self.class[base + current] == CLASS_PEER {
             has_peer_hop = true;
-            let ixp = self.peer_ixp[base + current];
+            let next = self.next[base + current];
+            let ixp = self.peers.first_ixp(current, next);
             if ixp != NO_IXP {
                 crossed_ixp = Some(ixp as usize);
             }
-            let next = self.next[base + current] as usize;
-            path.push(next);
-            current = next;
+            path.push(next as usize);
+            current = next as usize;
         }
         while current != dst {
             let next = self.next[base + current] as usize;
@@ -723,23 +734,6 @@ pub mod reference {
             self.route(src, dst).is_ok()
         }
     }
-}
-
-/// Length of the run of `x` at the start of `s`, compared a chunk at a
-/// time without a branch per entry.
-fn run_len(s: &[u32], x: u32) -> usize {
-    let mut run = 0;
-    for chunk in s.chunks(16) {
-        let differ = chunk
-            .iter()
-            .enumerate()
-            .fold(0u32, |m, (i, &y)| m | u32::from(y != x) << i);
-        if differ != 0 {
-            return run + differ.trailing_zeros() as usize;
-        }
-        run += chunk.len();
-    }
-    run
 }
 
 /// FNV-1a's 64-bit prime.
@@ -1140,6 +1134,75 @@ mod tests {
         }
     }
 
+    /// A and C each have two sessions to B, one private and one at an
+    /// exchange, in opposite orders: A's private one first, C's at `y`
+    /// first. D is B's customer.
+    fn twice_peered() -> (AsTopology, [AsId; 4], [IxpId; 2]) {
+        let mut t = AsTopology::new();
+        let a = t.add_as("A", AsKind::Access, &r(), 1.0);
+        let b = t.add_as("B", AsKind::Transit, &r(), 1.0);
+        let c = t.add_as("C", AsKind::Access, &r(), 1.0);
+        let d = t.add_as("D", AsKind::Access, &r(), 1.0);
+        let x = t.add_ixp("X", &r());
+        let y = t.add_ixp("Y", &r());
+        t.add_provider(d, b).unwrap();
+        t.add_peering(a, b, None).unwrap();
+        t.add_peering(a, b, Some(x)).unwrap();
+        t.add_peering(c, b, Some(y)).unwrap();
+        t.add_peering(c, b, None).unwrap();
+        (t, [a, b, c, d], [x, y])
+    }
+
+    #[test]
+    fn a_peer_hop_crosses_the_first_session_to_its_next_as() {
+        let (t, [a, b, c, d], [_x, y]) = twice_peered();
+        let rt = RoutingTable::compute(&t).unwrap();
+        let crossed = |src, dst| {
+            let route = rt.route(src, dst).unwrap();
+            assert!(route.has_peer_hop, "{src} -> {dst}: {route:?}");
+            route.crossed_ixp
+        };
+        for dst in [b, d] {
+            assert_eq!(crossed(a, dst), None, "A's first session to B is private");
+            assert_eq!(crossed(c, dst), Some(y), "C's first session to B is at Y");
+        }
+        // B lists A's sessions first (private, then X), then C's (Y, then
+        // private); D's routes take B's peer hop.
+        for src in [b, d] {
+            assert_eq!(crossed(src, a), None);
+            assert_eq!(crossed(src, c), Some(y));
+        }
+        assert_eq!(rt.digest(), byte_serial_fnv1a(&rt));
+    }
+
+    #[cfg(feature = "reference")]
+    #[test]
+    fn reference_implementation_agrees_on_twice_peered_ases() {
+        let (t, ids, _) = twice_peered();
+        let soa = RoutingTable::compute(&t).unwrap();
+        let naive = reference::ReferenceTable::compute(&t).unwrap();
+        for src in ids {
+            for dst in ids {
+                assert_eq!(soa.route(src, dst).ok(), naive.route(src, dst).ok());
+            }
+        }
+    }
+
+    /// The IXP column `digest` hashes, written out cell by cell: a peer
+    /// cell's first session to its next AS, [`NO_IXP`] everywhere else.
+    fn dense_peer_ixp(t: &RoutingTable) -> Vec<u32> {
+        (0..t.class.len())
+            .map(|k| {
+                if t.class[k] != CLASS_PEER {
+                    return NO_IXP;
+                }
+                let (nbrs, ixps) = t.peers.of(k % t.n);
+                let first = nbrs.iter().zip(ixps).find(|&(&v, _)| v == t.next[k]);
+                *first.expect("a peer cell's next AS is a peer").1
+            })
+            .collect()
+    }
+
     /// FNV-1a fed one byte at a time over `digest`'s byte order.
     fn byte_serial_fnv1a(t: &RoutingTable) -> u64 {
         t.dests
@@ -1147,7 +1210,7 @@ mod tests {
             .flat_map(|&d| (d as u64).to_le_bytes())
             .chain(t.class.iter().copied())
             .chain(t.next.iter().flat_map(|x| x.to_le_bytes()))
-            .chain(t.peer_ixp.iter().flat_map(|x| x.to_le_bytes()))
+            .chain(dense_peer_ixp(t).iter().flat_map(|x| x.to_le_bytes()))
             .fold(0xcbf29ce484222325, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
             })
@@ -1185,25 +1248,79 @@ mod tests {
         out
     }
 
+    /// A table `digest` can read, drawn from codes. `n` ASes (at most 8)
+    /// peer along `sessions`, each code naming two ASes in its low six
+    /// bits and, above them, a private session or an IXP of any size
+    /// `digest` folds differently; a session is listed at both ends, as
+    /// `AsTopology::add_peering` does, and pairs may peer more than once. `class` comes in runs
+    /// of every class and in single bytes, peer routes among them, cut to
+    /// whole rows of `n`, which need not fill whole 8-byte words. A peer
+    /// cell's next AS is one of its peers (an AS without sessions gets no
+    /// route instead); any other cell's next hop is any entry.
+    fn drawn_table(
+        n: usize,
+        sessions: &[u64],
+        dests: &[u64],
+        class: &[u64],
+        seed: u64,
+    ) -> RoutingTable {
+        let mut lists = vec![Vec::new(); n];
+        for &code in sessions {
+            let (a, b) = ((code & 7) as usize % n, (code >> 3 & 7) as usize % n);
+            if a != b {
+                lists[a].push((b as u32, entry(code >> 6)));
+                lists[b].push((a as u32, entry(code >> 6)));
+            }
+        }
+        let peers = PeerSessions::build(n, |u| lists[u].iter().copied());
+        let mut class = with_runs(
+            class,
+            |c| (c >> 8) as u8 % 4,
+            |c| match c % 3 {
+                1 => CLASS_PEER,
+                _ => (c >> 8) as u8,
+            },
+        );
+        class.truncate(class.len() / n * n);
+        let mut rng = humnet_stats::Rng::new(seed);
+        let mut next = Vec::with_capacity(class.len());
+        for (k, c) in class.iter_mut().enumerate() {
+            let code = rng.next_u64();
+            let nbrs = peers.of(k % n).0;
+            next.push(match *c {
+                CLASS_PEER if nbrs.is_empty() => {
+                    *c = CLASS_NONE;
+                    entry(code)
+                }
+                CLASS_PEER => nbrs[code as usize % nbrs.len()],
+                _ => entry(code),
+            });
+        }
+        let rows = class.len() / n;
+        RoutingTable {
+            n,
+            dests: (0..rows)
+                .map(|i| dests[i % dests.len()] >> (i * 7 % 64))
+                .map(|d| d as usize)
+                .collect(),
+            dest_slot: Vec::new(),
+            class,
+            next,
+            peers: Arc::new(peers),
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
         #[test]
         fn digest_matches_byte_serial_fnv1a(
-            dests in proptest::collection::vec(0u64..u64::MAX, 0..6),
+            n in 1usize..8,
+            sessions in proptest::collection::vec(0u64..u64::MAX, 0..12),
+            dests in proptest::collection::vec(0u64..u64::MAX, 1..6),
             class in proptest::collection::vec(0u64..u64::MAX, 0..40),
-            next in proptest::collection::vec(0u64..u64::MAX, 0..60),
-            ixp in proptest::collection::vec(0u64..u64::MAX, 0..60),
+            seed in 0u64..u64::MAX,
         ) {
-            // `digest` reads only the four arrays, so they are drawn with
-            // independent lengths: `class` need not fill whole 8-byte words.
-            let table = RoutingTable {
-                n: 0,
-                dests: dests.iter().map(|&d| (d >> (d % 64)) as usize).collect(),
-                dest_slot: Vec::new(),
-                class: with_runs(&class, |c| (c >> 8) as u8 % 4, |c| (c >> 8) as u8),
-                next: next.iter().map(|&c| entry(c)).collect(),
-                peer_ixp: with_runs(&ixp, |_| u32::MAX, entry),
-            };
+            let table = drawn_table(n, &sessions, &dests, &class, seed);
             proptest::prop_assert_eq!(table.digest(), byte_serial_fnv1a(&table));
         }
     }

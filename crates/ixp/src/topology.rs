@@ -14,6 +14,7 @@
 //!   across worker threads. The routing engine runs on this form.
 
 use crate::{IxpError, Result};
+use std::sync::Arc;
 
 /// Identifier of an autonomous system (dense index).
 pub type AsId = usize;
@@ -379,32 +380,28 @@ impl AsTopology {
         };
         let prov_off = build(&|u| self.providers[u].len());
         let cust_off = build(&|u| self.customers[u].len());
-        let peer_off = build(&|u| self.peer_adj[u].len());
         let mut prov = Vec::with_capacity(prov_off[n] as usize);
         let mut cust = Vec::with_capacity(cust_off[n] as usize);
-        let mut peer_nbr = Vec::with_capacity(peer_off[n] as usize);
-        let mut peer_ixp = Vec::with_capacity(peer_off[n] as usize);
         for u in 0..n {
             prov.extend(self.providers[u].iter().map(|&p| p as u32));
             cust.extend(self.customers[u].iter().map(|&c| c as u32));
-            // Per-node insertion order is preserved: the routing tie-break
-            // keeps the *first* candidate among equal (distance, neighbor)
-            // pairs, so reordering sessions here would change which IXP a
-            // route reports crossing.
-            for &(v, ixp) in &self.peer_adj[u] {
-                peer_nbr.push(v as u32);
-                peer_ixp.push(ixp.map_or(NO_IXP, |x| x as u32));
-            }
         }
+        // Per-node insertion order is preserved: the routing tie-break
+        // keeps the *first* candidate among equal (distance, neighbor)
+        // pairs, so reordering sessions here would change which IXP a
+        // route reports crossing.
+        let peers = PeerSessions::build(n, |u| {
+            self.peer_adj[u]
+                .iter()
+                .map(|&(v, ixp)| (v as u32, ixp.map_or(NO_IXP, |x| x as u32)))
+        });
         FrozenTopology {
             n,
             prov_off,
             prov,
             cust_off,
             cust,
-            peer_off,
-            peer_nbr,
-            peer_ixp,
+            peers: Arc::new(peers),
         }
     }
 
@@ -427,10 +424,58 @@ pub struct FrozenTopology {
     prov: Vec<u32>,
     cust_off: Vec<u32>,
     cust: Vec<u32>,
-    peer_off: Vec<u32>,
-    peer_nbr: Vec<u32>,
-    /// Parallel to `peer_nbr`; [`NO_IXP`] marks private peering.
-    peer_ixp: Vec<u32>,
+    /// Shared with every `RoutingTable` computed on this topology, which
+    /// derives its peer hops' IXPs from it.
+    peers: Arc<PeerSessions>,
+}
+
+/// Every AS's peer sessions in CSR form: the sessions of `u` are
+/// `nbr[off[u]..off[u + 1]]`, in insertion order, and `ixp` is parallel
+/// to `nbr` ([`NO_IXP`] marks private peering).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PeerSessions {
+    off: Vec<u32>,
+    nbr: Vec<u32>,
+    ixp: Vec<u32>,
+}
+
+impl PeerSessions {
+    /// The CSR of `n` ASes whose sessions `sessions_of(u)` lists as
+    /// `(neighbour, ixp)` pairs, kept in the order listed.
+    pub(crate) fn build<I>(n: usize, sessions_of: impl Fn(usize) -> I) -> Self
+    where
+        I: Iterator<Item = (u32, u32)>,
+    {
+        let mut off = Vec::with_capacity(n + 1);
+        let (mut nbr, mut ixp) = (Vec::new(), Vec::new());
+        off.push(0);
+        for u in 0..n {
+            for (v, x) in sessions_of(u) {
+                nbr.push(v);
+                ixp.push(x);
+            }
+            off.push(nbr.len() as u32);
+        }
+        PeerSessions { off, nbr, ixp }
+    }
+
+    /// Neighbours and IXPs of `u`'s sessions, as parallel slices.
+    #[inline]
+    pub(crate) fn of(&self, u: usize) -> (&[u32], &[u32]) {
+        let (lo, hi) = (self.off[u] as usize, self.off[u + 1] as usize);
+        (&self.nbr[lo..hi], &self.ixp[lo..hi])
+    }
+
+    /// The IXP of the *first* of `u`'s sessions that reaches `v` — the
+    /// one a peer route from `u` via `v` reports crossing.
+    pub(crate) fn first_ixp(&self, u: usize, v: u32) -> u32 {
+        let (nbrs, ixps) = self.of(u);
+        let first = nbrs
+            .iter()
+            .position(|&w| w == v)
+            .expect("a peer hop's next AS is one of its peers");
+        ixps[first]
+    }
 }
 
 impl FrozenTopology {
@@ -455,8 +500,12 @@ impl FrozenTopology {
     /// each session ([`NO_IXP`] = private), in insertion order.
     #[inline]
     pub fn peer_sessions_of(&self, u: usize) -> (&[u32], &[u32]) {
-        let (lo, hi) = (self.peer_off[u] as usize, self.peer_off[u + 1] as usize);
-        (&self.peer_nbr[lo..hi], &self.peer_ixp[lo..hi])
+        self.peers.of(u)
+    }
+
+    /// The peer sessions of every AS, shared.
+    pub(crate) fn peer_sessions(&self) -> &Arc<PeerSessions> {
+        &self.peers
     }
 
     /// Every AS in an order that lists each provider before its

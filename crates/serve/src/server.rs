@@ -1731,7 +1731,9 @@ mod tests {
     }
 
     /// Write `stream` to a fresh connection in pieces cut at `cuts`, and
-    /// read back `answers` response lines.
+    /// read back up to `answers` response lines, fewer if the daemon
+    /// hangs up first. The writes stop at the first that fails, as they
+    /// do once the daemon has hung up.
     fn pipelined(addr: &str, stream: &[u8], cuts: &[usize], answers: usize) -> Vec<Response> {
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.set_nodelay(true).unwrap();
@@ -1739,12 +1741,20 @@ mod tests {
         let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
         cuts.push(stream.len());
         cuts.sort_unstable();
-        let mut from = 0;
-        for to in cuts {
-            conn.write_all(&stream[from..to]).unwrap();
-            thread::sleep(Duration::from_millis(1));
-            from = to;
-        }
+        let writer = {
+            let mut conn = conn.try_clone().unwrap();
+            let stream = stream.to_vec();
+            thread::spawn(move || {
+                let mut from = 0;
+                for to in cuts {
+                    if conn.write_all(&stream[from..to]).is_err() {
+                        return;
+                    }
+                    thread::sleep(Duration::from_millis(1));
+                    from = to;
+                }
+            })
+        };
         let mut framer = LineBuffer::new();
         let mut got = Vec::new();
         let mut chunk = [0u8; 4096];
@@ -1757,6 +1767,7 @@ mod tests {
                 },
             }
         }
+        writer.join().unwrap();
         got
     }
 
@@ -1811,6 +1822,99 @@ mod tests {
             let mut expected = vec![STATUS_ERROR; lines.len()];
             expected.push(crate::protocol::STATUS_STATS);
             prop_assert_eq!(statuses, expected);
+            shutdown(&addr, handle);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        /// Lines nested deeper than the parser's 128 levels and lines just
+        /// under [`MAX_REQUEST_BYTES`] on one pipelined connection each
+        /// get exactly one `error` answer, and a `stats` request after
+        /// them is still answered. A line over the cap mixed in among
+        /// them gets the one `exceeds` answer after those before it, and
+        /// the daemon hangs up: nothing after it is answered.
+        #[test]
+        fn oversized_and_deeply_nested_lines_never_desync_a_pipeline(
+            shapes in prop::collection::vec(0usize..1 << 20, 1..6),
+            oversized_at in 0usize..8,
+            cuts in prop::collection::vec(0usize..1 << 22, 0..8),
+        ) {
+            let stats = Request::stats().to_line().unwrap();
+            let lines: Vec<Vec<u8>> = shapes
+                .iter()
+                .map(|&code| {
+                    let depth = 129 + code % 2000;
+                    match code % 4 {
+                        // A stats request with a field nested too deep.
+                        0 => {
+                            let nested = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+                            stats.replace('}', &format!(r#","x":{nested}}}"#))
+                        }
+                        // Nesting that never closes.
+                        1 => r#"{"cmd":"run","a":"#.repeat(depth),
+                        // Just under the cap: an unterminated string.
+                        2 => format!(
+                            r#"{{"cmd":"stats","pad":"{}"#,
+                            "x".repeat(MAX_REQUEST_BYTES - 32 - code % 4096)
+                        ),
+                        _ => format!("{}1{}", "[".repeat(depth), "]".repeat(depth)),
+                    }
+                    .into_bytes()
+                })
+                .collect();
+            // Past the cap by more than one read, so the daemon sees the
+            // partial line over it before any newline; sometimes the
+            // stream ends inside it.
+            let oversized = vec![b'y'; MAX_REQUEST_BYTES + 8192 + shapes[0] % 4096];
+            let mut stream = Vec::new();
+            for (i, line) in lines.iter().enumerate() {
+                if i == oversized_at {
+                    stream.extend_from_slice(&oversized);
+                    stream.push(b'\n');
+                }
+                stream.extend_from_slice(line);
+                stream.push(b'\n');
+            }
+            stream.extend_from_slice(stats.as_bytes());
+            stream.push(b'\n');
+            if oversized_at == lines.len() {
+                stream.extend_from_slice(&oversized);
+            }
+
+            let dir = scratch("oversized-mix");
+            // In order: an error for each line before the oversized one
+            // (each line, when it comes last or not at all), the stats
+            // answer unless the oversized line precedes it, then its
+            // `exceeds` error.
+            let has_oversized = oversized_at <= lines.len();
+            let mut expected = vec![(STATUS_ERROR, false); oversized_at.min(lines.len())];
+            if oversized_at >= lines.len() {
+                expected.push((crate::protocol::STATUS_STATS, false));
+            }
+            if has_oversized {
+                expected.push((STATUS_ERROR, true));
+            }
+            let (addr, handle) = start(config(&dir));
+            // Once the daemon hangs up, reading for one answer more meets
+            // the end of the stream at once.
+            let answers = pipelined(
+                &addr,
+                &stream,
+                &cuts,
+                expected.len() + usize::from(has_oversized),
+            );
+            let got: Vec<(&str, bool)> = answers
+                .iter()
+                .map(|r| {
+                    let exceeds = r.message.as_deref().is_some_and(|m| m.contains("exceeds"));
+                    (r.status.as_str(), exceeds)
+                })
+                .collect();
+            prop_assert_eq!(got, expected);
+            let counted = counters(&addr).get("serve.oversized").copied();
+            prop_assert_eq!(counted.unwrap_or(0), u64::from(has_oversized));
             shutdown(&addr, handle);
             let _ = fs::remove_dir_all(&dir);
         }

@@ -13,7 +13,8 @@ use std::collections::HashMap;
 ///
 /// Words are interned at training time: generation walks word ids and
 /// draws straight from the stored weights, so it allocates only the
-/// paragraph it returns.
+/// paragraph it returns, or nothing when it appends to a caller's string
+/// sized by [`MarkovModel::max_paragraph_len`].
 #[derive(Debug, Clone, Default)]
 pub struct MarkovModel {
     /// Interned vocabulary: a word's id is its index.
@@ -24,6 +25,8 @@ pub struct MarkovModel {
     successors: Vec<Successors>,
     /// Sentence-start words.
     starts: Successors,
+    /// Length in bytes of the longest interned word.
+    longest_word: usize,
 }
 
 /// Successor word ids with their counts as `f64` weights, in first-seen
@@ -83,6 +86,7 @@ impl MarkovModel {
             return id;
         }
         let id = self.words.len();
+        self.longest_word = self.longest_word.max(word.len());
         self.words.push(word.to_owned());
         self.ids.insert(word.to_owned(), id);
         self.successors.push(Successors::default());
@@ -95,11 +99,25 @@ impl MarkovModel {
     /// `max_words == 0`, gives an empty paragraph.
     pub fn generate_paragraph(&self, sentences: usize, max_words: usize, rng: &mut Rng) -> String {
         let mut out = String::new();
+        self.push_paragraph(&mut out, sentences, max_words, rng);
+        out
+    }
+
+    /// [`MarkovModel::generate_paragraph`], appended to `out` with the
+    /// same draws.
+    pub fn push_paragraph(
+        &self,
+        out: &mut String,
+        sentences: usize,
+        max_words: usize,
+        rng: &mut Rng,
+    ) {
         if self.starts.ids.is_empty() || max_words == 0 {
-            return out;
+            return;
         }
+        let start = out.len();
         for _ in 0..sentences {
-            if !out.is_empty() {
+            if out.len() > start {
                 out.push(' ');
             }
             let sentence = out.len();
@@ -119,7 +137,14 @@ impl MarkovModel {
             }
             out.push('.');
         }
-        out
+    }
+
+    /// An upper bound on the bytes [`MarkovModel::push_paragraph`]
+    /// appends for these arguments: every word as long as the longest,
+    /// each with a space or period after it, and a space between
+    /// sentences.
+    pub fn max_paragraph_len(&self, sentences: usize, max_words: usize) -> usize {
+        sentences * (max_words * (self.longest_word + 1) + 1)
     }
 }
 
@@ -200,6 +225,20 @@ mod tests {
         let a = m.generate_paragraph(3, 10, &mut Rng::new(7));
         let b = m.generate_paragraph(3, 10, &mut Rng::new(7));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn push_paragraph_appends_the_same_paragraph_within_its_bound() {
+        let m = trained();
+        let mut out = String::with_capacity(3 + m.max_paragraph_len(4, 9));
+        out.push_str("So ");
+        let capacity = out.capacity();
+        m.push_paragraph(&mut out, 4, 9, &mut Rng::new(6));
+        assert_eq!(out.capacity(), capacity, "no regrowth");
+        assert_eq!(
+            out,
+            format!("So {}", m.generate_paragraph(4, 9, &mut Rng::new(6)))
+        );
     }
 
     #[test]
