@@ -131,10 +131,11 @@ pub fn t1_regimes_on(
     let jobs = MethodRegime::ALL.len() * seeds.len();
     // Job k runs regime k / seeds.len() at seed k % seeds.len(): the
     // serial loop's order.
-    let runs = subrun::fork_join(jobs, workers, hook, tel, |k, hook, tel| {
+    let job_seeds = seeds.to_vec();
+    let runs = subrun::fork_join(jobs, workers, hook, tel, move |k, hook, tel| {
         let mut cfg = AgendaConfig::default();
-        cfg.regime = MethodRegime::ALL[k / seeds.len()];
-        cfg.seed = seeds[k % seeds.len()];
+        cfg.regime = MethodRegime::ALL[k / job_seeds.len()];
+        cfg.seed = job_seeds[k % job_seeds.len()];
         let mut sim = AgendaSim::new(cfg).map_err(upstream("agenda config"))?;
         sim.run(hook, tel).map_err(upstream("agenda run"))?;
         Ok([
@@ -435,11 +436,12 @@ pub fn t3_sustainability_on(
         return Err(crate::CoreError::EmptyInput);
     }
     let jobs = VolunteerRegime::ALL.len() * seeds.len();
-    let runs = subrun::fork_join(jobs, workers, hook, tel, |k, hook, tel| {
+    let job_seeds = seeds.to_vec();
+    let runs = subrun::fork_join(jobs, workers, hook, tel, move |k, hook, tel| {
         let mut cfg = SustainabilityConfig::default();
-        cfg.regime = VolunteerRegime::ALL[k / seeds.len()];
+        cfg.regime = VolunteerRegime::ALL[k / job_seeds.len()];
         cfg.daily_failure_rate = 0.05;
-        cfg.seed = seeds[k % seeds.len()];
+        cfg.seed = job_seeds[k % job_seeds.len()];
         SustainabilitySim::new(cfg)
             .map_err(upstream("sustain config"))?
             .run(hook, tel)

@@ -2,9 +2,9 @@
 //! serial loop's answer, journal and metrics.
 //!
 //! T1 averages 25 agenda runs and T3 15 mesh runs, and no run reads
-//! another's state. [`fork_join`] runs such jobs on scoped threads and
-//! joins them in job order, so nothing it returns or records depends on
-//! the worker count:
+//! another's state. [`fork_join`] hands such jobs to the runner's pooled
+//! fan-out ([`fan_out`]) and joins them in job order, so nothing it
+//! returns or records depends on the worker count:
 //!
 //! * each job gets its own [`Telemetry`] (recording iff the parent
 //!   records) and its own [`FaultHook::fork`], which answers every
@@ -19,11 +19,11 @@
 //!   panic resumed.
 
 use crate::Result;
-use humnet_resilience::{FaultHook, HookFork, WORKER_PREFIX};
+use humnet_resilience::{fan_out, FaultHook};
 use humnet_telemetry::{Telemetry, TelemetrySnapshot};
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::thread;
 
 /// The worker count for `jobs` independent jobs: the host's available
@@ -43,72 +43,41 @@ struct Finished<T> {
 
 /// Run `job(k, hook, tel)` for k in `0..jobs` on up to `workers` threads
 /// (the calling thread is one of them) and return the outputs in job
-/// order; see the [module docs](self) for what the join keeps. Workers
-/// claim the next job from one counter, and once a job has failed no
-/// new job is claimed. Production callers pass [`workers_for`]`(jobs)`;
-/// tests pin other counts to show the answer never changes.
-pub(crate) fn fork_join<T: Send>(
+/// order; see the [module docs](self) for what the join keeps. Once a
+/// job has failed no new job is claimed. Production callers pass
+/// [`workers_for`]`(jobs)`; tests pin other counts to show the answer
+/// never changes.
+pub(crate) fn fork_join<T: Send + 'static>(
     jobs: usize,
     workers: usize,
     hook: &mut dyn FaultHook,
     tel: &Telemetry,
-    job: impl Fn(usize, &mut dyn FaultHook, &Telemetry) -> Result<T> + Sync,
+    job: impl Fn(usize, &mut dyn FaultHook, &Telemetry) -> Result<T> + Send + Sync + 'static,
 ) -> Result<Vec<T>> {
     // Forks and telemetry are made here: `hook` and `tel` stay on this
     // thread.
-    let claims: Vec<Mutex<Option<(HookFork, Telemetry)>>> = (0..jobs)
-        .map(|_| Mutex::new(Some((hook.fork(), tel.fork()))))
-        .collect();
-    let finished: Vec<Mutex<Option<Finished<T>>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    // Both atomics publish no data (the slots' mutexes and the scope's
-    // join do), so they are `Relaxed`.
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let work = || {
-        while !failed.load(Ordering::Relaxed) {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= jobs {
-                break;
-            }
-            let (fork, job_tel) = claims[k]
-                .lock()
-                .expect("no code panics while holding a claim lock")
-                .take()
-                .expect("the counter hands out each job once");
-            let mut job_hook = fork.bind(&job_tel);
-            let result = panic::catch_unwind(AssertUnwindSafe(|| job(k, &mut *job_hook, &job_tel)));
-            let injected = job_hook.faults_injected();
-            drop(job_hook);
-            if !matches!(result, Ok(Ok(_))) {
-                failed.store(true, Ordering::Relaxed);
-            }
-            *finished[k]
-                .lock()
-                .expect("no code panics while holding a finish lock") = Some(Finished {
-                result,
-                telemetry: job_tel.into_snapshot(),
-                injected,
-            });
+    let forks = (0..jobs).map(|_| (hook.fork(), tel.fork())).collect();
+    let finished = fan_out(forks, workers, move |k, (fork, job_tel), _| {
+        let mut job_hook = fork.bind(&job_tel);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| job(k, &mut *job_hook, &job_tel)));
+        let injected = job_hook.faults_injected();
+        drop(job_hook);
+        let failed = !matches!(result, Ok(Ok(_)));
+        let done = Finished {
+            result,
+            telemetry: job_tel.into_snapshot(),
+            injected,
+        };
+        if failed {
+            ControlFlow::Break(done)
+        } else {
+            ControlFlow::Continue(done)
         }
-    };
-    thread::scope(|s| {
-        for w in 1..workers.min(jobs) {
-            // A thread that fails to spawn leaves its share to the others.
-            let _ = thread::Builder::new()
-                .name(format!("{WORKER_PREFIX}sub-{w}"))
-                .spawn_scoped(s, work);
-        }
-        work();
     });
-    // Every job before the first failure was claimed before it, and a
-    // claimed job always finishes, so the walk meets no gap before it
-    // returns.
+    // Every job before the first failure was claimed before it, so the
+    // walk meets the first failure before it runs out of jobs.
     let mut outputs = Vec::with_capacity(jobs);
-    for slot in finished {
-        let done = slot
-            .into_inner()
-            .expect("no code panics while holding a finish lock")
-            .expect("every job before the first failure finished");
+    for done in finished {
         tel.absorb(done.telemetry, "");
         hook.join(done.injected);
         match done.result {
@@ -124,9 +93,10 @@ pub(crate) fn fork_join<T: Send>(
 mod tests {
     use super::*;
     use crate::CoreError;
+    use humnet_resilience::NoFaults;
     use humnet_resilience::{FaultKind, FaultPlan, FaultProfile, InstrumentedHook, PlanHook};
     use humnet_telemetry::Event;
-    use std::sync::Condvar;
+    use std::sync::{Arc, Condvar, Mutex};
     use std::time::Duration;
 
     /// Job k asks about 40 steps of its own and records into every
@@ -271,10 +241,11 @@ mod tests {
         assert_eq!(want.result, Err(CoreError::NotFound("job 3")));
         assert_eq!(want.milestones(), 4, "jobs 0 to 3 journal");
         for workers in [1, 2, 8] {
-            let latch = Latch::default();
-            let latch = (workers > 1).then_some(&latch);
+            let latch = (workers > 1).then(|| Arc::new(Latch::default()));
             let got = observe(|hook, tel| {
-                fork_join(8, workers, hook, tel, |k, h, t| fail(k, h, t, latch))
+                fork_join(8, workers, hook, tel, move |k, h, t| {
+                    fail(k, h, t, latch.as_deref())
+                })
             });
             assert_same(&got, &want, &format!("{workers} workers"));
         }
@@ -294,12 +265,36 @@ mod tests {
         let want = observe_panic(|hook, tel| serial(8, hook, tel, |k, h, t| fail(k, h, t, None)));
         assert_eq!(want.milestones(), 3, "jobs 0, 1 and 2 journal");
         for workers in [1, 2, 8] {
-            let latch = Latch::default();
-            let latch = (workers > 1).then_some(&latch);
+            let latch = (workers > 1).then(|| Arc::new(Latch::default()));
             let got = observe_panic(|hook, tel| {
-                fork_join(8, workers, hook, tel, |k, h, t| fail(k, h, t, latch))
+                fork_join(8, workers, hook, tel, move |k, h, t| {
+                    fail(k, h, t, latch.as_deref())
+                })
             });
             assert_same(&got, &want, &format!("{workers} workers"));
+        }
+    }
+
+    #[test]
+    fn a_job_off_the_calling_thread_runs_on_a_pooled_worker() {
+        // A job the calling thread claims waits until another job has
+        // run, so a helper must take one.
+        let caller = thread::current().id();
+        let latch = Arc::new(Latch::default());
+        let helper_name = move |_, _: &mut dyn FaultHook, _: &Telemetry| {
+            let me = thread::current();
+            if me.id() == caller {
+                latch.wait();
+                return Ok(None);
+            }
+            latch.open();
+            Ok(Some(me.name().unwrap_or_default().to_owned()))
+        };
+        let ran = fork_join(2, 2, &mut NoFaults, &Telemetry::disabled(), helper_name);
+        let helpers: Vec<String> = ran.unwrap().into_iter().flatten().collect();
+        assert!(!helpers.is_empty(), "no job ran off the calling thread");
+        for name in helpers {
+            assert!(name.starts_with("humnet-exp-pool-"), "{name:?}");
         }
     }
 

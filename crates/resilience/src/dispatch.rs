@@ -297,6 +297,11 @@ impl ShardYield {
                 .map_err(|e| format!("metrics unusable: {e}"))?,
         })
     }
+
+    /// The [`crate::code_rev`] of the build that ran the shard.
+    pub(crate) fn code_rev(&self) -> &str {
+        &self.artifact.report.code_rev
+    }
 }
 
 /// Final per-shard supervision outcome.

@@ -13,7 +13,7 @@
 //! 3. [`report`] — [`RunReport`]: per-experiment status rows with a
 //!    byte-reproducible canonical rendering and a process exit code.
 //! 4. [`shard`] — how a run fans out in process: K workers claim the
-//!    next experiment from one shared counter, and the run is assembled
+//!    next experiment from one shared queue, and the run is assembled
 //!    in spec order, so its canonical output is byte-identical to the
 //!    1-shard run of the same seed. [`ShardPlan`] is the contiguous
 //!    partition the cross-process tiers below use.
@@ -96,7 +96,7 @@ pub use replay::{
 };
 pub use report::{ExperimentReport, ExperimentStatus, RunArtifact, RunReport};
 pub use runner::{
-    render_chain, ExperimentSpec, Job, JobError, JobOutput, RunnerConfig, SupervisedRun,
+    fan_out, render_chain, ExperimentSpec, Job, JobError, JobOutput, RunnerConfig, SupervisedRun,
     Supervisor, SupervisorBuilder, WORKER_PREFIX,
 };
 pub use shard::{ShardPlan, ShardPlanError};

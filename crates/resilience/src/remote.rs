@@ -28,7 +28,9 @@
 //! silent for longer than the grace window (no heartbeat *or* result
 //! frame) is declared partitioned and the lease revoked. A frame whose
 //! lease id is not the attempt's own `(shard << 16) | attempt` fails the
-//! attempt too, so a stale answer is never merged.
+//! attempt too, so a stale answer is never merged, and so does a `done`
+//! artifact stamped with another [`crate::code_rev`] than the
+//! dispatcher's, so a worker of another build is never merged either.
 //!
 //! Network-level fault injection mirrors `--chaos-proc`: a [`ChaosNet`]
 //! spec (`kill:1`, `stall:0:1`, `garble:1`) makes the dispatcher stamp a
@@ -575,6 +577,15 @@ fn collect_done(
         return Err("done frame missing artifact or metrics".to_owned());
     };
     let yielded = ShardYield::parse(artifact, metrics).map_err(|e| format!("done frame {e}"))?;
+    // A worker of another build would merge journals this build cannot
+    // reproduce, so its answer counts as a failed attempt.
+    let (theirs, ours) = (yielded.code_rev(), crate::code_rev());
+    if theirs != ours {
+        return Err(format!(
+            "done frame ran on code revision {theirs:?}, not this dispatcher's {ours:?}; \
+             foreign answer refused"
+        ));
+    }
     if config.keep_scratch {
         let paths = ShardPaths::new(&config.scratch, spec.shard, attempt);
         if fs::create_dir_all(&paths.dir).is_ok() {
@@ -991,14 +1002,17 @@ mod tests {
         let _ = fs::remove_dir_all(&config.scratch);
     }
 
-    #[test]
-    fn a_done_frame_for_another_lease_fails_the_attempt() {
-        // A well-formed answer to the wrong lease: what a late frame from
-        // a revoked lease would look like on a reused connection.
+    /// A toy daemon on a loopback port: it reads one lease line, writes
+    /// the chunks `answer` makes from the lease id, then closes. Returns
+    /// its address and its thread.
+    fn toy_daemon(
+        answer: impl FnOnce(u64) -> Vec<Vec<u8>> + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let peer = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
+            let _ = stream.set_nodelay(true);
             let mut framer = LineBuffer::new();
             let mut chunk = [0u8; 1024];
             let lease = loop {
@@ -1008,18 +1022,38 @@ mod tests {
                 let n = stream.read(&mut chunk).unwrap();
                 framer.push(&chunk[..n]);
             };
-            let artifact = RunArtifact::default().to_json().unwrap();
-            let metrics = humnet_telemetry::Telemetry::new()
-                .into_snapshot()
-                .to_json()
-                .unwrap();
-            let stale = lease.lease.unwrap() + 1;
-            let done = Response::done(stale, artifact, metrics);
-            stream
-                .write_all(format!("{}\n", done.to_line().unwrap()).as_bytes())
-                .unwrap();
+            // The dispatcher may hang up after any frame, so a write can
+            // fail.
+            for bytes in answer(lease.lease.unwrap()) {
+                if stream.write_all(&bytes).is_err() {
+                    return;
+                }
+            }
+            // Close only once the dispatcher has: closing with its bytes
+            // unread could reset the connection before it reads ours.
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            let _ = stream.read_to_end(&mut Vec::new());
         });
-        let mut config = quick_config("stale-lease");
+        (addr, peer)
+    }
+
+    /// A well-formed `done` line, newline included, for `lease`, whose
+    /// artifact says it ran on `code_rev`.
+    fn done_line(lease: u64, code_rev: &str) -> String {
+        let mut artifact = RunArtifact::default();
+        artifact.report.code_rev = code_rev.to_owned();
+        let metrics = humnet_telemetry::Telemetry::new()
+            .into_snapshot()
+            .to_json()
+            .unwrap();
+        let done = Response::done(lease, artifact.to_json().unwrap(), metrics);
+        format!("{}\n", done.to_line().unwrap())
+    }
+
+    /// One lease of shard 3 against `addr`, failing over nowhere; returns
+    /// why the shard is missing.
+    fn missing_reason(addr: String, tag: &str) -> String {
+        let mut config = quick_config(tag);
         config.shard_retries = 0;
         config.allow_partial = true;
         config.workers = vec![addr];
@@ -1031,18 +1065,111 @@ mod tests {
             no_local_children,
         )
         .unwrap();
-        peer.join().unwrap();
+        let _ = fs::remove_dir_all(&config.scratch);
         assert!(
             outcome.degraded(),
-            "a stale done frame must not complete the shard"
+            "the done frame must not complete the shard"
         );
-        let reason = &outcome.missing[0].reason;
+        outcome.missing[0].reason.clone()
+    }
+
+    #[test]
+    fn a_done_frame_for_another_lease_fails_the_attempt() {
+        // A well-formed answer to the wrong lease: what a late frame from
+        // a revoked lease would look like on a reused connection.
+        let (addr, peer) =
+            toy_daemon(|lease| vec![done_line(lease + 1, &crate::code_rev()).into_bytes()]);
+        let reason = missing_reason(addr, "stale-lease");
+        peer.join().unwrap();
         let lease_id = 3u64 << 16;
         assert!(
             reason.contains(&format!("lease {}", lease_id + 1)),
             "{reason}"
         );
         assert!(reason.contains(&format!("lease {lease_id}")), "{reason}");
-        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    #[test]
+    fn a_done_frame_from_another_code_revision_fails_the_attempt() {
+        // The right lease, answered by a daemon built from other sources.
+        let foreign = "0.0.0+foreign";
+        let (addr, peer) = toy_daemon(move |lease| vec![done_line(lease, foreign).into_bytes()]);
+        let reason = missing_reason(addr, "foreign-rev");
+        peer.join().unwrap();
+        assert!(reason.contains(foreign), "{reason}");
+        assert!(reason.contains(&crate::code_rev()), "{reason}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn a_lease_succeeds_only_on_its_done_before_any_garbage(
+            // 0 and 1 are heartbeats, 2 a garbled line; the one done
+            // frame goes in at `done_at`.
+            frames in prop::collection::vec(0u8..3, 0..10),
+            done_at in 0usize..11,
+            junk in prop::collection::vec(prop::char::any(), 0..40),
+            cut in 1usize..1000,
+            splits in prop::collection::vec(0usize..4096, 0..8),
+        ) {
+            let done_at = done_at.min(frames.len());
+            // Garbled lines alternate between a heartbeat cut short and
+            // text that is not JSON at all.
+            let hb = Response::hb(0, 0).to_line().unwrap();
+            let cut_short = hb[..cut % (hb.len() - 1) + 1].to_owned();
+            let not_json: String = std::iter::once('!')
+                .chain(junk.into_iter().map(|c| if c == '\n' { ' ' } else { c }))
+                .collect();
+            let mut garbled = [cut_short, not_json].into_iter().cycle();
+            // Shard 3's first attempt.
+            let lease = 3u64 << 16;
+            let mut stream = String::new();
+            let mut first_garbage = None;
+            let mut done_first = false;
+            for i in 0..=frames.len() {
+                if i == done_at {
+                    done_first = first_garbage.is_none();
+                    stream += &done_line(lease, &crate::code_rev());
+                }
+                let line = match frames.get(i) {
+                    None => break,
+                    Some(2) => {
+                        let line = garbled.next().unwrap();
+                        first_garbage.get_or_insert_with(|| line.trim().to_owned());
+                        line
+                    }
+                    Some(_) => Response::hb(lease, i as u64).to_line().unwrap(),
+                };
+                stream += &line;
+                stream.push('\n');
+            }
+            let mut cuts: Vec<usize> = splits.iter().map(|c| c % (stream.len() + 1)).collect();
+            cuts.push(stream.len());
+            cuts.sort_unstable();
+            let mut from = 0;
+            let chunks = cuts
+                .into_iter()
+                .map(|to| {
+                    let chunk = stream.as_bytes()[from..to].to_vec();
+                    from = to;
+                    chunk
+                })
+                .collect();
+            let (addr, peer) = toy_daemon(move |_| chunks);
+            let mut config = quick_config("fuzz-lease");
+            config.workers = vec![addr];
+            let attempt = lease_attempt(&config, &RunnerConfig::default(), &shard_spec(3, 0, &["exp1"]), 0);
+            peer.join().unwrap();
+            match (attempt, done_first) {
+                (Ok(_), true) => {}
+                (Err(failure), false) => {
+                    let reason = failure.to_string();
+                    let shown: String = first_garbage.unwrap().chars().take(80).collect();
+                    prop_assert!(reason.contains(&format!("garbled frame: {shown:?}")), "{}", reason);
+                }
+                (Ok(_), false) => prop_assert!(false, "a lease succeeded past a garbled line"),
+                (Err(failure), true) => prop_assert!(false, "a lease failed before garbage: {}", failure),
+            }
+        }
     }
 }

@@ -19,11 +19,12 @@ use crate::backoff::Backoff;
 use crate::breaker::CircuitBreaker;
 use crate::fault::{FaultPlan, FaultProfile};
 use crate::report::{ExperimentReport, ExperimentStatus, RunReport};
-use humnet_telemetry::{spec_order_in_place, Event, Telemetry, TelemetrySnapshot};
+use humnet_telemetry::{Event, Telemetry, TelemetrySnapshot};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -323,6 +324,63 @@ where
     rx
 }
 
+/// Run `job(k, inputs[k], worker)` for every input on up to `workers`
+/// threads, the calling thread (worker 0) and pooled helpers (workers 1
+/// and up), and return the outputs in input order. Each worker claims the
+/// next input from one queue, so a slow job holds up only its own
+/// worker. A job that returns [`ControlFlow::Break`] stops every worker
+/// from claiming another; the outputs are then those of the inputs
+/// claimed so far, which are always a prefix of the list. A helper's
+/// panic is resumed on the calling thread.
+///
+/// [`Supervisor::run`] fans its specs out through this, and so do the
+/// independent sub-runs of T1 and T3 (`humnet_core::subrun`).
+pub fn fan_out<I, T, F>(inputs: Vec<I>, workers: usize, job: F) -> Vec<T>
+where
+    I: Send + 'static,
+    T: Send + 'static,
+    F: Fn(usize, I, usize) -> ControlFlow<T, T> + Send + Sync + 'static,
+{
+    let helpers = workers.min(inputs.len()).saturating_sub(1);
+    let queue = Mutex::new(inputs.into_iter().enumerate());
+    // One worker's loop: claim the next input, run its job, and repeat
+    // until none is left. A job that breaks drops the inputs left.
+    let work = Arc::new(move |worker: usize| -> Vec<(usize, T)> {
+        let mut done = Vec::new();
+        loop {
+            // The claim's guard drops at the end of its statement, so no
+            // job runs under the lock.
+            let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((k, input)) = claimed else {
+                return done;
+            };
+            let flow = job(k, input, worker);
+            if flow.is_break() {
+                let mut left = queue.lock().unwrap_or_else(PoisonError::into_inner);
+                left.by_ref().for_each(drop);
+            }
+            let (ControlFlow::Continue(output) | ControlFlow::Break(output)) = flow;
+            done.push((k, output));
+        }
+    });
+    let helpers: Vec<_> = (1..=helpers)
+        .map(|w| {
+            let work = Arc::clone(&work);
+            pool_execute(move || work(w))
+        })
+        .collect();
+    let mut done = work(0);
+    for helper in helpers {
+        let claimed = helper
+            .recv()
+            .unwrap_or_else(|_| Err(Box::new("pooled worker vanished without a result")))
+            .unwrap_or_else(|payload| panic::resume_unwind(payload));
+        done.extend(claimed);
+    }
+    done.sort_unstable_by_key(|&(k, _)| k);
+    done.into_iter().map(|(_, output)| output).collect()
+}
+
 /// One attempt on a pooled worker, settled by whichever comes first: the
 /// worker's reply or the deadline. Returns the outcome and, when the
 /// worker reported back in time, its telemetry snapshot. A timed-out
@@ -555,40 +613,6 @@ fn run_spec(
     )
 }
 
-/// What one worker ran: report rows tagged with their spec index, and
-/// the rendered output of every spec that completed.
-#[derive(Default)]
-struct Claimed {
-    rows: Vec<(usize, ExperimentReport)>,
-    outputs: BTreeMap<String, String>,
-}
-
-/// One worker's loop: claim the next unclaimed spec index from `next`,
-/// run that spec, stamp its events with the index, and repeat until the
-/// list is exhausted.
-fn run_claimed(
-    config: &RunnerConfig,
-    breaker: &Mutex<CircuitBreaker>,
-    specs: &[ExperimentSpec],
-    next: &AtomicUsize,
-    tel: &Telemetry,
-) -> Claimed {
-    let mut claimed = Claimed::default();
-    loop {
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        let Some(spec) = specs.get(index) else {
-            return claimed;
-        };
-        let mark = tel.event_count();
-        let (row, rendered) = run_spec(config, breaker, spec, tel);
-        tel.stamp_spec_from(mark, index as u64);
-        if let Some(rendered) = rendered {
-            claimed.outputs.insert(spec.code.clone(), rendered);
-        }
-        claimed.rows.push((index, row));
-    }
-}
-
 impl Supervisor {
     /// Start building a supervisor fluently.
     pub fn builder() -> SupervisorBuilder {
@@ -607,11 +631,10 @@ impl Supervisor {
 
     /// Run every spec, never panicking, and aggregate a report. The run's
     /// workers — one per shard, at most one per spec — each claim the next
-    /// unclaimed spec from a shared counter until none is left. Worker 0
-    /// runs on the calling thread and records straight into the run's
-    /// telemetry; the others run on pooled threads and their snapshots
-    /// are folded in afterwards. Rows and events are then put back in
-    /// spec order, so the canonical journal, report, and outputs match
+    /// unclaimed spec through [`fan_out`]. Each spec's journal and gauges
+    /// are folded into the run's telemetry in spec order, and each
+    /// worker's counters, histograms and spans once, so the canonical
+    /// journal, report, outputs, counters, gauges and histograms match
     /// the 1-shard run whichever worker ran what.
     pub fn run(&mut self, specs: &[ExperimentSpec]) -> SupervisedRun {
         let _quiet = self.config.quiet_panics.then(QuietPanics::install);
@@ -622,73 +645,65 @@ impl Supervisor {
             "run-start",
             run_start_detail(&self.config, specs.len()),
         ));
-        let next = Arc::new(AtomicUsize::new(0));
-        let helpers: Vec<_> = if workers > 1 {
-            let shared: Arc<[ExperimentSpec]> = specs.into();
-            (1..workers)
-                .map(|w| {
-                    let config = self.config;
-                    let breaker = Arc::clone(&self.breaker);
-                    let next = Arc::clone(&next);
-                    let specs = Arc::clone(&shared);
-                    pool_execute(move || {
-                        let tel = Telemetry::new();
-                        let claimed = run_claimed(&config, &breaker, &specs, &next, &tel);
-                        tel.counter(
-                            &format!("runner.shard.{w}.experiments"),
-                            claimed.rows.len() as u64,
-                        );
-                        let mut telemetry = tel.into_snapshot();
-                        telemetry.stamp_shard(w as u32);
-                        (claimed, telemetry)
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let config = self.config;
+        let breaker = Arc::clone(&self.breaker);
+        // Counters, histograms and spans add up in any order, so each
+        // worker records its specs into one `Telemetry` and the run folds
+        // it once. The journal and the gauges do not: they are taken out
+        // after every spec and folded in spec order.
+        let recorders: Arc<[Mutex<Telemetry>]> =
+            (0..workers).map(|_| Mutex::new(Telemetry::new())).collect();
+        let worker_recorders = Arc::clone(&recorders);
+        let ran = fan_out(specs.to_vec(), workers, move |_, spec, worker| {
+            let rec = worker_recorders[worker]
+                .lock()
+                .expect("run_spec never panics under a recorder's lock");
+            let (row, rendered) = run_spec(&config, &breaker, &spec, &rec);
+            ControlFlow::Continue((row, rendered, rec.take_ordered(), worker))
+        });
 
-        let Claimed {
-            mut rows,
-            mut outputs,
-        } = run_claimed(&self.config, &self.breaker, specs, &next, &tel);
+        let mut experiments = Vec::with_capacity(ran.len());
+        let mut outputs = BTreeMap::new();
+        let mut claimed = vec![0; workers];
+        for (index, (row, rendered, mut ordered, worker)) in ran.into_iter().enumerate() {
+            for event in &mut ordered.events {
+                event.spec.get_or_insert(index as u64);
+                if sharded {
+                    event.shard.get_or_insert(worker as u32);
+                }
+            }
+            tel.absorb(ordered, "");
+            if let Some(rendered) = rendered {
+                outputs.insert(row.code.clone(), rendered);
+            }
+            experiments.push(row);
+            claimed[worker] += 1;
+        }
+        for recorder in recorders.iter() {
+            let mut rec = recorder
+                .lock()
+                .expect("run_spec never panics under a recorder's lock");
+            tel.absorb(std::mem::take(&mut *rec).into_snapshot(), "");
+        }
         if sharded {
             tel.counter("runner.shards", u64::from(self.shards));
-            tel.counter("runner.shard.0.experiments", rows.len() as u64);
-        }
-        for helper in helpers {
-            let (claimed, telemetry) = helper
-                .recv()
-                .unwrap_or_else(|_| Err(Box::new("pooled worker vanished without a result")))
-                .unwrap_or_else(|payload| panic::resume_unwind(payload));
-            rows.extend(claimed.rows);
-            outputs.extend(claimed.outputs);
-            tel.absorb(telemetry, "");
+            for (w, n) in claimed.into_iter().enumerate() {
+                tel.counter(&format!("runner.shard.{w}.experiments"), n);
+            }
         }
 
-        rows.sort_unstable_by_key(|(index, _)| *index);
         let report = RunReport {
-            experiments: rows.into_iter().map(|(_, row)| row).collect(),
+            experiments,
             profile: self.config.profile.label().to_owned(),
             seed: self.config.seed,
             code_rev: crate::code_rev(),
         };
         report.record_metrics(&tel);
         tel.event(Event::new("run-end", report.summary_line()));
-        let mut telemetry = tel.into_snapshot();
-        if sharded {
-            // Worker 0 recorded unstamped; every spec event names its worker.
-            for event in &mut telemetry.events {
-                if event.spec.is_some() {
-                    event.shard.get_or_insert(0);
-                }
-            }
-        }
-        spec_order_in_place(&mut telemetry.events);
         SupervisedRun {
             report,
             outputs,
-            telemetry,
+            telemetry: tel.into_snapshot(),
         }
     }
 }

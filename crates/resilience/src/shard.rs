@@ -1,26 +1,25 @@
 //! Sharded supervised runs.
 //!
 //! With `shards(K)` above 1, [`Supervisor::run`](crate::Supervisor::run)
-//! starts `min(K, n)` workers over one shared counter: each worker takes
-//! `next.fetch_add(1)`, runs that spec, and comes back for another until
-//! the list is exhausted. A worker never holds more than the spec it is
-//! running, so one slow experiment delays only its own worker while the
-//! others drain the rest. Worker 0 runs on the calling thread; the others
-//! run on pooled threads, and all of them share one circuit breaker.
+//! starts `min(K, n)` workers over one shared queue
+//! ([`fan_out`](crate::fan_out)): each worker claims the next spec, runs
+//! it, and comes back for another until the list is exhausted. A worker
+//! never holds more than the spec it is running, so one slow experiment
+//! delays only its own worker while the others drain the rest. Worker 0
+//! runs on the calling thread; the others run on pooled threads, and all
+//! of them share one circuit breaker.
 //!
 //! ## Shard invariance
 //!
 //! Every per-experiment decision — the fault plan seed, the retry jitter
 //! stream — is derived from `(config seed, experiment code, attempt)`
-//! alone, and every journal event a spec produces is stamped with the
-//! spec's index. The run is assembled in spec order: report rows sorted
-//! by index, outputs unioned by code, and the journal stably sorted by
-//! spec index (within a spec, events keep the order they were recorded
-//! in, because one worker ran it start to finish). So the canonical
-//! journal, canonical report, and rendered outputs of a K-worker run are
-//! byte-identical to the 1-shard run of the same seed, whichever worker
-//! claimed which spec. What is **not** shard-invariant: the
-//! `runner.shard.<w>.*` metrics (they count what worker `w` claimed),
+//! alone. The run folds what depends on order — each spec's journal
+//! lines, stamped with the spec's index, and its gauges — in spec order,
+//! and each worker's counters, histograms and spans, which add up in any
+//! order, once: report rows, outputs, journal lines, counters,
+//! last-written gauges and histograms come out as the 1-shard run's,
+//! whichever worker claimed which spec. What is **not** shard-invariant:
+//! the `runner.shard.<w>.*` metrics (they count what worker `w` claimed),
 //! the `shard` field on journal events (the worker index, excluded from
 //! the canonical form), wall-clock durations, and circuit-breaker
 //! behavior when a family keeps failing — the breaker is shared, so which
@@ -192,6 +191,50 @@ mod tests {
             .metrics
             .counters
             .contains_key("runner.shards"));
+    }
+
+    #[test]
+    fn sharded_metrics_match_single_shard() {
+        // Every spec sets the same gauge, so the value left standing names
+        // the last spec folded. The jobs sleep 0, 1 or 2 ms, so the four
+        // workers interleave and the last spec to finish is seldom the
+        // last spec.
+        let specs: Vec<ExperimentSpec> = (0..64u32)
+            .map(|i| {
+                ExperimentSpec::new(format!("g{i}"), "t", "fam", move |_plan, tel| {
+                    std::thread::sleep(Duration::from_millis(u64::from(i % 3)));
+                    tel.counter("job.calls", 1);
+                    tel.gauge("job.spec", f64::from(i));
+                    tel.observe("job.spec", u64::from(i));
+                    Ok::<JobOutput, JobError>(JobOutput {
+                        rendered: String::new(),
+                        faults_injected: 0,
+                    })
+                })
+            })
+            .collect();
+        let metrics = |shards| {
+            let run = Supervisor::builder()
+                .config(config())
+                .shards(shards)
+                .build()
+                .run(&specs);
+            let mut metrics = run.telemetry.metrics;
+            metrics
+                .counters
+                .retain(|name, _| !name.starts_with("runner.shard"));
+            let counts: Vec<(String, u64)> = metrics
+                .histograms
+                .iter()
+                .map(|(name, h)| (name.clone(), h.count))
+                .collect();
+            (metrics.counters, metrics.gauges, counts)
+        };
+        let single = metrics(1);
+        assert_eq!(single.1["job.spec"], 63.0);
+        for round in 0..8 {
+            assert_eq!(metrics(4), single, "round {round}");
+        }
     }
 
     #[test]

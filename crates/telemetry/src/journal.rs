@@ -152,18 +152,6 @@ impl Journal {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Stamp every event from index `from` onward that does not already
-    /// carry a spec index with `spec`. The supervised runner brackets each
-    /// experiment with `event_count()` marks and stamps the slice, so every
-    /// journal line knows which spec produced it.
-    pub fn stamp_spec_from(&mut self, from: usize, spec: u64) {
-        for event in self.events.iter_mut().skip(from) {
-            if event.spec.is_none() {
-                event.spec = Some(spec);
-            }
-        }
-    }
 }
 
 /// Sort key class for [`spec_ordered`]: `run-start` sorts first,
@@ -195,10 +183,10 @@ pub fn spec_ordered(events: &[Event]) -> Vec<Event> {
 }
 
 /// In-place variant of [`spec_ordered`] for hot merge paths: when the
-/// events are already in spec order — every 1-worker run, and any run
-/// whose workers happened to finish in claim order — this is a single
-/// comparison sweep with no allocation or copying. Only an actually out-of-order journal pays
-/// for the stable sort and the dense `seq` reassignment.
+/// events are already in spec order (the cross-process dispatcher folds
+/// its shards' journals in shard order) this is a single comparison
+/// sweep with no allocation or copying. Only an actually out-of-order
+/// journal pays for the stable sort and the dense `seq` reassignment.
 pub fn spec_order_in_place(events: &mut [Event]) {
     let key = |e: &Event| (order_class(e), e.spec.unwrap_or(u64::MAX));
     if events.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
@@ -316,20 +304,6 @@ mod tests {
             .with_spec(9)
             .with_shard(1);
         assert_eq!(a.canonical(), b.canonical());
-    }
-
-    #[test]
-    fn stamp_spec_from_marks_only_the_tail_and_respects_existing() {
-        let mut j = Journal::default();
-        j.record(Event::new("run-start", ""));
-        let mark = j.len();
-        j.record(Event::new("experiment-start", "t"));
-        j.record(Event::new("fault", "x").with_spec(99));
-        j.stamp_spec_from(mark, 3);
-        assert_eq!(j.events()[0].spec, None);
-        assert_eq!(j.events()[1].spec, Some(3));
-        // An explicit spec index is never overwritten.
-        assert_eq!(j.events()[2].spec, Some(99));
     }
 
     #[test]

@@ -140,24 +140,6 @@ impl Telemetry {
         }
     }
 
-    /// Number of journal events recorded so far.
-    pub fn event_count(&self) -> usize {
-        if self.enabled {
-            self.inner.borrow().journal.len()
-        } else {
-            0
-        }
-    }
-
-    /// Stamp journal events from index `from` (a prior
-    /// [`Telemetry::event_count`] mark) onward with the global spec index
-    /// `spec`, leaving events that already carry one untouched.
-    pub fn stamp_spec_from(&self, from: usize, spec: u64) {
-        if self.enabled {
-            self.inner.borrow_mut().journal.stamp_spec_from(from, spec);
-        }
-    }
-
     /// Fold a worker attempt's snapshot into this instance: counters add,
     /// gauges overwrite, histograms and spans merge, and the worker's
     /// events are appended in order with empty experiment fields stamped
@@ -167,10 +149,27 @@ impl Telemetry {
             return;
         }
         let mut inner = self.inner.borrow_mut();
-        inner.metrics.absorb(&snap.metrics);
+        inner.metrics.absorb(snap.metrics);
         inner.tracer.absorb(&snap.spans);
         for event in snap.events {
             inner.journal.absorb(event, scope);
+        }
+    }
+
+    /// Move out what depends on the order it was recorded in — the
+    /// journal and the gauges — and leave the counters, histograms and
+    /// spans, which add up in any order. The supervised runner calls this
+    /// after every experiment a worker runs, folds the parts it takes in
+    /// spec order, and folds what is left once per worker.
+    pub fn take_ordered(&self) -> TelemetrySnapshot {
+        let mut inner = self.inner.borrow_mut();
+        TelemetrySnapshot {
+            metrics: MetricsSnapshot {
+                gauges: inner.metrics.take_gauges(),
+                ..MetricsSnapshot::default()
+            },
+            spans: Vec::new(),
+            events: std::mem::take(&mut inner.journal).into_events(),
         }
     }
 
@@ -185,9 +184,9 @@ impl Telemetry {
     }
 
     /// Like [`Telemetry::snapshot`], but consumes the instance and moves
-    /// the journal out instead of cloning it. The sharded runner calls
-    /// this on per-shard and per-spec instances it owns, so event vectors
-    /// cross thread boundaries without a copy.
+    /// the journal out instead of cloning it. The supervised runner calls
+    /// this on the per-attempt and per-worker instances it owns, so event
+    /// vectors cross thread boundaries without a copy.
     pub fn into_snapshot(self) -> TelemetrySnapshot {
         let inner = self.inner.into_inner();
         TelemetrySnapshot {
@@ -312,9 +311,9 @@ impl TelemetrySnapshot {
     }
 
     /// Stamp every event that does not already carry a shard id with
-    /// `shard`. The sharded supervisor calls this on each worker's
+    /// `shard`. The cross-process dispatcher calls this on each shard's
     /// snapshot before the run-level fold, so a merged journal records
-    /// which worker produced every line without disturbing the canonical
+    /// which shard produced every line without disturbing the canonical
     /// (shard-invariant) form.
     pub fn stamp_shard(&mut self, shard: u32) {
         for event in &mut self.events {
@@ -514,6 +513,30 @@ mod tests {
         assert_eq!(snap.events[1].experiment, "f1");
         assert_eq!(snap.events[2].experiment, "explicit");
         assert_eq!(snap.metrics.counters["agenda.rounds"], 60);
+    }
+
+    #[test]
+    fn take_ordered_leaves_what_adds_up_in_any_order() {
+        let tel = Telemetry::new();
+        {
+            let _span = tel.span("runner.attempt");
+            tel.counter("job.calls", 1);
+            tel.gauge("job.level", 0.5);
+            tel.observe("job.ns", 100);
+            tel.event(Event::new("milestone", "a"));
+        }
+        let ordered = tel.take_ordered();
+        assert_eq!(ordered.events.len(), 1);
+        assert_eq!(ordered.metrics.gauges["job.level"], 0.5);
+        assert!(ordered.metrics.counters.is_empty() && ordered.spans.is_empty());
+        tel.event(Event::new("milestone", "b"));
+        let rest = tel.into_snapshot();
+        assert_eq!(rest.events.len(), 1, "the journal starts over");
+        assert_eq!(rest.events[0].seq, 0);
+        assert!(rest.metrics.gauges.is_empty());
+        assert_eq!(rest.metrics.counters["job.calls"], 1);
+        assert_eq!(rest.metrics.histograms["job.ns"].count, 1);
+        assert_eq!(rest.spans[0].count, 1);
     }
 
     #[test]

@@ -198,22 +198,19 @@ impl MetricsRegistry {
 
     /// Fold a metrics snapshot into this registry: counters add, gauges
     /// overwrite, histograms merge bucket-wise.
-    pub fn absorb(&mut self, snap: &MetricsSnapshot) {
-        for (name, v) in &snap.counters {
-            self.inc(name, *v);
+    pub fn absorb(&mut self, snap: MetricsSnapshot) {
+        for (name, v) in snap.counters {
+            *self.counters.entry(name).or_insert(0) += v;
         }
-        for (name, v) in &snap.gauges {
-            self.set_gauge(name, *v);
+        self.gauges.extend(snap.gauges);
+        for (name, h) in snap.histograms {
+            self.histograms.entry(name).or_default().absorb(&h);
         }
-        for (name, h) in &snap.histograms {
-            if !self.histograms.contains_key(name) {
-                self.histograms.insert(name.clone(), Histogram::default());
-            }
-            self.histograms
-                .get_mut(name)
-                .expect("histogram just inserted")
-                .absorb(h);
-        }
+    }
+
+    /// Move the gauges out, leaving none.
+    pub fn take_gauges(&mut self) -> BTreeMap<String, f64> {
+        std::mem::take(&mut self.gauges)
     }
 
     /// Serializable view of every metric in the registry.
@@ -330,8 +327,8 @@ mod tests {
         shard.observe("x.ns", 100);
         let mut root = MetricsRegistry::default();
         root.inc("x.count", 1);
-        root.absorb(&shard.snapshot());
-        root.absorb(&shard.snapshot());
+        root.absorb(shard.snapshot());
+        root.absorb(shard.snapshot());
         let snap = root.snapshot();
         assert_eq!(snap.counters["x.count"], 7);
         assert_eq!(snap.gauges["x.level"], 0.5);

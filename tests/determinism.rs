@@ -167,9 +167,10 @@ fn routing_worker_count_never_changes_results() {
 fn f10_routing_table_is_independent_of_worker_count() {
     use humnet::ixp::{synthetic_internet, RoutingTable, TrafficConfig, TrafficMatrix};
 
-    // F10 routes its table once with 8 workers; this is the check that
-    // lets it: the same topology and destinations at 1, 2 and 8 workers
-    // give one table, whose digest EXPERIMENTS.md publishes.
+    // F10 routes its table once, on as many workers as the host has
+    // cores (at most 8); this is the check that lets it: the same
+    // topology and destinations at 1, 2 and 8 workers give one table,
+    // whose digest EXPERIMENTS.md publishes.
     let t = synthetic_internet(2_000, 7).unwrap();
     let ft = t.freeze();
     let dests = TrafficMatrix::gravity_sampled(&t, &TrafficConfig::default(), 512, 7)
