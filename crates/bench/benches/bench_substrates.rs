@@ -160,8 +160,12 @@ fn bench_routing_scale(c: &mut Criterion) {
     group.bench_function("soa_1k_all_pairs", |b| {
         b.iter(|| black_box(RoutingTable::compute(&t1k).unwrap().digest()))
     });
+    let all1k: Vec<usize> = (0..1_000).collect();
     group.bench_function("soa_1k_all_pairs_par8", |b| {
-        b.iter(|| black_box(RoutingTable::compute_parallel(&t1k, 8).unwrap().digest()))
+        b.iter(|| {
+            let table = RoutingTable::compute_frozen(&t1k.freeze(), &all1k, 8).unwrap();
+            black_box(table.digest())
+        })
     });
     let t10k = synthetic_internet(10_000, 5).unwrap();
     let ft10k = t10k.freeze();

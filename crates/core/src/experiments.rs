@@ -350,8 +350,10 @@ pub fn f4_gravity(
 /// `bench_substrates` exercise 10k/100k), samples a gravity traffic
 /// matrix, computes routes **only toward the sampled destinations** on
 /// the frozen SoA engine with one worker per available core (at most
-/// 8), and reports locality metrics. The worker count never changes the
-/// table (`tests/determinism.rs` pins it at 1, 2 and 8 workers). There
+/// 8: the calling thread plus warm pooled threads of the runner's
+/// fan-out), and reports locality metrics. The worker count never
+/// changes the table (`tests/determinism.rs` pins it at 1, 2 and 8
+/// workers). There
 /// is no fault surface: the computation either reproduces the same bytes
 /// or errors.
 pub fn f10_scale(seed: u64, tel: &Telemetry) -> Result<Table> {

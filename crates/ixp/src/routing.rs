@@ -46,15 +46,19 @@
 //!
 //! Per-destination propagation is embarrassingly parallel.
 //! [`RoutingTable::compute_frozen`] allocates the two tables once and
-//! splits them into `workers` disjoint contiguous row ranges, one per
-//! slice of the sorted destination list. Scoped threads fill their ranges
-//! in place. Slice boundaries depend only on the row and worker counts and
-//! each row depends only on its destination, so the table is
-//! byte-identical whatever the worker count.
+//! hands the sorted destination list to the runner's pooled fan-out
+//! ([`fan_out`]): the calling thread and up to `workers − 1` warm pooled
+//! threads claim one destination at a time, route it into their own
+//! one-row buffers, and copy the finished rows into the destination's
+//! row of the tables under a lock. Each row depends only on its
+//! destination and lands at its index in the sorted list, so the table is
+//! byte-identical whatever the worker count or claim order.
 
 use crate::topology::{AsId, AsTopology, FrozenTopology, IxpId, PeerSessions, NO_IXP};
 use crate::{IxpError, Result};
-use std::sync::Arc;
+use humnet_resilience::fan_out;
+use std::ops::ControlFlow;
+use std::sync::{Arc, Mutex};
 
 const INF: u32 = u32::MAX;
 /// Sentinel for "no next hop" in the packed next-hop rows.
@@ -110,8 +114,9 @@ impl Route {
 }
 
 /// Reusable per-worker state of the three propagation phases, reset
-/// between destinations instead of reallocated. Next-hop entries are only
-/// meaningful where the matching distance is finite.
+/// between destinations instead of reallocated, and the one-row buffers
+/// the last phase writes. Next-hop entries are only meaningful where the
+/// matching distance is finite.
 struct Scratch {
     dist_cust: Vec<u32>,
     next_cust: Vec<u32>,
@@ -121,6 +126,9 @@ struct Scratch {
     selected_len: Vec<u32>,
     /// Phase 1's BFS queue; afterwards, the provider cone in BFS order.
     cone: Vec<u32>,
+    /// The destination's finished `class` and `next` rows.
+    class: Vec<u8>,
+    next: Vec<u32>,
 }
 
 impl Scratch {
@@ -132,20 +140,15 @@ impl Scratch {
             next_peer: vec![NO_NEXT; n],
             selected_len: vec![INF; n],
             cone: Vec::new(),
+            class: vec![CLASS_NONE; n],
+            next: vec![NO_NEXT; n],
         }
     }
 }
 
-/// One destination's propagation, written into its two `n`-wide rows.
+/// One destination's propagation, written into `s.class` and `s.next`.
 /// `order` lists every AS providers-first.
-fn route_rows(
-    ft: &FrozenTopology,
-    order: &[u32],
-    dst: usize,
-    s: &mut Scratch,
-    class_row: &mut [u8],
-    next_row: &mut [u32],
-) {
+fn route_rows(ft: &FrozenTopology, order: &[u32], dst: usize, s: &mut Scratch) {
     s.dist_cust.fill(INF);
     s.dist_peer.fill(INF);
     // Phase 1: customer routes propagate upward (customer -> provider)
@@ -207,33 +210,39 @@ fn route_rows(
             }
         };
         s.selected_len[u] = len;
-        class_row[u] = class;
-        next_row[u] = next;
+        s.class[u] = class;
+        s.next[u] = next;
     }
 }
 
-/// Route toward each of `dests` in turn, filling row `i` of both tables
-/// for `dests[i]`.
-fn fill_rows(
-    ft: &FrozenTopology,
-    order: &[u32],
-    dests: &[AsId],
-    class: &mut [u8],
-    next: &mut [u32],
-) {
-    let n = ft.as_count();
-    let mut scratch = Scratch::new(n);
-    for (i, &dst) in dests.iter().enumerate() {
-        let row = i * n..(i + 1) * n;
-        route_rows(
-            ft,
-            order,
-            dst,
-            &mut scratch,
-            &mut class[row.clone()],
-            &mut next[row],
-        );
-    }
+/// The `class` and `next` tables of `dests`: row `k` of each holds the
+/// `n`-wide rows `route(dests[k], scratch)` leaves in its scratch. Up to
+/// `workers` threads of the pooled fan-out claim one destination at a
+/// time, each routing into its own [`Scratch`], and copy each finished
+/// row into the shared tables under their lock, never holding it while
+/// routing.
+fn fill_table<R>(n: usize, dests: &[AsId], workers: usize, route: R) -> (Vec<u8>, Vec<u32>)
+where
+    R: Fn(AsId, &mut Scratch) + Send + Sync + 'static,
+{
+    let rows = dests.len();
+    // Every row is overwritten whole, so zeroed memory will do.
+    let table = Arc::new(Mutex::new((vec![0u8; rows * n], vec![0u32; rows * n])));
+    // `fan_out` numbers its workers from 0 to one less than this.
+    let scratch: Arc<[Mutex<Scratch>]> = (0..workers.max(1).min(rows))
+        .map(|_| Mutex::new(Scratch::new(n)))
+        .collect();
+    let filled = Arc::clone(&table);
+    fan_out(dests.to_vec(), workers, move |row, dst, worker| {
+        let mut s = scratch[worker].lock().expect("one worker per scratch");
+        route(dst, &mut s);
+        let (class, next) = &mut *filled.lock().expect("a row copy never panics");
+        class[row * n..][..n].copy_from_slice(&s.class);
+        next[row * n..][..n].copy_from_slice(&s.next);
+        ControlFlow::Continue(())
+    });
+    let mut table = table.lock().expect("a row copy never panics");
+    std::mem::take(&mut *table)
 }
 
 /// Policy routes for a topology, covering all destinations
@@ -258,14 +267,8 @@ impl RoutingTable {
     /// provider hierarchy contains a cycle (valley-free routing is
     /// undefined then).
     pub fn compute(topology: &AsTopology) -> Result<Self> {
-        Self::compute_parallel(topology, 1)
-    }
-
-    /// [`RoutingTable::compute`] with destinations fanned across `workers`
-    /// threads. The result is byte-identical to the serial one.
-    pub fn compute_parallel(topology: &AsTopology, workers: usize) -> Result<Self> {
         let dests: Vec<AsId> = (0..topology.as_count()).collect();
-        Self::compute_frozen(&topology.freeze(), &dests, workers)
+        Self::compute_frozen(&topology.freeze(), &dests, 1)
     }
 
     /// Compute routes *toward the given destinations only* — the
@@ -276,23 +279,12 @@ impl RoutingTable {
         Self::compute_frozen(&topology.freeze(), dests, 1)
     }
 
-    /// [`RoutingTable::compute_for_destinations`] across `workers`
-    /// threads; byte-identical to the serial result.
-    pub fn compute_for_destinations_parallel(
-        topology: &AsTopology,
-        dests: &[AsId],
-        workers: usize,
-    ) -> Result<Self> {
-        Self::compute_frozen(&topology.freeze(), dests, workers)
-    }
-
     /// The general entry point: compute routes toward `dests` on an
-    /// already-frozen topology. The (sorted, deduplicated) destination
-    /// list is split into `workers` contiguous slices, and a scoped thread
-    /// per slice fills that slice's rows of the preallocated tables, so
-    /// the table is byte-identical for every `workers` value. Freezing
-    /// once and calling this repeatedly amortizes the CSR build across
-    /// samples.
+    /// already-frozen topology, on the calling thread and up to
+    /// `workers − 1` pooled threads (see the [module docs](self)). Rows
+    /// follow the sorted, deduplicated destination list, so the table is
+    /// byte-identical for every `workers` value. Freezing once and
+    /// calling this repeatedly amortizes the CSR build across samples.
     pub fn compute_frozen(ft: &FrozenTopology, dests: &[AsId], workers: usize) -> Result<Self> {
         let n = ft.as_count();
         // Phase 3's order; valley-free routing is undefined on a cycle.
@@ -307,38 +299,10 @@ impl RoutingTable {
         if let Some(&bad) = dests.iter().find(|&&d| d >= n) {
             return Err(IxpError::InvalidAs(bad));
         }
-        let rows = dests.len();
-        // `route_rows` writes every cell, so zeroed memory will do.
-        let mut class = vec![0u8; rows * n];
-        let mut next = vec![0u32; rows * n];
-        // Balanced contiguous slices: the first `extra` slices carry one
-        // more destination. Slice boundaries depend only on (rows,
-        // workers), never on timing.
-        let workers = workers.max(1).min(rows.max(1));
-        let (base, extra) = (rows / workers, rows % workers);
-        let mut slices = Vec::with_capacity(workers);
-        let (mut d, mut c, mut x) = (&dests[..], &mut class[..], &mut next[..]);
-        for i in 0..workers {
-            let len = base + usize::from(i < extra);
-            let (d0, d1) = d.split_at(len);
-            let (c0, c1) = std::mem::take(&mut c).split_at_mut(len * n);
-            let (x0, x1) = std::mem::take(&mut x).split_at_mut(len * n);
-            slices.push((d0, c0, x0));
-            (d, c, x) = (d1, c1, x1);
-        }
-        std::thread::scope(|scope| {
-            let mut slices = slices.into_iter();
-            let (d0, c0, x0) = slices.next().expect("at least one slice");
-            let order = &order;
-            let handles: Vec<_> = slices
-                .map(|(d, c, x)| scope.spawn(move || fill_rows(ft, order, d, c, x)))
-                .collect();
-            fill_rows(ft, order, d0, c0, x0);
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
+        let peers = Arc::clone(ft.peer_sessions());
+        let ft = ft.clone();
+        let (class, next) = fill_table(n, &dests, workers, move |dst, s| {
+            route_rows(&ft, &order, dst, s);
         });
         let mut dest_slot = vec![NO_SLOT; n];
         for (row, &d) in dests.iter().enumerate() {
@@ -350,7 +314,7 @@ impl RoutingTable {
             dest_slot,
             class,
             next,
-            peers: Arc::clone(ft.peer_sessions()),
+            peers,
         })
     }
 
@@ -875,6 +839,9 @@ impl Fold {
 mod tests {
     use super::*;
     use crate::topology::{AsKind, AsTopology, RegionTag};
+    use std::sync::Condvar;
+    use std::thread;
+    use std::time::Duration;
 
     fn r() -> RegionTag {
         RegionTag::new("X", false)
@@ -1091,13 +1058,65 @@ mod tests {
 
     #[test]
     fn parallel_compute_is_byte_identical() {
+        let (mut t, [_tr, a, b, _c, d]) = diamond();
+        t.add_peering(a, b, None).unwrap();
+        let ft = t.freeze();
+        let all: Vec<AsId> = (0..t.as_count()).collect();
+        // Every destination on 0, 2, 3 and 8 workers (more workers than
+        // destinations), a sample on 8, and no destination at all.
+        let cases: [(&[AsId], usize); 6] = [
+            (&all, 0),
+            (&all, 2),
+            (&all, 3),
+            (&all, 8),
+            (&[d, a], 8),
+            (&[], 2),
+        ];
+        for (dests, workers) in cases {
+            let serial = RoutingTable::compute_for_destinations(&t, dests).unwrap();
+            let par = RoutingTable::compute_frozen(&ft, dests, workers).unwrap();
+            assert_eq!(par, serial, "{dests:?} on {workers} workers");
+            assert_eq!(par.digest(), serial.digest());
+        }
+    }
+
+    #[test]
+    fn a_row_off_the_calling_thread_is_routed_on_a_pooled_worker() {
+        // A row the calling thread claims waits until another row has
+        // been routed, so a helper must route one (or, after a timeout,
+        // the test fails instead of hanging).
         let (mut t, [_tr, a, b, _c, _d]) = diamond();
         t.add_peering(a, b, None).unwrap();
-        let serial = RoutingTable::compute(&t).unwrap();
-        for workers in [2, 3, 8] {
-            let par = RoutingTable::compute_parallel(&t, workers).unwrap();
-            assert_eq!(par, serial, "workers = {workers}");
-            assert_eq!(par.digest(), serial.digest());
+        let ft = t.freeze();
+        let order = ft.providers_first_order().unwrap();
+        let caller = thread::current().id();
+        let latch = Arc::new((Mutex::new(false), Condvar::new()));
+        let helpers = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&helpers);
+        let routed = ft.clone();
+        let (class, next) = fill_table(ft.as_count(), &[a, b], 2, move |dst, s| {
+            let me = thread::current();
+            let (open, opened) = &*latch;
+            if me.id() == caller {
+                let wait = Duration::from_secs(10);
+                drop(opened.wait_timeout_while(open.lock().unwrap(), wait, |o| !*o));
+            } else {
+                *open.lock().unwrap() = true;
+                opened.notify_all();
+                let name = me.name().unwrap_or_default().to_owned();
+                seen.lock().unwrap().push(name);
+            }
+            route_rows(&routed, &order, dst, s);
+        });
+        let want = RoutingTable::compute_frozen(&ft, &[a, b], 1).unwrap();
+        assert_eq!((class, next), (want.class, want.next));
+        let helpers = helpers.lock().unwrap();
+        assert!(
+            !helpers.is_empty(),
+            "no row was routed off the calling thread"
+        );
+        for name in helpers.iter() {
+            assert!(name.starts_with("humnet-exp-pool-"), "{name:?}");
         }
     }
 

@@ -397,10 +397,12 @@ impl AsTopology {
         });
         FrozenTopology {
             n,
-            prov_off,
-            prov,
-            cust_off,
-            cust,
+            hierarchy: Arc::new(Hierarchy {
+                prov_off,
+                prov,
+                cust_off,
+                cust,
+            }),
             peers: Arc::new(peers),
         }
     }
@@ -417,16 +419,23 @@ impl AsTopology {
 /// Immutable CSR (offset + edge array) form of an [`AsTopology`], the
 /// input of the routing engine: three adjacency structures over dense
 /// `u32` ids, contiguous in memory and free of per-node allocations.
+/// The arrays sit behind `Arc`s, so a clone is cheap and shares them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrozenTopology {
     n: usize,
+    hierarchy: Arc<Hierarchy>,
+    /// Shared with every `RoutingTable` computed on this topology, which
+    /// derives its peer hops' IXPs from it.
+    peers: Arc<PeerSessions>,
+}
+
+/// The provider and customer edges of every AS in CSR form.
+#[derive(Debug, PartialEq, Eq)]
+struct Hierarchy {
     prov_off: Vec<u32>,
     prov: Vec<u32>,
     cust_off: Vec<u32>,
     cust: Vec<u32>,
-    /// Shared with every `RoutingTable` computed on this topology, which
-    /// derives its peer hops' IXPs from it.
-    peers: Arc<PeerSessions>,
 }
 
 /// Every AS's peer sessions in CSR form: the sessions of `u` are
@@ -487,13 +496,15 @@ impl FrozenTopology {
     /// Providers of `u`.
     #[inline]
     pub fn providers_of(&self, u: usize) -> &[u32] {
-        &self.prov[self.prov_off[u] as usize..self.prov_off[u + 1] as usize]
+        let h = &*self.hierarchy;
+        &h.prov[h.prov_off[u] as usize..h.prov_off[u + 1] as usize]
     }
 
     /// Customers of `u`.
     #[inline]
     pub fn customers_of(&self, u: usize) -> &[u32] {
-        &self.cust[self.cust_off[u] as usize..self.cust_off[u + 1] as usize]
+        let h = &*self.hierarchy;
+        &h.cust[h.cust_off[u] as usize..h.cust_off[u + 1] as usize]
     }
 
     /// Peer sessions of `u` as parallel slices: neighbors and the IXP of
@@ -514,9 +525,7 @@ impl FrozenTopology {
     /// returned vector doubles as its queue.
     pub fn providers_first_order(&self) -> Option<Vec<u32>> {
         let n = self.n;
-        let mut pending: Vec<u32> = (0..n)
-            .map(|u| self.prov_off[u + 1] - self.prov_off[u])
-            .collect();
+        let mut pending: Vec<u32> = (0..n).map(|u| self.providers_of(u).len() as u32).collect();
         let mut order: Vec<u32> = (0..n as u32)
             .filter(|&u| pending[u as usize] == 0)
             .collect();

@@ -334,7 +334,9 @@ where
 /// panic is resumed on the calling thread.
 ///
 /// [`Supervisor::run`] fans its specs out through this, and so do the
-/// independent sub-runs of T1 and T3 (`humnet_core::subrun`).
+/// independent sub-runs of T1 and T3 (`humnet_core::subrun`) and the
+/// per-destination rows of a routing table
+/// (`humnet_ixp::RoutingTable::compute_frozen`).
 pub fn fan_out<I, T, F>(inputs: Vec<I>, workers: usize, job: F) -> Vec<T>
 where
     I: Send + 'static,

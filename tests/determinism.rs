@@ -136,9 +136,11 @@ fn routing_worker_count_never_changes_results() {
     let mx = MexicoScenario::run(&MexicoConfig::default(), &mut NoFaults, &off).unwrap();
     let tr = TwoRegionScenario::run(&TwoRegionConfig::default(), &mut NoFaults, &off).unwrap();
     for t in [&mx.topology, &tr.topology] {
-        let serial = RoutingTable::compute_parallel(t, 1).unwrap();
+        let ft = t.freeze();
+        let dests: Vec<usize> = (0..t.as_count()).collect();
+        let serial = RoutingTable::compute_frozen(&ft, &dests, 1).unwrap();
         for workers in [2usize, 8] {
-            let par = RoutingTable::compute_parallel(t, workers).unwrap();
+            let par = RoutingTable::compute_frozen(&ft, &dests, workers).unwrap();
             assert_eq!(par, serial, "workers = {workers}");
             assert_eq!(par.digest(), serial.digest());
         }

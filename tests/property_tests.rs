@@ -287,9 +287,10 @@ fn matches_reference(topology: &AsTopology) -> Result<(), TestCaseError> {
     let n = topology.as_count();
     let soa = RoutingTable::compute(topology).unwrap();
     let naive = humnet::ixp::routing::reference::ReferenceTable::compute(topology).unwrap();
-    let par = RoutingTable::compute_parallel(topology, 4).unwrap();
-    prop_assert_eq!(&par, &soa);
     let ft = topology.freeze();
+    let all: Vec<usize> = (0..n).collect();
+    let par = RoutingTable::compute_frozen(&ft, &all, 4).unwrap();
+    prop_assert_eq!(&par, &soa);
     for src in 0..n {
         for dst in 0..n {
             let expected = naive.route(src, dst).ok();
@@ -309,8 +310,7 @@ fn matches_reference(topology: &AsTopology) -> Result<(), TestCaseError> {
     // A sampled table agrees on its covered rows, at 1 and 4 workers.
     let sample: Vec<usize> = (0..n).filter(|d| d % 2 == 0).collect();
     let sampled = RoutingTable::compute_for_destinations(topology, &sample).unwrap();
-    let sampled_par =
-        RoutingTable::compute_for_destinations_parallel(topology, &sample, 4).unwrap();
+    let sampled_par = RoutingTable::compute_frozen(&ft, &sample, 4).unwrap();
     prop_assert_eq!(&sampled_par, &sampled);
     for src in 0..n {
         for &dst in &sample {
