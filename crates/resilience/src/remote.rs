@@ -458,7 +458,8 @@ impl LineBuffer {
 // ---------------------------------------------------------------------------
 
 /// Dial every resolved address for `addr` until one connects in budget.
-fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
+/// The dispatcher's leases and `humnet_serve`'s client both dial here.
+pub fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
     let resolved = addr.to_socket_addrs()?;
     let mut last = std::io::Error::new(
         std::io::ErrorKind::AddrNotAvailable,

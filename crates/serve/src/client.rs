@@ -26,7 +26,7 @@ use crate::protocol::{LineBuffer, Request, Response};
 use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Why a request failed before a well-formed response arrived (connect,
@@ -81,27 +81,8 @@ impl ServeClient {
     /// Connect to the daemon at `addr` (trying every resolved address)
     /// with `timeout` as the connect/read/write budget per operation.
     pub fn connect(addr: &str, timeout: Duration) -> Result<ServeClient, ClientError> {
-        let targets: Vec<_> = addr
-            .to_socket_addrs()
-            .map_err(|e| ClientError::new(format!("cannot resolve '{addr}': {e}")))?
-            .collect();
-        let mut stream = None;
-        let mut last_err = None;
-        for target in &targets {
-            match TcpStream::connect_timeout(target, timeout) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        let stream = stream.ok_or_else(|| {
-            ClientError::new(match last_err {
-                Some(e) => format!("cannot connect to {addr}: {e}"),
-                None => format!("'{addr}' resolved to no addresses"),
-            })
-        })?;
+        let stream = humnet_resilience::remote::connect(addr, timeout)
+            .map_err(|e| ClientError::new(format!("cannot connect to {addr}: {e}")))?;
         stream
             .set_read_timeout(Some(timeout))
             .and_then(|()| stream.set_write_timeout(Some(timeout)))

@@ -1,6 +1,23 @@
 //! End-to-end integration tests: every experiment in the suite runs and
 //! reproduces the qualitative shape the paper commits to. These are the
 //! assertions behind `EXPERIMENTS.md`.
+//!
+//! `EXPERIMENTS.md` quotes its measured results as *blocks*:
+//!
+//! ```text
+//! <!-- measured: F3: Telmex scenario -->
+//! ...
+//! <!-- /measured -->
+//! ```
+//!
+//! A block's body is a verbatim copy of one section of what
+//! `experiments run <id>` prints: the text under `## <heading>`, up to
+//! the next `## `, trimmed. The heading's prefix before `:` names the
+//! experiment. One test, `measured_blocks_match_the_binary`, runs every
+//! experiment once and compares each block with its section byte for
+//! byte. It fails if an experiment has no block or a marker names a
+//! heading the binary does not print, and on a mismatch it prints the
+//! section as the binary renders it, so refreshing a block is a paste.
 
 use humnet::agenda::MethodRegime;
 use humnet::core::experiments as exp;
@@ -288,133 +305,73 @@ fn f7_gap_holds_on_every_recommendation() {
     }
 }
 
-// The numbers EXPERIMENTS.md quotes as "Measured" must be what the binary
-// renders today, so the document cannot drift from the code.
-
 const EXPERIMENTS_MD: &str = include_str!("../EXPERIMENTS.md");
+// Markers count only at the start of a line, so prose can quote them.
+const OPEN: &str = "\n<!-- measured: ";
+const CLOSE: &str = "\n<!-- /measured -->";
 
-/// EXPERIMENTS.md's section for `code`, from its heading to the next one.
-fn doc_section(code: &str) -> &'static str {
-    let heading = format!("\n## {code} — ");
-    let start = EXPERIMENTS_MD
-        .find(&heading)
-        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no {code} section"))
-        + heading.len();
-    let rest = &EXPERIMENTS_MD[start..];
-    &rest[..rest.find("\n## ").unwrap_or(rest.len())]
-}
-
-/// What the `experiments` binary prints for `code` at its canonical
-/// parameters.
-fn rendered(code: &str) -> String {
-    let id = exp::ExperimentId::parse(code).unwrap();
-    id.run_hooked(&mut NoFaults, &Telemetry::disabled())
-        .unwrap()
-        .rendered
-}
-
-/// One markdown cell with bold markers and thousands separators removed.
-fn cell(raw: &str) -> String {
-    raw.trim().replace("**", "").replace(',', "")
-}
-
-/// The first markdown table in `text` whose header starts with `first`,
-/// as column `name` mapped from each row's label to its cell.
-fn column(text: &str, first: &str, name: &str) -> Vec<(String, String)> {
-    let cells = |line: &str| -> Vec<String> {
-        line.trim().trim_matches('|').split('|').map(cell).collect()
-    };
-    let mut lines = text
-        .lines()
-        .skip_while(|l| !l.starts_with('|') || cells(l).first().map(String::as_str) != Some(first));
-    let header = cells(lines.next().unwrap_or_else(|| panic!("no `{first}` table")));
-    let col = header
-        .iter()
-        .position(|h| h == name)
-        .unwrap_or_else(|| panic!("no `{name}` column in {header:?}"));
-    let mut rows: Vec<(String, String)> = lines
-        .skip(1)
-        .take_while(|l| l.starts_with('|'))
-        .map(|l| {
-            let row = cells(l);
-            (row[0].clone(), row[col].clone())
-        })
-        .collect();
-    rows.sort();
-    rows
-}
-
-/// The number after `label` in `text`, compared case-insensitively.
-fn number_after(text: &str, label: &str) -> String {
-    let text = text.replace("**", "").to_lowercase();
-    let at = text.find(label).unwrap_or_else(|| panic!("no `{label}`")) + label.len();
-    text[at..]
-        .split(|c: char| !(c.is_ascii_digit() || c == '.'))
-        .next()
-        .unwrap()
-        .trim_end_matches('.')
-        .to_string()
-}
-
-#[test]
-fn f1_committed_numbers_match_the_binary() {
-    let (doc, out) = (doc_section("F1"), rendered("f1"));
-    assert_eq!(
-        column(doc, "class", "publications"),
-        column(&out, "class", "publications")
-    );
-    assert_eq!(
-        number_after(doc, "attention gini = "),
-        number_after(&out, "attention gini = ")
-    );
-}
-
-#[test]
-fn t1_committed_numbers_match_the_binary() {
-    let (doc, out) = (doc_section("T1"), rendered("t1"));
-    for name in ["marginalized coverage", "attention gini", "publications"] {
-        assert_eq!(
-            column(doc, "regime", name),
-            column(&out, "regime", name),
-            "{name}"
-        );
+/// Every measured block in `doc`, as `(heading, trimmed body)`.
+fn measured_blocks(doc: &str) -> Vec<(&str, &str)> {
+    let mut blocks = Vec::new();
+    let mut rest = doc;
+    while let Some(at) = rest.find(OPEN) {
+        let (heading, after) = rest[at + OPEN.len()..]
+            .split_once(" -->")
+            .expect("unterminated measured marker");
+        let (body, after) = after
+            .split_once(CLOSE)
+            .unwrap_or_else(|| panic!("block `{heading}` is never closed"));
+        blocks.push((heading, body.trim()));
+        rest = after;
     }
+    blocks
+}
+
+/// The experiment a block heading such as `F3: Telmex scenario` belongs to.
+fn owner(heading: &str) -> Option<exp::ExperimentId> {
+    exp::ExperimentId::parse(heading.split_once(':')?.0)
+}
+
+/// The section of `rendered` under the line `## heading`, up to the next
+/// `## `, trimmed.
+fn section<'a>(rendered: &'a str, heading: &str) -> Option<&'a str> {
+    let line = format!("## {heading}\n");
+    let (at, _) = rendered
+        .match_indices(&line)
+        .find(|&(i, _)| i == 0 || rendered[..i].ends_with('\n'))?;
+    let rest = &rendered[at + line.len()..];
+    Some(rest[..rest.find("\n## ").unwrap_or(rest.len())].trim())
 }
 
 #[test]
-fn f2_committed_numbers_match_the_binary() {
-    let (doc, out) = (doc_section("F2"), rendered("f2"));
-    let quoted = column(doc, "venue kind", "positionality rate");
-    assert_eq!(quoted, column(&out, "venue kind", "tagged rate"));
-    // "The detector agrees with the structured tags exactly."
-    assert_eq!(quoted, column(&out, "venue kind", "detected rate"));
-}
-
-#[test]
-fn f7_committed_numbers_match_the_binary() {
-    let (doc, out) = (doc_section("F7"), rendered("f7"));
-    // The prose quotes percentages, in order: systems-networking's three
-    // recommendation rates, ICTD's three, then full adoption.
-    let quoted: Vec<String> = doc
-        .split_whitespace()
-        .map(|w| w.trim_end_matches([',', '.', ';', ':']))
-        .filter_map(|w| w.strip_suffix('%'))
-        .map(str::to_string)
-        .collect();
-    let rate = |row: &str, name: &str| -> String {
-        let col = column(&out, "venue kind", name);
-        let value = &col.iter().find(|(label, _)| label == row).unwrap().1;
-        format!("{:.1}", value.parse::<f64>().unwrap() * 100.0)
-    };
-    let recommendations = [
-        "partnerships (§5.1)",
-        "conversations (§5.2)",
-        "positionality (§5.3)",
-    ];
-    let mut measured: Vec<String> = ["systems-networking", "ictd"]
-        .iter()
-        .flat_map(|row| recommendations.iter().map(move |name| rate(row, name)))
-        .collect();
-    measured.push(rate("full §5 adoption", recommendations[0]));
-    assert_eq!(quoted, measured);
+fn measured_blocks_match_the_binary() {
+    let blocks = measured_blocks(EXPERIMENTS_MD);
+    let mut failures = Vec::new();
+    for (heading, _) in blocks.iter().filter(|(h, _)| owner(h).is_none()) {
+        failures.push(format!("marker `{heading}` names no experiment"));
+    }
+    for id in exp::ExperimentId::ALL {
+        let code = id.code();
+        let rendered = id
+            .run_hooked(&mut NoFaults, &Telemetry::disabled())
+            .unwrap()
+            .rendered;
+        let mine: Vec<_> = blocks
+            .iter()
+            .filter(|(h, _)| owner(h) == Some(id))
+            .collect();
+        if mine.is_empty() {
+            failures.push(format!("{code}: EXPERIMENTS.md has no measured block"));
+        }
+        for (heading, body) in mine {
+            match section(&rendered, heading) {
+                None => failures.push(format!("{code}: the binary prints no `## {heading}`")),
+                Some(expected) if expected != *body => failures.push(format!(
+                    "{code}: block `{heading}` differs from the binary, which prints:\n\n{expected}\n"
+                )),
+                Some(_) => {}
+            }
+        }
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
