@@ -13,9 +13,11 @@
 //! A block's body is a verbatim copy of one section of what
 //! `experiments run <id>` prints: the text under `## <heading>`, up to
 //! the next `## `, trimmed. The heading's prefix before `:` names the
-//! experiment. One test, `measured_blocks_match_the_binary`, runs every
-//! experiment once and compares each block with its section byte for
-//! byte. It fails if an experiment has no block or a marker names a
+//! experiment. `measured_blocks_match_the_binary` runs every experiment
+//! once and compares each block with its section byte for byte; the
+//! `*_committed_numbers_match_the_binary` tests make the same check for
+//! one experiment each, so a drift in F1, T1, F2 or F7 fails under its
+//! own name. The check fails if an experiment has no block or a marker names a
 //! heading the binary does not print, and on a mismatch it prints the
 //! section as the binary renders it, so refreshing a block is a paste.
 
@@ -343,14 +345,15 @@ fn section<'a>(rendered: &'a str, heading: &str) -> Option<&'a str> {
     Some(rest[..rest.find("\n## ").unwrap_or(rest.len())].trim())
 }
 
-#[test]
-fn measured_blocks_match_the_binary() {
+/// Compares every measured block that belongs to one of `ids` with the
+/// section the binary prints, and panics listing each mismatch.
+fn assert_blocks_match(ids: &[exp::ExperimentId]) {
     let blocks = measured_blocks(EXPERIMENTS_MD);
     let mut failures = Vec::new();
     for (heading, _) in blocks.iter().filter(|(h, _)| owner(h).is_none()) {
         failures.push(format!("marker `{heading}` names no experiment"));
     }
-    for id in exp::ExperimentId::ALL {
+    for &id in ids {
         let code = id.code();
         let rendered = id
             .run_hooked(&mut NoFaults, &Telemetry::disabled())
@@ -374,4 +377,29 @@ fn measured_blocks_match_the_binary() {
         }
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+#[test]
+fn measured_blocks_match_the_binary() {
+    assert_blocks_match(&exp::ExperimentId::ALL);
+}
+
+#[test]
+fn f1_committed_numbers_match_the_binary() {
+    assert_blocks_match(&[exp::ExperimentId::F1]);
+}
+
+#[test]
+fn t1_committed_numbers_match_the_binary() {
+    assert_blocks_match(&[exp::ExperimentId::T1]);
+}
+
+#[test]
+fn f2_committed_numbers_match_the_binary() {
+    assert_blocks_match(&[exp::ExperimentId::F2]);
+}
+
+#[test]
+fn f7_committed_numbers_match_the_binary() {
+    assert_blocks_match(&[exp::ExperimentId::F7]);
 }
