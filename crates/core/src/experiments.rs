@@ -364,11 +364,16 @@ pub fn f10_scale(seed: u64, tel: &Telemetry) -> Result<Table> {
     let ft = t.freeze();
     let matrix = TrafficMatrix::gravity_sampled(&t, &TrafficConfig::default(), pairs, seed)
         .map_err(upstream("sampled gravity"))?;
+    // Nothing below reads the builder form; free it before the table.
+    drop(t);
     let dests = matrix.destinations();
     let t0 = tel.start();
     let workers = subrun::workers_for(dests.len()).min(8);
     let routes = RoutingTable::compute_frozen(&ft, &dests, workers).map_err(upstream("routing"))?;
     tel.observe_since("ixp.route_assign_ns", t0);
+    drop(ft);
+    // Digest before the flows exist, so the two never share the heap.
+    let digest = routes.digest();
     let (flows, unserved) = matrix.assign(&routes);
     let total_volume: f64 = flows.iter().map(|f| f.volume).sum();
     let mean_hops = if flows.is_empty() {
@@ -404,7 +409,7 @@ pub fn f10_scale(seed: u64, tel: &Telemetry) -> Result<Table> {
         "destinations computed".into(),
         routes.destinations().len().to_string(),
     ]);
-    table.row(&["route digest".into(), format!("{:016x}", routes.digest())]);
+    table.row(&["route digest".into(), format!("{digest:016x}")]);
     table.row(&["flows served".into(), flows.len().to_string()]);
     table.row(&["flows unserved".into(), unserved.len().to_string()]);
     table.row(&["mean AS-path hops".into(), Table::f(mean_hops)]);

@@ -178,8 +178,9 @@ impl CorpusConfig {
         let authors = self.generate_authors(&mut rng);
         // Indexed by `VenueKind as usize` (declaration order is `ALL` order).
         let author_weights = VenueKind::ALL.map(|kind| author_weights(&authors, kind));
-        let markov = topic_markov_models();
-        let mut papers: Vec<Paper> = Vec::new();
+        let mut abstracts = AbstractWriter::new();
+        let per_year: usize = self.venues.iter().map(|v| v.papers_per_year).sum();
+        let mut papers: Vec<Paper> = Vec::with_capacity(self.years as usize * per_year);
         let mut cite_weights = CitationWeights::default();
         for year_idx in 0..self.years {
             let year = self.start_year + year_idx;
@@ -193,7 +194,7 @@ impl CorpusConfig {
                         profile.kind,
                         &author_weights[profile.kind as usize],
                         &cite_weights,
-                        &markov,
+                        &mut abstracts,
                         &mut rng,
                     );
                     for &c in &paper.citations {
@@ -241,7 +242,7 @@ impl CorpusConfig {
         kind: VenueKind,
         author_weights: &CumulativeWeights,
         cite_weights: &CitationWeights,
-        markov: &[MarkovModel; Topic::ALL.len()],
+        abstracts: &mut AbstractWriter,
         rng: &mut Rng,
     ) -> Paper {
         let topic = sample_topic(kind, rng);
@@ -263,7 +264,7 @@ impl CorpusConfig {
             rng,
         );
         let title = make_title(topic, id, rng);
-        let abstract_text = make_abstract(&markov[topic as usize], &methods, rng);
+        let abstract_text = abstracts.write(topic, &methods, rng);
         // §5.1/§5.2 documentation behaviour: participatory work documents
         // partners most of the time; other human-centered work sometimes;
         // purely technical work rarely.
@@ -653,25 +654,39 @@ fn method_sentence(tag: MethodTag) -> &'static str {
     }
 }
 
-/// Train one Markov model per topic (done once per corpus generation),
-/// indexed by `Topic as usize`.
-fn topic_markov_models() -> [MarkovModel; Topic::ALL.len()] {
-    Topic::ALL.map(|t| {
-        let mut m = MarkovModel::new();
-        m.train_text(topic_seed(t));
-        m
-    })
+/// Writes abstracts from one Markov model per topic, trained once per
+/// corpus generation and indexed by `Topic as usize`. Each abstract is
+/// composed in one reused scratch string and copied out at its exact
+/// length, so a corpus holds no spare capacity in its abstracts.
+struct AbstractWriter {
+    models: [MarkovModel; Topic::ALL.len()],
+    scratch: String,
 }
 
-fn make_abstract(model: &MarkovModel, methods: &[MethodTag], rng: &mut Rng) -> String {
-    let signals: usize = methods.iter().map(|&m| 1 + method_sentence(m).len()).sum();
-    let mut text = String::with_capacity(model.max_paragraph_len(3, 14) + signals);
-    model.push_paragraph(&mut text, 3, 14, rng);
-    for &m in methods {
-        text.push(' ');
-        text.push_str(method_sentence(m));
+impl AbstractWriter {
+    fn new() -> Self {
+        AbstractWriter {
+            models: Topic::ALL.map(|t| {
+                let mut m = MarkovModel::new();
+                m.train_text(topic_seed(t));
+                m
+            }),
+            scratch: String::new(),
+        }
     }
-    text
+
+    /// A three-sentence paragraph of `topic`'s model, at most 14 words a
+    /// sentence, then one signal sentence per method.
+    fn write(&mut self, topic: Topic, methods: &[MethodTag], rng: &mut Rng) -> String {
+        let text = &mut self.scratch;
+        text.clear();
+        self.models[topic as usize].push_paragraph(text, 3, 14, rng);
+        for &m in methods {
+            text.push(' ');
+            text.push_str(method_sentence(m));
+        }
+        text.as_str().to_owned()
+    }
 }
 
 #[cfg(test)]

@@ -30,13 +30,15 @@
 //! ## Representation
 //!
 //! The engine runs on [`FrozenTopology`] CSR adjacency and stores its
-//! result as structure-of-arrays: per computed destination, one `u8`
-//! *class* row (none/customer/peer/provider) and one `u32` *next-hop* row,
-//! each `n` wide, packed contiguously with `u32::MAX` as the "none"
-//! sentinel. That is 5 bytes per (AS, destination) pair instead of the
-//! seven pointer-carrying `Vec`s per destination the original
-//! implementation kept (retained verbatim in `reference`, behind the
-//! `reference` feature, for differential testing). The IXP a peer hop
+//! result as one `n`-wide row of `u32` cells per computed destination,
+//! the rows contiguous. A cell packs the route's *class*
+//! (none/customer/peer/provider) into its top 2 bits and its *next hop*
+//! into the low 30, with the all-ones 30-bit value as the "none"
+//! sentinel, so a table holds at most 2^30 − 1 ASes. That is 4 bytes per
+//! (AS, destination) pair instead of the seven pointer-carrying `Vec`s
+//! per destination the original implementation kept (retained verbatim
+//! in `reference`, behind the `reference` feature, for differential
+//! testing). The IXP a peer hop
 //! crosses is not stored: it is the first of the AS's own sessions that
 //! reaches the hop's next AS, so the table shares the topology's peer
 //! sessions and derives it on read. Paths are reconstructed on request by
@@ -45,12 +47,12 @@
 //! ## Parallelism and determinism
 //!
 //! Per-destination propagation is embarrassingly parallel.
-//! [`RoutingTable::compute_frozen`] allocates the two tables once and
-//! hands the sorted destination list to the runner's pooled fan-out
+//! [`RoutingTable::compute_frozen`] allocates the table once and hands
+//! the sorted destination list to the runner's pooled fan-out
 //! ([`fan_out`]): the calling thread and up to `workers − 1` warm pooled
 //! threads claim one destination at a time, route it into their own
-//! one-row buffers, and copy the finished rows into the destination's
-//! row of the tables under a lock. Each row depends only on its
+//! one-row buffer, and copy the finished row into the destination's row
+//! of the table under a lock. Each row depends only on its
 //! destination and lands at its index in the sorted list, so the table is
 //! byte-identical whatever the worker count or claim order.
 
@@ -61,16 +63,33 @@ use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 
 const INF: u32 = u32::MAX;
-/// Sentinel for "no next hop" in the packed next-hop rows.
-const NO_NEXT: u32 = u32::MAX;
+/// Width of a cell's next-hop field; the class takes the 2 bits above it.
+const NEXT_BITS: u32 = 30;
+/// Sentinel for "no next hop": the all-ones next-hop field.
+const NO_NEXT: u32 = (1 << NEXT_BITS) - 1;
+/// The most ASes a table holds: every AS id sits below [`NO_NEXT`].
+const MAX_ASES: usize = NO_NEXT as usize;
 /// Sentinel slot for "destination not computed".
 const NO_SLOT: u32 = u32::MAX;
 
-/// Route class codes of the packed `class` rows.
-const CLASS_NONE: u8 = 0;
-const CLASS_CUST: u8 = 1;
-const CLASS_PEER: u8 = 2;
-const CLASS_PROV: u8 = 3;
+/// Route class codes of the packed cells.
+const CLASS_NONE: u32 = 0;
+const CLASS_CUST: u32 = 1;
+const CLASS_PEER: u32 = 2;
+const CLASS_PROV: u32 = 3;
+
+/// A cell of class `class` whose next hop is `next` (at most [`NO_NEXT`]).
+fn pack(class: u32, next: u32) -> u32 {
+    class << NEXT_BITS | next
+}
+
+fn class_of(cell: u32) -> u32 {
+    cell >> NEXT_BITS
+}
+
+fn next_of(cell: u32) -> u32 {
+    cell & NO_NEXT
+}
 
 /// How the first hop of a route was learned — equivalently, the economic
 /// class of the selected route at the source.
@@ -114,7 +133,7 @@ impl Route {
 }
 
 /// Reusable per-worker state of the three propagation phases, reset
-/// between destinations instead of reallocated, and the one-row buffers
+/// between destinations instead of reallocated, and the one-row buffer
 /// the last phase writes. Next-hop entries are only meaningful where the
 /// matching distance is finite.
 struct Scratch {
@@ -126,9 +145,8 @@ struct Scratch {
     selected_len: Vec<u32>,
     /// Phase 1's BFS queue; afterwards, the provider cone in BFS order.
     cone: Vec<u32>,
-    /// The destination's finished `class` and `next` rows.
-    class: Vec<u8>,
-    next: Vec<u32>,
+    /// The destination's finished row of cells.
+    cells: Vec<u32>,
 }
 
 impl Scratch {
@@ -140,13 +158,12 @@ impl Scratch {
             next_peer: vec![NO_NEXT; n],
             selected_len: vec![INF; n],
             cone: Vec::new(),
-            class: vec![CLASS_NONE; n],
-            next: vec![NO_NEXT; n],
+            cells: vec![pack(CLASS_NONE, NO_NEXT); n],
         }
     }
 }
 
-/// One destination's propagation, written into `s.class` and `s.next`.
+/// One destination's propagation, written into `s.cells`.
 /// `order` lists every AS providers-first.
 fn route_rows(ft: &FrozenTopology, order: &[u32], dst: usize, s: &mut Scratch) {
     s.dist_cust.fill(INF);
@@ -185,7 +202,7 @@ fn route_rows(ft: &FrozenTopology, order: &[u32], dst: usize, s: &mut Scratch) {
     // Phase 3: provider routes propagate downward; a provider exports the
     // length of its selected route. Visiting providers first makes every
     // provider's selected length final before its customers read it. The
-    // same pass derives the packed rows.
+    // same pass packs the row's cells.
     for &u in order {
         let u = u as usize;
         let (class, next, len) = if s.dist_cust[u] != INF {
@@ -210,24 +227,22 @@ fn route_rows(ft: &FrozenTopology, order: &[u32], dst: usize, s: &mut Scratch) {
             }
         };
         s.selected_len[u] = len;
-        s.class[u] = class;
-        s.next[u] = next;
+        s.cells[u] = pack(class, next);
     }
 }
 
-/// The `class` and `next` tables of `dests`: row `k` of each holds the
-/// `n`-wide rows `route(dests[k], scratch)` leaves in its scratch. Up to
-/// `workers` threads of the pooled fan-out claim one destination at a
-/// time, each routing into its own [`Scratch`], and copy each finished
-/// row into the shared tables under their lock, never holding it while
-/// routing.
-fn fill_table<R>(n: usize, dests: &[AsId], workers: usize, route: R) -> (Vec<u8>, Vec<u32>)
+/// The cell table of `dests`: row `k` holds the `n`-wide row
+/// `route(dests[k], scratch)` leaves in its scratch. Up to `workers`
+/// threads of the pooled fan-out claim one destination at a time, each
+/// routing into its own [`Scratch`], and copy each finished row into the
+/// shared table under its lock, never holding it while routing.
+fn fill_table<R>(n: usize, dests: &[AsId], workers: usize, route: R) -> Vec<u32>
 where
     R: Fn(AsId, &mut Scratch) + Send + Sync + 'static,
 {
     let rows = dests.len();
     // Every row is overwritten whole, so zeroed memory will do.
-    let table = Arc::new(Mutex::new((vec![0u8; rows * n], vec![0u32; rows * n])));
+    let table = Arc::new(Mutex::new(vec![0u32; rows * n]));
     // `fan_out` numbers its workers from 0 to one less than this.
     let scratch: Arc<[Mutex<Scratch>]> = (0..workers.max(1).min(rows))
         .map(|_| Mutex::new(Scratch::new(n)))
@@ -236,13 +251,23 @@ where
     fan_out(dests.to_vec(), workers, move |row, dst, worker| {
         let mut s = scratch[worker].lock().expect("one worker per scratch");
         route(dst, &mut s);
-        let (class, next) = &mut *filled.lock().expect("a row copy never panics");
-        class[row * n..][..n].copy_from_slice(&s.class);
-        next[row * n..][..n].copy_from_slice(&s.next);
+        let cells = &mut *filled.lock().expect("a row copy never panics");
+        cells[row * n..][..n].copy_from_slice(&s.cells);
         ControlFlow::Continue(())
     });
     let mut table = table.lock().expect("a row copy never panics");
     std::mem::take(&mut *table)
+}
+
+/// Hash the classes of up to 8 `cells` one byte each; bit `i` of the
+/// result is set when cell `i` is a peer route.
+fn hash_classes(h: &mut Fnv1a, cells: &[u32]) -> u64 {
+    let mut peers = 0;
+    for (i, &c) in cells.iter().enumerate() {
+        h.byte(class_of(c) as u8);
+        peers |= u64::from(class_of(c) == CLASS_PEER) << i;
+    }
+    peers
 }
 
 /// Policy routes for a topology, covering all destinations
@@ -255,8 +280,8 @@ pub struct RoutingTable {
     dests: Vec<AsId>,
     /// `dest_slot[dst]` = row index of `dst`, or `u32::MAX` if uncomputed.
     dest_slot: Vec<u32>,
-    class: Vec<u8>,
-    next: Vec<u32>,
+    /// One packed cell per (destination row, AS), row-major.
+    cells: Vec<u32>,
     /// The topology's peer sessions, from which a peer cell's IXP is
     /// derived ([`PeerSessions::first_ixp`]).
     peers: Arc<PeerSessions>,
@@ -285,8 +310,15 @@ impl RoutingTable {
     /// follow the sorted, deduplicated destination list, so the table is
     /// byte-identical for every `workers` value. Freezing once and
     /// calling this repeatedly amortizes the CSR build across samples.
+    /// Errors if the topology has more ASes than a cell's next-hop field
+    /// can name (2^30 − 1).
     pub fn compute_frozen(ft: &FrozenTopology, dests: &[AsId], workers: usize) -> Result<Self> {
         let n = ft.as_count();
+        if n > MAX_ASES {
+            return Err(IxpError::InvalidParameter(
+                "a routing table holds at most 2^30 - 1 ASes",
+            ));
+        }
         // Phase 3's order; valley-free routing is undefined on a cycle.
         let order = ft
             .providers_first_order()
@@ -301,7 +333,7 @@ impl RoutingTable {
         }
         let peers = Arc::clone(ft.peer_sessions());
         let ft = ft.clone();
-        let (class, next) = fill_table(n, &dests, workers, move |dst, s| {
+        let cells = fill_table(n, &dests, workers, move |dst, s| {
             route_rows(&ft, &order, dst, s);
         });
         let mut dest_slot = vec![NO_SLOT; n];
@@ -312,8 +344,7 @@ impl RoutingTable {
             n,
             dests,
             dest_slot,
-            class,
-            next,
+            cells,
             peers,
         })
     }
@@ -349,67 +380,92 @@ impl RoutingTable {
         dst < self.n && self.dest_slot[dst] != NO_SLOT
     }
 
-    /// FNV-1a digest over the packed route arrays — a cheap fingerprint
-    /// for byte-identity assertions across worker counts.
+    /// FNV-1a digest over the route table — a cheap fingerprint for
+    /// byte-identity assertions across worker counts.
     ///
     /// The value is the byte-serial FNV-1a of `dests` (8 little-endian
-    /// bytes each), then `class`, then `next` and the dense peer-IXP
-    /// column (4 each): per cell, the IXP its peer hop crosses, or
-    /// [`NO_IXP`] for private peering and every cell that is not a peer
-    /// route. Runs of known bytes are folded rather than hashed one by one
-    /// ([`Fnv1a`]): the zero bytes above a value's highest nonzero byte
-    /// cost one multiply, a run of `u32::MAX` entries one table step per
-    /// set bit of its byte count, and an 8-byte `class` word of one route
-    /// class one table step. The class pass notes the peer cells, so the
-    /// IXP column costs one derivation per peer cell and one fold per run
-    /// of `NO_IXP` between them.
+    /// bytes each), then every cell's class (1 byte each), then every
+    /// cell's next hop and the dense peer-IXP column (4 each): the next
+    /// hop with [`NO_NEXT`] written as `u32::MAX`, and per cell the IXP
+    /// its peer hop crosses, or [`NO_IXP`] for private peering and every
+    /// cell that is not a peer route. Runs of known bytes are folded
+    /// rather than hashed one by one ([`Fnv1a`]): the zero bytes above a
+    /// value's highest nonzero byte cost one multiply, a run of
+    /// `u32::MAX` entries one table step per set bit of its byte count,
+    /// and a run of 8-cell words of one route class, each found with one
+    /// OR of XORs, one table step per set bit of its length (runs end at
+    /// 64-cell block bounds). The class pass also notes the peer cells,
+    /// one bit per cell (1/32 of the table), so the IXP column costs one
+    /// derivation per peer cell and one fold per run of `NO_IXP` between
+    /// them, and never reads the other cells again.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
         for &d in &self.dests {
             h.word(d as u64, 8);
         }
-        let mut peer_cells = Vec::new();
-        let mut words = self.class.chunks_exact(8);
-        for (k, w) in (0..).step_by(8).zip(&mut words) {
-            if w.iter().all(|&c| c == w[0]) {
-                h.repeat(w[0], 8);
-                if w[0] == CLASS_PEER {
-                    peer_cells.extend(k..k + 8);
-                }
-            } else {
-                for (k, &c) in (k..).zip(w) {
-                    h.byte(c);
-                    if c == CLASS_PEER {
-                        peer_cells.push(k);
+        // Bit `i` of `peer_mask[j]` is set when cell `64j + i` is a peer
+        // route. In each block of 64 cells, `run` cells of class
+        // `run_class` are not hashed yet.
+        let mut peer_mask = vec![0u64; self.cells.len().div_ceil(64)];
+        for (block, mask) in self.cells.chunks(64).zip(&mut peer_mask) {
+            let (mut run_class, mut run) = (CLASS_NONE, 0);
+            let mut words = block.chunks_exact(8);
+            for (i, w) in (0..).step_by(8).zip(&mut words) {
+                let differ = w.iter().fold(0, |acc, &c| acc | (c ^ w[0]));
+                if class_of(differ) == 0 {
+                    let class = class_of(w[0]);
+                    if class != run_class {
+                        h.repeat(run_class as u8, run);
+                        (run_class, run) = (class, 0);
                     }
+                    run += 8;
+                    if class == CLASS_PEER {
+                        *mask |= 0xff << i;
+                    }
+                } else {
+                    h.repeat(run_class as u8, run);
+                    run = 0;
+                    *mask |= hash_classes(&mut h, w) << i;
+                }
+            }
+            h.repeat(run_class as u8, run);
+            // Only the table's last block can end in a partial word.
+            let rest = words.remainder();
+            if !rest.is_empty() {
+                *mask |= hash_classes(&mut h, rest) << (block.len() - rest.len());
+            }
+        }
+        for &c in &self.cells {
+            let next = match next_of(c) {
+                NO_NEXT => u32::MAX,
+                next => next,
+            };
+            h.word(u64::from(next), 4);
+        }
+        // `unhashed` counts the NO_IXP entries since the last one hashed;
+        // cell `k` is AS `k - row`'s, which spares a division per cell.
+        let (mut unhashed, mut from, mut row) = (0, 0, 0);
+        for (j, &mask) in peer_mask.iter().enumerate() {
+            let mut bits = mask;
+            while bits != 0 {
+                let k = 64 * j + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                unhashed += k - from;
+                from = k + 1;
+                while k >= row + self.n {
+                    row += self.n;
+                }
+                let ixp = self.peers.first_ixp(k - row, next_of(self.cells[k]));
+                if ixp == NO_IXP {
+                    unhashed += 1;
+                } else {
+                    h.repeat(0xff, 4 * unhashed);
+                    h.word(u64::from(ixp), 4);
+                    unhashed = 0;
                 }
             }
         }
-        let tail = self.class.len() - words.remainder().len();
-        for (k, &c) in (tail..).zip(words.remainder()) {
-            h.byte(c);
-            if c == CLASS_PEER {
-                peer_cells.push(k);
-            }
-        }
-        for &x in &self.next {
-            h.word(u64::from(x), 4);
-        }
-        // `unhashed` counts the NO_IXP entries since the last one hashed.
-        let (mut unhashed, mut from) = (0, 0);
-        for k in peer_cells {
-            unhashed += k - from;
-            from = k + 1;
-            let ixp = self.peers.first_ixp(k % self.n, self.next[k]);
-            if ixp == NO_IXP {
-                unhashed += 1;
-            } else {
-                h.repeat(0xff, 4 * unhashed);
-                h.word(u64::from(ixp), 4);
-                unhashed = 0;
-            }
-        }
-        h.repeat(0xff, 4 * (unhashed + self.class.len() - from));
+        h.repeat(0xff, 4 * (unhashed + self.cells.len() - from));
         h.finish()
     }
 
@@ -434,8 +490,8 @@ impl RoutingTable {
         if row == NO_SLOT {
             return Err(IxpError::DestinationNotComputed(dst));
         }
-        let base = row as usize * self.n;
-        let kind = match self.class[base + src] {
+        let row = &self.cells[row as usize * self.n..][..self.n];
+        let kind = match class_of(row[src]) {
             CLASS_CUST => RouteKind::Customer,
             CLASS_PEER => RouteKind::Peer,
             CLASS_PROV => RouteKind::Provider,
@@ -448,14 +504,14 @@ impl RoutingTable {
         let mut crossed_ixp = None;
         let mut has_peer_hop = false;
         let mut current = src;
-        while self.class[base + current] == CLASS_PROV {
-            let next = self.next[base + current] as usize;
+        while class_of(row[current]) == CLASS_PROV {
+            let next = next_of(row[current]) as usize;
             path.push(next);
             current = next;
         }
-        if self.class[base + current] == CLASS_PEER {
+        if class_of(row[current]) == CLASS_PEER {
             has_peer_hop = true;
-            let next = self.next[base + current];
+            let next = next_of(row[current]);
             let ixp = self.peers.first_ixp(current, next);
             if ixp != NO_IXP {
                 crossed_ixp = Some(ixp as usize);
@@ -464,7 +520,7 @@ impl RoutingTable {
             current = next as usize;
         }
         while current != dst {
-            let next = self.next[base + current] as usize;
+            let next = next_of(row[current]) as usize;
             path.push(next);
             current = next;
         }
@@ -1094,7 +1150,7 @@ mod tests {
         let helpers = Arc::new(Mutex::new(Vec::new()));
         let seen = Arc::clone(&helpers);
         let routed = ft.clone();
-        let (class, next) = fill_table(ft.as_count(), &[a, b], 2, move |dst, s| {
+        let cells = fill_table(ft.as_count(), &[a, b], 2, move |dst, s| {
             let me = thread::current();
             let (open, opened) = &*latch;
             if me.id() == caller {
@@ -1109,7 +1165,7 @@ mod tests {
             route_rows(&routed, &order, dst, s);
         });
         let want = RoutingTable::compute_frozen(&ft, &[a, b], 1).unwrap();
-        assert_eq!((class, next), (want.class, want.next));
+        assert_eq!(cells, want.cells);
         let helpers = helpers.lock().unwrap();
         assert!(
             !helpers.is_empty(),
@@ -1210,25 +1266,32 @@ mod tests {
     /// The IXP column `digest` hashes, written out cell by cell: a peer
     /// cell's first session to its next AS, [`NO_IXP`] everywhere else.
     fn dense_peer_ixp(t: &RoutingTable) -> Vec<u32> {
-        (0..t.class.len())
+        (0..t.cells.len())
             .map(|k| {
-                if t.class[k] != CLASS_PEER {
+                if t.cells[k] >> 30 != CLASS_PEER {
                     return NO_IXP;
                 }
                 let (nbrs, ixps) = t.peers.of(k % t.n);
-                let first = nbrs.iter().zip(ixps).find(|&(&v, _)| v == t.next[k]);
+                let next = t.cells[k] & 0x3fff_ffff;
+                let first = nbrs.iter().zip(ixps).find(|&(&v, _)| v == next);
                 *first.expect("a peer cell's next AS is a peer").1
             })
             .collect()
     }
 
-    /// FNV-1a fed one byte at a time over `digest`'s byte order.
+    /// FNV-1a fed one byte at a time over `digest`'s byte order: the
+    /// classes, then the next hops with the all-ones 30-bit field written
+    /// as `u32::MAX`, then the IXP column.
     fn byte_serial_fnv1a(t: &RoutingTable) -> u64 {
+        let next = |c: u32| match c & 0x3fff_ffff {
+            0x3fff_ffff => u32::MAX,
+            x => x,
+        };
         t.dests
             .iter()
             .flat_map(|&d| (d as u64).to_le_bytes())
-            .chain(t.class.iter().copied())
-            .chain(t.next.iter().flat_map(|x| x.to_le_bytes()))
+            .chain(t.cells.iter().map(|&c| (c >> 30) as u8))
+            .chain(t.cells.iter().flat_map(|&c| next(c).to_le_bytes()))
             .chain(dense_peer_ixp(t).iter().flat_map(|x| x.to_le_bytes()))
             .fold(0xcbf29ce484222325, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
@@ -1245,6 +1308,13 @@ mod tests {
             2 => bits | 1 << 16,
             _ => u32::MAX,
         }
+    }
+
+    /// A next-hop field from each class `digest` folds differently, as
+    /// [`entry`] draws them, cut to 30 bits: `u32::MAX` becomes
+    /// [`NO_NEXT`].
+    fn next_entry(code: u64) -> u32 {
+        entry(code) & NO_NEXT
     }
 
     /// Expand codes into runs: a third of the codes are each a run of
@@ -1271,11 +1341,12 @@ mod tests {
     /// peer along `sessions`, each code naming two ASes in its low six
     /// bits and, above them, a private session or an IXP of any size
     /// `digest` folds differently; a session is listed at both ends, as
-    /// `AsTopology::add_peering` does, and pairs may peer more than once. `class` comes in runs
-    /// of every class and in single bytes, peer routes among them, cut to
-    /// whole rows of `n`, which need not fill whole 8-byte words. A peer
-    /// cell's next AS is one of its peers (an AS without sessions gets no
-    /// route instead); any other cell's next hop is any entry.
+    /// `AsTopology::add_peering` does, and pairs may peer more than once.
+    /// Classes come in runs of every class and in single cells, peer
+    /// routes among them, cut to whole rows of `n`, which need not fill
+    /// whole 8-cell words. A peer cell's next AS is one of its peers (an
+    /// AS without sessions gets no route instead); any other cell's next
+    /// hop is any 30-bit entry.
     fn drawn_table(
         n: usize,
         sessions: &[u64],
@@ -1294,28 +1365,25 @@ mod tests {
         let peers = PeerSessions::build(n, |u| lists[u].iter().copied());
         let mut class = with_runs(
             class,
-            |c| (c >> 8) as u8 % 4,
+            |c| (c >> 8) as u32 % 4,
             |c| match c % 3 {
                 1 => CLASS_PEER,
-                _ => (c >> 8) as u8,
+                _ => (c >> 8) as u32 % 4,
             },
         );
         class.truncate(class.len() / n * n);
         let mut rng = humnet_stats::Rng::new(seed);
-        let mut next = Vec::with_capacity(class.len());
-        for (k, c) in class.iter_mut().enumerate() {
+        let mut cells = Vec::with_capacity(class.len());
+        for (k, &c) in class.iter().enumerate() {
             let code = rng.next_u64();
             let nbrs = peers.of(k % n).0;
-            next.push(match *c {
-                CLASS_PEER if nbrs.is_empty() => {
-                    *c = CLASS_NONE;
-                    entry(code)
-                }
-                CLASS_PEER => nbrs[code as usize % nbrs.len()],
-                _ => entry(code),
+            cells.push(match c {
+                CLASS_PEER if nbrs.is_empty() => pack(CLASS_NONE, next_entry(code)),
+                CLASS_PEER => pack(CLASS_PEER, nbrs[code as usize % nbrs.len()]),
+                _ => pack(c, next_entry(code)),
             });
         }
-        let rows = class.len() / n;
+        let rows = cells.len() / n;
         RoutingTable {
             n,
             dests: (0..rows)
@@ -1323,8 +1391,7 @@ mod tests {
                 .map(|d| d as usize)
                 .collect(),
             dest_slot: Vec::new(),
-            class,
-            next,
+            cells,
             peers: Arc::new(peers),
         }
     }
@@ -1341,6 +1408,30 @@ mod tests {
         ) {
             let table = drawn_table(n, &sessions, &dests, &class, seed);
             proptest::prop_assert_eq!(table.digest(), byte_serial_fnv1a(&table));
+        }
+    }
+
+    #[test]
+    fn cells_round_trip_at_the_limits() {
+        for class in [CLASS_NONE, CLASS_CUST, CLASS_PEER, CLASS_PROV] {
+            for next in [0, 1, 0xff, (1 << 30) - 2, NO_NEXT] {
+                let cell = pack(class, next);
+                assert_eq!((class_of(cell), next_of(cell)), (class, next));
+            }
+        }
+        assert_eq!(NO_NEXT, (1 << 30) - 1);
+        assert_eq!(pack(CLASS_PROV, NO_NEXT), u32::MAX);
+    }
+
+    #[test]
+    fn compute_frozen_refuses_more_ases_than_a_cell_can_name() {
+        for n in [MAX_ASES + 1, u32::MAX as usize] {
+            let err = RoutingTable::compute_frozen(&FrozenTopology::hollow(n), &[0], 2)
+                .expect_err("an oversized topology must be refused");
+            assert!(
+                matches!(err, IxpError::InvalidParameter(_)),
+                "{n} ASes: {err:?}"
+            );
         }
     }
 

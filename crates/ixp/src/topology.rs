@@ -551,6 +551,24 @@ impl FrozenTopology {
 }
 
 #[cfg(test)]
+impl FrozenTopology {
+    /// A topology that claims `n` ASes but holds no edges, for checks
+    /// that refuse a size before reading any adjacency.
+    pub(crate) fn hollow(n: usize) -> Self {
+        FrozenTopology {
+            n,
+            hierarchy: Arc::new(Hierarchy {
+                prov_off: Vec::new(),
+                prov: Vec::new(),
+                cust_off: Vec::new(),
+                cust: Vec::new(),
+            }),
+            peers: Arc::new(PeerSessions::build(0, |_| std::iter::empty())),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -13,8 +13,9 @@ use std::collections::HashMap;
 ///
 /// Words are interned at training time: generation walks word ids and
 /// draws straight from the stored weights, so it allocates only the
-/// paragraph it returns, or nothing when it appends to a caller's string
-/// sized by [`MarkovModel::max_paragraph_len`].
+/// paragraph it returns, or nothing beyond the growth of a caller's
+/// string it appends to ([`MarkovModel::push_paragraph`]), which a caller
+/// can reuse across paragraphs.
 #[derive(Debug, Clone, Default)]
 pub struct MarkovModel {
     /// Interned vocabulary: a word's id is its index.
@@ -25,8 +26,6 @@ pub struct MarkovModel {
     successors: Vec<Successors>,
     /// Sentence-start words.
     starts: Successors,
-    /// Length in bytes of the longest interned word.
-    longest_word: usize,
 }
 
 /// Successor word ids with their counts as `f64` weights, in first-seen
@@ -86,7 +85,6 @@ impl MarkovModel {
             return id;
         }
         let id = self.words.len();
-        self.longest_word = self.longest_word.max(word.len());
         self.words.push(word.to_owned());
         self.ids.insert(word.to_owned(), id);
         self.successors.push(Successors::default());
@@ -104,7 +102,8 @@ impl MarkovModel {
     }
 
     /// [`MarkovModel::generate_paragraph`], appended to `out` with the
-    /// same draws.
+    /// same draws. `out` grows only past its capacity, so a string reused
+    /// across paragraphs soon stops allocating.
     pub fn push_paragraph(
         &self,
         out: &mut String,
@@ -137,14 +136,6 @@ impl MarkovModel {
             }
             out.push('.');
         }
-    }
-
-    /// An upper bound on the bytes [`MarkovModel::push_paragraph`]
-    /// appends for these arguments: every word as long as the longest,
-    /// each with a space or period after it, and a space between
-    /// sentences.
-    pub fn max_paragraph_len(&self, sentences: usize, max_words: usize) -> usize {
-        sentences * (max_words * (self.longest_word + 1) + 1)
     }
 }
 
@@ -228,13 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn push_paragraph_appends_the_same_paragraph_within_its_bound() {
+    fn push_paragraph_appends_the_same_paragraph() {
         let m = trained();
-        let mut out = String::with_capacity(3 + m.max_paragraph_len(4, 9));
-        out.push_str("So ");
-        let capacity = out.capacity();
+        let mut out = String::from("So ");
         m.push_paragraph(&mut out, 4, 9, &mut Rng::new(6));
-        assert_eq!(out.capacity(), capacity, "no regrowth");
         assert_eq!(
             out,
             format!("So {}", m.generate_paragraph(4, 9, &mut Rng::new(6)))

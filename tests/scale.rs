@@ -3,8 +3,10 @@
 //! The fast test keeps a 10k-AS synthetic internet inside the default test
 //! budget. The `#[ignore]`d test is the CI scale-smoke gate: build a 100k-AS
 //! topology, compute routes toward a 1k-destination sample under a
-//! wall-clock budget, and check route-metric invariants. Run it with
-//! `cargo test --release --test scale -- --ignored`.
+//! wall-clock budget, and check route-metric invariants. Its `scale
+//! smoke:` line also reports the process's peak resident set (VmHWM),
+//! which the 100k-AS table dominates. Run it with
+//! `cargo test --release --test scale -- --ignored --nocapture`.
 
 use humnet::ixp::{synthetic_internet, RouteKind, RoutingTable};
 use std::time::{Duration, Instant};
@@ -58,6 +60,16 @@ fn ten_thousand_as_sample_routes_quickly() {
     assert_eq!(table.digest(), serial.digest());
 }
 
+/// The process's peak resident set as `/proc/self/status` reports it
+/// (e.g. `812345 kB`), or `unknown` where there is no such file.
+fn peak_rss() -> String {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .map_or("unknown".into(), |v| v.trim().to_owned())
+}
+
 /// CI scale-smoke: 100k ASes, 1k-destination sample, wall-clock budget.
 #[test]
 #[ignore = "scale smoke: run with --ignored in release mode"]
@@ -76,9 +88,12 @@ fn hundred_thousand_as_internet_within_budget() {
     assert_eq!(table.destinations().len(), dests.len());
     check_route_invariants(&table, 100_000, &dests, 32);
 
-    // Digest stability: a second computation is byte-identical.
+    // Digest stability: a second computation is byte-identical. The
+    // first table is freed before it, so the peak holds one table.
+    let digest = table.digest();
+    drop(table);
     let again = RoutingTable::compute_frozen(&ft, &dests, 2).unwrap();
-    assert_eq!(table.digest(), again.digest());
+    assert_eq!(digest, again.digest());
 
     // Wall-clock budget: generous for shared CI runners, tight enough to
     // catch an accidental O(n^2) regression (which would take minutes).
@@ -87,5 +102,8 @@ fn hundred_thousand_as_internet_within_budget() {
         build + compute < budget,
         "scale smoke blew its budget: build {build:?} + compute {compute:?} >= {budget:?}"
     );
-    eprintln!("scale smoke: build {build:?}, 1k-dest compute {compute:?}");
+    eprintln!(
+        "scale smoke: build {build:?}, 1k-dest compute {compute:?}, peak RSS {}",
+        peak_rss()
+    );
 }
